@@ -127,3 +127,25 @@ def test_sweep_iotlb_emits_one_row_per_point(tmp_path):
     assert len(rows) == 32
     labels = [dict(zip(header, r))["iotlb"] for r in rows]
     assert len(set(labels)) == 32
+
+
+PINNED_ROWS = {
+    ("dht", "aa-int"): "aa-int,4,0.0,0.0,int,64-full-lru,160,184,6464,88784.0,6.464e-06,1802126.5092809512",
+    ("dht", "aa-poll"): "aa-poll,4,0.0,0.0,poll,64-full-lru,160,184,6464,88994.0,6.464e-06,1797874.0139784703",
+    ("dht", "aa-sp"): "aa-sp,4,0.0,0.0,sp,64-full-lru,160,184,6464,88729.0,6.464e-06,1803243.5843974347",
+    ("dht", "rma"): "rma,4,0.0,0.0,poll,64-full-lru,160,187,10400,133132.0,1.04e-05,1201814.7402577894",
+    ("dht", "am"): "am,4,0.0,0.0,poll,64-full-lru,160,160,5120,77280.0,5.12e-06,2070393.3747412006",
+    ("getlog", None): "aa,2,0.0,0.0,poll,64-full-lru,200,200,11200,542460.0,1.1200000000000001e-05,368690.7790436161",
+    ("checkpoint", None): "checkpoint,4,0.0,0.0,poll,64-full-lru,540,549,17784,278170.0,1.7784e-05,1941258.942373369",
+}
+
+
+@pytest.mark.parametrize("command,scheme", sorted(PINNED_ROWS, key=str))
+def test_rows_match_pinned_golden(tmp_path, capsys, command, scheme):
+    cfg = write_small_cfg(tmp_path)
+    argv = [command, "--config", cfg, "--seed", "1"]
+    if scheme:
+        argv += ["--scheme", scheme]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1:] == [PINNED_ROWS[(command, scheme)]]
