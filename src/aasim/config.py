@@ -9,6 +9,10 @@ from dataclasses import dataclass, fields
 
 SCHEMES = ("aa-int", "aa-poll", "aa-sp", "rma", "am")
 NOTIFICATIONS = ("int", "poll", "sp")
+IOTLB_ASSOCS = ("1", "2", "4", "full")
+IOTLB_POLICIES = ("lru", "rnd")
+# The smallest ring that holds one record carrying a word of data.
+MIN_ACCESS_LOG_SIZE = 32
 _SCHEME_NOTIFY = {"aa-int": "int", "aa-poll": "poll", "aa-sp": "sp"}
 
 
@@ -82,12 +86,31 @@ class SimConfig:
         ts = self.resolved_table_size()
         if ts & (ts - 1) or ts >= self.vol_size:
             raise ConfigError("table_size must be a power of two below vol_size")
-        if self.access_log_size & (self.access_log_size - 1):
-            raise ConfigError("access_log_size must be a power of two")
+        if (
+            self.access_log_size < MIN_ACCESS_LOG_SIZE
+            or self.access_log_size & (self.access_log_size - 1)
+        ):
+            raise ConfigError(
+                "access_log_size must be a power of two >= %d" % MIN_ACCESS_LOG_SIZE
+            )
+        assoc = str(self.iotlb_assoc)
+        if assoc not in IOTLB_ASSOCS:
+            raise ConfigError("iotlb_assoc must be one of %s" % ", ".join(IOTLB_ASSOCS))
+        if self.iotlb_policy not in IOTLB_POLICIES:
+            raise ConfigError("iotlb_policy must be one of %s" % ", ".join(IOTLB_POLICIES))
+        if self.iotlb_size < 1:
+            raise ConfigError("iotlb_size must be >= 1")
+        if assoc != "full" and self.iotlb_size % int(assoc):
+            raise ConfigError("iotlb_size %d not divisible by %s ways" % (self.iotlb_size, assoc))
+        for f in fields(self):
+            if f.name.endswith("_ns") and getattr(self, f.name) < 0:
+                raise ConfigError("%s must be >= 0" % f.name)
+        if self.wire_header_bytes < 0:
+            raise ConfigError("wire_header_bytes must be >= 0")
         if self.credit_capacity < 1:
             raise ConfigError("credit_capacity must be >= 1")
         if self.link_bw_bytes_per_ns <= 0:
-            raise ConfigError("link bandwidth must be positive")
+            raise ConfigError("link_bw_bytes_per_ns must be positive")
         if self.interrupt_batch < 1:
             raise ConfigError("interrupt_batch must be >= 1")
         return self

@@ -1,7 +1,16 @@
-"""Per-node physical memory: a flat byte store with a page-aligned bump allocator."""
+"""Per-node physical memory: a sparse page store with a page-aligned bump allocator.
+
+Reserving a region only extends a page directory by one empty slot per page;
+a page of backing store is allocated on its first write, and reading a page
+never written returns zeros. Build cost and resident memory therefore follow
+the pages a run touches, not the volumes it reserves.
+"""
+
+from bisect import bisect_right
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
+_OFFSET_MASK = PAGE_SIZE - 1
 
 
 class MemoryError_(Exception):
@@ -9,21 +18,23 @@ class MemoryError_(Exception):
 
 
 class PhysMemory:
-    def __init__(self, node_id, size=0):
+    def __init__(self, node_id):
         self.node_id = node_id
-        self.data = bytearray(size)
+        self._pages = []  # page number -> bytearray(PAGE_SIZE), or None if untouched
         self._regions = {}
+        self._bases = []  # region bases, ascending by construction
+        self._names = []
         self._bump = 0
 
     @property
     def size(self):
-        return len(self.data)
+        return self._bump
 
     def reserve_region(self, name, size):
-        """Allocate a page-aligned region, growing the store if needed.
+        """Reserve a page-aligned region; returns its base address.
 
         Regions never overlap by construction (bump allocation) and each name
-        is unique; returns the base address.
+        is unique. No backing store is allocated until a page is written.
         """
         if name in self._regions:
             raise MemoryError_("region %r already reserved" % name)
@@ -32,34 +43,74 @@ class PhysMemory:
         base = self._bump
         span = -(-size // PAGE_SIZE) * PAGE_SIZE
         self._bump = base + span
-        if self._bump > len(self.data):
-            self.data.extend(bytearray(self._bump - len(self.data)))
+        self._pages.extend([None] * (span // PAGE_SIZE))
         self._regions[name] = (base, span)
+        self._bases.append(base)
+        self._names.append(name)
         return base
 
     def region(self, name):
         return self._regions[name]
 
     def region_of(self, addr):
-        for name, (base, span) in self._regions.items():
-            if base <= addr < base + span:
-                return name
-        return None
+        i = bisect_right(self._bases, addr) - 1
+        if i < 0:
+            return None
+        name = self._names[i]
+        base, span = self._regions[name]
+        return name if addr < base + span else None
 
-    def _check(self, addr, length):
-        if addr < 0 or length < 0 or addr + length > len(self.data):
-            raise MemoryError_(
-                "access [%d, %d) outside memory of node %s (size %d)"
-                % (addr, addr + length, self.node_id, len(self.data))
-            )
+    def _outside(self, addr, length):
+        return MemoryError_(
+            "access [%d, %d) outside memory of node %s (size %d)"
+            % (addr, addr + length, self.node_id, self._bump)
+        )
+
+    def _pieces(self, addr, length):
+        """(page number, offset, length) of each page the access spans."""
+        while length > 0:
+            off = addr & _OFFSET_MASK
+            step = min(length, PAGE_SIZE - off)
+            yield addr >> PAGE_SHIFT, off, step
+            addr += step
+            length -= step
 
     def read(self, addr, length):
-        self._check(addr, length)
-        return bytes(self.data[addr : addr + length])
+        if addr < 0 or length < 0 or addr + length > self._bump:
+            raise self._outside(addr, length)
+        off = addr & _OFFSET_MASK
+        if 0 < length <= PAGE_SIZE - off:
+            page = self._pages[addr >> PAGE_SHIFT]
+            return bytes(length) if page is None else bytes(page[off : off + length])
+        out = bytearray(length)
+        pos = 0
+        for vpn, off, step in self._pieces(addr, length):
+            page = self._pages[vpn]
+            if page is not None:
+                out[pos : pos + step] = page[off : off + step]
+            pos += step
+        return bytes(out)
 
     def write(self, addr, payload):
-        self._check(addr, len(payload))
-        self.data[addr : addr + len(payload)] = payload
+        length = len(payload)
+        if addr < 0 or addr + length > self._bump:
+            raise self._outside(addr, length)
+        off = addr & _OFFSET_MASK
+        if 0 < length <= PAGE_SIZE - off:
+            vpn = addr >> PAGE_SHIFT
+            page = self._pages[vpn]
+            if page is None:
+                page = self._pages[vpn] = bytearray(PAGE_SIZE)
+            page[off : off + length] = payload
+            return
+        view = memoryview(payload)
+        pos = 0
+        for vpn, off, step in self._pieces(addr, length):
+            page = self._pages[vpn]
+            if page is None:
+                page = self._pages[vpn] = bytearray(PAGE_SIZE)
+            page[off : off + step] = view[pos : pos + step]
+            pos += step
 
     def read_word(self, addr):
         if addr % 8:

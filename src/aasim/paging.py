@@ -163,23 +163,33 @@ class PageTable:
             out.append((vpn >> shift) & LEVEL_MASK)
         return out
 
-    def map_page(self, vaddr, pte):
+    def map_range(self, vaddr, pte, pages=1):
+        """Map pages consecutive pages from vaddr onto consecutive frames
+        from pte.frame, filling each leaf table directly."""
         if vaddr % (1 << PAGE_SHIFT):
             raise PagingError("map address %d not page aligned" % vaddr)
-        node = self._root
-        idx = self._indices(vaddr >> PAGE_SHIFT)
-        for i in idx[:-1]:
-            node = node.setdefault(i, {})
-        node[idx[-1]] = pte.normalized()
-
-    def unmap_page(self, vaddr):
-        node = self._root
-        idx = self._indices(vaddr >> PAGE_SHIFT)
-        for i in idx[:-1]:
-            node = node.get(i)
-            if node is None:
-                return
-        node.pop(idx[-1], None)
+        if pages < 1:
+            raise PagingError("cannot map %d pages" % pages)
+        template = pte.normalized()
+        if template.frame + pages > 1 << FRAME_BITS:
+            raise PagingError("frames %d+%d out of range" % (template.frame, pages))
+        # Entries differ only in their frame; the template was validated once,
+        # so each one is a shallow copy rather than a re-checked construction.
+        state = vars(template)
+        vpn = vaddr >> PAGE_SHIFT
+        end = vpn + pages
+        frame = template.frame - vpn
+        while vpn < end:
+            node = self._root
+            for i in self._indices(vpn)[:-1]:
+                node = node.setdefault(i, {})
+            stop = min(end, (vpn | LEVEL_MASK) + 1)
+            for page in range(vpn, stop):
+                entry = object.__new__(Pte)
+                entry.__dict__.update(state)
+                entry.frame = frame + page
+                node[page & LEVEL_MASK] = entry
+            vpn = stop
 
     def lookup(self, vpn):
         """Returns (pte or None, memory accesses spent walking)."""
@@ -254,8 +264,20 @@ class IotlbCache:
                 del s[list(s.keys())[victim]]
         s[page] = pte
 
-    def invalidate(self, page):
-        self._set_for(page).pop(page, None)
+    def invalidate_range(self, first, count):
+        """Drop any cached translation of pages [first, first + count).
+
+        A run longer than the cache is cheaper to check against what the
+        cache holds than page by page.
+        """
+        end = first + count
+        if count <= self.capacity:
+            for page in range(first, end):
+                self._set_for(page).pop(page, None)
+            return
+        for s in self._sets:
+            for page in [p for p in s if first <= p < end]:
+                del s[page]
 
     def flush(self):
         for s in self._sets:
@@ -288,15 +310,13 @@ class AddressTranslator:
         self.iotlb = iotlb
         self._devices = set()
         self._ctx_seen = set()
-        self.walks = 0
-        self.walk_accesses = 0
 
     def register_device(self, device_id):
         self._devices.add(device_id)
 
-    def map_page(self, vaddr, pte):
-        self.page_table.map_page(vaddr, pte)
-        self.iotlb.invalidate(vaddr >> PAGE_SHIFT)
+    def map_range(self, vaddr, pte, pages=1):
+        self.page_table.map_range(vaddr, pte, pages)
+        self.iotlb.invalidate_range(vaddr >> PAGE_SHIFT, pages)
 
     def walk(self, device_id, addr):
         if device_id not in self._devices:
@@ -310,8 +330,6 @@ class AddressTranslator:
         if pte is None:
             pte, accesses = self.page_table.lookup(page)
             cost += accesses
-            self.walks += 1
-            self.walk_accesses += accesses
             if pte is None:
                 return WalkResult(None, 0, cost, True)
             self.iotlb.insert(page, pte)

@@ -150,20 +150,27 @@ class Proc:
         self._handlers[iuid] = _Binding(log, handler, flush_base)
         return iuid
 
-    def assoc_page(self, vaddr, hlr_id=0, **bits):
-        """Install extended mapping bits for one page this rank owns."""
+    def assoc_page(self, vaddr, hlr_id=0, span=PAGE_SIZE, **bits):
+        """Install extended mapping bits for the pages of [vaddr, vaddr+span),
+        which must lie inside one region this rank owns."""
         if vaddr % PAGE_SIZE:
             raise NodeError("page address %d not aligned" % vaddr)
-        if self.memory.region_of(vaddr) is None:
+        if span <= 0 or span % PAGE_SIZE:
+            raise NodeError("span %d is not a whole number of pages" % span)
+        name = self.memory.region_of(vaddr)
+        if name is None:
             raise NodeError("cannot assoc unowned page at %d" % vaddr)
+        base, size = self.memory.region(name)
+        if vaddr + span > base + size:
+            raise NodeError("pages [%d, %d) run past region %r" % (vaddr, vaddr + span, name))
         logging_bits = any(bits.get(b) for b in ("wl", "wld", "rl", "rld"))
         if logging_bits and bits.get("e") and hlr_id not in self._handlers:
             raise NodeError("no handler/log registered for id %d" % hlr_id)
         pte = Pte(frame=vaddr >> 12, iuid=hlr_id, **bits)
-        self.translator.map_page(vaddr, pte)
+        self.translator.map_range(vaddr, pte, span // PAGE_SIZE)
 
-    def map_plain(self, vaddr, w=False, r=False):
-        self.assoc_page(vaddr, 0, w=w, r=r)
+    def map_plain(self, vaddr, w=False, r=False, span=PAGE_SIZE):
+        self.assoc_page(vaddr, 0, span=span, w=w, r=r)
 
     def setup_inbox(self, handler):
         """AM receive side: a writable page whose writes land in a queue."""

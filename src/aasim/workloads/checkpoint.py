@@ -45,8 +45,7 @@ class CheckpointBench:
         span = self.n_pages * PAGE_SIZE
         self.region = target.memory.reserve_region("ckpt", span)
         iuid = target.register_handler(self._mark_dirty)
-        for addr in range(self.region, self.region + span, PAGE_SIZE):
-            target.assoc_page(addr, iuid, w=True, wl=True, e=True)
+        target.assoc_page(self.region, iuid, span=span, w=True, wl=True, e=True)
 
     def _mark_dirty(self, ctx, record):
         self.dirty_now.add((record.dev_addr - self.region) // PAGE_SIZE)

@@ -55,24 +55,18 @@ class CounterBench:
         self.region = target.memory.reserve_region("counted", span)
         if self.variant == "aa":
             iuid = target.register_handler(self._count_record)
-            for addr in range(self.region, self.region + span, PAGE_SIZE):
-                target.assoc_page(addr, iuid, w=True, wl=True, r=True, rl=True, e=True)
+            target.assoc_page(
+                self.region, iuid, span=span, w=True, wl=True, r=True, rl=True, e=True
+            )
         else:
-            for addr in range(self.region, self.region + span, PAGE_SIZE):
-                target.map_plain(addr, w=True, r=True)
+            target.map_plain(self.region, w=True, r=True, span=span)
         if self.variant == "rma-atomics":
             self.cnt_region = target.memory.reserve_region("counts", PAGE_SIZE)
             target.map_plain(self.cnt_region, w=True, r=True)
         if self.variant == "allreduce":
-            self.gather_region = target.memory.reserve_region(
-                "gather", self.cfg.num_procs * PAGE_SIZE
-            )
-            for addr in range(
-                self.gather_region,
-                self.gather_region + self.cfg.num_procs * PAGE_SIZE,
-                PAGE_SIZE,
-            ):
-                target.map_plain(addr, w=True)
+            gather_span = self.cfg.num_procs * PAGE_SIZE
+            self.gather_region = target.memory.reserve_region("gather", gather_span)
+            target.map_plain(self.gather_region, w=True, span=gather_span)
 
     def _count_record(self, ctx, record):
         page = (record.dev_addr - self.region) // PAGE_SIZE

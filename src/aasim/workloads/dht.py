@@ -9,8 +9,11 @@ the element to the owner's inbox. All variants share local_insert and
 local_delete so their final contents can be compared cell for cell.
 """
 
+import sys
+from array import array
 from collections import Counter
 
+from ..config import ConfigError
 from ..engine import Signal
 from ..memory import PAGE_SIZE
 from ..sim import Simulation
@@ -18,6 +21,7 @@ from . import keys as K
 
 CELL = 16
 EMPTY = 0
+_READ_CHUNK = 1 << 20
 
 
 class DhtOverflow(RuntimeError):
@@ -110,12 +114,18 @@ def local_delete(rw, layout, key):
 
 
 def extract_contents(memory, layout):
-    """Multiset of stored elements, position independent."""
+    """Multiset of stored elements, position independent.
+
+    Reads the volume in bulk slices and unpacks each slice's words at once.
+    """
     found = Counter()
-    for i in range(layout.vol_size):
-        elem = memory.read_word(layout.elem_addr(i))
-        if elem != EMPTY:
-            found[elem] += 1
+    end = layout.base + layout.volume_bytes
+    for addr in range(layout.base, end, _READ_CHUNK):
+        words = array("Q", memory.read(addr, min(_READ_CHUNK, end - addr)))
+        if sys.byteorder != "little":
+            words.byteswap()
+        found.update(words[:: CELL // 8])
+    del found[EMPTY]
     return found
 
 
@@ -256,6 +266,19 @@ class DhtBench:
         record_ops=False,
     ):
         cfg.validate()
+        table_size = cfg.resolved_table_size()
+        if cfg.scheme.startswith("aa") and table_size * CELL % PAGE_SIZE:
+            raise ConfigError(
+                "table of %d cells (%d B) is not a whole number of pages: under %s the"
+                " logged table and the plain heap cannot share a page"
+                % (table_size, table_size * CELL, cfg.scheme)
+            )
+        fresh = cfg.ops_per_proc - int(cfg.ops_per_proc * cfg.r_cols)
+        if key_mode == "collision" and fresh > cfg.num_procs * table_size:
+            raise ConfigError(
+                "%d fresh keys per source exceed the %d (owner, bucket) slots of %d procs"
+                " x %d buckets" % (fresh, cfg.num_procs * table_size, cfg.num_procs, table_size)
+            )
         self.cfg = cfg
         self.scheme = cfg.scheme
         self.delete_fraction = delete_fraction
@@ -266,7 +289,7 @@ class DhtBench:
         self.record_ops = record_ops
         self.op_log = []  # (rank, kind, key, remote_ops_used) when recording
         self.sim = Simulation(cfg)
-        self.table_size = cfg.resolved_table_size()
+        self.table_size = table_size
         self.nodes = []
         self.layouts = []
         self.delete_pages = []
@@ -288,24 +311,20 @@ class DhtBench:
             if active:
                 ins_id = proc.register_handler(node.insert_handler)
                 del_id = proc.register_handler(node.delete_handler)
-                for addr in range(layout.base, layout.base + layout.table_bytes, PAGE_SIZE):
-                    proc.assoc_page(addr, ins_id, wl=True, wld=True, e=True, r=True)
-                for addr in range(
+                proc.assoc_page(
+                    layout.base, ins_id, span=layout.table_bytes, wl=True, wld=True, e=True, r=True
+                )
+                proc.map_plain(
                     layout.base + layout.table_bytes,
-                    layout.base + layout.volume_bytes,
-                    PAGE_SIZE,
-                ):
-                    proc.map_plain(addr, r=True)
+                    r=True,
+                    span=layout.volume_bytes - layout.table_bytes,
+                )
                 dpage = proc.memory.reserve_region("delpage", PAGE_SIZE)
                 proc.assoc_page(dpage, del_id, wl=True, wld=True, e=True)
                 self.delete_pages.append(dpage)
             else:
-                for addr in range(layout.base, layout.base + layout.volume_bytes, PAGE_SIZE):
-                    proc.map_plain(addr, w=True, r=True)
-                for addr in range(
-                    layout.meta_base, layout.meta_base + layout.meta_bytes, PAGE_SIZE
-                ):
-                    proc.map_plain(addr, w=True, r=True)
+                proc.map_plain(layout.base, w=True, r=True, span=layout.volume_bytes)
+                proc.map_plain(layout.meta_base, w=True, r=True, span=layout.meta_bytes)
                 self.delete_pages.append(None)
                 if self.scheme == "am":
                     proc.setup_inbox(self.nodes[proc.rank].am_handler)

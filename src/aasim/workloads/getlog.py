@@ -39,16 +39,13 @@ class GetLogBench:
         target.memory.write(self.region, bytes(rng.getrandbits(8) for _ in range(span)))
         if self.variant == "aa":
             iuid = target.register_handler(self._log_record)
-            for addr in range(self.region, self.region + span, PAGE_SIZE):
-                target.assoc_page(addr, iuid, r=True, rl=True, rld=True, e=True)
+            target.assoc_page(self.region, iuid, span=span, r=True, rl=True, rld=True, e=True)
         else:
-            for addr in range(self.region, self.region + span, PAGE_SIZE):
-                target.map_plain(addr, r=True)
+            target.map_plain(self.region, r=True, span=span)
         if self.variant == "sendback":
             size = (self.n_gets * 8 + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
             self.sendlog = target.memory.reserve_region("sendlog", size)
-            for addr in range(self.sendlog, self.sendlog + size, PAGE_SIZE):
-                target.map_plain(addr, w=True)
+            target.map_plain(self.sendlog, w=True, span=size)
 
     def _log_record(self, ctx, record):
         self.recovered.append((record.dev_addr, bytes(record.payload[: record.length])))

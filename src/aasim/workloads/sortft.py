@@ -79,15 +79,12 @@ class SortBench:
             self.regions.append(region)
             if self.variant == "aa":
                 iuid = proc.register_handler(self._make_logger(rank))
-                for addr in range(region, region + span, PAGE_SIZE):
-                    proc.assoc_page(addr, iuid, r=True, rl=True, rld=True, e=True)
+                proc.assoc_page(region, iuid, span=span, r=True, rl=True, rld=True, e=True)
             else:
-                for addr in range(region, region + span, PAGE_SIZE):
-                    proc.map_plain(addr, r=True)
+                proc.map_plain(region, r=True, span=span)
             if self.variant == "sendback":
                 xlog = proc.memory.reserve_region("xlog", span)
-                for addr in range(xlog, xlog + span, PAGE_SIZE):
-                    proc.map_plain(addr, w=True)
+                proc.map_plain(xlog, w=True, span=span)
                 self.xlogs.append(xlog)
             else:
                 self.xlogs.append(None)

@@ -20,9 +20,9 @@ class StreamBench:
         self.buf_pages = buf_pages
         self.sim = Simulation(cfg)
         target = self.sim.procs[0]
-        self.region = target.memory.reserve_region("streambuf", buf_pages * PAGE_SIZE)
-        for addr in range(self.region, self.region + buf_pages * PAGE_SIZE, PAGE_SIZE):
-            target.map_plain(addr, w=True)
+        span = buf_pages * PAGE_SIZE
+        self.region = target.memory.reserve_region("streambuf", span)
+        target.map_plain(self.region, w=True, span=span)
         self.payload = bytes(range(256)) * (PAGE_SIZE // 256)
 
     def _source_app(self):

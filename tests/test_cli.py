@@ -1,9 +1,16 @@
 import csv
+import os
+import subprocess
+import sys
+from dataclasses import fields
 
 import pytest
 
 from aasim.cli import main
+from aasim.config import SimConfig
 from aasim.metrics import CSV_COLUMNS
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_small_cfg(tmp_path, **extra):
@@ -149,3 +156,44 @@ def test_rows_match_pinned_golden(tmp_path, capsys, command, scheme):
     assert main(argv) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1:] == [PINNED_ROWS[(command, scheme)]]
+
+
+BAD_VALUES = [
+    ("iotlb_assoc", {"iotlb_assoc": 3}),
+    ("iotlb_size", {"iotlb_size": 0}),
+    ("iotlb_size", {"iotlb_size": 6, "iotlb_assoc": 4}),
+    ("iotlb_policy", {"iotlb_policy": "mru"}),
+    ("access_log_size", {"access_log_size": 0}),
+    ("access_log_size", {"access_log_size": 16}),
+    ("wire_header_bytes", {"wire_header_bytes": -8}),
+] + [(f.name, {f.name: -1}) for f in fields(SimConfig) if f.name.endswith("_ns")]
+
+
+@pytest.mark.parametrize("field,values", BAD_VALUES, ids=lambda v: str(v))
+def test_bad_config_values_fail_fast(tmp_path, capsys, field, values):
+    cfg = write_small_cfg(tmp_path, **values)
+    assert main(["dht", "--config", cfg, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert field in captured.err
+    assert captured.out == ""
+
+
+def test_table_smaller_than_a_page_fails_fast_under_active_schemes(tmp_path, capsys):
+    cfg = write_small_cfg(tmp_path, vol_size=256)
+    assert main(["dht", "--config", cfg, "--scheme", "aa-poll", "--seed", "1"]) == 2
+    assert "cannot share a page" in capsys.readouterr().err
+    # Plain RMA maps the whole volume one way, so the same table runs.
+    assert main(["dht", "--config", cfg, "--scheme", "rma", "--seed", "1"]) == 0
+
+
+def test_fresh_key_exhaustion_fails_fast(tmp_path):
+    # Run in a child with a timeout: a regression hangs in key generation.
+    cfg = write_small_cfg(tmp_path, vol_size=1024)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "aasim.cli", "dht", "--config", cfg, "--procs", "1", "--ops", "600"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "fresh keys" in done.stderr
+    assert "Traceback" not in done.stderr

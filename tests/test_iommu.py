@@ -45,7 +45,7 @@ class Rig:
         flush_base = self.memory.reserve_region("flush", PAGE_SIZE)
         self.iommu.register_flush_page(flush_base, 3)
         self.page = self.memory.reserve_region("page", PAGE_SIZE)
-        table.map_page(
+        table.map_range(
             self.page, Pte(frame=self.page >> 12, wl=True, wld=True, e=True, iuid=3)
         )
         self.channels = {}
@@ -219,7 +219,7 @@ def test_atomic_on_logged_page_rejected():
     from aasim.link import AtomicDesc
 
     # make the logged page readable so the atomic reaches the check
-    rig.translator.map_page(
+    rig.translator.map_range(
         rig.page, Pte(frame=rig.page >> 12, r=True, rl=True, e=True, iuid=3)
     )
     req, _ = split_get(rig.page, 8, 0, 1, 1, 256)

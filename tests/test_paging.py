@@ -119,7 +119,7 @@ def test_iuid_range_checked():
 
 def test_walk_cost_is_four_levels():
     table = PageTable()
-    table.map_page(0x5000, bits_pte(w=1, frame=5))
+    table.map_range(0x5000, bits_pte(w=1, frame=5))
     pte, cost = table.lookup(5)
     assert pte.frame == 5
     assert cost == 4
@@ -128,14 +128,32 @@ def test_walk_cost_is_four_levels():
 def test_unmapped_cost_counts_levels_visited():
     table = PageTable()
     assert table.lookup(5) == (None, 1)
-    table.map_page(0x5000, bits_pte(w=1, frame=5))
+    table.map_range(0x5000, bits_pte(w=1, frame=5))
     # same leaf table, different slot: all four levels visited
     assert table.lookup(6) == (None, 4)
 
 
+def test_map_range_crosses_leaf_tables():
+    table = PageTable()
+    table.map_range(500 << 12, bits_pte(w=1, wld=1, iuid=7, frame=900), pages=1030)
+    assert table.lookup(499) == (None, 4)
+    assert table.lookup(1530) == (None, 4)
+    for vpn in (500, 511, 512, 1023, 1024, 1529):
+        pte, cost = table.lookup(vpn)
+        assert pte == bits_pte(w=1, wl=1, wld=1, iuid=7, frame=400 + vpn)
+        assert cost == 4
+
+
+def test_map_range_rejects_empty_and_oversized_runs():
+    with pytest.raises(PagingError):
+        PageTable().map_range(0x5000, bits_pte(w=1), pages=0)
+    with pytest.raises(PagingError):
+        PageTable().map_range(0x5000, bits_pte(w=1, frame=(1 << 40) - 2), pages=3)
+
+
 def test_map_requires_alignment():
     with pytest.raises(PagingError):
-        PageTable().map_page(0x5001, bits_pte(w=1))
+        PageTable().map_range(0x5001, bits_pte(w=1))
 
 
 # -- iotlb ----------------------------------------------------------------
@@ -206,7 +224,7 @@ def build_translator(capacity=8):
 
 def test_translator_costs_and_caching():
     tr = build_translator()
-    tr.map_page(0x3000, bits_pte(w=1, frame=3))
+    tr.map_range(0x3000, bits_pte(w=1, frame=3))
     first = tr.walk(0, 0x3008)
     # context walk (2) + four-level table walk (4)
     assert first.mem_accesses == 6
@@ -224,13 +242,37 @@ def test_translator_fault_on_unmapped():
 
 def test_remap_invalidates_cached_translation():
     tr = build_translator()
-    tr.map_page(0x3000, bits_pte(w=1, frame=3))
+    tr.map_range(0x3000, bits_pte(w=1, frame=3))
     tr.walk(0, 0x3000)
-    tr.map_page(0x3000, bits_pte(w=1, frame=9))
+    tr.map_range(0x3000, bits_pte(w=1, frame=9))
     res = tr.walk(0, 0x3004)
     assert res.mem_accesses == 4  # re-walk, context already cached
     assert res.pte.frame == 9
     assert res.phys == 0x9004
+
+
+def test_range_remap_invalidates_every_cached_page():
+    tr = build_translator()
+    for page in range(3, 7):
+        tr.map_range(page << 12, bits_pte(w=1, frame=page))
+        tr.walk(0, page << 12)
+    tr.map_range(4 << 12, bits_pte(w=1, frame=40), pages=2)
+    assert tr.walk(0, 3 << 12).mem_accesses == 0
+    for page in (4, 5):
+        res = tr.walk(0, page << 12)
+        assert res.mem_accesses == 4
+        assert res.pte.frame == 36 + page
+    assert tr.walk(0, 6 << 12).mem_accesses == 0
+
+
+def test_long_range_remap_invalidates_cached_pages_inside_it_only():
+    tr = build_translator(capacity=4)
+    for page in (2, 9, 10, 30):
+        tr.map_range(page << 12, bits_pte(w=1, frame=page))
+        tr.walk(0, page << 12)
+    tr.map_range(8 << 12, bits_pte(w=1, frame=80), pages=20)  # longer than the cache
+    assert [tr.walk(0, page << 12).mem_accesses for page in (2, 9, 10, 30)] == [0, 4, 4, 0]
+    assert tr.walk(0, 10 << 12).pte.frame == 82
 
 
 def test_cache_transparency_on_random_traces():
@@ -241,14 +283,14 @@ def test_cache_transparency_on_random_traces():
     pages = list(range(16))
     for page in pages:
         pte = bits_pte(w=1, frame=page + 100)
-        cached.map_page(page * 4096, pte)
-        plain.map_page(page * 4096, pte)
+        cached.map_range(page * 4096, pte)
+        plain.map_range(page * 4096, pte)
     for _ in range(500):
         page = rng.choice(pages)
         if rng.random() < 0.1:
             newpte = bits_pte(w=1, frame=rng.randrange(1000))
-            cached.map_page(page * 4096, newpte)
-            plain.map_page(page * 4096, newpte)
+            cached.map_range(page * 4096, newpte)
+            plain.map_range(page * 4096, newpte)
             continue
         got = cached.walk(0, page * 4096 + 8)
         want, _ = plain.lookup(page)

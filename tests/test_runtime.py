@@ -440,3 +440,23 @@ def test_fixed_seed_runs_are_identical():
         return (metrics.sim_time_ns, metrics.bytes_wire, metrics.records_consumed)
 
     assert one(7) == one(7)
+
+
+def test_assoc_span_maps_a_run_inside_one_region():
+    sim = Simulation(small_cfg())
+    target = sim.procs[1]
+    iuid = target.register_handler(lambda ctx, rec: None, 4096)
+    base = target.memory.reserve_region("data", 4 * PAGE_SIZE)
+    target.memory.reserve_region("next", PAGE_SIZE)
+    with pytest.raises(NodeError):
+        target.assoc_page(base, iuid, span=PAGE_SIZE + 8, wl=True, e=True)
+    with pytest.raises(NodeError):
+        target.assoc_page(base + PAGE_SIZE, iuid, span=4 * PAGE_SIZE, wl=True, e=True)
+    with pytest.raises(NodeError):
+        target.assoc_page(base, 99, span=4 * PAGE_SIZE, wl=True, e=True)
+    target.assoc_page(base + PAGE_SIZE, iuid, span=3 * PAGE_SIZE, w=True, wl=True, e=True)
+    for page in range(4):
+        pte, _ = target.translator.page_table.lookup((base >> 12) + page)
+        assert (pte is not None) == (page > 0)
+        if pte is not None:
+            assert (pte.frame, pte.iuid, pte.w, pte.wl) == ((base >> 12) + page, iuid, True, True)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -142,6 +143,16 @@ def test_lookup_returns_bucket_head_or_empty():
     sim.run()
     assert seen["present"] == present
     assert seen["absent"] == dht.EMPTY
+
+
+def test_bulk_extract_matches_word_by_word_read():
+    bench, _m = dht.run_scheme(small_cfg(r_cols=0.25), delete_fraction=0.25)
+    for rank, proc in enumerate(bench.sim.procs):
+        layout = bench.layouts[rank]
+        words = (proc.memory.read_word(layout.elem_addr(i)) for i in range(layout.vol_size))
+        reference = Counter(w for w in words if w != dht.EMPTY)
+        assert dht.extract_contents(proc.memory, layout) == reference
+        assert reference
 
 
 def test_heap_overflow_raises():
