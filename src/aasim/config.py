@@ -7,12 +7,13 @@ the field names below, with hyphens accepted in place of underscores.
 import os
 from dataclasses import dataclass, fields
 
+from .logbuf import record_size
+from .paging import PagingError, iotlb_ways
+
 SCHEMES = ("aa-int", "aa-poll", "aa-sp", "rma", "am")
 NOTIFICATIONS = ("int", "poll", "sp")
-IOTLB_ASSOCS = ("1", "2", "4", "full")
-IOTLB_POLICIES = ("lru", "rnd")
 # The smallest ring that holds one record carrying a word of data.
-MIN_ACCESS_LOG_SIZE = 32
+MIN_ACCESS_LOG_SIZE = record_size(8, with_data=True)
 _SCHEME_NOTIFY = {"aa-int": "int", "aa-poll": "poll", "aa-sp": "sp"}
 
 
@@ -93,15 +94,13 @@ class SimConfig:
             raise ConfigError(
                 "access_log_size must be a power of two >= %d" % MIN_ACCESS_LOG_SIZE
             )
-        assoc = str(self.iotlb_assoc)
-        if assoc not in IOTLB_ASSOCS:
-            raise ConfigError("iotlb_assoc must be one of %s" % ", ".join(IOTLB_ASSOCS))
-        if self.iotlb_policy not in IOTLB_POLICIES:
-            raise ConfigError("iotlb_policy must be one of %s" % ", ".join(IOTLB_POLICIES))
-        if self.iotlb_size < 1:
-            raise ConfigError("iotlb_size must be >= 1")
-        if assoc != "full" and self.iotlb_size % int(assoc):
-            raise ConfigError("iotlb_size %d not divisible by %s ways" % (self.iotlb_size, assoc))
+        try:
+            iotlb_ways(self.iotlb_size, self.iotlb_assoc, self.iotlb_policy)
+        except PagingError as exc:
+            raise ConfigError(
+                "iotlb_size=%r, iotlb_assoc=%r, iotlb_policy=%r: %s"
+                % (self.iotlb_size, self.iotlb_assoc, self.iotlb_policy, exc)
+            )
         for f in fields(self):
             if f.name.endswith("_ns") and getattr(self, f.name) < 0:
                 raise ConfigError("%s must be >= 0" % f.name)

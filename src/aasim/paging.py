@@ -206,6 +206,22 @@ class PageTable:
         return pte, LEVELS
 
 
+def iotlb_ways(capacity, assoc, policy):
+    """Ways per set of a translation cache shape; PagingError if unsupported."""
+    if capacity <= 0:
+        raise PagingError("iotlb capacity must be positive")
+    if policy not in ("lru", "rnd"):
+        raise PagingError("unknown iotlb policy %r" % (policy,))
+    if assoc == "full":
+        return capacity
+    if str(assoc) not in ("1", "2", "4"):
+        raise PagingError("unsupported associativity %r" % (assoc,))
+    ways = int(assoc)
+    if capacity % ways:
+        raise PagingError("capacity %d not divisible by %d ways" % (capacity, ways))
+    return ways
+
+
 class IotlbCache:
     """Set-associative translation cache over page numbers.
 
@@ -214,18 +230,7 @@ class IotlbCache:
     """
 
     def __init__(self, capacity, assoc, policy, rng):
-        if capacity <= 0:
-            raise PagingError("iotlb capacity must be positive")
-        if policy not in ("lru", "rnd"):
-            raise PagingError("unknown iotlb policy %r" % (policy,))
-        if assoc == "full":
-            ways = capacity
-        else:
-            ways = int(assoc)
-            if ways not in (1, 2, 4):
-                raise PagingError("unsupported associativity %r" % (assoc,))
-        if capacity % ways:
-            raise PagingError("capacity %d not divisible by %d ways" % (capacity, ways))
+        ways = iotlb_ways(capacity, assoc, policy)
         self.capacity = capacity
         self.ways = ways
         self.set_count = capacity // ways
