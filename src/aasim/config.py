@@ -104,6 +104,9 @@ class SimConfig:
         for f in fields(self):
             if f.name.endswith("_ns") and getattr(self, f.name) < 0:
                 raise ConfigError("%s must be >= 0" % f.name)
+        if self.poll_interval_ns == 0:
+            # A polling loop that never advances the clock starves the sweeper.
+            raise ConfigError("poll_interval_ns must be > 0")
         if self.wire_header_bytes < 0:
             raise ConfigError("wire_header_bytes must be >= 0")
         if self.credit_capacity < 1:

@@ -166,6 +166,7 @@ BAD_VALUES = [
     ("access_log_size", {"access_log_size": 0}),
     ("access_log_size", {"access_log_size": 16}),
     ("wire_header_bytes", {"wire_header_bytes": -8}),
+    ("poll_interval_ns", {"poll_interval_ns": 0, "mem_access_ns": 0}),
 ] + [(f.name, {f.name: -1}) for f in fields(SimConfig) if f.name.endswith("_ns")]
 
 
