@@ -178,7 +178,7 @@ class PageTable:
         state = vars(template)
         vpn = vaddr >> PAGE_SHIFT
         end = vpn + pages
-        frame = template.frame - vpn
+        frame_delta = template.frame - vpn
         while vpn < end:
             node = self._root
             for i in self._indices(vpn)[:-1]:
@@ -187,7 +187,7 @@ class PageTable:
             for page in range(vpn, stop):
                 entry = object.__new__(Pte)
                 entry.__dict__.update(state)
-                entry.frame = frame + page
+                entry.frame = page + frame_delta
                 node[page & LEVEL_MASK] = entry
             vpn = stop
 
