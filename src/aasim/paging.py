@@ -149,6 +149,28 @@ def classify(pte, kind):
     )
 
 
+class _Run:
+    """The entries one map_range call installed, built on first lookup.
+
+    Entries of a run differ only in their frame, so a leaf slot holds the
+    run until a walk asks for its page; mapping then costs no entry objects.
+    """
+
+    __slots__ = ("state", "frame_delta")
+
+    def __init__(self, template, frame_delta):
+        self.state = vars(template)
+        self.frame_delta = frame_delta
+
+    def entry(self, vpn):
+        # The template was validated once, so each entry is a shallow copy of
+        # it rather than a re-checked construction.
+        pte = object.__new__(Pte)
+        pte.__dict__.update(self.state)
+        pte.frame = vpn + self.frame_delta
+        return pte
+
+
 class PageTable:
     """Four-level radix tree keyed by the 36-bit virtual page number."""
 
@@ -173,22 +195,16 @@ class PageTable:
         template = pte.normalized()
         if template.frame + pages > 1 << FRAME_BITS:
             raise PagingError("frames %d+%d out of range" % (template.frame, pages))
-        # Entries differ only in their frame; the template was validated once,
-        # so each one is a shallow copy rather than a re-checked construction.
-        state = vars(template)
         vpn = vaddr >> PAGE_SHIFT
         end = vpn + pages
-        frame_delta = template.frame - vpn
+        run = _Run(template, template.frame - vpn)
         while vpn < end:
             node = self._root
             for i in self._indices(vpn)[:-1]:
                 node = node.setdefault(i, {})
             stop = min(end, (vpn | LEVEL_MASK) + 1)
-            for page in range(vpn, stop):
-                entry = object.__new__(Pte)
-                entry.__dict__.update(state)
-                entry.frame = page + frame_delta
-                node[page & LEVEL_MASK] = entry
+            first = vpn & LEVEL_MASK
+            node.update(dict.fromkeys(range(first, first + stop - vpn), run))
             vpn = stop
 
     def lookup(self, vpn):
@@ -203,6 +219,8 @@ class PageTable:
         pte = node.get(idx[-1])
         if pte is None:
             return None, LEVELS
+        if type(pte) is _Run:
+            pte = node[idx[-1]] = pte.entry(vpn)
         return pte, LEVELS
 
 
