@@ -151,23 +151,25 @@ class Proc:
         return iuid
 
     def assoc_page(self, vaddr, hlr_id=0, span=PAGE_SIZE, **bits):
-        """Install extended mapping bits for the pages of [vaddr, vaddr+span),
-        which must lie inside one region this rank owns."""
+        """Install extended mapping bits for every page that [vaddr, vaddr+span)
+        touches; those pages must lie inside one region this rank owns."""
         if vaddr % PAGE_SIZE:
             raise NodeError("page address %d not aligned" % vaddr)
-        if span <= 0 or span % PAGE_SIZE:
-            raise NodeError("span %d is not a whole number of pages" % span)
+        if span <= 0:
+            raise NodeError("span %d maps no pages" % span)
+        pages = -(-span // PAGE_SIZE)
         name = self.memory.region_of(vaddr)
         if name is None:
             raise NodeError("cannot assoc unowned page at %d" % vaddr)
         base, size = self.memory.region(name)
-        if vaddr + span > base + size:
-            raise NodeError("pages [%d, %d) run past region %r" % (vaddr, vaddr + span, name))
+        end = vaddr + pages * PAGE_SIZE
+        if end > base + size:
+            raise NodeError("pages [%d, %d) run past region %r" % (vaddr, end, name))
         logging_bits = any(bits.get(b) for b in ("wl", "wld", "rl", "rld"))
         if logging_bits and bits.get("e") and hlr_id not in self._handlers:
             raise NodeError("no handler/log registered for id %d" % hlr_id)
         pte = Pte(frame=vaddr >> 12, iuid=hlr_id, **bits)
-        self.translator.map_range(vaddr, pte, span // PAGE_SIZE)
+        self.translator.map_range(vaddr, pte, pages)
 
     def map_plain(self, vaddr, w=False, r=False, span=PAGE_SIZE):
         self.assoc_page(vaddr, 0, span=span, w=w, r=r)

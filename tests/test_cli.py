@@ -187,6 +187,15 @@ def test_table_smaller_than_a_page_fails_fast_under_active_schemes(tmp_path, cap
     assert main(["dht", "--config", cfg, "--scheme", "rma", "--seed", "1"]) == 0
 
 
+@pytest.mark.parametrize("scheme", ["rma", "am"])
+def test_volume_smaller_than_a_page_runs_under_plain_schemes(tmp_path, scheme):
+    # 128 cells of 16 B fill half a page; mapping covers the page it sits in.
+    cfg = write_small_cfg(tmp_path, vol_size=128, ops_per_proc=8)
+    out = str(tmp_path / "rows.csv")
+    assert main(["dht", "--config", cfg, "--scheme", scheme, "--seed", "1", "--out", out]) == 0
+    assert len(read_rows(out)[1]) == 1
+
+
 def test_fresh_key_exhaustion_fails_fast(tmp_path):
     # Run in a child with a timeout: a regression hangs in key generation.
     cfg = write_small_cfg(tmp_path, vol_size=1024)
