@@ -7,7 +7,7 @@ destination, and a 10-bit domain id (IUID) naming the per-domain log.
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .memory import PAGE_SHIFT
 
@@ -149,28 +149,6 @@ def classify(pte, kind):
     )
 
 
-class _Run:
-    """The entries one map_range call installed, built on first lookup.
-
-    Entries of a run differ only in their frame, so a leaf slot holds the
-    run until a walk asks for its page; mapping then costs no entry objects.
-    """
-
-    __slots__ = ("state", "frame_delta")
-
-    def __init__(self, template, frame_delta):
-        self.state = vars(template)
-        self.frame_delta = frame_delta
-
-    def entry(self, vpn):
-        # The template was validated once, so each entry is a shallow copy of
-        # it rather than a re-checked construction.
-        pte = object.__new__(Pte)
-        pte.__dict__.update(self.state)
-        pte.frame = vpn + self.frame_delta
-        return pte
-
-
 class PageTable:
     """Four-level radix tree keyed by the 36-bit virtual page number."""
 
@@ -195,16 +173,18 @@ class PageTable:
         template = pte.normalized()
         if template.frame + pages > 1 << FRAME_BITS:
             raise PagingError("frames %d+%d out of range" % (template.frame, pages))
+        # Every field after the frame, in declaration order.
+        bits = astuple(template)[1:]
         vpn = vaddr >> PAGE_SHIFT
         end = vpn + pages
-        run = _Run(template, template.frame - vpn)
+        frame_delta = template.frame - vpn
         while vpn < end:
-            node = self._root
+            leaf = self._root
             for i in self._indices(vpn)[:-1]:
-                node = node.setdefault(i, {})
+                leaf = leaf.setdefault(i, {})
             stop = min(end, (vpn | LEVEL_MASK) + 1)
-            first = vpn & LEVEL_MASK
-            node.update(dict.fromkeys(range(first, first + stop - vpn), run))
+            for page in range(vpn, stop):
+                leaf[page & LEVEL_MASK] = Pte(page + frame_delta, *bits)
             vpn = stop
 
     def lookup(self, vpn):
@@ -216,12 +196,7 @@ class PageTable:
             if nxt is None:
                 return None, depth + 1
             node = nxt
-        pte = node.get(idx[-1])
-        if pte is None:
-            return None, LEVELS
-        if type(pte) is _Run:
-            pte = node[idx[-1]] = pte.entry(vpn)
-        return pte, LEVELS
+        return node.get(idx[-1]), LEVELS
 
 
 def iotlb_ways(capacity, assoc, policy):
@@ -288,16 +263,8 @@ class IotlbCache:
         s[page] = pte
 
     def invalidate_range(self, first, count):
-        """Drop any cached translation of pages [first, first + count).
-
-        A run longer than the cache is cheaper to check against what the
-        cache holds than page by page.
-        """
+        """Drop any cached translation of pages [first, first + count)."""
         end = first + count
-        if count <= self.capacity:
-            for page in range(first, end):
-                self._set_for(page).pop(page, None)
-            return
         for s in self._sets:
             for page in [p for p in s if first <= p < end]:
                 del s[page]

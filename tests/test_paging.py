@@ -270,7 +270,7 @@ def test_long_range_remap_invalidates_cached_pages_inside_it_only():
     for page in (2, 9, 10, 30):
         tr.map_range(page << 12, bits_pte(w=1, frame=page))
         tr.walk(0, page << 12)
-    tr.map_range(8 << 12, bits_pte(w=1, frame=80), pages=20)  # longer than the cache
+    tr.map_range(8 << 12, bits_pte(w=1, frame=80), pages=20)
     assert [tr.walk(0, page << 12).mem_accesses for page in (2, 9, 10, 30)] == [0, 4, 4, 0]
     assert tr.walk(0, 10 << 12).pte.frame == 82
 
