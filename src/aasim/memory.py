@@ -75,13 +75,16 @@ class PhysMemory:
             addr += step
             length -= step
 
+    # Regions are whole pages, so an access that starts below the bump
+    # pointer and stays inside its first page is in bounds.
+
     def read(self, addr, length):
-        if addr < 0 or length < 0 or addr + length > self._bump:
-            raise self._outside(addr, length)
         off = addr & _OFFSET_MASK
-        if 0 < length <= PAGE_SIZE - off:
+        if 0 <= addr < self._bump and 0 < length <= PAGE_SIZE - off:
             page = self._pages[addr >> PAGE_SHIFT]
             return bytes(length) if page is None else bytes(page[off : off + length])
+        if addr < 0 or length < 0 or addr + length > self._bump:
+            raise self._outside(addr, length)
         out = bytearray(length)
         pos = 0
         for vpn, off, step in self._pieces(addr, length):
@@ -93,16 +96,16 @@ class PhysMemory:
 
     def write(self, addr, payload):
         length = len(payload)
-        if addr < 0 or addr + length > self._bump:
-            raise self._outside(addr, length)
         off = addr & _OFFSET_MASK
-        if 0 < length <= PAGE_SIZE - off:
+        if 0 <= addr < self._bump and 0 < length <= PAGE_SIZE - off:
             vpn = addr >> PAGE_SHIFT
             page = self._pages[vpn]
             if page is None:
                 page = self._pages[vpn] = bytearray(PAGE_SIZE)
             page[off : off + length] = payload
             return
+        if addr < 0 or addr + length > self._bump:
+            raise self._outside(addr, length)
         view = memoryview(payload)
         pos = 0
         for vpn, off, step in self._pieces(addr, length):

@@ -115,6 +115,25 @@ def test_sparse_store_matches_dense_reference(ops):
         assert sparse.region_of(addr) == dense.region_of(addr), addr
 
 
+def test_every_short_access_near_a_page_boundary_matches_reference():
+    # Exhaustive where the single-page fast path ends: an access that would
+    # overrun its first page by even one byte must take the multi-page path.
+    sparse, dense = PhysMemory(0), DenseMemory()
+    for mem in (sparse, dense):
+        mem.reserve_region("a", 2 * PAGE_SIZE)
+    for addr in range(PAGE_SIZE - 12, PAGE_SIZE + 1):
+        for length in range(14):
+            op = ("write", (False, 0, addr), length, addr + length)
+            assert apply(sparse, op) == apply(dense, op), op
+            op = ("read", (False, 0, addr), length)
+            assert apply(sparse, op) == apply(dense, op), op
+    for addr in range(2 * PAGE_SIZE - 12, 2 * PAGE_SIZE + 1):
+        for length in range(14):
+            op = ("read", (False, 0, addr), length)
+            assert apply(sparse, op) == apply(dense, op), op
+    assert sparse.read(0, sparse.size) == bytes(dense.data)
+
+
 def test_untouched_pages_read_as_zero_and_cost_no_store():
     mem = PhysMemory(0)
     base = mem.reserve_region("huge", 1 << 30)
