@@ -18,9 +18,6 @@ from .workloads import getlog
 from .workloads import iotlb
 from .workloads import sortft
 
-COUNTER_SCHEMES = ("aa", "rma-atomics", "allreduce")
-GETLOG_SCHEMES = ("no-ft", "aa", "sendback")
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -50,14 +47,14 @@ def build_parser():
 
     p = sub.add_parser("counter", help="per-page access counting")
     common(p)
-    p.add_argument("--scheme", choices=COUNTER_SCHEMES, default="aa")
+    p.add_argument("--scheme", choices=cntr.SCHEMES, default="aa")
     p.add_argument("--accesses", type=int, default=400, help="traced accesses")
     p.add_argument("--pages", type=int, default=16, help="counted pages")
     p.set_defaults(func=cmd_counter)
 
     p = sub.add_parser("getlog", help="get logging for fault tolerance")
     common(p)
-    p.add_argument("--scheme", choices=GETLOG_SCHEMES, default="aa")
+    p.add_argument("--scheme", choices=getlog.SCHEMES, default="aa")
     p.add_argument("--gets", type=int, default=200, help="number of 8B gets")
     p.set_defaults(func=cmd_getlog)
 
@@ -70,7 +67,7 @@ def build_parser():
 
     p = sub.add_parser("sort", help="sample sort with logged exchange phase")
     common(p)
-    p.add_argument("--scheme", choices=GETLOG_SCHEMES, default="aa")
+    p.add_argument("--scheme", choices=getlog.SCHEMES, default="aa")
     p.add_argument("--words", type=int, default=1 << 13, help="total 32-bit words to sort")
     p.set_defaults(func=cmd_sort)
 

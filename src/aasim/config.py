@@ -11,7 +11,6 @@ from .logbuf import record_size
 from .paging import PagingError, iotlb_ways
 
 SCHEMES = ("aa-int", "aa-poll", "aa-sp", "rma", "am")
-NOTIFICATIONS = ("int", "poll", "sp")
 # The smallest ring that holds one record carrying a word of data.
 MIN_ACCESS_LOG_SIZE = record_size(8, with_data=True)
 _SCHEME_NOTIFY = {"aa-int": "int", "aa-poll": "poll", "aa-sp": "sp"}
@@ -30,7 +29,6 @@ class SimConfig:
     r_cols: float = 0.0
     r_comp: float = 0.0
 
-    notification: str = "poll"
     poll_interval_ns: float = 1000.0
     interrupt_ns: float = 3000.0
     scratchpad_ns: float = 15.0
@@ -58,11 +56,10 @@ class SimConfig:
     iommu_enabled: bool = True
     vol_size: int = 1 << 21
     table_size: int = 0  # 0 means vol_size // 2
-    reply_batch: int = 1
     stall_limit_ns: float = 5e7
 
     def resolved_notification(self):
-        return _SCHEME_NOTIFY.get(self.scheme, self.notification)
+        return _SCHEME_NOTIFY.get(self.scheme, "poll")
 
     def resolved_table_size(self):
         return self.table_size if self.table_size else self.vol_size // 2
@@ -70,8 +67,6 @@ class SimConfig:
     def validate(self):
         if self.scheme not in SCHEMES:
             raise ConfigError("unknown scheme %r (choose from %s)" % (self.scheme, ", ".join(SCHEMES)))
-        if self.notification not in NOTIFICATIONS:
-            raise ConfigError("unknown notification %r" % self.notification)
         if self.num_procs < 1:
             raise ConfigError("num_procs must be >= 1")
         if self.ops_per_proc < 0:

@@ -31,9 +31,23 @@ class Signal:
         for gen in waiters:
             self._engine._schedule_resume(gen)
 
-    @property
-    def waiter_count(self):
-        return len(self._waiters)
+
+class Barrier:
+    """Reusable rendezvous of a fixed number of processes: each round, the
+    last arriver releases everyone parked and carries on without waiting."""
+
+    def __init__(self, engine, parties):
+        self._signal = Signal(engine)
+        self.parties = parties
+        self.count = 0
+
+    def arrive(self):
+        self.count += 1
+        if self.count == self.parties:
+            self.count = 0
+            self._signal.fire()
+        else:
+            yield self._signal
 
 
 class Engine:
@@ -114,11 +128,3 @@ class Cpu:
         delay = self.free_at - self.engine.now
         if delay > 0:
             yield delay
-
-
-class Timeout:
-    """Helper for tests: fires a signal after a fixed delay."""
-
-    def __init__(self, engine, delay):
-        self.signal = Signal(engine)
-        engine.schedule(delay, self.signal.fire)

@@ -76,7 +76,6 @@ class Iommu:
         self.write_hooks = []  # (base, span, callback) for inbox-style regions
         self.on_flush_armed = None
         self._fault_seq = 0
-        self.discarded_writes = 0
         engine.spawn(self._pipeline())
 
     # -- wiring ------------------------------------------------------------
@@ -265,8 +264,6 @@ class Iommu:
             for base, span, cb in self.write_hooks:
                 if base <= entry.phys_base + off < base + span:
                     cb(tlp.requester_id, tlp.payload)
-        elif entry.kind != "fault" and entry.log is None:
-            self.discarded_writes += 1
         if entry.log is not None and entry.log_data:
             entry.log.ring_write(entry.offset + logbuf.HEADER_BYTES + off, tlp.payload)
         entry.bytes_remaining -= tlp.length

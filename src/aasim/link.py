@@ -145,27 +145,41 @@ def blocked_completion(request):
     return cpl
 
 
-class Link:
-    """Ingress wire of one target bridge.
+class _Wire:
+    """One serialized wire: a packet occupies it for its wire bytes at the link
+    bandwidth, then arrives after the propagation latency."""
 
-    Per-device FIFO queues feed a single serialized wire; the arbiter picks
-    the next device with its own RNG stream so cross-device interleaving is
-    arbitrary but reproducible. One credit is consumed per departed packet
-    and returned by the bridge once the packet has been processed.
-    """
-
-    def __init__(self, engine, sink, cfg, rng, metrics):
+    def __init__(self, engine, sink, cfg, metrics):
         self.engine = engine
         self.sink = sink  # callable(tlp), invoked at arrival time
         self.latency = cfg.link_latency_ns
         self.bw = cfg.link_bw_bytes_per_ns
         self.header_bytes = cfg.wire_header_bytes
+        self.metrics = metrics
+        self._wire_free_at = 0.0
+
+    def _transmit(self, tlp, on_arrival):
+        start = max(self.engine.now, self._wire_free_at)
+        self._wire_free_at = start + tlp.wire_bytes(self.header_bytes) / self.bw
+        self.metrics.count_wire(tlp, self.header_bytes)
+        self.engine.schedule(self._wire_free_at + self.latency - self.engine.now, on_arrival, tlp)
+
+
+class Link(_Wire):
+    """Ingress wire of one target bridge.
+
+    Per-device FIFO queues feed the wire; the arbiter picks the next device
+    with its own RNG stream so cross-device interleaving is arbitrary but
+    reproducible. One credit is consumed per departed packet and returned by
+    the bridge once the packet has been processed.
+    """
+
+    def __init__(self, engine, sink, cfg, rng, metrics):
+        super().__init__(engine, sink, cfg, metrics)
         self.credits = cfg.credit_capacity
         self.capacity = cfg.credit_capacity
         self.rng = rng
-        self.metrics = metrics
         self._queues = {}
-        self._wire_free_at = 0.0
         self.stalled_polls = 0
 
     def send(self, tlp):
@@ -184,15 +198,8 @@ class Link:
             if not ready:
                 return
             dev = ready[self.rng.randrange(len(ready))] if len(ready) > 1 else ready[0]
-            tlp = self._queues[dev].pop(0)
             self.credits -= 1
-            size = tlp.wire_bytes(self.header_bytes)
-            start = max(self.engine.now, self._wire_free_at)
-            tx = size / self.bw
-            self._wire_free_at = start + tx
-            if self.metrics is not None:
-                self.metrics.count_wire(tlp, self.header_bytes)
-            self.engine.schedule(start + tx + self.latency - self.engine.now, self.sink, tlp)
+            self._transmit(self._queues[dev].pop(0), self.sink)
         if any(q for q in self._queues.values()):
             self.stalled_polls += 1
 
@@ -208,29 +215,20 @@ class Link:
         return self.queued == 0 and self.credits == self.capacity
 
 
-class BackChannel:
+class BackChannel(_Wire):
     """Return wire for completions (target back to one source); no credits."""
 
     def __init__(self, engine, sink, cfg, metrics):
-        self.engine = engine
-        self.sink = sink
-        self.latency = cfg.link_latency_ns
-        self.bw = cfg.link_bw_bytes_per_ns
-        self.header_bytes = cfg.wire_header_bytes
-        self.metrics = metrics
-        self._wire_free_at = 0.0
+        super().__init__(engine, sink, cfg, metrics)
         self.outstanding = 0
 
     def deliver(self, tlp):
-        size = tlp.wire_bytes(self.header_bytes)
-        start = max(self.engine.now, self._wire_free_at)
-        tx = size / self.bw
-        self._wire_free_at = start + tx
-        if self.metrics is not None:
-            self.metrics.count_wire(tlp, self.header_bytes)
         self.outstanding += 1
-        self.engine.schedule(start + tx + self.latency - self.engine.now, self._arrive, tlp)
+        self._transmit(tlp, self._arrive)
 
     def _arrive(self, tlp):
         self.outstanding -= 1
         self.sink(tlp)
+
+    def idle(self):
+        return self.outstanding == 0

@@ -8,6 +8,7 @@ so consumers never observe a partially filled record. Offsets are virtual
 """
 
 import struct
+from collections import deque
 from dataclasses import dataclass
 
 from .engine import Signal
@@ -92,7 +93,7 @@ class AccessLog:
         self.head = 0  # producer reservation frontier (virtual)
         self.committed_head = 0  # hole-free prefix boundary
         self.tail = 0  # consumer frontier
-        self._pending = []  # reservations in order: [offset, nbytes, done]
+        self._pending = deque()  # reservations in order: [offset, nbytes, done]
         self._by_offset = {}
         self.next_seq = 0
         self.space_freed = Signal(engine)
@@ -167,7 +168,7 @@ class AccessLog:
         """Advance committed_head over the done prefix; returns records published."""
         published = 0
         while self._pending and self._pending[0][2]:
-            offset, nbytes, _ = self._pending.pop(0)
+            offset, nbytes, _ = self._pending.popleft()
             del self._by_offset[offset]
             self.committed_head = offset + nbytes
             published += 1
@@ -214,9 +215,6 @@ class AccessLogTable:
 
     def __iter__(self):
         return iter(self._logs.values())
-
-    def __contains__(self, iuid):
-        return iuid in self._logs
 
 
 class FaultLog:

@@ -1,6 +1,6 @@
 """Run counters and the benchmark output row."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 CSV_COLUMNS = [
@@ -39,7 +39,6 @@ class Metrics:
     backpressure_stalls: int = 0
     interrupts: int = 0
     am_messages: int = 0
-    extra: dict = field(default_factory=dict)
 
     def count_wire(self, tlp, header_bytes):
         self.packets += 1

@@ -269,15 +269,6 @@ class IotlbCache:
             for page in [p for p in s if first <= p < end]:
                 del s[page]
 
-    def flush(self):
-        for s in self._sets:
-            s.clear()
-
-    @property
-    def hit_rate(self):
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 @dataclass
 class WalkResult:

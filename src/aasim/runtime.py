@@ -82,7 +82,7 @@ class HandlerCtx:
         self._charge(accesses)
 
     def reply(self, payload):
-        """Queue an active put back to the record's source rank."""
+        """Put payload back to the record's source rank once the handler has run."""
         if self.record is None:
             raise NodeError("reply outside a record handler")
         self.replies.append((self.record.device_id, bytes(payload)))
@@ -122,7 +122,6 @@ class Proc:
         self.inbox_addr = None
         self.am_handler = None
         self.reply_page = None
-        self._reply_queue = []
         self.sysflush_addr = None
         iommu.on_flush_armed = self._on_flush_armed
 
@@ -194,9 +193,6 @@ class Proc:
     def flush_pages(self):
         return [(iuid, b.flush_addr) for iuid, b in sorted(self._handlers.items())]
 
-    def log_of(self, iuid):
-        return self._handlers[iuid].log
-
     # -- tags --------------------------------------------------------------
 
     def _alloc_tag(self):
@@ -247,7 +243,7 @@ class Proc:
             self.engine.note_activity()
 
         pkts[-1].on_done = done
-        wire = self.sim.ingress_of(target)
+        wire = self.sim.links[target]
         for pkt in pkts:
             wire.send(pkt)
         return handle
@@ -265,7 +261,7 @@ class Proc:
         )
         req.atomic = atomic
         self._gets[tag] = _GetState(handle, length, tag)
-        self.sim.ingress_of(target).send(req)
+        self.sim.links[target].send(req)
         return handle
 
     def on_completion(self, tlp):
@@ -304,13 +300,7 @@ class Proc:
         yield from handle.wait()
         return int.from_bytes(handle.data, "little")
 
-    # -- plain-RMA aliases and flushes ------------------------------------
-
-    def rma_put(self, target, address, payload):
-        return self.put(target, address, payload)
-
-    def rma_get(self, target, address, length):
-        return self.get(target, address, length)
+    # -- flushes -----------------------------------------------------------
 
     def rma_flush(self, target):
         """Order point: returns once all our puts to target are done there."""
@@ -411,28 +401,17 @@ class Proc:
                 ctx = HandlerCtx(self, record)
                 binding.handler(ctx, record)
                 yield from self.cpu.busy(self.cfg.handler_cost_ns + ctx.cost_ns)
-                if ctx.replies:
-                    self._reply_queue.extend(ctx.replies)
                 log.advance_tail(size)
                 self.metrics.handler_invocations += 1
                 consumed += 1
                 self.engine.note_activity()
                 self.iommu.check_flushes(log)
-                if len(self._reply_queue) >= self.cfg.reply_batch:
-                    yield from self._send_replies()
-        if self._reply_queue:
-            yield from self._send_replies()
+                for src, payload in ctx.replies:
+                    peer = self.sim.procs[src]
+                    if peer.reply_page is None:
+                        raise NodeError("no reply page registered at source %d" % src)
+                    yield from self.put(src, peer.reply_page, payload)
         return consumed
-
-    def _send_replies(self):
-        batch, self._reply_queue = self._reply_queue, []
-        handles = []
-        for src, payload in batch:
-            peer = self.sim.procs[src]
-            if peer.reply_page is None:
-                raise NodeError("no reply page registered at source %d" % src)
-            handles.append((yield from self.put(src, peer.reply_page, payload)))
-        return handles
 
     def am_consumer(self):
         """AM receive loop: poll the inbox, run the bound handler inline."""
@@ -456,6 +435,5 @@ class Proc:
         return (
             self.live_ops == 0
             and not self.inbox
-            and not self._reply_queue
             and all(b.log.drained() for b in self._handlers.values())
         )

@@ -45,7 +45,6 @@ class Simulation:
         self._apps_done = 0
         self.procs = []
         self.links = []
-        self._backchannels = []
         for rank in range(cfg.num_procs):
             memory = PhysMemory(rank)
             iotlb = IotlbCache(
@@ -60,12 +59,13 @@ class Simulation:
             iommu.link = link
             self.procs.append(proc)
             self.links.append(link)
+        self._wires = list(self.links)  # ingress links, then return channels
         for proc in self.procs:
             for src in self.procs:
                 proc.translator.register_device(src.rank)
                 channel = BackChannel(self.engine, src.on_completion, cfg, self.metrics)
                 proc.iommu.backchannels[src.rank] = channel
-                self._backchannels.append(channel)
+                self._wires.append(channel)
             proc.setup_sysflush()
 
     # -- plumbing ----------------------------------------------------------
@@ -76,9 +76,6 @@ class Simulation:
     def next_txn_id(self):
         self._txn_counter += 1
         return self._txn_counter
-
-    def ingress_of(self, target):
-        return self.links[target]
 
     def add_app(self, rank, gen):
         self._apps.append((rank, gen))
@@ -108,9 +105,7 @@ class Simulation:
     def drained(self):
         if any(not p.drained() for p in self.procs):
             return False
-        if any(not l.idle() for l in self.links):
-            return False
-        if any(c.outstanding for c in self._backchannels):
+        if any(not w.idle() for w in self._wires):
             return False
         for proc in self.procs:
             iommu = proc.iommu

@@ -7,7 +7,8 @@ handed, and snapshots. Sources fence with a consumption flush before each
 epoch boundary so the snapshot sees every record of the closing epoch.
 """
 
-from ..engine import Signal
+from ..config import ConfigError
+from ..engine import Barrier
 from ..memory import PAGE_SIZE
 from ..sim import Simulation
 
@@ -15,8 +16,9 @@ from ..sim import Simulation
 class CheckpointBench:
     def __init__(self, cfg, n_pages=256, epochs=3, writes_per_source=60):
         cfg.validate()
-        if cfg.num_procs < 2:
-            raise ValueError("needs a collector and at least one source")
+        if cfg.num_procs < 2 or n_pages < 1:
+            raise ConfigError("checkpoint needs procs >= 2 (a collector and a source) and pages >= 1,"
+                              " not procs=%d pages=%d" % (cfg.num_procs, n_pages))
         self.cfg = cfg
         self.n_pages = n_pages
         self.epochs = epochs
@@ -71,8 +73,8 @@ class CheckpointBench:
 
     def run(self):
         parties = self.cfg.num_procs  # sources plus the collector
-        start_gate = _Gate(self.sim.engine, parties)
-        done_gate = _Gate(self.sim.engine, parties)
+        start_gate = Barrier(self.sim.engine, parties)
+        done_gate = Barrier(self.sim.engine, parties)
         for idx, rank in enumerate(range(1, self.cfg.num_procs)):
             self.sim.add_app(rank, self._source_app(idx, rank, start_gate, done_gate))
         self.sim.add_app(0, self._collector_app(start_gate, done_gate))
@@ -84,20 +86,3 @@ class CheckpointBench:
             pages = {page for per_src in self.plan[epoch] for (page, _off) in per_src}
             out.append(pages | set(self.local_sets[epoch]))
         return out
-
-
-class _Gate:
-    """Reusable rendezvous: the last arriver releases everyone parked."""
-
-    def __init__(self, engine, parties):
-        self.signal = Signal(engine)
-        self.parties = parties
-        self.count = 0
-
-    def arrive(self):
-        self.count += 1
-        if self.count == self.parties:
-            self.count = 0
-            self.signal.fire()
-        else:
-            yield self.signal

@@ -9,6 +9,7 @@ source and ships the vectors once at the end.
 
 from collections import Counter
 
+from ..config import ConfigError
 from ..memory import PAGE_SIZE
 from ..sim import Simulation
 
@@ -39,6 +40,9 @@ class CounterBench:
         if variant not in SCHEMES:
             raise ValueError("unknown counter variant %r" % variant)
         cfg.validate()
+        if cfg.num_procs < 2 or n_pages < 1:
+            raise ConfigError("counter needs procs >= 2 (a target and a source) and pages >= 1,"
+                              " not procs=%d pages=%d" % (cfg.num_procs, n_pages))
         self.cfg = cfg
         self.variant = variant
         self.n_pages = n_pages
@@ -102,7 +106,7 @@ class CounterBench:
                 vec += self.local_counts[rank][("put", page)].to_bytes(8, "little")
                 vec += self.local_counts[rank][("get", page)].to_bytes(8, "little")
             slot = self.gather_region + rank * PAGE_SIZE
-            yield from proc.rma_put(0, slot, bytes(vec))
+            yield from proc.put(0, slot, bytes(vec))
             yield from proc.rma_flush(0)
 
     def run(self):

@@ -14,7 +14,7 @@ from array import array
 from collections import Counter
 
 from ..config import ConfigError
-from ..engine import Signal
+from ..engine import Barrier
 from ..memory import PAGE_SIZE
 from ..sim import Simulation
 from . import keys as K
@@ -140,12 +140,12 @@ def insert_rma(proc, owner, layout, elem):
         free_cell = yield from proc.fao(owner, "sum", 1, layout.next_free_addr)
         if free_cell >= layout.vol_size:
             raise DhtOverflow("volume at rank %d full; needs a resize" % owner)
-        yield from proc.rma_put(owner, layout.elem_addr(free_cell), word(elem))
+        yield from proc.put(owner, layout.elem_addr(free_cell), word(elem))
         yield from proc.rma_flush(owner)
         prev_ptr = yield from proc.fao(owner, "replace", free_cell, layout.last_ptr_addr(pos))
         old_ptr = yield from proc.cas(owner, layout.ptr_addr(pos), EMPTY, free_cell)
         if old_ptr != EMPTY:
-            yield from proc.rma_put(owner, layout.ptr_addr(prev_ptr), word(free_cell))
+            yield from proc.put(owner, layout.ptr_addr(prev_ptr), word(free_cell))
             yield from proc.rma_flush(owner)
 
 
@@ -157,7 +157,7 @@ def insert_aa(proc, owner, layout, elem):
 def delete_rma(proc, owner, layout, key):
     """Walk the bucket chain remotely, swapping out every matching cell."""
     pos = K.bucket_of(K.hash64(key), layout.table_size)
-    handle = yield from proc.rma_get(owner, layout.elem_addr(pos), CELL)
+    handle = yield from proc.get(owner, layout.elem_addr(pos), CELL)
     yield from handle.wait()
     elem = int.from_bytes(handle.data[0:8], "little")
     ptr = int.from_bytes(handle.data[8:16], "little")
@@ -165,7 +165,7 @@ def delete_rma(proc, owner, layout, key):
         yield from proc.cas(owner, layout.elem_addr(pos), key, EMPTY)
     hops = 0
     while ptr != EMPTY and hops <= layout.vol_size:
-        handle = yield from proc.rma_get(owner, layout.elem_addr(ptr), CELL)
+        handle = yield from proc.get(owner, layout.elem_addr(ptr), CELL)
         yield from handle.wait()
         elem = int.from_bytes(handle.data[0:8], "little")
         if elem == key:
@@ -177,7 +177,7 @@ def delete_rma(proc, owner, layout, key):
 def lookup(proc, owner, layout, key):
     """One get of the bucket cell; chain chasing is out of scope."""
     pos = K.bucket_of(K.hash64(key), layout.table_size)
-    handle = yield from proc.rma_get(owner, layout.elem_addr(pos), 8)
+    handle = yield from proc.get(owner, layout.elem_addr(pos), 8)
     yield from handle.wait()
     return int.from_bytes(handle.data, "little")
 
@@ -208,45 +208,23 @@ class SequentialOracle:
 # -- benchmark assembly ------------------------------------------------------
 
 
-class PhaseBarrier:
-    def __init__(self, engine, parties):
-        self.signal = Signal(engine)
-        self.parties = parties
-        self.count = 0
-
-    def arrive(self):
-        self.count += 1
-        if self.count == self.parties:
-            self.count = 0
-            self.signal.fire()
-        else:
-            yield self.signal
-
-
 class DhtNode:
-    """Owner-side state for the active schemes."""
+    """Owner-side handlers of the active and message schemes."""
 
-    def __init__(self, bench, proc, layout):
-        self.bench = bench
-        self.proc = proc
+    def __init__(self, layout):
         self.layout = layout
-        self.inserts_handled = 0
-        self.deletes_handled = 0
 
     def insert_handler(self, ctx, record):
         elem = int.from_bytes(record.payload[:8], "little")
         local_insert(ctx, self.layout, elem)
-        self.inserts_handled += 1
 
     def delete_handler(self, ctx, record):
         key = int.from_bytes(record.payload[:8], "little")
         local_delete(ctx, self.layout, key)
-        self.deletes_handled += 1
 
     def am_handler(self, ctx, src, payload):
         elem = int.from_bytes(payload[:8], "little")
         local_insert(ctx, self.layout, elem)
-        self.inserts_handled += 1
 
 
 class DhtBench:
@@ -266,6 +244,10 @@ class DhtBench:
         record_ops=False,
     ):
         cfg.validate()
+        if not 0.0 <= delete_fraction <= 1.0:
+            raise ConfigError("delete_fraction must be in [0, 1], not %r" % delete_fraction)
+        if delete_fraction > 0.0 and cfg.scheme == "am":
+            raise ConfigError("the am scheme has no delete path; use delete_fraction 0")
         table_size = cfg.resolved_table_size()
         if cfg.scheme.startswith("aa") and table_size * CELL % PAGE_SIZE:
             raise ConfigError(
@@ -290,7 +272,6 @@ class DhtBench:
         self.op_log = []  # (rank, kind, key, remote_ops_used) when recording
         self.sim = Simulation(cfg)
         self.table_size = table_size
-        self.nodes = []
         self.layouts = []
         self.delete_pages = []
         self.oracle = SequentialOracle(cfg.num_procs, self.table_size)
@@ -305,9 +286,8 @@ class DhtBench:
         active = self.scheme.startswith("aa")
         for proc in self.sim.procs:
             layout = build_volume(proc, cfg.vol_size, self.table_size)
-            node = DhtNode(self, proc, layout)
+            node = DhtNode(layout)
             self.layouts.append(layout)
-            self.nodes.append(node)
             if active:
                 ins_id = proc.register_handler(node.insert_handler)
                 del_id = proc.register_handler(node.delete_handler)
@@ -327,7 +307,7 @@ class DhtBench:
                 proc.map_plain(layout.meta_base, w=True, r=True, span=layout.meta_bytes)
                 self.delete_pages.append(None)
                 if self.scheme == "am":
-                    proc.setup_inbox(self.nodes[proc.rank].am_handler)
+                    proc.setup_inbox(node.am_handler)
 
     def _keys_for_rank(self, rank, count):
         rng = self.sim.rng_for(3, rank)
@@ -401,8 +381,6 @@ class DhtBench:
         else:
             if self.scheme == "rma":
                 yield from delete_rma(proc, owner, layout, key)
-            elif self.scheme == "am":
-                raise ValueError("message scheme has no delete path")
             else:
                 yield from proc.put(owner, self.delete_pages[owner], word(key))
 
@@ -451,7 +429,7 @@ class DhtBench:
 
     def run(self, max_events=None):
         sources = [r for r in range(self.cfg.num_procs) if self.plan[r]]
-        barrier = PhaseBarrier(self.sim.engine, len(sources))
+        barrier = Barrier(self.sim.engine, len(sources))
         for rank in sources:
             self.sim.add_app(rank, self._app(rank, barrier))
         kw = {"max_events": max_events} if max_events else {}

@@ -10,10 +10,11 @@ are identical across schemes and stay off the wire.
 import heapq
 from bisect import bisect_left
 
+from ..config import ConfigError
 from ..memory import PAGE_SIZE
 from ..sim import Simulation
+from . import getlog
 
-SCHEMES = ("no-ft", "aa", "sendback")
 WORD = 8
 
 
@@ -30,15 +31,16 @@ def page_chunks(addr, length):
 
 class SortBench:
     def __init__(self, cfg, variant, total_words=1 << 13):
-        if variant not in SCHEMES:
+        if variant not in getlog.SCHEMES:
             raise ValueError("unknown sort variant %r" % variant)
         cfg.validate()
         self.cfg = cfg
         self.variant = variant
         procs = cfg.num_procs
         self.words_per_rank = total_words // procs
-        if self.words_per_rank * WORD % PAGE_SIZE:
-            raise ValueError("per-rank data must fill whole pages")
+        if self.words_per_rank == 0 or self.words_per_rank * WORD % PAGE_SIZE:
+            raise ConfigError("%d words over %d procs do not fill whole %d B pages per rank"
+                              % (total_words, procs, PAGE_SIZE))
         self.sim = Simulation(cfg)
         self.logged_bytes = [0] * procs
         rng = self.sim.rng_for(4)
@@ -154,7 +156,7 @@ class SortBench:
         return sorted(everything)
 
 
-def run_variants(cfg, total_words=1 << 13, variants=SCHEMES):
+def run_variants(cfg, total_words=1 << 13, variants=getlog.SCHEMES):
     out = {}
     for variant in variants:
         bench = SortBench(cfg.replace(), variant, total_words)

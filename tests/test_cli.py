@@ -167,6 +167,10 @@ BAD_VALUES = [
     ("access_log_size", {"access_log_size": 16}),
     ("wire_header_bytes", {"wire_header_bytes": -8}),
     ("poll_interval_ns", {"poll_interval_ns": 0, "mem_access_ns": 0}),
+    # Removed keys: the scheme alone picks the notification mode, and
+    # handler replies always go out right after the handler runs.
+    ("notification", {"notification": "int"}),
+    ("reply_batch", {"reply_batch": 4}),
 ] + [(f.name, {f.name: -1}) for f in fields(SimConfig) if f.name.endswith("_ns")]
 
 
@@ -207,3 +211,29 @@ def test_fresh_key_exhaustion_fails_fast(tmp_path):
     assert done.returncode == 2
     assert "fresh keys" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+BAD_WORKLOAD_ARGS = [
+    ["checkpoint", "--procs", "1"],
+    ["checkpoint", "--pages", "0"],
+    ["counter", "--procs", "1"],
+    ["counter", "--pages", "0"],
+    ["sort", "--procs", "3"],
+    ["sort", "--words", "100"],
+    ["dht", "--scheme", "am", "--delete-fraction", "0.5"],
+    ["dht", "--delete-fraction", "-1"],
+    ["dht", "--delete-fraction", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_WORKLOAD_ARGS, ids=" ".join)
+def test_bad_workload_arguments_fail_fast(argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "aasim.cli"] + argv,
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""

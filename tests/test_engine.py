@@ -1,4 +1,4 @@
-from aasim.engine import Cpu, Engine, Signal
+from aasim.engine import Barrier, Cpu, Engine, Signal
 
 
 def test_events_run_in_time_order():
@@ -94,3 +94,36 @@ def test_bad_yield_raises():
     except TypeError:
         return
     raise AssertionError("expected TypeError")
+
+
+def test_barrier_is_reusable_and_only_the_last_arriver_releases():
+    eng = Engine()
+    barrier = Barrier(eng, 3)
+    log = []
+
+    def party(name, delays):
+        for rnd, delay in enumerate(delays):
+            yield delay
+            log.append(("arrive", rnd, name, eng.now))
+            yield from barrier.arrive()
+            log.append(("leave", rnd, name, eng.now))
+
+    delays = {"a": [10, 5, 30], "b": [20, 1, 2], "c": [30, 40, 1]}
+    for name, ds in delays.items():
+        eng.spawn(party(name, ds))
+    eng.run()
+
+    assert len(log) == 2 * 3 * 3
+    for rnd, release_at in enumerate([30.0, 70.0, 100.0]):
+        events = [e for e in log if e[1] == rnd]
+        arrivals = [e for e in events if e[0] == "arrive"]
+        leaves = [e for e in events if e[0] == "leave"]
+        assert max(t for *_, t in arrivals) == release_at
+        assert [t for *_, t in leaves] == [release_at] * 3
+        # Nobody leaves a round before its last party has arrived.
+        assert log.index(leaves[0]) > max(log.index(e) for e in arrivals)
+        # The last arriver goes straight through; the parked ones follow.
+        last = arrivals[-1][2]
+        at = log.index(arrivals[-1])
+        assert log[at + 1] == ("leave", rnd, last, release_at)
+    assert barrier.count == 0

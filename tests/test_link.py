@@ -143,6 +143,31 @@ def test_wire_byte_accounting():
     assert counter.bytes_wire == 1000 + 4 * 24
 
 
+def _wire_run(make_wire, send_name):
+    """Arrival times and wire accounting for one fixed send schedule."""
+    eng = Engine()
+    got = []
+    counter = _Counter()
+    cfg = _cfg(link_latency_ns=123.0, link_bw_bytes_per_ns=0.75, wire_header_bytes=20)
+    wire = make_wire(eng, lambda t: got.append((eng.now, t.tag)), cfg, counter)
+    send = getattr(wire, send_name)
+    schedule = [(0.0, 8), (0.0, 256), (40.0, 64), (41.5, 200), (2000.0, 8), (2000.0, 128)]
+    for tag, (at, length) in enumerate(schedule):
+        eng.schedule(at, send, _one_packet(5, tag=tag, length=length))
+    eng.run()
+    return got, counter.packets, counter.bytes_wire
+
+
+def test_link_without_binding_credits_times_like_backchannel():
+    link = _wire_run(lambda eng, sink, cfg, m: Link(eng, sink, cfg, random.Random(0), m), "send")
+    back = _wire_run(lambda eng, sink, cfg, m: BackChannel(eng, sink, cfg, m), "deliver")
+    assert link == back
+    arrivals, packets, wire_bytes = link
+    assert [tag for _, tag in arrivals] == list(range(6))
+    assert packets == 6
+    assert wire_bytes == 6 * 20 + 8 + 256 + 64 + 200 + 8 + 128
+
+
 def test_backchannel_serializes():
     eng = Engine()
     got = []
@@ -153,3 +178,4 @@ def test_backchannel_serializes():
     eng.run()
     assert got == [780.0, 1060.0]  # 280 wire bytes each, back to back
     assert chan.outstanding == 0
+    assert chan.idle()

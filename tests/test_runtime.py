@@ -245,7 +245,7 @@ def test_rma_flush_orders_prior_puts():
 
     def app(proc):
         for i in range(8):
-            yield from proc.rma_put(1, base + 8 * i, bytes([i]) * 8)
+            yield from proc.put(1, base + 8 * i, bytes([i]) * 8)
         yield from proc.rma_flush(1)
         # after the flush the data must be resident at the target
         assert target.memory.read(base, 64) == b"".join(bytes([i]) * 8 for i in range(8))
