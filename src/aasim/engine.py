@@ -7,6 +7,18 @@ Processes are generators. A process may yield:
 Nested calls compose with ``yield from`` and may return values. Events with
 equal timestamps run in schedule order (a monotonically increasing sequence
 number breaks ties), which is what makes runs bit-identical for a fixed seed.
+
+Heap entries are ``(t, seq, fn, args)`` for callbacks and ``(t, seq, None,
+gen)`` for process resumes, which the run loop performs itself.
+
+Fast-forward: when a resumed process sleeps ``d`` and the heap is empty or its
+earliest entry lies strictly later than ``now + d``, no other event can run
+first, so the loop advances the clock and resumes the same process at once
+instead of pushing and popping it. The step still takes one sequence number,
+counts as one event and is checked against the event budget after it runs,
+and an entry at exactly ``now + d`` still goes first (it holds the lower
+sequence number), so event order, clock values and ``events_run`` are the
+same as with one heap entry per resume.
 """
 
 import heapq
@@ -28,8 +40,10 @@ class Signal:
         if not self._waiters:
             return
         waiters, self._waiters = self._waiters, []
+        engine = self._engine
+        now, heap, seq = engine.now, engine._heap, engine._seq
         for gen in waiters:
-            self._engine._schedule_resume(gen)
+            heapq.heappush(heap, (now, next(seq), None, gen))
 
 
 class Barrier:
@@ -69,35 +83,66 @@ class Engine:
         heapq.heappush(self._heap, (self.now + delay, next(self._seq), fn, args))
 
     def spawn(self, gen):
-        """Start a process generator immediately (at the current time)."""
-        self._advance(gen, None)
+        """Start a process generator immediately (at the current time).
 
-    def _schedule_resume(self, gen):
-        self.schedule(0, self._advance, gen, None)
-
-    def _advance(self, gen, value):
+        Its first sleep always goes through the heap: the caller's event has
+        not finished, so nothing may be fast-forwarded past it.
+        """
         try:
-            req = gen.send(value)
+            req = gen.send(None)
         except StopIteration:
             return
         if isinstance(req, Signal):
             req._waiters.append(gen)
         elif isinstance(req, (int, float)):
-            self.schedule(req, self._advance, gen, None)
+            if req < 0:
+                raise ValueError("negative delay")
+            heapq.heappush(self._heap, (self.now + req, next(self._seq), None, gen))
         else:
             raise TypeError("process yielded %r; expected a delay or a Signal" % (req,))
 
     def run(self, max_events=None):
         """Drain the event heap. Returns the number of events executed."""
+        heap, seq = self._heap, self._seq
+        heappop, heappush = heapq.heappop, heapq.heappush
         start = self.events_run
-        while self._heap:
-            t, _, fn, args = heapq.heappop(self._heap)
+        limit = float("inf") if max_events is None else start + max_events
+        while heap:
+            t, _, fn, args = heappop(heap)
             if t < self.now:
                 raise RuntimeError("time went backwards")
             self.now = t
             self.events_run += 1
-            fn(*args)
-            if max_events is not None and self.events_run - start > max_events:
+            if fn is not None:
+                fn(*args)
+            else:
+                gen = args
+                while True:
+                    try:
+                        req = gen.send(None)
+                    except StopIteration:
+                        break
+                    if isinstance(req, Signal):
+                        req._waiters.append(gen)
+                        break
+                    if not isinstance(req, (int, float)):
+                        raise TypeError("process yielded %r; expected a delay or a Signal" % (req,))
+                    if req < 0:
+                        raise ValueError("negative delay")
+                    t = self.now + req
+                    # A queued entry at or before t runs first (on a tie it
+                    # holds the lower sequence number); otherwise nothing can
+                    # run in between, so fast-forward: resume gen at t now,
+                    # with the sequence number and budget check of a pop.
+                    if heap and not t < heap[0][0]:
+                        heappush(heap, (t, next(seq), None, gen))
+                        break
+                    next(seq)
+                    if self.events_run > limit:
+                        raise RuntimeError("event budget exceeded (%d)" % max_events)
+                    self.now = t
+                    self.events_run += 1
+            if self.events_run > limit:
                 raise RuntimeError("event budget exceeded (%d)" % max_events)
         return self.events_run - start
 

@@ -56,6 +56,11 @@ class KeyStream:
     Collisions are paced by quota rather than coin flips: insert i collides
     when floor(i * r_cols) advances, which lands the measured ratio within
     1/count of the target with no sampling noise.
+
+    The quota is per stream, that is per source: a collision is a key aimed
+    at a bucket this stream already used. Fresh keys of different streams
+    may land in the same bucket too, and those collisions come on top of
+    the quota, uncounted in ``collisions``.
     """
 
     def __init__(self, rng, procs, table_size, r_cols=0.0):

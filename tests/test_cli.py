@@ -220,6 +220,7 @@ BAD_WORKLOAD_ARGS = [
     ["counter", "--pages", "0"],
     ["sort", "--procs", "3"],
     ["sort", "--words", "100"],
+    ["sort", "--procs", "3", "--words", "12289"],
     ["dht", "--scheme", "am", "--delete-fraction", "0.5"],
     ["dht", "--delete-fraction", "-1"],
     ["dht", "--delete-fraction", "2"],

@@ -1,3 +1,10 @@
+import heapq
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from aasim.engine import Barrier, Cpu, Engine, Signal
 
 
@@ -96,6 +103,51 @@ def test_bad_yield_raises():
     raise AssertionError("expected TypeError")
 
 
+@pytest.mark.parametrize("req,error", [("nope", TypeError), (None, TypeError), (-1, ValueError)])
+def test_bad_yield_after_a_sleep_raises_inside_run(req, error):
+    eng = Engine()
+
+    def bad():
+        yield 5
+        yield req
+
+    eng.spawn(bad())
+    with pytest.raises(error):
+        eng.run()
+    assert eng.now == 5 and eng.events_run == 1
+
+
+def test_bool_yield_sleeps_like_an_int():
+    eng = Engine()
+    seen = []
+
+    def proc():
+        yield 2
+        yield True
+        seen.append(eng.now)
+
+    eng.spawn(proc())
+    eng.run()
+    assert seen == [3]
+
+
+def test_event_budget_trips_after_the_step_that_exceeds_it():
+    eng = Engine()
+    resumes = []
+
+    def sleeper():
+        while True:
+            resumes.append(eng.now)
+            yield 1.0
+
+    eng.spawn(sleeper())
+    with pytest.raises(RuntimeError, match=r"^event budget exceeded \(1000\)$"):
+        eng.run(max_events=1000)
+    assert eng.events_run == 1001
+    assert eng.now == 1001.0
+    assert len(resumes) == 1002
+
+
 def test_barrier_is_reusable_and_only_the_last_arriver_releases():
     eng = Engine()
     barrier = Barrier(eng, 3)
@@ -127,3 +179,110 @@ def test_barrier_is_reusable_and_only_the_last_arriver_releases():
         at = log.index(arrivals[-1])
         assert log[at + 1] == ("leave", rnd, last, release_at)
     assert barrier.count == 0
+
+
+# -- the engine against a heap-only reference scheduler -----------------------
+
+
+class RefSignal:
+    def __init__(self, engine):
+        self.engine = engine
+        self.waiters = []
+
+    def fire(self):
+        waiters, self.waiters = self.waiters, []
+        for gen in waiters:
+            self.engine.schedule(0, self.engine.advance, gen)
+
+
+class RefEngine:
+    """Reference: every resume is one heap entry, popped in (time, seq) order."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.heap = []
+        self.seq = itertools.count()
+        self.events_run = 0
+
+    def schedule(self, delay, fn, *args):
+        heapq.heappush(self.heap, (self.now + delay, next(self.seq), fn, args))
+
+    def spawn(self, gen):
+        self.advance(gen)
+
+    def advance(self, gen):
+        try:
+            req = gen.send(None)
+        except StopIteration:
+            return
+        if isinstance(req, RefSignal):
+            req.waiters.append(gen)
+        else:
+            self.schedule(req, self.advance, gen)
+
+    def run(self):
+        while self.heap:
+            self.now, _, fn, args = heapq.heappop(self.heap)
+            self.events_run += 1
+            fn(*args)
+
+
+def simulate(engine, make_signal, plan):
+    """Run ``plan`` and return the (now, pid, step) trace of every resume and
+    callback. A process step is (op, a, b): sleep a; wait on signal a; fire
+    signal a; schedule a callback after a that fires signal b or, for
+    "call-spawn", spawns process b; or spawn process b."""
+    tops, callbacks = plan
+    signals = [make_signal(engine) for _ in range(2)]
+    pids = itertools.count()
+    trace = []
+
+    def proc(steps, depth):
+        pid = next(pids)
+        for i, (op, a, b) in enumerate(steps):
+            trace.append((engine.now, pid, i))
+            if op == "sleep":
+                yield a
+            elif op == "wait":
+                yield signals[a % 2]
+            elif op == "fire":
+                signals[a % 2].fire()
+            elif op == "call":
+                engine.schedule(a, fire, b % 2)
+            elif op == "call-spawn" and depth < 2:
+                engine.schedule(a, start, tops[b % len(tops)], depth + 1)
+            elif op == "spawn" and depth < 2:
+                engine.spawn(proc(tops[b % len(tops)], depth + 1))
+
+    def fire(k):
+        trace.append((engine.now, "fire", k))
+        signals[k].fire()
+
+    def start(steps, depth):
+        trace.append((engine.now, "start", depth))
+        engine.spawn(proc(steps, depth))
+
+    for steps in tops:
+        engine.spawn(proc(steps, 0))
+    for delay, k in callbacks:
+        engine.schedule(delay, fire, k)
+    engine.run()
+    return trace, engine.events_run, engine.now
+
+
+small = st.integers(min_value=0, max_value=3)
+step = st.tuples(
+    st.sampled_from(["sleep", "sleep", "sleep", "wait", "fire", "call", "call-spawn", "spawn"]),
+    small,
+    small,
+)
+plans = st.tuples(
+    st.lists(st.lists(step, max_size=8), min_size=1, max_size=4),
+    st.lists(st.tuples(small, st.integers(min_value=0, max_value=1)), max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(plans)
+def test_engine_matches_heap_only_reference(plan):
+    assert simulate(Engine(), Signal, plan) == simulate(RefEngine(), RefSignal, plan)

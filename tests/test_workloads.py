@@ -112,6 +112,23 @@ def test_delete_phase_matches_oracle(scheme):
         assert bench.contents(rank) == bench.oracle_contents(rank)
 
 
+# Event counts at seed 1, pinned because the golden digest does not cover them
+# and the event budget is counted in events.
+PINNED_EVENTS = {
+    "aa-int": 1598, "aa-poll": 1663, "aa-sp": 1749, "rma": 4033, "am": 1110, "getlog-aa": 1170,
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_EVENTS))
+def test_event_counts_are_pinned(workload):
+    if workload == "getlog-aa":
+        bench = GetLogBench(small_cfg(num_procs=2), "aa", n_gets=60)
+        bench.run()
+    else:
+        bench, _metrics = dht.run_scheme(small_cfg(scheme=workload, r_cols=0.3))
+    assert bench.sim.engine.events_run == PINNED_EVENTS[workload]
+
+
 def test_bench_measures_target_collision_ratio():
     cfg = small_cfg(scheme="aa-poll", r_cols=0.25, ops_per_proc=100)
     bench, metrics = dht.run_scheme(cfg)
