@@ -4,6 +4,7 @@ Config files are plain ``key = value`` lines (# comments allowed). Keys match
 the field names below, with hyphens accepted in place of underscores.
 """
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -97,7 +98,11 @@ class SimConfig:
                 % (self.iotlb_size, self.iotlb_assoc, self.iotlb_policy, exc)
             )
         for f in fields(self):
-            if f.name.endswith("_ns") and getattr(self, f.name) < 0:
+            value = getattr(self, f.name)
+            # nan passes every comparison below, and inf stalls the clock.
+            if _FIELD_TYPES[f.name] == "float" and not math.isfinite(value):
+                raise ConfigError("%s must be finite, got %r" % (f.name, value))
+            if f.name.endswith("_ns") and value < 0:
                 raise ConfigError("%s must be >= 0" % f.name)
         if self.poll_interval_ns == 0:
             # A polling loop that never advances the clock starves the sweeper.

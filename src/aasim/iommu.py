@@ -6,10 +6,16 @@ triggers the translation walk, the classification, and (for logged accesses)
 the log-space reservation; later packets of the same transaction reuse the
 cached entry. A full access log stalls the pipeline head instead of dropping
 anything, so backpressure propagates to the link credits.
+
+Every get the bridge serves goes through one read coroutine: plain reads,
+reads logged with data (each completion is also copied into the record) and
+atomics (a read-modify-write). A get to a flush page instead joins its
+domain's FIFO of flush waiters; the head waiter is answered once the consumer
+has freed every record reserved before it arrived.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import link as lnk
 from . import logbuf
@@ -23,7 +29,6 @@ class IommuError(Exception):
 
 @dataclass
 class TagEntry:
-    kind: str  # 'put' | 'get' | 'fault' | 'raw'
     dev_addr: int
     bytes_remaining: int
     phys_base: int = 0
@@ -31,27 +36,7 @@ class TagEntry:
     log_data: bool = False
     log: object = None
     offset: int = 0
-    copied: int = 0
     status: str = "ok"
-
-
-@dataclass
-class FlushWaiter:
-    requester_id: int
-    tag: int
-    txn_id: int
-    mark: int
-
-
-@dataclass
-class FlushState:
-    address: int
-    iuid: int
-    active: FlushWaiter = None
-    queue: deque = field(default_factory=deque)
-
-    def idle(self):
-        return self.active is None and not self.queue
 
 
 class Iommu:
@@ -66,8 +51,8 @@ class Iommu:
         self.enabled = cfg.iommu_enabled
         self.alogs = logbuf.AccessLogTable()
         self.tag_buffer = {}
-        self.flush_pages = {}
-        self._flush_by_iuid = {}
+        self.flush_pages = {}  # flush-page address -> iuid
+        self.flush_waiters = {}  # iuid -> deque of (mark, request); head is active
         self.ingress = deque()
         self._ingress_signal = Signal(engine)
         self._blocked_log = None  # log the stalled head waits on, if any
@@ -86,10 +71,10 @@ class Iommu:
     def register_flush_page(self, address, iuid):
         if address in self.flush_pages:
             raise IommuError("flush page %d already registered" % address)
-        state = FlushState(address=address, iuid=iuid)
-        self.flush_pages[address] = state
-        self._flush_by_iuid.setdefault(iuid, []).append(state)
-        return state
+        if iuid in self.flush_waiters:
+            raise IommuError("domain %d already has a flush page" % iuid)
+        self.flush_pages[address] = iuid
+        self.flush_waiters[iuid] = deque()
 
     def add_write_hook(self, base, span, callback):
         self.write_hooks.append((base, span, callback))
@@ -126,9 +111,9 @@ class Iommu:
         if tlp.kind == lnk.POSTED_WRITE:
             yield from self.intercept_write(tlp)
         elif tlp.kind == lnk.READ_REQUEST:
-            state = self.flush_pages.get(tlp.address) if self.enabled else None
-            if state is not None:
-                self.handle_flush_get(tlp, state)
+            iuid = self.flush_pages.get(tlp.address) if self.enabled else None
+            if iuid is not None:
+                self.handle_flush_get(tlp, iuid)
             else:
                 yield from self.intercept_read_request(tlp)
         else:
@@ -141,31 +126,20 @@ class Iommu:
         if tlp.seq_in_txn != 0:
             raise IommuError("transaction started mid-stream (tag reuse?)")
         if not self.enabled:
-            entry = TagEntry(
-                kind="raw",
+            return TagEntry(
                 dev_addr=tlp.address,
                 bytes_remaining=tlp.txn_total,
                 phys_base=tlp.address,
                 memory_effect=True,
             )
-            self.tag_buffer[(tlp.requester_id, tlp.tag)] = entry
-            return entry
         walk = self.translator.walk(tlp.requester_id, tlp.address)
         if walk.mem_accesses:
             yield self.cfg.mem_access_ns * walk.mem_accesses
         if walk.fault:
             self._append_fault(tlp, op, blocked=True)
-            entry = TagEntry(
-                kind="fault",
-                dev_addr=tlp.address,
-                bytes_remaining=tlp.txn_total,
-                status="fault",
-            )
-            self.tag_buffer[(tlp.requester_id, tlp.tag)] = entry
-            return entry
+            return TagEntry(dev_addr=tlp.address, bytes_remaining=tlp.txn_total, status="fault")
         acts = classify(walk.pte, op)
         entry = TagEntry(
-            kind="put" if op == PUT else "get",
             dev_addr=tlp.address,
             bytes_remaining=tlp.txn_total,
             phys_base=walk.phys,
@@ -198,7 +172,6 @@ class Iommu:
                 yield self.cfg.mem_access_ns
             else:
                 self._append_fault(tlp, op, blocked=acts.blocked)
-        self.tag_buffer[(tlp.requester_id, tlp.tag)] = entry
         return entry
 
     def _reserve_with_bypass(self, log, nbytes):
@@ -258,6 +231,7 @@ class Iommu:
         entry = self.tag_buffer.get(key)
         if entry is None:
             entry = yield from self._open_txn(tlp, PUT)
+            self.tag_buffer[key] = entry
         off = tlp.address - entry.dev_addr
         if entry.memory_effect:
             self.memory.write(entry.phys_base + off, tlp.payload)
@@ -285,120 +259,87 @@ class Iommu:
         if key in self.tag_buffer:
             raise IommuError("read request with busy tag %r" % (key,))
         entry = yield from self._open_txn(tlp, GET)
-        if entry.kind == "fault" or not entry.memory_effect:
-            if key in self.tag_buffer:
-                del self.tag_buffer[key]
-            if entry.log is not None:
-                entry.log.mark_done(entry.offset)
+        log = entry.log
+        if not entry.memory_effect:
+            if log is not None:
+                log.mark_done(entry.offset)
                 yield self.cfg.mem_access_ns
             self.backchannel_for(tlp.requester_id).deliver(lnk.blocked_completion(tlp))
             return
+        if log is None:
+            self.engine.spawn(self._serve_read(tlp, entry.phys_base))
+            return
         if tlp.atomic is not None:
-            if entry.log is not None:
-                raise IommuError("atomics on logging-marked pages are unsupported")
-            del self.tag_buffer[key]
-            self.engine.spawn(self._serve_atomic(tlp, entry))
+            raise IommuError("atomics on logging-marked pages are unsupported")
+        if entry.log_data:
+            # The record stays open until the read has copied its data in.
+            self.tag_buffer[key] = entry
+            self.engine.spawn(self._serve_read(tlp, entry.phys_base, log, entry.offset))
             return
-        if entry.log is not None and not entry.log_data:
-            # Metadata-only read record commits at interception.
-            entry.log.mark_done(entry.offset)
-            del self.tag_buffer[key]
-            entry = TagEntry(
-                kind="get",
-                dev_addr=entry.dev_addr,
-                bytes_remaining=0,
-                phys_base=entry.phys_base,
-                memory_effect=True,
-            )
-            self.engine.spawn(self._serve_read(tlp, entry))
-            yield self.cfg.mem_access_ns
-            return
-        if entry.log is None:
-            del self.tag_buffer[key]
-        self.engine.spawn(self._serve_read(tlp, entry))
+        # Metadata-only read record commits at interception, before the read
+        # is spawned: the commit hooks' wake-ups are scheduled ahead of it.
+        log.mark_done(entry.offset)
+        self.engine.spawn(self._serve_read(tlp, entry.phys_base))
+        yield self.cfg.mem_access_ns
 
-    def _serve_read(self, tlp, entry):
+    def _serve_read(self, tlp, phys, log=None, offset=0):
+        """Fetch (or atomically update) the data and send the completions,
+        copying each one into the record at offset when log is given."""
         yield self.cfg.mem_access_ns  # data fetch
-        data = self.memory.read(entry.phys_base, tlp.length)
-        key = (tlp.requester_id, tlp.tag)
+        desc = tlp.atomic
+        if desc is None:
+            data = self.memory.read(phys, tlp.length)
+        else:
+            prev = self.memory.read_word(phys)
+            if desc.op == "cas":
+                if prev == desc.compare:
+                    self.memory.write_word(phys, desc.operand)
+            elif desc.op == "sum":
+                self.memory.write_word(phys, (prev + desc.operand) & (2**64 - 1))
+            elif desc.op == "replace":
+                self.memory.write_word(phys, desc.operand)
+            else:
+                raise IommuError("unknown atomic op %r" % desc.op)
+            data = prev.to_bytes(8, "little")
+            yield self.cfg.mem_access_ns  # write-back
         channel = self.backchannel_for(tlp.requester_id)
+        copied = 0
         for cpl in lnk.make_completions(tlp, data, self.cfg.max_payload):
             yield self.cfg.iommu_proc_ns  # egress interception
-            if entry.log is not None:
-                entry.log.ring_write(
-                    entry.offset + logbuf.HEADER_BYTES + entry.copied, cpl.payload
-                )
-                entry.copied += len(cpl.payload)
-                entry.bytes_remaining -= len(cpl.payload)
+            if log is not None:
+                log.ring_write(offset + logbuf.HEADER_BYTES + copied, cpl.payload)
+                copied += len(cpl.payload)
             channel.deliver(cpl)
-        if entry.log is not None:
-            if entry.bytes_remaining:
-                raise IommuError("get replica incomplete")
-            del self.tag_buffer[key]
-            entry.log.mark_done(entry.offset)
+        if log is not None:
+            del self.tag_buffer[(tlp.requester_id, tlp.tag)]
+            log.mark_done(offset)
             yield self.cfg.mem_access_ns
-        self.engine.note_activity()
-
-    def _serve_atomic(self, tlp, entry):
-        desc = tlp.atomic
-        yield self.cfg.mem_access_ns
-        prev = self.memory.read_word(entry.phys_base)
-        if desc.op == "cas":
-            if prev == desc.compare:
-                self.memory.write_word(entry.phys_base, desc.operand)
-        elif desc.op == "sum":
-            self.memory.write_word(entry.phys_base, (prev + desc.operand) & (2**64 - 1))
-        elif desc.op == "replace":
-            self.memory.write_word(entry.phys_base, desc.operand)
-        else:
-            raise IommuError("unknown atomic op %r" % desc.op)
-        yield self.cfg.mem_access_ns
-        channel = self.backchannel_for(tlp.requester_id)
-        for cpl in lnk.make_completions(tlp, prev.to_bytes(8, "little"), self.cfg.max_payload):
-            yield self.cfg.iommu_proc_ns
-            channel.deliver(cpl)
         self.engine.note_activity()
 
     # -- flushes -----------------------------------------------------------
 
-    def handle_flush_get(self, tlp, state):
-        log = self.alogs.get(state.iuid)
-        waiter = FlushWaiter(
-            requester_id=tlp.requester_id, tag=tlp.tag, txn_id=tlp.txn_id, mark=log.head
-        )
-        if state.active is None and log.tail >= waiter.mark:
-            self._answer_flush(waiter)
+    def handle_flush_get(self, tlp, iuid):
+        log = self.alogs.get(iuid)
+        waiters = self.flush_waiters[iuid]
+        if not waiters and log.tail >= log.head:
+            self._answer_flush(tlp)
             return
-        state.queue.append(waiter)
-        if state.active is None:
-            state.active = state.queue.popleft()
+        # The flush covers every record reserved before it arrived.
+        waiters.append((log.head, tlp))
         if self.on_flush_armed is not None:
             self.on_flush_armed(log)
 
-    def _answer_flush(self, waiter):
-        cpl = lnk.Tlp(
-            kind=lnk.READ_COMPLETION,
-            requester_id=waiter.requester_id,
-            tag=waiter.tag,
-            address=0,
-            length=8,
-            payload=bytes(8),
-            txn_id=waiter.txn_id,
-            seq_in_txn=0,
-            txn_total=8,
-        )
-        self.backchannel_for(waiter.requester_id).deliver(cpl)
+    def _answer_flush(self, request):
+        channel = self.backchannel_for(request.requester_id)
+        for cpl in lnk.make_completions(request, bytes(request.length), self.cfg.max_payload):
+            channel.deliver(cpl)
 
     def check_flushes(self, log):
         """Called when the consumer advances a tail; completes covered flushes."""
-        for state in self._flush_by_iuid.get(log.iuid, []):
-            while state.active is not None and log.tail >= state.active.mark:
-                waiter = state.active
-                state.active = state.queue.popleft() if state.queue else None
-                self._answer_flush(waiter)
-                self.engine.note_activity()
-            if state.active is not None and self.on_flush_armed is not None:
-                self.on_flush_armed(log)
-
-    def flush_states_idle(self):
-        return all(s.idle() for s in self.flush_pages.values())
+        waiters = self.flush_waiters.get(log.iuid, ())
+        while waiters and log.tail >= waiters[0][0]:
+            _mark, request = waiters.popleft()
+            self._answer_flush(request)
+            self.engine.note_activity()
+        if waiters and self.on_flush_armed is not None:
+            self.on_flush_armed(log)

@@ -51,6 +51,28 @@ class Tlp:
         return header_bytes + (len(self.payload) if self.payload else 0)
 
 
+def _slices(kind, data, address, address_mask, requester_id, tag, txn_id, max_payload):
+    """Cut one transaction's data into ordered TLPs of at most max_payload
+    bytes; each packet's address is masked with address_mask."""
+    out = []
+    for seq, off in enumerate(range(0, len(data), max_payload)):
+        chunk = bytes(data[off : off + max_payload])
+        out.append(
+            Tlp(
+                kind=kind,
+                requester_id=requester_id,
+                tag=tag,
+                address=(address + off) & address_mask,
+                length=len(chunk),
+                payload=chunk,
+                txn_id=txn_id,
+                seq_in_txn=seq,
+                txn_total=len(data),
+            )
+        )
+    return out
+
+
 def split_put(address, payload, requester_id, tag, txn_id, max_payload):
     """Split one write transaction into ordered posted-write TLPs."""
     total = len(payload)
@@ -58,34 +80,16 @@ def split_put(address, payload, requester_id, tag, txn_id, max_payload):
         raise LinkError("empty put")
     if total > MAX_TXN_BYTES:
         raise OversizeError("put of %d bytes exceeds %d" % (total, MAX_TXN_BYTES))
-    pkts = []
-    seq = 0
-    for off in range(0, total, max_payload):
-        chunk = payload[off : off + max_payload]
-        pkts.append(
-            Tlp(
-                kind=POSTED_WRITE,
-                requester_id=requester_id,
-                tag=tag,
-                address=address + off,
-                length=len(chunk),
-                payload=bytes(chunk),
-                txn_id=txn_id,
-                seq_in_txn=seq,
-                txn_total=total,
-            )
-        )
-        seq += 1
-    return pkts
+    return _slices(POSTED_WRITE, payload, address, -1, requester_id, tag, txn_id, max_payload)
 
 
-def split_get(address, length, requester_id, tag, txn_id, max_payload):
-    """Build the read request for a get; returns (request, completion count)."""
+def split_get(address, length, requester_id, tag, txn_id):
+    """Build the read request for a get."""
     if length <= 0:
         raise LinkError("empty get")
     if length > MAX_TXN_BYTES:
         raise OversizeError("get of %d bytes exceeds %d" % (length, MAX_TXN_BYTES))
-    req = Tlp(
+    return Tlp(
         kind=READ_REQUEST,
         requester_id=requester_id,
         tag=tag,
@@ -95,8 +99,6 @@ def split_get(address, length, requester_id, tag, txn_id, max_payload):
         seq_in_txn=0,
         txn_total=length,
     )
-    n_cpl = -(-length // max_payload)
-    return req, n_cpl
 
 
 def make_completions(request, data, max_payload):
@@ -107,30 +109,20 @@ def make_completions(request, data, max_payload):
     """
     if len(data) != request.length:
         raise LinkError("completion data length mismatch")
-    out = []
-    seq = 0
-    for off in range(0, len(data), max_payload):
-        chunk = data[off : off + max_payload]
-        addr = (request.address + off) & ((1 << COMPLETION_ADDR_BITS) - 1)
-        out.append(
-            Tlp(
-                kind=READ_COMPLETION,
-                requester_id=request.requester_id,
-                tag=request.tag,
-                address=addr,
-                length=len(chunk),
-                payload=bytes(chunk),
-                txn_id=request.txn_id,
-                seq_in_txn=seq,
-                txn_total=request.length,
-            )
-        )
-        seq += 1
-    return out
+    return _slices(
+        READ_COMPLETION,
+        data,
+        request.address,
+        (1 << COMPLETION_ADDR_BITS) - 1,
+        request.requester_id,
+        request.tag,
+        request.txn_id,
+        max_payload,
+    )
 
 
 def blocked_completion(request):
-    cpl = Tlp(
+    return Tlp(
         kind=READ_COMPLETION,
         requester_id=request.requester_id,
         tag=request.tag,
@@ -142,7 +134,6 @@ def blocked_completion(request):
         txn_total=0,
         status="blocked",
     )
-    return cpl
 
 
 class _Wire:

@@ -15,17 +15,6 @@ IUID_BITS = 10
 IUID_LIMIT = 1 << IUID_BITS
 FRAME_BITS = 40
 
-# Packed 64-bit layout: flag bits low, frame in 12..51, IUID in 52..61.
-_FLAG_PRESENT = 1 << 0
-_FLAG_W = 1 << 1
-_FLAG_R = 1 << 2
-_FLAG_WL = 1 << 3
-_FLAG_WLD = 1 << 4
-_FLAG_RL = 1 << 5
-_FLAG_RLD = 1 << 6
-_FLAG_E = 1 << 7
-IUID_SHIFT = 52
-
 PUT = "put"
 GET = "get"
 
@@ -70,39 +59,6 @@ class Pte:
             rld=self.rld,
             e=self.e,
             iuid=self.iuid,
-        )
-
-    def to_bits(self):
-        bits = _FLAG_PRESENT
-        for flag, mask in (
-            (self.w, _FLAG_W),
-            (self.r, _FLAG_R),
-            (self.wl, _FLAG_WL),
-            (self.wld, _FLAG_WLD),
-            (self.rl, _FLAG_RL),
-            (self.rld, _FLAG_RLD),
-            (self.e, _FLAG_E),
-        ):
-            if flag:
-                bits |= mask
-        bits |= self.frame << PAGE_SHIFT
-        bits |= self.iuid << IUID_SHIFT
-        return bits
-
-    @classmethod
-    def from_bits(cls, bits):
-        if not bits & _FLAG_PRESENT:
-            raise PagingError("entry not present")
-        return cls(
-            frame=(bits >> PAGE_SHIFT) & ((1 << FRAME_BITS) - 1),
-            w=bool(bits & _FLAG_W),
-            r=bool(bits & _FLAG_R),
-            wl=bool(bits & _FLAG_WL),
-            wld=bool(bits & _FLAG_WLD),
-            rl=bool(bits & _FLAG_RL),
-            rld=bool(bits & _FLAG_RLD),
-            e=bool(bits & _FLAG_E),
-            iuid=(bits >> IUID_SHIFT) & (IUID_LIMIT - 1),
         )
 
 

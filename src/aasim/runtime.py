@@ -41,13 +41,12 @@ class OpHandle:
 
 
 class _GetState:
-    __slots__ = ("handle", "buf", "remaining", "tag")
+    __slots__ = ("handle", "buf", "remaining")
 
-    def __init__(self, handle, length, tag):
+    def __init__(self, handle, length):
         self.handle = handle
         self.buf = bytearray(length)
         self.remaining = length
-        self.tag = tag
 
 
 class HandlerCtx:
@@ -89,12 +88,11 @@ class HandlerCtx:
 
 
 class _Binding:
-    __slots__ = ("log", "handler", "flush_addr")
+    __slots__ = ("log", "handler")
 
-    def __init__(self, log, handler, flush_addr):
+    def __init__(self, log, handler):
         self.log = log
         self.handler = handler
-        self.flush_addr = flush_addr
 
 
 class Proc:
@@ -146,7 +144,7 @@ class Proc:
         log.commit_hooks.append(self._on_commit)
         flush_base = self.memory.reserve_region("flush%d" % iuid, PAGE_SIZE)
         self.iommu.register_flush_page(flush_base, iuid)
-        self._handlers[iuid] = _Binding(log, handler, flush_base)
+        self._handlers[iuid] = _Binding(log, handler)
         return iuid
 
     def assoc_page(self, vaddr, hlr_id=0, span=PAGE_SIZE, **bits):
@@ -189,9 +187,6 @@ class Proc:
         self.assoc_page(base, iuid, wl=True, wld=True, e=True)
         self.reply_page = base
         return iuid
-
-    def flush_pages(self):
-        return [(iuid, b.flush_addr) for iuid, b in sorted(self._handlers.items())]
 
     # -- tags --------------------------------------------------------------
 
@@ -256,11 +251,9 @@ class Proc:
         yield from self.cpu.busy(self.cfg.issue_cost_ns)
         tag = yield from self._alloc_tag()
         handle = OpHandle(self.engine)
-        req, _ = lnk.split_get(
-            address, length, self.rank, tag, self.sim.next_txn_id(), self.cfg.max_payload
-        )
+        req = lnk.split_get(address, length, self.rank, tag, self.sim.next_txn_id())
         req.atomic = atomic
-        self._gets[tag] = _GetState(handle, length, tag)
+        self._gets[tag] = _GetState(handle, length)
         self.sim.links[target].send(req)
         return handle
 
@@ -315,9 +308,9 @@ class Proc:
     def flush(self, target):
         """Consumption barrier: every record our prior puts/gets produced at
         target is handled before this returns."""
-        peer = self.sim.procs[target]
         handles = []
-        for _iuid, flush_addr in peer.flush_pages():
+        # Flush pages are registered in iuid order, one per logging domain.
+        for flush_addr in self.sim.procs[target].iommu.flush_pages:
             handle = yield from self.get(target, flush_addr, 8)
             handles.append(handle)
         for handle in handles:

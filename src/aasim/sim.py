@@ -109,7 +109,7 @@ class Simulation:
             return False
         for proc in self.procs:
             iommu = proc.iommu
-            if iommu.ingress or iommu.tag_buffer or not iommu.flush_states_idle():
+            if iommu.ingress or iommu.tag_buffer or any(iommu.flush_waiters.values()):
                 return False
         return True
 
@@ -167,9 +167,9 @@ class Simulation:
                         "log%d head=%d committed=%d tail=%d"
                         % (iuid, log.head, log.committed_head, log.tail)
                     )
-            for addr, state in sorted(iommu.flush_pages.items()):
-                if not state.idle():
-                    bits.append("flush@%d waiting=%d" % (addr, (1 if state.active else 0) + len(state.queue)))
+            for addr, iuid in sorted(iommu.flush_pages.items()):
+                if iommu.flush_waiters[iuid]:
+                    bits.append("flush@%d waiting=%d" % (addr, len(iommu.flush_waiters[iuid])))
             if bits:
                 lines.append("  rank %d: %s" % (proc.rank, "; ".join(bits)))
         return "\n".join(lines)

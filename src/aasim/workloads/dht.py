@@ -174,14 +174,6 @@ def delete_rma(proc, owner, layout, key):
         hops += 1
 
 
-def lookup(proc, owner, layout, key):
-    """One get of the bucket cell; chain chasing is out of scope."""
-    pos = K.bucket_of(K.hash64(key), layout.table_size)
-    handle = yield from proc.get(owner, layout.elem_addr(pos), 8)
-    yield from handle.wait()
-    return int.from_bytes(handle.data, "little")
-
-
 # -- oracle ------------------------------------------------------------------
 
 

@@ -177,7 +177,7 @@ def _flush_trial(seed):
             live = [d for d in queues if queues[d]]
             rig.iommu.on_arrival(queues[live[rng.randrange(len(live))]].pop(0))
         elif roll < 0.62 and flush_no < 200:
-            req, _ = split_get(flush_addr, 8, 3, flush_no, 3, rig.cfg.max_payload)
+            req = split_get(flush_addr, 8, 3, flush_no, 3)
             marks[flush_no] = rig.log.next_seq
             if marks[flush_no] > consumed:
                 deferred += 1

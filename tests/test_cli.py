@@ -171,7 +171,13 @@ BAD_VALUES = [
     # handler replies always go out right after the handler runs.
     ("notification", {"notification": "int"}),
     ("reply_batch", {"reply_batch": 4}),
-] + [(f.name, {f.name: -1}) for f in fields(SimConfig) if f.name.endswith("_ns")]
+] + [(f.name, {f.name: -1}) for f in fields(SimConfig) if f.name.endswith("_ns")] + [
+    # nan passes a `< 0` check and inf never lets the clock move on.
+    (f.name, {f.name: value})
+    for f in fields(SimConfig)
+    if f.type in (float, "float")
+    for value in ("nan", "inf")
+]
 
 
 @pytest.mark.parametrize("field,values", BAD_VALUES, ids=lambda v: str(v))

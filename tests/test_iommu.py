@@ -6,7 +6,7 @@ import pytest
 
 from aasim.config import SimConfig
 from aasim.engine import Engine
-from aasim.iommu import Iommu
+from aasim.iommu import Iommu, IommuError
 from aasim.link import split_get, split_put
 from aasim.logbuf import AccessLog, FaultLog
 from aasim.memory import PAGE_SIZE, PhysMemory
@@ -153,9 +153,7 @@ def test_flush_mark_covers_reserved_but_uncommitted_records():
     # deliver only the head packet: record reserved, not committed
     rig.iommu.on_arrival(put_pkts[0])
     rig.engine.run()
-    flush_req, _ = split_get(
-        next(iter(rig.iommu.flush_pages)), 8, 1, 5, 1, rig.cfg.max_payload
-    )
+    flush_req = split_get(next(iter(rig.iommu.flush_pages)), 8, 1, 5, 1)
     rig.iommu.on_arrival(flush_req)
     rig.engine.run()
     assert rig.channels[1].delivered == []  # must wait for the open record
@@ -170,9 +168,7 @@ def test_flush_mark_covers_reserved_but_uncommitted_records():
 
 def test_flush_on_quiet_log_answers_immediately():
     rig = Rig()
-    flush_req, _ = split_get(
-        next(iter(rig.iommu.flush_pages)), 8, 2, 1, 1, rig.cfg.max_payload
-    )
+    flush_req = split_get(next(iter(rig.iommu.flush_pages)), 8, 2, 1, 1)
     rig.iommu.on_arrival(flush_req)
     rig.engine.run()
     assert len(rig.channels[2].delivered) == 1
@@ -186,7 +182,7 @@ def test_queued_flushes_complete_in_fifo_order():
     rig.iommu.on_arrival(put_pkts[0])
     rig.engine.run()
     for dev, tag in ((1, 11), (2, 22), (3, 33)):
-        req, _ = split_get(flush_addr, 8, dev, tag, dev, rig.cfg.max_payload)
+        req = split_get(flush_addr, 8, dev, tag, dev)
         rig.iommu.on_arrival(req)
     rig.engine.run()
     assert all(not rig.channels[d].delivered for d in (1, 2, 3))
@@ -206,7 +202,7 @@ def test_flush_after_consumption_no_double_answer():
         rig.iommu.on_arrival(pkt)
     rig.engine.run()
     rig.drain_records()
-    req, _ = split_get(flush_addr, 8, 1, 7, 9, rig.cfg.max_payload)
+    req = split_get(flush_addr, 8, 1, 7, 9)
     rig.iommu.on_arrival(req)
     rig.engine.run()
     assert len(rig.channels[1].delivered) == 1
@@ -222,8 +218,18 @@ def test_atomic_on_logged_page_rejected():
     rig.translator.map_range(
         rig.page, Pte(frame=rig.page >> 12, r=True, rl=True, e=True, iuid=3)
     )
-    req, _ = split_get(rig.page, 8, 0, 1, 1, 256)
+    req = split_get(rig.page, 8, 0, 1, 1)
     req.atomic = AtomicDesc("sum", 1)
     rig.iommu.on_arrival(req)
     with pytest.raises(Exception):
         rig.engine.run()
+
+
+def test_second_flush_page_for_one_domain_rejected():
+    rig = Rig()
+    other = rig.memory.reserve_region("flush2", PAGE_SIZE)
+    with pytest.raises(IommuError):
+        rig.iommu.register_flush_page(other, 3)
+    with pytest.raises(IommuError):
+        rig.iommu.register_flush_page(next(iter(rig.iommu.flush_pages)), 4)
+    assert list(rig.iommu.flush_pages.values()) == [3]

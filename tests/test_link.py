@@ -35,21 +35,21 @@ def test_transaction_cap_enforced():
     with pytest.raises(OversizeError):
         split_put(0, bytes(4097), 0, 0, 0, 256)
     with pytest.raises(OversizeError):
-        split_get(0, 4097, 0, 0, 0, 256)
+        split_get(0, 4097, 0, 0, 0)
 
 
 def test_completions_carry_only_low_address_bits():
-    req, n = split_get(0x12345, 300, 1, 9, 5, 256)
-    assert n == 2
+    req = split_get(0x12345, 300, 1, 9, 5)
     data = bytes(range(256)) + bytes(44)
     cpls = make_completions(req, data, 256)
+    assert len(cpls) == 2
     assert [c.address for c in cpls] == [0x12345 & 0x7F, (0x12345 + 256) & 0x7F]
     assert all(c.tag == 9 and c.requester_id == 1 for c in cpls)
     assert b"".join(c.payload for c in cpls) == data
 
 
 def test_blocked_completion_is_empty():
-    req, _ = split_get(0x80, 8, 1, 2, 3, 256)
+    req = split_get(0x80, 8, 1, 2, 3)
     cpl = blocked_completion(req)
     assert cpl.status == "blocked" and cpl.length == 0 and cpl.payload == b""
 
@@ -172,7 +172,7 @@ def test_backchannel_serializes():
     eng = Engine()
     got = []
     chan = BackChannel(eng, lambda t: got.append(eng.now), _cfg(), _Counter())
-    req, _ = split_get(0, 512, 1, 0, 0, 256)
+    req = split_get(0, 512, 1, 0, 0)
     for cpl in make_completions(req, bytes(512), 256):
         chan.deliver(cpl)
     eng.run()

@@ -93,14 +93,7 @@ def test_classify_rejects_unknown_kind():
         classify(bits_pte(w=1), "swizzle")
 
 
-# -- pte encoding ---------------------------------------------------------
-
-
-def test_pte_roundtrip_and_iuid_field_position():
-    pte = bits_pte(w=1, wl=1, wld=1, e=1, iuid=0x2A5, frame=0x123)
-    packed = pte.to_bits()
-    assert (packed >> 52) & 0x3FF == 0x2A5
-    assert Pte.from_bits(packed) == pte.normalized()
+# -- pte fields -----------------------------------------------------------
 
 
 def test_pte_normalization_implies_meta_bits():

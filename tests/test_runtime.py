@@ -2,6 +2,7 @@ import pytest
 
 from aasim.config import SimConfig
 from aasim.link import OversizeError
+from aasim.logbuf import record_size
 from aasim.memory import PAGE_SIZE
 from aasim.runtime import NodeError
 from aasim.sim import DeadlockError, Simulation
@@ -191,6 +192,55 @@ def test_logged_get_copies_returned_data():
     rec = got_records[0]
     assert rec.payload == b"watchedpayload!!"
     assert rec.op_kind == 1 and rec.device_id == 0
+
+
+def test_multi_packet_logged_get_copies_every_completion():
+    sim = Simulation(small_cfg(max_payload=256))
+    target = sim.procs[1]
+    records = []
+    iuid = target.register_handler(lambda ctx, rec: records.append(rec), 4096)
+    base = target.memory.reserve_region("data", PAGE_SIZE)
+    target.assoc_page(base, iuid, r=True, rl=True, rld=True, e=True)
+    data = bytes(i % 251 for i in range(600))  # three completions
+    target.memory.write(base, data)
+    out = {}
+
+    def app(proc):
+        handle = yield from proc.get(1, base, 600)
+        yield from handle.wait()
+        out["data"] = handle.data
+
+    metrics = run_app(sim, app(sim.procs[0]))
+    assert out["data"] == data
+    assert [rec.payload for rec in records] == [data]
+    assert records[0].data_present and records[0].length == 600
+    assert not target.iommu.tag_buffer
+    # one request plus three completions on the wire
+    assert metrics.packets == 4
+
+
+def test_metadata_logged_get_returns_data_and_logs_no_payload():
+    sim = Simulation(small_cfg())
+    target = sim.procs[1]
+    records = []
+    iuid = target.register_handler(lambda ctx, rec: records.append(rec), 4096)
+    base = target.memory.reserve_region("data", PAGE_SIZE)
+    target.assoc_page(base, iuid, r=True, rl=True, e=True)
+    target.memory.write(base, b"metadata-only!!!")
+    out = {}
+
+    def app(proc):
+        handle = yield from proc.get(1, base, 16)
+        yield from handle.wait()
+        out["data"] = handle.data
+
+    run_app(sim, app(sim.procs[0]))
+    assert out["data"] == b"metadata-only!!!"
+    assert len(records) == 1
+    rec = records[0]
+    assert not rec.data_present and not rec.blocked
+    assert rec.length == 16 and rec.payload is None
+    assert not target.iommu.tag_buffer
 
 
 def test_blocked_get_on_logging_page_logs_metadata():
@@ -415,6 +465,31 @@ def test_deadlock_detected_when_log_has_no_consumer():
     sim.add_app(0, app(sim.procs[0]))
     with pytest.raises(DeadlockError):
         sim.run()
+
+
+def test_deadlock_names_flush_held_behind_unconsumed_record():
+    # The consumer sleeps past the stall limit, so the record stays
+    # unconsumed and the flush behind it is still waiting.
+    sim = Simulation(small_cfg(stall_limit_ns=200000.0, poll_interval_ns=1e9))
+    target = sim.procs[1]
+    iuid = target.register_handler(lambda ctx, rec: None, 4096)
+    base = target.memory.reserve_region("data", PAGE_SIZE)
+    target.assoc_page(base, iuid, wl=True, wld=True, e=True)
+    flush_addr = next(iter(target.iommu.flush_pages))
+
+    def app(proc):
+        handle = yield from proc.put(1, base, bytes(8))
+        yield from handle.wait()
+        yield from proc.flush(1)
+
+    sim.add_app(0, app(sim.procs[0]))
+    with pytest.raises(DeadlockError) as err:
+        sim.run()
+    message = str(err.value)
+    assert "rank 1:" in message
+    assert "flush@%d waiting=1" % flush_addr in message
+    size = record_size(8, with_data=True)
+    assert "log%d head=%d committed=%d tail=0" % (iuid, size, size) in message
 
 
 def test_fixed_seed_runs_are_identical():
