@@ -7,6 +7,8 @@ seeded arbitrary order, and a packet departs only when the receiving bridge
 has a free credit. Nothing is ever dropped; senders stall.
 """
 
+from bisect import insort
+from collections import deque
 from dataclasses import dataclass, field
 
 MAX_TXN_BYTES = 4096
@@ -160,9 +162,11 @@ class Link(_Wire):
     """Ingress wire of one target bridge.
 
     Per-device FIFO queues feed the wire; the arbiter picks the next device
-    with its own RNG stream so cross-device interleaving is arbitrary but
-    reproducible. One credit is consumed per departed packet and returned by
-    the bridge once the packet has been processed.
+    from those with packets waiting, listed in the order the link first saw
+    them, with its own RNG stream so cross-device interleaving is arbitrary
+    but reproducible. A device joins or leaves the ready list only when its
+    queue turns non-empty or empty. One credit is consumed per departed
+    packet and returned by the bridge once the packet has been processed.
     """
 
     def __init__(self, engine, sink, cfg, rng, metrics):
@@ -170,40 +174,53 @@ class Link(_Wire):
         self.credits = cfg.credit_capacity
         self.capacity = cfg.credit_capacity
         self.rng = rng
-        self._queues = {}
+        self._rank = {}  # device -> its position in first-seen order
+        self._queues = []  # rank -> deque of that device's waiting packets
+        self._ready = []  # ranks of the devices with packets waiting, ascending
         self.stalled_polls = 0
 
     def send(self, tlp):
-        self._queues.setdefault(tlp.requester_id, []).append(tlp)
+        rank = self._rank.get(tlp.requester_id)
+        if rank is None:
+            rank = self._rank[tlp.requester_id] = len(self._queues)
+            self._queues.append(deque())
+        queue = self._queues[rank]
+        if not queue:
+            insort(self._ready, rank)
+        queue.append(tlp)
         self._pump()
 
     def release_credit(self):
         if self.credits >= self.capacity:
             raise LinkError("credit over-release")
         self.credits += 1
-        self._pump()
+        if self._ready:
+            self._pump()
 
     def _pump(self):
-        while self.credits > 0:
-            ready = [d for d, q in self._queues.items() if q]
-            if not ready:
+        ready = self._ready
+        while ready:
+            if not self.credits:
+                self.stalled_polls += 1
                 return
-            dev = ready[self.rng.randrange(len(ready))] if len(ready) > 1 else ready[0]
+            i = self.rng.randrange(len(ready)) if len(ready) > 1 else 0
+            queue = self._queues[ready[i]]
+            tlp = queue.popleft()
+            if not queue:
+                del ready[i]
             self.credits -= 1
-            self._transmit(self._queues[dev].pop(0), self.sink)
-        if any(q for q in self._queues.values()):
-            self.stalled_polls += 1
+            self._transmit(tlp, self.sink)
 
     @property
     def queued(self):
-        return sum(len(q) for q in self._queues.values())
+        return sum(len(q) for q in self._queues)
 
     @property
     def in_flight(self):
         return self.capacity - self.credits
 
     def idle(self):
-        return self.queued == 0 and self.credits == self.capacity
+        return not self._ready and self.credits == self.capacity
 
 
 class BackChannel(_Wire):

@@ -1,16 +1,21 @@
-"""Per-node physical memory: a sparse page store with a page-aligned bump allocator.
+"""Per-node physical memory: a sparse line store with a page-aligned bump allocator.
 
-Reserving a region only extends a page directory by one empty slot per page;
-a page of backing store is allocated on its first write, and reading a page
-never written returns zeros. Build cost and resident memory therefore follow
-the pages a run touches, not the volumes it reserves.
+Reserving a region only moves the bump pointer. Backing store comes in
+256-byte lines, kept in a dict keyed by line number: a line is allocated on
+its first write, and reading a line never written returns zeros. Build cost
+and resident memory therefore follow the lines a run touches, not the volumes
+it reserves, and a scattered 8-byte store costs one line rather than a page.
+Regions and paging still work in 4 KiB pages.
 """
 
 from bisect import bisect_right
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
-_OFFSET_MASK = PAGE_SIZE - 1
+LINE_SIZE = 256
+LINE_SHIFT = 8
+_LINE_MASK = LINE_SIZE - 1
+_ZERO_LINE = bytes(LINE_SIZE)
 
 
 class MemoryError_(Exception):
@@ -20,7 +25,7 @@ class MemoryError_(Exception):
 class PhysMemory:
     def __init__(self, node_id):
         self.node_id = node_id
-        self._pages = []  # page number -> bytearray(PAGE_SIZE), or None if untouched
+        self._lines = {}  # line number -> bytearray(LINE_SIZE), once written
         self._regions = {}
         self._bases = []  # region bases, ascending by construction
         self._names = []
@@ -34,7 +39,7 @@ class PhysMemory:
         """Reserve a page-aligned region; returns its base address.
 
         Regions never overlap by construction (bump allocation) and each name
-        is unique. No backing store is allocated until a page is written.
+        is unique. No backing store is allocated until a line is written.
         """
         if name in self._regions:
             raise MemoryError_("region %r already reserved" % name)
@@ -43,7 +48,6 @@ class PhysMemory:
         base = self._bump
         span = -(-size // PAGE_SIZE) * PAGE_SIZE
         self._bump = base + span
-        self._pages.extend([None] * (span // PAGE_SIZE))
         self._regions[name] = (base, span)
         self._bases.append(base)
         self._names.append(name)
@@ -67,52 +71,74 @@ class PhysMemory:
         )
 
     def _pieces(self, addr, length):
-        """(page number, offset, length) of each page the access spans."""
+        """(line number, offset, length) of each line a write spans."""
         while length > 0:
-            off = addr & _OFFSET_MASK
-            step = min(length, PAGE_SIZE - off)
-            yield addr >> PAGE_SHIFT, off, step
+            off = addr & _LINE_MASK
+            step = min(length, LINE_SIZE - off)
+            yield addr >> LINE_SHIFT, off, step
             addr += step
             length -= step
 
-    # Regions are whole pages, so an access that starts below the bump
-    # pointer and stays inside its first page is in bounds.
+    # Regions are whole pages and lines divide pages, so an access that
+    # starts below the bump pointer and stays inside its first line is in
+    # bounds. An access that crosses into the next line only (a 256 B packet
+    # at a record offset, say) takes an inline two-line path. A longer read
+    # joins its lines in one call; a longer write loops over them.
 
     def read(self, addr, length):
-        off = addr & _OFFSET_MASK
-        if 0 <= addr < self._bump and 0 < length <= PAGE_SIZE - off:
-            page = self._pages[addr >> PAGE_SHIFT]
-            return bytes(length) if page is None else bytes(page[off : off + length])
+        off = addr & _LINE_MASK
+        if 0 <= addr < self._bump and 0 < length <= LINE_SIZE - off:
+            line = self._lines.get(addr >> LINE_SHIFT)
+            return bytes(length) if line is None else bytes(line[off : off + length])
         if addr < 0 or length < 0 or addr + length > self._bump:
             raise self._outside(addr, length)
-        out = bytearray(length)
-        pos = 0
-        for vpn, off, step in self._pieces(addr, length):
-            page = self._pages[vpn]
-            if page is not None:
-                out[pos : pos + step] = page[off : off + step]
-            pos += step
-        return bytes(out)
+        lines = self._lines
+        head = LINE_SIZE - off
+        if head < length <= head + LINE_SIZE:
+            n = addr >> LINE_SHIFT
+            first = lines.get(n)
+            second = lines.get(n + 1)
+            return b"".join((
+                bytes(head) if first is None else first[off:],
+                bytes(length - head) if second is None else second[: length - head],
+            ))
+        get = lines.get
+        end = (addr + length + _LINE_MASK) >> LINE_SHIFT
+        whole = b"".join([get(n, _ZERO_LINE) for n in range(addr >> LINE_SHIFT, end)])
+        return whole[off : off + length]
 
     def write(self, addr, payload):
         length = len(payload)
-        off = addr & _OFFSET_MASK
-        if 0 <= addr < self._bump and 0 < length <= PAGE_SIZE - off:
-            vpn = addr >> PAGE_SHIFT
-            page = self._pages[vpn]
-            if page is None:
-                page = self._pages[vpn] = bytearray(PAGE_SIZE)
-            page[off : off + length] = payload
+        off = addr & _LINE_MASK
+        if 0 <= addr < self._bump and 0 < length <= LINE_SIZE - off:
+            n = addr >> LINE_SHIFT
+            line = self._lines.get(n)
+            if line is None:
+                line = self._lines[n] = bytearray(LINE_SIZE)
+            line[off : off + length] = payload
             return
         if addr < 0 or addr + length > self._bump:
             raise self._outside(addr, length)
+        lines = self._lines
+        head = LINE_SIZE - off
+        if head < length <= head + LINE_SIZE:
+            n = addr >> LINE_SHIFT
+            first = lines.get(n)
+            if first is None:
+                first = lines[n] = bytearray(LINE_SIZE)
+            second = lines.get(n + 1)
+            if second is None:
+                second = lines[n + 1] = bytearray(LINE_SIZE)
+            first[off:] = payload[:head]
+            second[: length - head] = payload[head:]
+            return
         view = memoryview(payload)
         pos = 0
-        for vpn, off, step in self._pieces(addr, length):
-            page = self._pages[vpn]
-            if page is None:
-                page = self._pages[vpn] = bytearray(PAGE_SIZE)
-            page[off : off + step] = view[pos : pos + step]
+        for n, off, step in self._pieces(addr, length):
+            line = lines.get(n)
+            if line is None:
+                line = lines[n] = bytearray(LINE_SIZE)
+            line[off : off + step] = view[pos : pos + step]
             pos += step
 
     def read_word(self, addr):

@@ -29,7 +29,7 @@ class PagingError(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Pte:
     frame: int
     w: bool = False

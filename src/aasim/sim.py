@@ -21,8 +21,6 @@ from .runtime import Proc
 
 _STREAM_LINK = 1
 _STREAM_IOTLB = 2
-_STREAM_KEYS = 3
-_STREAM_MISC = 4
 
 SWEEP_INTERVAL_NS = 1000.0
 DEFAULT_EVENT_BUDGET = 50_000_000

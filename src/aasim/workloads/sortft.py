@@ -11,6 +11,7 @@ import heapq
 from bisect import bisect_left
 
 from ..config import ConfigError
+from ..logbuf import record_size
 from ..memory import PAGE_SIZE
 from ..sim import Simulation
 from . import getlog
@@ -51,6 +52,11 @@ class SortBench:
             for _ in range(procs)
         ]
         self._plan_partitions()
+        if variant == "aa":
+            need = record_size(self._longest_get(), with_data=True)
+            if need > cfg.access_log_size:
+                raise ConfigError("the longest logged get needs a %d B record, more than access_log_size %d"
+                                  % (need, cfg.access_log_size))
         self._build()
         self.results = [None] * procs
 
@@ -70,6 +76,17 @@ class SortBench:
                 bounds.append(bisect_left(arr, s))
             bounds.append(len(arr))
             self.ranges.append(list(zip(bounds[:-1], bounds[1:])))
+
+    def _longest_get(self):
+        """Bytes of the longest get the exchange issues: every slice a rank
+        fetches from a peer, cut at page boundaries (regions are page-aligned)."""
+        return max(
+            (length
+             for owner, ranges in enumerate(self.ranges)
+             for fetcher, (lo, hi) in enumerate(ranges) if fetcher != owner
+             for _addr, length in page_chunks(lo * WORD, (hi - lo) * WORD)),
+            default=0,
+        )
 
     def _build(self):
         span = self.words_per_rank * WORD

@@ -220,21 +220,34 @@ def test_fresh_key_exhaustion_fails_fast(tmp_path):
 
 
 BAD_WORKLOAD_ARGS = [
-    ["checkpoint", "--procs", "1"],
-    ["checkpoint", "--pages", "0"],
-    ["counter", "--procs", "1"],
-    ["counter", "--pages", "0"],
-    ["sort", "--procs", "3"],
-    ["sort", "--words", "100"],
-    ["sort", "--procs", "3", "--words", "12289"],
-    ["dht", "--scheme", "am", "--delete-fraction", "0.5"],
-    ["dht", "--delete-fraction", "-1"],
-    ["dht", "--delete-fraction", "2"],
+    ({}, ["checkpoint", "--procs", "1"]),
+    ({}, ["checkpoint", "--pages", "0"]),
+    ({}, ["counter", "--procs", "1"]),
+    ({}, ["counter", "--pages", "0"]),
+    ({}, ["sort", "--procs", "3"]),
+    ({}, ["sort", "--words", "100"]),
+    ({}, ["sort", "--procs", "3", "--words", "12289"]),
+    ({}, ["dht", "--scheme", "am", "--delete-fraction", "0.5"]),
+    ({}, ["dht", "--delete-fraction", "-1"]),
+    ({}, ["dht", "--delete-fraction", "2"]),
+    # A logged get whose record can never fit the ring (4120 B for a page).
+    ({"access_log_size": 1024}, ["sort", "--scheme", "aa", "--procs", "2", "--words", "2048"]),
+    ({"access_log_size": 4096}, ["sort", "--scheme", "aa", "--procs", "4", "--words", "8192"]),
 ]
 
 
-@pytest.mark.parametrize("argv", BAD_WORKLOAD_ARGS, ids=" ".join)
-def test_bad_workload_arguments_fail_fast(argv):
+def _case_id(config, argv):
+    return " ".join(["%s=%s" % item for item in config.items()] + argv)
+
+
+@pytest.mark.parametrize(
+    "config,argv", BAD_WORKLOAD_ARGS, ids=[_case_id(*case) for case in BAD_WORKLOAD_ARGS]
+)
+def test_bad_workload_arguments_fail_fast(tmp_path, config, argv):
+    if config:
+        path = tmp_path / "run.cfg"
+        path.write_text("".join("%s = %s\n" % item for item in config.items()))
+        argv = argv[:1] + ["--config", str(path)] + argv[1:]
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run(
         [sys.executable, "-m", "aasim.cli"] + argv,

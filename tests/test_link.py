@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aasim.config import SimConfig
 from aasim.engine import Engine
 from aasim.link import (
     BackChannel,
     Link,
+    LinkError,
     OversizeError,
     blocked_completion,
     make_completions,
@@ -118,18 +121,117 @@ def test_link_interleaving_is_seed_deterministic():
     def order(seed):
         eng = Engine()
         got = []
-        link = Link(eng, lambda t: got.append((t.requester_id, t.tag)), _cfg(), random.Random(seed), _Counter())
-        # enqueue everything before any departure is possible
+        cfg = _cfg(credit_capacity=1)
+        link = Link(eng, lambda t: got.append((t.requester_id, t.tag)), cfg, random.Random(seed), _Counter())
+        # The first packet takes the only credit; the rest queue behind it,
+        # so every later departure is an arbiter choice among three devices.
         for tag in range(6):
             for dev in (1, 2, 3):
-                link._queues.setdefault(dev, []).append(_one_packet(dev, tag=tag))
-        link._pump()
+                link.send(_one_packet(dev, tag=tag))
+        while link.in_flight:
+            eng.run()
+            link.release_credit()
         eng.run()
         return got
 
     assert order(5) == order(5)
     runs = {tuple(order(s)) for s in range(8)}
     assert len(runs) > 1  # the arbiter really varies with the seed
+
+
+class ReferenceLink(Link):
+    """The arbiter as it was first written: the ready list is rebuilt from
+    every device's queue on each departure."""
+
+    def __init__(self, engine, sink, cfg, rng, metrics):
+        super().__init__(engine, sink, cfg, rng, metrics)
+        self._queues = {}
+
+    def send(self, tlp):
+        self._queues.setdefault(tlp.requester_id, []).append(tlp)
+        self._pump()
+
+    def release_credit(self):
+        if self.credits >= self.capacity:
+            raise LinkError("credit over-release")
+        self.credits += 1
+        self._pump()
+
+    def _pump(self):
+        while self.credits > 0:
+            ready = [d for d, q in self._queues.items() if q]
+            if not ready:
+                return
+            dev = ready[self.rng.randrange(len(ready))] if len(ready) > 1 else ready[0]
+            self.credits -= 1
+            self._transmit(self._queues[dev].pop(0), self.sink)
+        if any(q for q in self._queues.values()):
+            self.stalled_polls += 1
+
+    @property
+    def queued(self):
+        return sum(len(q) for q in self._queues.values())
+
+    def idle(self):
+        return self.queued == 0 and self.credits == self.capacity
+
+
+# Sends outnumber releases, so queues build up behind the credits and
+# devices leave and rejoin the ready list out of first-seen order.
+LINK_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("send"), st.integers(0, 7), st.integers(1, 300)),
+        st.tuples(st.just("send"), st.integers(0, 7), st.integers(1, 300)),
+        st.tuples(st.just("release"), st.integers(1, 2)),
+        st.tuples(st.just("run")),
+    ),
+    max_size=100,
+)
+
+
+def _arbitrate(cls, seed, capacity, devices, steps):
+    """Departures (time, device, tag), the link's state after each step,
+    stalled polls and wire bytes of one send/release interleaving through a
+    Link of class cls."""
+    eng = Engine()
+    got = []
+    states = []
+    counter = _Counter()
+    cfg = _cfg(credit_capacity=capacity, link_latency_ns=0)
+    link = cls(eng, lambda t: got.append((eng.now, t.requester_id, t.tag)), cfg, random.Random(seed), counter)
+    for tag, step in enumerate(steps):
+        if step[0] == "send":
+            link.send(_one_packet(devices[step[1] % len(devices)], tag=tag, length=step[2]))
+        elif step[0] == "release":
+            for _ in range(min(step[1], link.in_flight)):
+                link.release_credit()
+        else:
+            eng.run()
+        states.append((link.queued, link.in_flight, link.idle()))
+    while link.in_flight:
+        eng.run()
+        link.release_credit()
+    eng.run()
+    states.append((link.queued, link.in_flight, link.idle()))
+    return got, states, link.stalled_polls, counter.bytes_wire
+
+
+@settings(max_examples=200, deadline=None)
+# Device 1 queues behind the only credit before device 0, which it first
+# followed: the ready list must still put device 0 first.
+@example(0, 1, [(0, 0), (0, 1)], [("send", 0, 8), ("send", 1, 8), ("send", 0, 8)])
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 4),
+    st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=1, max_size=8, unique=True),
+    LINK_STEPS,
+)
+def test_link_arbiter_matches_reference(seed, capacity, devices, steps):
+    got = _arbitrate(Link, seed, capacity, devices, steps)
+    assert got == _arbitrate(ReferenceLink, seed, capacity, devices, steps)
+    departures, states, _stalls, _wire = got
+    assert states[-1] == (0, 0, True)
+    assert len(departures) == sum(step[0] == "send" for step in steps)
 
 
 def test_wire_byte_accounting():

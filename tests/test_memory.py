@@ -1,9 +1,12 @@
-"""The sparse page store against a dense reference model of the same contract."""
+"""The sparse line store against a dense reference model of the same contract."""
+
+import random
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aasim.memory import PAGE_SIZE, MemoryError_, PhysMemory
+from aasim.memory import LINE_SIZE, PAGE_SIZE, MemoryError_, PhysMemory
 
 
 class DenseMemory:
@@ -57,11 +60,20 @@ class DenseMemory:
         self.write(addr, (value & (2**64 - 1)).to_bytes(8, "little"))
 
 
-# Addresses cluster on page boundaries and on the end of memory, where the
-# single-page fast path hands over to the multi-page one and bounds bite.
-ADDRESS = st.tuples(st.booleans(), st.integers(0, 9), st.integers(-9, 9))
+# Addresses cluster on line boundaries, where the one-line fast path hands
+# over to the two-line path and that to the loop, on page boundaries, and on
+# the end of memory, where bounds bite. An address is (unit, index, delta):
+# index * unit + delta, or the end of memory + delta when unit is 0.
+DELTA = st.integers(-9, 9)
+ADDRESS = st.one_of(
+    st.tuples(st.just(0), st.just(0), DELTA),
+    st.tuples(st.just(PAGE_SIZE), st.integers(0, 9), DELTA),
+    st.tuples(st.just(LINE_SIZE), st.integers(0, 9 * PAGE_SIZE // LINE_SIZE), DELTA),
+)
 LENGTH = st.one_of(
     st.integers(-1, 16),
+    st.integers(LINE_SIZE - 9, LINE_SIZE + 9),
+    st.integers(2 * LINE_SIZE - 9, 2 * LINE_SIZE + 9),
     st.integers(PAGE_SIZE - 9, PAGE_SIZE + 9),
     st.integers(0, 2 * PAGE_SIZE + 17),
 )
@@ -75,8 +87,8 @@ OPS = st.one_of(
 
 
 def resolve(size, address):
-    from_end, page, delta = address
-    return (size if from_end else page * PAGE_SIZE) + delta
+    unit, index, delta = address
+    return (index * unit if unit else size) + delta
 
 
 def apply(mem, op):
@@ -106,6 +118,8 @@ def test_sparse_store_matches_dense_reference(ops):
         assert apply(sparse, op) == apply(dense, op), op
     assert sparse.size == dense.size
     assert sparse.read(0, sparse.size) == bytes(dense.data)
+    for addr in range(0, sparse.size, LINE_SIZE):
+        assert sparse.read(addr, LINE_SIZE) == dense.read(addr, LINE_SIZE), addr
     for addr in range(0, sparse.size, PAGE_SIZE):
         assert sparse.read(addr, PAGE_SIZE) == dense.read(addr, PAGE_SIZE), addr
     probes = {-1, sparse.size, sparse.size + PAGE_SIZE}
@@ -123,22 +137,72 @@ def test_every_short_access_near_a_page_boundary_matches_reference():
         mem.reserve_region("a", 2 * PAGE_SIZE)
     for addr in range(PAGE_SIZE - 12, PAGE_SIZE + 1):
         for length in range(14):
-            op = ("write", (False, 0, addr), length, addr + length)
+            op = ("write", (PAGE_SIZE, 0, addr), length, addr + length)
             assert apply(sparse, op) == apply(dense, op), op
-            op = ("read", (False, 0, addr), length)
+            op = ("read", (PAGE_SIZE, 0, addr), length)
             assert apply(sparse, op) == apply(dense, op), op
     for addr in range(2 * PAGE_SIZE - 12, 2 * PAGE_SIZE + 1):
         for length in range(14):
-            op = ("read", (False, 0, addr), length)
+            op = ("read", (PAGE_SIZE, 0, addr), length)
             assert apply(sparse, op) == apply(dense, op), op
     assert sparse.read(0, sparse.size) == bytes(dense.data)
 
 
+def test_every_short_access_near_a_line_boundary_matches_reference():
+    # Exhaustive where the one-line fast path hands over to the two-line
+    # path (lengths up to 13) and where that hands over to the loop over
+    # lines (lengths near one and two lines).
+    sparse, dense = PhysMemory(0), DenseMemory()
+    for mem in (sparse, dense):
+        mem.reserve_region("a", PAGE_SIZE)
+    lengths = [*range(14), *range(LINE_SIZE, LINE_SIZE + 14), *range(2 * LINE_SIZE - 12, 2 * LINE_SIZE + 2)]
+    for addr in range(LINE_SIZE - 12, LINE_SIZE + 1):
+        for length in lengths:
+            op = ("write", (LINE_SIZE, 0, addr), length, addr + length)
+            assert apply(sparse, op) == apply(dense, op), op
+            op = ("read", (LINE_SIZE, 0, addr), length)
+            assert apply(sparse, op) == apply(dense, op), op
+    assert sparse.read(0, sparse.size) == bytes(dense.data)
+
+
+def _allocated_by(fn):
+    """Bytes still allocated after fn() returns that it allocated."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_untouched_pages_read_as_zero_and_cost_no_store():
     mem = PhysMemory(0)
-    base = mem.reserve_region("huge", 1 << 30)
-    last = base + (1 << 30) - 8
-    assert mem.read_word(last) == 0
-    mem.write_word(last, 0xDEADBEEF)
-    assert mem.read_word(last) == 0xDEADBEEF
-    assert sum(page is not None for page in mem._pages) == 1
+    last = []
+
+    def reserve_and_touch_last_word():
+        base = mem.reserve_region("huge", 1 << 30)
+        last.append(base + (1 << 30) - 8)
+        assert mem.read_word(last[0]) == 0
+        mem.write_word(last[0], 0xDEADBEEF)
+
+    # A 1 GiB region holds one line: far less than one page.
+    assert _allocated_by(reserve_and_touch_last_word) < PAGE_SIZE
+    assert mem.read_word(last[0]) == 0xDEADBEEF
+    assert mem.read(0, 4 * PAGE_SIZE) == bytes(4 * PAGE_SIZE)
+
+
+def test_scattered_words_cost_a_line_each_not_a_page():
+    # 1,000 words scattered over 32 MiB touch about 1,000 lines, well under
+    # 1 MiB; a store of whole 4 KiB pages would hold about 4 MiB.
+    mem = PhysMemory(0)
+    base = mem.reserve_region("big", 32 << 20)
+    rng = random.Random(1)
+    addrs = [base + 8 * rng.randrange((32 << 20) // 8) for _ in range(1000)]
+
+    def write_all():
+        for addr in addrs:
+            mem.write_word(addr, addr)
+
+    assert _allocated_by(write_all) < 1 << 20
+    assert all(mem.read_word(addr) == addr for addr in addrs)

@@ -243,6 +243,43 @@ def test_metadata_logged_get_returns_data_and_logs_no_payload():
     assert not target.iommu.tag_buffer
 
 
+def test_metadata_logged_get_commits_before_its_fetch_is_spawned():
+    # With the scratchpad as fast as memory, the consumer's wake-up (set by
+    # the commit) and the read's data fetch fall on the same nanosecond; the
+    # record is marked done before the read is spawned, so the wake-up is
+    # queued first and runs first.
+    cfg = small_cfg(scheme="aa-sp")
+    cfg = cfg.replace(scratchpad_ns=cfg.mem_access_ns)
+    sim = Simulation(cfg)
+    target = sim.procs[1]
+    iuid = target.register_handler(lambda ctx, rec: None, 4096)
+    base = target.memory.reserve_region("data", PAGE_SIZE)
+    target.assoc_page(base, iuid, r=True, rl=True, e=True)
+    seen = []
+    wake, read = target._wake.fire, target.memory.read
+
+    def fire():
+        seen.append(("wake", sim.engine.now))
+        wake()
+
+    def fetch(addr, length):
+        if addr == base:
+            seen.append(("fetch", sim.engine.now))
+        return read(addr, length)
+
+    target._wake.fire = fire
+    target.memory.read = fetch
+
+    def app(proc):
+        handle = yield from proc.get(1, base, 8)
+        yield from handle.wait()
+
+    run_app(sim, app(sim.procs[0]))
+    (first, at), (second, at_too) = seen[:2]
+    assert (first, second) == ("wake", "fetch")
+    assert at == at_too
+
+
 def test_blocked_get_on_logging_page_logs_metadata():
     sim = Simulation(small_cfg())
     target = sim.procs[1]
