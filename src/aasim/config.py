@@ -107,6 +107,11 @@ class SimConfig:
         if self.poll_interval_ns == 0:
             # A polling loop that never advances the clock starves the sweeper.
             raise ConfigError("poll_interval_ns must be > 0")
+        if self.stall_limit_ns == 0:
+            # The watchdog would call a run stalled before any event runs.
+            raise ConfigError("stall_limit_ns must be > 0")
+        if self.fault_log_entries < 0:
+            raise ConfigError("fault_log_entries must be >= 0")
         if self.wire_header_bytes < 0:
             raise ConfigError("wire_header_bytes must be >= 0")
         if self.credit_capacity < 1:

@@ -146,10 +146,6 @@ class Engine:
                 raise RuntimeError("event budget exceeded (%d)" % max_events)
         return self.events_run - start
 
-    @property
-    def pending_events(self):
-        return len(self._heap)
-
 
 class Cpu:
     """A FIFO execution resource shared by the coroutines of one node.

@@ -106,18 +106,26 @@ def classify(pte, kind):
 
 
 class PageTable:
-    """Four-level radix tree keyed by the 36-bit virtual page number."""
+    """Four-level radix tree keyed by the 36-bit virtual page number.
+
+    A leaf table is a list of 512 slots. Each slot is None or the run its
+    page belongs to: one (frame - vpn, bits) pair shared by every page that
+    a map_range call mapped, so mapping costs one slice assignment per leaf
+    and a lookup builds the page's Pte from its run.
+    """
 
     def __init__(self):
         self._root = {}
 
     @staticmethod
     def _indices(vpn):
-        out = []
-        for level in range(LEVELS):
-            shift = (LEVELS - 1 - level) * LEVEL_BITS
-            out.append((vpn >> shift) & LEVEL_MASK)
-        return out
+        # LEVELS = 4 indices of LEVEL_BITS = 9 bits, root first.
+        return (
+            (vpn >> 27) & LEVEL_MASK,
+            (vpn >> 18) & LEVEL_MASK,
+            (vpn >> 9) & LEVEL_MASK,
+            vpn & LEVEL_MASK,
+        )
 
     def map_range(self, vaddr, pte, pages=1):
         """Map pages consecutive pages from vaddr onto consecutive frames
@@ -129,30 +137,35 @@ class PageTable:
         template = pte.normalized()
         if template.frame + pages > 1 << FRAME_BITS:
             raise PagingError("frames %d+%d out of range" % (template.frame, pages))
-        # Every field after the frame, in declaration order.
-        bits = astuple(template)[1:]
         vpn = vaddr >> PAGE_SHIFT
         end = vpn + pages
-        frame_delta = template.frame - vpn
+        # Every field after the frame, in declaration order.
+        run = (template.frame - vpn, astuple(template)[1:])
         while vpn < end:
-            leaf = self._root
-            for i in self._indices(vpn)[:-1]:
-                leaf = leaf.setdefault(i, {})
+            top, mid, low, slot = self._indices(vpn)
+            node = self._root.setdefault(top, {}).setdefault(mid, {})
+            leaf = node.setdefault(low, [None] * (LEVEL_MASK + 1))
             stop = min(end, (vpn | LEVEL_MASK) + 1)
-            for page in range(vpn, stop):
-                leaf[page & LEVEL_MASK] = Pte(page + frame_delta, *bits)
+            leaf[slot : slot + stop - vpn] = [run] * (stop - vpn)
             vpn = stop
 
     def lookup(self, vpn):
         """Returns (pte or None, memory accesses spent walking)."""
-        node = self._root
-        idx = self._indices(vpn)
-        for depth, i in enumerate(idx[:-1]):
-            nxt = node.get(i)
-            if nxt is None:
-                return None, depth + 1
-            node = nxt
-        return node.get(idx[-1]), LEVELS
+        # _indices inlined: this runs on every translation-cache miss.
+        node = self._root.get((vpn >> 27) & LEVEL_MASK)
+        if node is None:
+            return None, 1
+        node = node.get((vpn >> 18) & LEVEL_MASK)
+        if node is None:
+            return None, 2
+        leaf = node.get((vpn >> 9) & LEVEL_MASK)
+        if leaf is None:
+            return None, 3
+        run = leaf[vpn & LEVEL_MASK]
+        if run is None:
+            return None, LEVELS
+        delta, bits = run
+        return Pte(vpn + delta, *bits), LEVELS
 
 
 def iotlb_ways(capacity, assoc, policy):

@@ -185,9 +185,14 @@ class SequentialOracle:
         self.table_size = table_size
         self.tables = [Counter() for _ in range(procs)]
 
-    def insert(self, key):
-        owner, _ = K.placement(key, self.procs, self.table_size)
-        self.tables[owner][key] += 1
+    def insert_many(self, keys):
+        """Insert keys in order; the owner is owner_of(hash64(key)), inlined."""
+        procs = self.procs
+        by_owner = [[] for _ in range(procs)]
+        for key in keys:
+            by_owner[((key * K.FIB & K.MASK64) >> 54) % procs].append(key)
+        for table, owned in zip(self.tables, by_owner):
+            table.update(owned)
 
     def delete(self, key):
         owner, _ = K.placement(key, self.procs, self.table_size)
@@ -331,25 +336,22 @@ class DhtBench:
     def _build_plan(self):
         cfg = self.cfg
         self.streams = []
+        victims = []
         for rank in range(cfg.num_procs):
             if not self._is_source(rank):
                 self.plan.append([])
                 continue
             inserts = self._keys_for_rank(rank, cfg.ops_per_proc)
+            self.oracle.insert_many(inserts)
             ops = [("insert", k) for k in inserts]
             if self.delete_fraction > 0.0:
                 step = max(1, int(round(1.0 / self.delete_fraction)))
-                victims = inserts[::step]
-                ops.extend(("delete", k) for k in victims)
+                doomed = inserts[::step]
+                ops.extend(("delete", k) for k in doomed)
+                victims.extend(doomed)
             self.plan.append(ops)
-        for rank, ops in enumerate(self.plan):
-            for kind, key in ops:
-                if kind == "insert":
-                    self.oracle.insert(key)
-        for rank, ops in enumerate(self.plan):
-            for kind, key in ops:
-                if kind == "delete":
-                    self.oracle.delete(key)
+        for key in victims:
+            self.oracle.delete(key)
 
     def _is_source(self, rank):
         if self.sources is not None:
@@ -426,7 +428,7 @@ class DhtBench:
             self.sim.add_app(rank, self._app(rank, barrier))
         kw = {"max_events": max_events} if max_events else {}
         metrics = self.sim.run(**kw)
-        metrics.collisions = sum(s.collisions for s in self.streams)
+        metrics.collisions = self.collisions()
         return metrics
 
     # -- inspection ------------------------------------------------------
@@ -437,9 +439,16 @@ class DhtBench:
     def oracle_contents(self, rank):
         return self.oracle.contents(rank)
 
+    def collisions(self):
+        """Stream inserts minus the distinct (owner, bucket) spots they hit:
+        each source's quota plus the fresh keys of different sources that
+        share a spot. Every stream key lands on a spot of its stream's set."""
+        spots = set().union(*(s.used_set for s in self.streams))
+        return sum(s.issued for s in self.streams) - len(spots)
+
     def measured_r_cols(self):
         issued = sum(s.issued for s in self.streams)
-        return sum(s.collisions for s in self.streams) / issued if issued else 0.0
+        return self.collisions() / issued if issued else 0.0
 
 
 def run_scheme(cfg, **bench_kw):

@@ -28,11 +28,17 @@ def placement(key, procs, table_size):
 
 
 def key_for(rng, owner, bucket, procs, table_size, used_keys):
-    """A fresh key hashing to exactly (owner, bucket)."""
+    """A fresh key hashing to exactly (owner, bucket).
+
+    The table size is a power of two, so clearing a draw's low bits and
+    adding the bucket gives a hash in that bucket; the loop inlines
+    owner_of and the inverse hash.
+    """
+    draw = rng.getrandbits
+    high = ~(table_size - 1)
     while True:
-        r = rng.getrandbits(64)
-        h = (r - (r % table_size) + bucket) & MASK64
-        if owner_of(h, procs) != owner:
+        h = ((draw(64) & high) + bucket) & MASK64
+        if (h >> 54) % procs != owner:
             continue
         key = (h * FIB_INV) & MASK64
         if key and key not in used_keys:
@@ -40,12 +46,15 @@ def key_for(rng, owner, bucket, procs, table_size, used_keys):
 
 
 def fresh_key(rng, procs, table_size, used_buckets, used_keys):
-    """A key whose (owner, bucket) is not occupied yet."""
+    """A key whose (owner, bucket) is not occupied yet; placement inlined."""
+    draw = rng.getrandbits
+    mask = table_size - 1
     while True:
-        key = rng.getrandbits(64)
+        key = draw(64)
         if not key or key in used_keys:
             continue
-        spot = placement(key, procs, table_size)
+        h = (key * FIB) & MASK64
+        spot = ((h >> 54) % procs, h & mask)
         if spot not in used_buckets:
             return key, spot
 
@@ -60,7 +69,8 @@ class KeyStream:
     The quota is per stream, that is per source: a collision is a key aimed
     at a bucket this stream already used. Fresh keys of different streams
     may land in the same bucket too, and those collisions come on top of
-    the quota, uncounted in ``collisions``.
+    the quota: ``collisions`` leaves them out, and ``DhtBench.collisions()``
+    counts both.
     """
 
     def __init__(self, rng, procs, table_size, r_cols=0.0):
@@ -74,26 +84,19 @@ class KeyStream:
         self.issued = 0
         self.collisions = 0
 
-    def _quota_says_collide(self):
-        before = int(self.issued * self.r_cols)
-        after = int((self.issued + 1) * self.r_cols)
-        return after > before and self.used
-
     def next_key(self):
-        if self._quota_says_collide():
-            owner, bucket = self.used[self.rng.randrange(len(self.used))]
-            key = key_for(
-                self.rng, owner, bucket, self.procs, self.table_size, self.used_keys
-            )
+        issued = self.issued
+        rng = self.rng
+        if int((issued + 1) * self.r_cols) > int(issued * self.r_cols) and self.used:
+            owner, bucket = self.used[rng.randrange(len(self.used))]
+            key = key_for(rng, owner, bucket, self.procs, self.table_size, self.used_keys)
             self.collisions += 1
         else:
-            key, spot = fresh_key(
-                self.rng, self.procs, self.table_size, self.used_set, self.used_keys
-            )
+            key, spot = fresh_key(rng, self.procs, self.table_size, self.used_set, self.used_keys)
             self.used.append(spot)
             self.used_set.add(spot)
         self.used_keys.add(key)
-        self.issued += 1
+        self.issued = issued + 1
         return key
 
     def take(self, count):

@@ -167,6 +167,8 @@ BAD_VALUES = [
     ("access_log_size", {"access_log_size": 16}),
     ("wire_header_bytes", {"wire_header_bytes": -8}),
     ("poll_interval_ns", {"poll_interval_ns": 0, "mem_access_ns": 0}),
+    ("fault_log_entries", {"fault_log_entries": -1}),
+    ("stall_limit_ns", {"stall_limit_ns": 0}),
     # Removed keys: the scheme alone picks the notification mode, and
     # handler replies always go out right after the handler runs.
     ("notification", {"notification": "int"}),

@@ -69,7 +69,7 @@ def test_signal_fire_without_waiters_is_noop():
     sig = Signal(eng)
     sig.fire()
     eng.run()
-    assert eng.pending_events == 0
+    assert not eng._heap
 
 
 def test_cpu_serializes_fifo():

@@ -102,7 +102,7 @@ def multi_device_trial(seed, n_devices=4, txns_per_device=6):
     for _ in range(1000):
         rig.engine.run()
         records.extend(rig.drain_records())
-        if not rig.iommu.ingress and not rig.engine.pending_events:
+        if not rig.iommu.ingress and not rig.engine._heap:
             break
     records.extend(rig.drain_records())
     # serial oracle: sequence numbers are exactly the reservation order

@@ -1,7 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aasim.paging import (
     GET,
@@ -147,6 +150,66 @@ def test_map_range_rejects_empty_and_oversized_runs():
 def test_map_requires_alignment():
     with pytest.raises(PagingError):
         PageTable().map_range(0x5001, bits_pte(w=1))
+
+
+def _depth_of_unmapped(mapped, vpn):
+    """Levels a walk of unmapped vpn visits: it stops at the first table
+    that no page mapped so far has created."""
+    for depth, shift in enumerate((27, 18, 9), 1):
+        if not any(page >> shift == vpn >> shift for page in mapped):
+            return depth
+    return 4
+
+
+# Run starts near leaf (512-page) and level-3 (2**18-page) table boundaries.
+_BOUNDARIES = [0, 1 << 9, 5 << 9, 1 << 18, 3 << 18, (1 << 27) + (1 << 18)]
+_runs = st.tuples(
+    st.builds(lambda b, off: max(0, b + off), st.sampled_from(_BOUNDARIES), st.integers(-600, 600)),
+    st.integers(1, 1100),
+    st.integers(0, 1 << 30),
+    st.tuples(*[st.booleans()] * 7, st.integers(0, 1023)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_runs, min_size=1, max_size=6),
+    st.lists(st.integers(0, (1 << 28) + (1 << 19)), max_size=20),
+)
+def test_page_table_matches_per_page_reference(runs, probes):
+    table = PageTable()
+    ref = {}  # vpn -> Pte, each map_range expanded page by page
+    for start, pages, frame, (w, r, wl, wld, rl, rld, e, iuid) in runs:
+        pte = Pte(frame, w, r, wl, wld, rl, rld, e, iuid)
+        table.map_range(start << 12, pte, pages)
+        for i in range(pages):
+            ref[start + i] = Pte(frame + i, w, r, wl or wld, wld, rl or rld, rld, e, iuid)
+    edges = [
+        vpn
+        for start, pages, _frame, _bits in runs
+        for vpn in (start - 1, start, start + pages - 1, start + pages)
+    ]
+    for vpn in edges + probes:
+        if vpn < 0:
+            continue
+        if vpn in ref:
+            assert table.lookup(vpn) == (ref[vpn], 4)
+        else:
+            assert table.lookup(vpn) == (None, _depth_of_unmapped(ref, vpn))
+
+
+def test_mapping_a_region_costs_per_leaf_not_per_page():
+    table = PageTable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table.map_range(1 << 30, bits_pte(w=1, wld=1, e=1, iuid=3, frame=1 << 18), pages=8192)
+        allocated = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # 16 leaves of 512 slots sharing one run; a Pte per page would take ~1.5 MiB.
+    assert allocated < 256 * 1024
+    assert table.lookup((1 << 18) + 8191)[0].frame == (1 << 18) + 8191
 
 
 # -- iotlb ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -57,6 +58,72 @@ def test_key_stream_zero_ratio_never_collides():
     stream_ = keys.KeyStream(random.Random(5), 4, 2048, r_cols=0.0)
     stream_.take(300)
     assert stream_.collisions == 0
+
+
+# The key helpers as they were before their loops were tightened: a
+# reference for the exact keys and random draws of every stream.
+
+
+def _ref_key_for(rng, owner, bucket, procs, table_size, used_keys):
+    while True:
+        r = rng.getrandbits(64)
+        h = (r - (r % table_size) + bucket) & keys.MASK64
+        if keys.owner_of(h, procs) != owner:
+            continue
+        key = (h * keys.FIB_INV) & keys.MASK64
+        if key and key not in used_keys:
+            return key
+
+
+def _ref_fresh_key(rng, procs, table_size, used_buckets, used_keys):
+    while True:
+        key = rng.getrandbits(64)
+        if not key or key in used_keys:
+            continue
+        spot = keys.placement(key, procs, table_size)
+        if spot not in used_buckets:
+            return key, spot
+
+
+def _ref_stream(rng, procs, table_size, r_cols, count):
+    """(keys, collisions) of a KeyStream, one next_key at a time."""
+    used, used_set, used_keys, out, collisions = [], set(), set(), [], 0
+    for issued in range(count):
+        if int((issued + 1) * r_cols) > int(issued * r_cols) and used:
+            owner, bucket = used[rng.randrange(len(used))]
+            key = _ref_key_for(rng, owner, bucket, procs, table_size, used_keys)
+            collisions += 1
+        else:
+            key, spot = _ref_fresh_key(rng, procs, table_size, used_set, used_keys)
+            used.append(spot)
+            used_set.add(spot)
+        used_keys.add(key)
+        out.append(key)
+    return out, collisions
+
+
+@pytest.mark.parametrize("r_cols", [0.0, 0.25, 0.9])
+@pytest.mark.parametrize("seed", [1, 7, 1009])
+def test_key_stream_matches_reference_draw_for_draw(seed, r_cols):
+    for procs, table_size in ((8, 1 << 20), (3, 256)):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        stream_ = keys.KeyStream(rng, procs, table_size, r_cols)
+        got = stream_.take(500)
+        want, collisions = _ref_stream(ref_rng, procs, table_size, r_cols, 500)
+        assert got == want
+        assert stream_.collisions == collisions
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("seed", [2, 11, 1009])
+def test_key_for_matches_reference_draw_for_draw(seed):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    used = set()
+    for owner, bucket in itertools.product(range(3), (0, 1, 255)):
+        key = keys.key_for(rng, owner, bucket, 3, 256, used)
+        assert key == _ref_key_for(ref_rng, owner, bucket, 3, 256, used)
+        used.add(key)
+    assert rng.getstate() == ref_rng.getstate()
 
 
 def test_forced_collision_keys_share_one_bucket():
@@ -133,7 +200,12 @@ def test_bench_measures_target_collision_ratio():
     cfg = small_cfg(scheme="aa-poll", r_cols=0.25, ops_per_proc=100)
     bench, metrics = dht.run_scheme(cfg)
     assert abs(bench.measured_r_cols() - 0.25) <= 1.0 / 100
-    assert metrics.collisions == sum(s.collisions for s in bench.streams)
+    # Collisions count every insert onto an occupied spot, whichever source
+    # took it first, so they include each stream's quota.
+    inserts = [key for ops in bench.plan for kind, key in ops if kind == "insert"]
+    spots = {keys.placement(key, cfg.num_procs, bench.table_size) for key in inserts}
+    assert metrics.collisions == len(inserts) - len(spots)
+    assert metrics.collisions >= sum(s.collisions for s in bench.streams)
 
 
 def test_lookup_returns_bucket_head_or_empty():
