@@ -59,7 +59,7 @@ class Iommu:
         self.link = None  # ingress link, for credit release
         self.backchannels = {}  # requester_id -> BackChannel
         self.write_hooks = []  # (base, span, callback) for inbox-style regions
-        self.on_flush_armed = None
+        self.on_flush_armed = None  # callable(): a flush waits on the consumer
         self._fault_seq = 0
         engine.spawn(self._pipeline())
 
@@ -78,6 +78,22 @@ class Iommu:
 
     def add_write_hook(self, base, span, callback):
         self.write_hooks.append((base, span, callback))
+
+    def idle(self):
+        """No packet waits in ingress, no transaction is open, no flush is parked."""
+        return not self.ingress and not self.tag_buffer and not any(self.flush_waiters.values())
+
+    def describe(self):
+        """What idle() finds still busy, as diagnostic phrases."""
+        bits = []
+        if self.ingress:
+            bits.append("ingress=%d" % len(self.ingress))
+        if self.tag_buffer:
+            bits.append("open txns=%d" % len(self.tag_buffer))
+        for addr, iuid in sorted(self.flush_pages.items()):
+            if self.flush_waiters[iuid]:
+                bits.append("flush@%d waiting=%d" % (addr, len(self.flush_waiters[iuid])))
+        return bits
 
     def backchannel_for(self, requester_id):
         try:
@@ -102,9 +118,13 @@ class Iommu:
             tlp = self.ingress[0]
             yield from self._process(tlp)
             self.ingress.popleft()
-            self.engine.note_activity()
-            if self.link is not None:
-                self.link.release_credit()
+            self._retire()
+
+    def _retire(self):
+        """A packet left ingress processed: note progress, return its credit."""
+        self.engine.note_activity()
+        if self.link is not None:
+            self.link.release_credit()
 
     def _process(self, tlp):
         yield self.cfg.iommu_proc_ns
@@ -205,9 +225,7 @@ class Iommu:
             ):
                 del self.ingress[i]
                 yield from self._process(tlp)
-                self.engine.note_activity()
-                if self.link is not None:
-                    self.link.release_credit()
+                self._retire()
                 return True
         return False
 
@@ -327,7 +345,7 @@ class Iommu:
         # The flush covers every record reserved before it arrived.
         waiters.append((log.head, tlp))
         if self.on_flush_armed is not None:
-            self.on_flush_armed(log)
+            self.on_flush_armed()
 
     def _answer_flush(self, request):
         channel = self.backchannel_for(request.requester_id)
@@ -342,4 +360,4 @@ class Iommu:
             self._answer_flush(request)
             self.engine.note_activity()
         if waiters and self.on_flush_armed is not None:
-            self.on_flush_armed(log)
+            self.on_flush_armed()

@@ -42,7 +42,6 @@ class Tlp:
     address: int
     length: int
     payload: bytes = None
-    txn_id: int = 0
     seq_in_txn: int = 0
     txn_total: int = 0  # total data bytes of the transaction
     atomic: AtomicDesc = None
@@ -53,7 +52,7 @@ class Tlp:
         return header_bytes + (len(self.payload) if self.payload else 0)
 
 
-def _slices(kind, data, address, address_mask, requester_id, tag, txn_id, max_payload):
+def _slices(kind, data, address, address_mask, requester_id, tag, max_payload):
     """Cut one transaction's data into ordered TLPs of at most max_payload
     bytes; each packet's address is masked with address_mask."""
     out = []
@@ -67,7 +66,6 @@ def _slices(kind, data, address, address_mask, requester_id, tag, txn_id, max_pa
                 address=(address + off) & address_mask,
                 length=len(chunk),
                 payload=chunk,
-                txn_id=txn_id,
                 seq_in_txn=seq,
                 txn_total=len(data),
             )
@@ -75,17 +73,17 @@ def _slices(kind, data, address, address_mask, requester_id, tag, txn_id, max_pa
     return out
 
 
-def split_put(address, payload, requester_id, tag, txn_id, max_payload):
+def split_put(address, payload, requester_id, tag, max_payload):
     """Split one write transaction into ordered posted-write TLPs."""
     total = len(payload)
     if total == 0:
         raise LinkError("empty put")
     if total > MAX_TXN_BYTES:
         raise OversizeError("put of %d bytes exceeds %d" % (total, MAX_TXN_BYTES))
-    return _slices(POSTED_WRITE, payload, address, -1, requester_id, tag, txn_id, max_payload)
+    return _slices(POSTED_WRITE, payload, address, -1, requester_id, tag, max_payload)
 
 
-def split_get(address, length, requester_id, tag, txn_id):
+def split_get(address, length, requester_id, tag):
     """Build the read request for a get."""
     if length <= 0:
         raise LinkError("empty get")
@@ -97,7 +95,6 @@ def split_get(address, length, requester_id, tag, txn_id):
         tag=tag,
         address=address,
         length=length,
-        txn_id=txn_id,
         seq_in_txn=0,
         txn_total=length,
     )
@@ -118,7 +115,6 @@ def make_completions(request, data, max_payload):
         (1 << COMPLETION_ADDR_BITS) - 1,
         request.requester_id,
         request.tag,
-        request.txn_id,
         max_payload,
     )
 
@@ -131,7 +127,6 @@ def blocked_completion(request):
         address=request.address & ((1 << COMPLETION_ADDR_BITS) - 1),
         length=0,
         payload=b"",
-        txn_id=request.txn_id,
         seq_in_txn=0,
         txn_total=0,
         status="blocked",

@@ -87,14 +87,6 @@ class HandlerCtx:
         self.replies.append((self.record.device_id, bytes(payload)))
 
 
-class _Binding:
-    __slots__ = ("log", "handler")
-
-    def __init__(self, log, handler):
-        self.log = log
-        self.handler = handler
-
-
 class Proc:
     def __init__(self, sim, rank, cfg, engine, metrics, memory, translator, iommu, cpu):
         self.sim = sim
@@ -106,13 +98,13 @@ class Proc:
         self.translator = translator
         self.iommu = iommu
         self.cpu = cpu
-        self._next_iuid = 1  # iuid 0 is reserved for fault-log records
+        self._notification = cfg.resolved_notification()
         self._tag_cursor = 0
         self._tags_in_use = set()
         self._tag_freed = Signal(engine)
         self._gets = {}
         self.outstanding_puts = {}
-        self._handlers = {}
+        self.domains = []  # (log, handler) per logging domain, in iuid order
         self._wake = Signal(engine)
         self._int_armed = False
         self.live_ops = 0
@@ -121,7 +113,7 @@ class Proc:
         self.am_handler = None
         self.reply_page = None
         self.sysflush_addr = None
-        iommu.on_flush_armed = self._on_flush_armed
+        iommu.on_flush_armed = self._notify
 
     # -- setup -------------------------------------------------------------
 
@@ -133,10 +125,9 @@ class Proc:
 
     def register_handler(self, handler, log_size=None):
         """Bind a handler to a fresh logging domain; returns its id (iuid)."""
-        if self._next_iuid >= IUID_LIMIT:
+        iuid = len(self.domains) + 1  # iuid 0 is reserved for fault-log records
+        if iuid >= IUID_LIMIT:
             raise NodeError("out of logging domains (iuid space exhausted)")
-        iuid = self._next_iuid
-        self._next_iuid += 1
         size = log_size if log_size is not None else self.cfg.access_log_size
         base = self.memory.reserve_region("log%d" % iuid, size)
         log = AccessLog(self.engine, self.memory, iuid, base, size)
@@ -144,7 +135,7 @@ class Proc:
         log.commit_hooks.append(self._on_commit)
         flush_base = self.memory.reserve_region("flush%d" % iuid, PAGE_SIZE)
         self.iommu.register_flush_page(flush_base, iuid)
-        self._handlers[iuid] = _Binding(log, handler)
+        self.domains.append((log, handler))
         return iuid
 
     def assoc_page(self, vaddr, hlr_id=0, span=PAGE_SIZE, **bits):
@@ -163,7 +154,7 @@ class Proc:
         if end > base + size:
             raise NodeError("pages [%d, %d) run past region %r" % (vaddr, end, name))
         logging_bits = any(bits.get(b) for b in ("wl", "wld", "rl", "rld"))
-        if logging_bits and bits.get("e") and hlr_id not in self._handlers:
+        if logging_bits and bits.get("e") and all(log.iuid != hlr_id for log, _ in self.domains):
             raise NodeError("no handler/log registered for id %d" % hlr_id)
         pte = Pte(frame=vaddr >> 12, iuid=hlr_id, **bits)
         self.translator.map_range(vaddr, pte, pages)
@@ -225,9 +216,7 @@ class Proc:
         yield from self.cpu.busy(self.cfg.issue_cost_ns)
         tag = yield from self._alloc_tag()
         handle = OpHandle(self.engine)
-        pkts = lnk.split_put(
-            address, payload, self.rank, tag, self.sim.next_txn_id(), self.cfg.max_payload
-        )
+        pkts = lnk.split_put(address, payload, self.rank, tag, self.cfg.max_payload)
         self.outstanding_puts[target] = self.outstanding_puts.get(target, 0) + 1
 
         def done(status, _tag=tag, _target=target, _handle=handle):
@@ -251,7 +240,7 @@ class Proc:
         yield from self.cpu.busy(self.cfg.issue_cost_ns)
         tag = yield from self._alloc_tag()
         handle = OpHandle(self.engine)
-        req = lnk.split_get(address, length, self.rank, tag, self.sim.next_txn_id())
+        req = lnk.split_get(address, length, self.rank, tag)
         req.atomic = atomic
         self._gets[tag] = _GetState(handle, length)
         self.sim.links[target].send(req)
@@ -326,48 +315,36 @@ class Proc:
 
     # -- notification and consumption -------------------------------------
 
-    def _on_commit(self, log):
-        mode = self.cfg.resolved_notification()
-        if mode == "sp":
+    def _on_commit(self, _log):
+        if self._notification != "int" or (
+            sum(log.pending_records for log, _ in self.domains) >= self.cfg.interrupt_batch
+        ):
+            self._notify()
+
+    def _notify(self):
+        """Wake the consumer: a scratchpad write under sp, one interrupt under int."""
+        if self._notification == "sp":
             self.engine.schedule(self.cfg.scratchpad_ns, self._wake.fire)
-        elif mode == "int":
-            pending = sum(b.log.pending_records for b in self._handlers.values())
-            if pending >= self.cfg.interrupt_batch:
-                self._arm_interrupt()
+        elif self._notification == "int" and not self._int_armed:
+            self._int_armed = True
+            self.engine.schedule(self.cfg.interrupt_ns, self._interrupt)
 
-    def _on_flush_armed(self, log):
-        mode = self.cfg.resolved_notification()
-        if mode == "sp":
-            self.engine.schedule(self.cfg.scratchpad_ns, self._wake.fire)
-        elif mode == "int":
-            self._arm_interrupt()
-
-    def _arm_interrupt(self):
-        if self._int_armed:
-            return
-        self._int_armed = True
-
-        def fire():
-            self._int_armed = False
-            self.metrics.interrupts += 1
-            self._wake.fire()
-
-        self.engine.schedule(self.cfg.interrupt_ns, fire)
-
-    def _has_committed(self):
-        return any(b.log.committed_bytes > 0 for b in self._handlers.values())
+    def _interrupt(self):
+        self._int_armed = False
+        self.metrics.interrupts += 1
+        self._wake.fire()
 
     def consumer(self):
         """Log-consumer loop; shares the core with the application thread."""
-        mode = self.cfg.resolved_notification()
         while True:
-            if mode == "poll":
+            if self._notification == "poll":
                 yield self.cfg.poll_interval_ns
-            elif mode == "sp":
-                if not self._has_committed() and not self.sim.stopping:
-                    yield self._wake
-            else:
-                if not self.sim.stopping:
+            elif not self.sim.stopping:
+                # Under sp the core reads its committed-head mirror first and
+                # parks only when nothing is committed.
+                if self._notification == "int" or not any(
+                    log.committed_bytes > 0 for log, _ in self.domains
+                ):
                     yield self._wake
             if self.sim.stopping:
                 return
@@ -379,12 +356,10 @@ class Proc:
         The pointer check costs a memory access, or the scratchpad latency
         when the committed-head mirror lives in the core's scratchpad.
         """
-        mode = self.cfg.resolved_notification()
-        check = self.cfg.scratchpad_ns if mode == "sp" else self.cfg.mem_access_ns
+        check = self.cfg.scratchpad_ns if self._notification == "sp" else self.cfg.mem_access_ns
         yield from self.cpu.busy(check)
         consumed = 0
-        for _iuid, binding in sorted(self._handlers.items()):
-            log = binding.log
+        for log, handler in self.domains:
             while True:
                 out = log.read_record()
                 if out is None:
@@ -392,7 +367,7 @@ class Proc:
                 record, size = out
                 yield from self.cpu.busy(self.cfg.mem_access_ns)  # record fetch
                 ctx = HandlerCtx(self, record)
-                binding.handler(ctx, record)
+                handler(ctx, record)
                 yield from self.cpu.busy(self.cfg.handler_cost_ns + ctx.cost_ns)
                 log.advance_tail(size)
                 self.metrics.handler_invocations += 1
@@ -428,5 +403,5 @@ class Proc:
         return (
             self.live_ops == 0
             and not self.inbox
-            and all(b.log.drained() for b in self._handlers.values())
+            and all(log.drained() for log, _ in self.domains)
         )

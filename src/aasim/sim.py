@@ -38,7 +38,6 @@ class Simulation:
         self.metrics = Metrics()
         self.stopping = False
         self._ran = False
-        self._txn_counter = 0
         self._apps = []
         self._apps_done = 0
         self.procs = []
@@ -71,10 +70,6 @@ class Simulation:
     def rng_for(self, stream, idx=0):
         return random.Random(self.cfg.seed * 0x9E3779B1 + stream * 65537 + idx)
 
-    def next_txn_id(self):
-        self._txn_counter += 1
-        return self._txn_counter
-
     def add_app(self, rank, gen):
         self._apps.append((rank, gen))
 
@@ -89,34 +84,26 @@ class Simulation:
         while True:
             yield SWEEP_INTERVAL_NS
             if self._apps_done == len(self._apps):
-                if self.drained():
-                    self.stopping = True
-                    for proc in self.procs:
-                        proc._wake.fire()
-                    return
-                # Nudge parked consumers at sub-batch leftovers.
+                self.stopping = self.drained()
+                # Wake parked consumers, to stop or to take sub-batch leftovers.
                 for proc in self.procs:
                     proc._wake.fire()
+                if self.stopping:
+                    return
             if self.engine.now - self.engine.last_activity > self.cfg.stall_limit_ns:
                 raise DeadlockError(self.diagnose())
 
     def drained(self):
-        if any(not p.drained() for p in self.procs):
-            return False
-        if any(not w.idle() for w in self._wires):
-            return False
-        for proc in self.procs:
-            iommu = proc.iommu
-            if iommu.ingress or iommu.tag_buffer or any(iommu.flush_waiters.values()):
-                return False
-        return True
+        return all(p.drained() and p.iommu.idle() for p in self.procs) and all(
+            w.idle() for w in self._wires
+        )
 
     def run(self, max_events=DEFAULT_EVENT_BUDGET):
         if self._ran:
             raise RuntimeError("simulation already ran")
         self._ran = True
         for proc in self.procs:
-            if proc._handlers:
+            if proc.domains:
                 self.engine.spawn(proc.consumer())
             if proc.inbox_addr is not None:
                 self.engine.spawn(proc.am_consumer())
@@ -145,29 +132,21 @@ class Simulation:
         lines = ["deadlock diagnostics at t=%.0f ns:" % self.engine.now]
         lines.append("  apps done: %d/%d" % (self._apps_done, len(self._apps)))
         for proc in self.procs:
-            iommu = proc.iommu
             link = self.links[proc.rank]
             bits = []
             if link.queued or link.in_flight:
                 bits.append("link queued=%d in_flight=%d" % (link.queued, link.in_flight))
-            if iommu.ingress:
-                bits.append("ingress=%d" % len(iommu.ingress))
-            if iommu.tag_buffer:
-                bits.append("open txns=%d" % len(iommu.tag_buffer))
+            bits.extend(proc.iommu.describe())
             if proc.live_ops:
                 bits.append("live ops=%d" % proc.live_ops)
             if proc.inbox:
                 bits.append("inbox=%d" % len(proc.inbox))
-            for iuid, binding in sorted(proc._handlers.items()):
-                log = binding.log
+            for log in proc.iommu.alogs:
                 if not log.drained():
                     bits.append(
                         "log%d head=%d committed=%d tail=%d"
-                        % (iuid, log.head, log.committed_head, log.tail)
+                        % (log.iuid, log.head, log.committed_head, log.tail)
                     )
-            for addr, iuid in sorted(iommu.flush_pages.items()):
-                if iommu.flush_waiters[iuid]:
-                    bits.append("flush@%d waiting=%d" % (addr, len(iommu.flush_waiters[iuid])))
             if bits:
                 lines.append("  rank %d: %s" % (proc.rank, "; ".join(bits)))
         return "\n".join(lines)

@@ -147,7 +147,7 @@ def _flush_trial(seed):
             length = rng.choice([8, 48, 300])
             pkts.extend(
                 split_put(rig.page + 256 * dev, bytes([dev]) * length,
-                          dev, t % 256, 0, rig.cfg.max_payload)
+                          dev, t % 256, rig.cfg.max_payload)
             )
         queues[dev] = pkts
     marks = {}
@@ -177,7 +177,7 @@ def _flush_trial(seed):
             live = [d for d in queues if queues[d]]
             rig.iommu.on_arrival(queues[live[rng.randrange(len(live))]].pop(0))
         elif roll < 0.62 and flush_no < 200:
-            req = split_get(flush_addr, 8, 3, flush_no, 3)
+            req = split_get(flush_addr, 8, 3, flush_no)
             marks[flush_no] = rig.log.next_seq
             if marks[flush_no] > consumed:
                 deferred += 1

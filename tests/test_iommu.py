@@ -91,7 +91,7 @@ def multi_device_trial(seed, n_devices=4, txns_per_device=6):
             payload = bytes(rng.randrange(256) for _ in range(length))
             sent[(dev, t)] = payload
             pkts.extend(
-                split_put(rig.page + 128 * dev, payload, dev, t % 256, 0, rig.cfg.max_payload)
+                split_put(rig.page + 128 * dev, payload, dev, t % 256, rig.cfg.max_payload)
             )
         streams[dev] = pkts
     for pkt in interleave(rng, streams):
@@ -132,7 +132,7 @@ def test_head_of_line_stall_until_consumer_frees_space():
     rig = Rig(log_size=128)  # fits four 32-byte records
     pkts = []
     for t in range(6):
-        pkts.extend(split_put(rig.page, bytes([t]) * 8, 0, t, 0, 256))
+        pkts.extend(split_put(rig.page, bytes([t]) * 8, 0, t, 256))
     for pkt in pkts:
         rig.iommu.on_arrival(pkt)
     rig.engine.run()
@@ -147,13 +147,35 @@ def test_head_of_line_stall_until_consumer_frees_space():
     assert rig.log.drained()
 
 
+def test_idle_is_false_while_a_packet_a_transaction_or_a_flush_waits():
+    rig = Rig()
+    assert rig.iommu.idle()
+    put_pkts = split_put(rig.page, bytes(600), 0, 9, 256)  # 3 packets
+    rig.iommu.on_arrival(put_pkts[0])
+    assert rig.iommu.ingress and not rig.iommu.idle()
+    rig.engine.run()
+    # the head is processed, but its transaction's tag entry stays open
+    assert not rig.iommu.ingress and rig.iommu.tag_buffer and not rig.iommu.idle()
+    for pkt in put_pkts[1:]:
+        rig.iommu.on_arrival(pkt)
+    rig.engine.run()
+    assert rig.iommu.idle()
+    # a committed, unconsumed record holds the flush back
+    rig.iommu.on_arrival(split_get(next(iter(rig.iommu.flush_pages)), 8, 1, 5))
+    rig.engine.run()
+    assert not rig.iommu.ingress and not rig.iommu.tag_buffer
+    assert not rig.iommu.idle()
+    rig.drain_records()
+    assert rig.channels[1].delivered and rig.iommu.idle()
+
+
 def test_flush_mark_covers_reserved_but_uncommitted_records():
     rig = Rig()
-    put_pkts = split_put(rig.page, bytes(600), 0, 9, 0, 256)  # 3 packets
+    put_pkts = split_put(rig.page, bytes(600), 0, 9, 256)  # 3 packets
     # deliver only the head packet: record reserved, not committed
     rig.iommu.on_arrival(put_pkts[0])
     rig.engine.run()
-    flush_req = split_get(next(iter(rig.iommu.flush_pages)), 8, 1, 5, 1)
+    flush_req = split_get(next(iter(rig.iommu.flush_pages)), 8, 1, 5)
     rig.iommu.on_arrival(flush_req)
     rig.engine.run()
     assert rig.channels[1].delivered == []  # must wait for the open record
@@ -168,7 +190,7 @@ def test_flush_mark_covers_reserved_but_uncommitted_records():
 
 def test_flush_on_quiet_log_answers_immediately():
     rig = Rig()
-    flush_req = split_get(next(iter(rig.iommu.flush_pages)), 8, 2, 1, 1)
+    flush_req = split_get(next(iter(rig.iommu.flush_pages)), 8, 2, 1)
     rig.iommu.on_arrival(flush_req)
     rig.engine.run()
     assert len(rig.channels[2].delivered) == 1
@@ -178,11 +200,11 @@ def test_queued_flushes_complete_in_fifo_order():
     rig = Rig()
     flush_addr = next(iter(rig.iommu.flush_pages))
     # an open record keeps every flush waiting
-    put_pkts = split_put(rig.page, bytes(300), 0, 1, 0, 256)
+    put_pkts = split_put(rig.page, bytes(300), 0, 1, 256)
     rig.iommu.on_arrival(put_pkts[0])
     rig.engine.run()
     for dev, tag in ((1, 11), (2, 22), (3, 33)):
-        req = split_get(flush_addr, 8, dev, tag, dev)
+        req = split_get(flush_addr, 8, dev, tag)
         rig.iommu.on_arrival(req)
     rig.engine.run()
     assert all(not rig.channels[d].delivered for d in (1, 2, 3))
@@ -198,11 +220,11 @@ def test_queued_flushes_complete_in_fifo_order():
 def test_flush_after_consumption_no_double_answer():
     rig = Rig()
     flush_addr = next(iter(rig.iommu.flush_pages))
-    for pkt in split_put(rig.page, bytes(16), 0, 1, 0, 256):
+    for pkt in split_put(rig.page, bytes(16), 0, 1, 256):
         rig.iommu.on_arrival(pkt)
     rig.engine.run()
     rig.drain_records()
-    req = split_get(flush_addr, 8, 1, 7, 9)
+    req = split_get(flush_addr, 8, 1, 7)
     rig.iommu.on_arrival(req)
     rig.engine.run()
     assert len(rig.channels[1].delivered) == 1
@@ -218,7 +240,7 @@ def test_atomic_on_logged_page_rejected():
     rig.translator.map_range(
         rig.page, Pte(frame=rig.page >> 12, r=True, rl=True, e=True, iuid=3)
     )
-    req = split_get(rig.page, 8, 0, 1, 1)
+    req = split_get(rig.page, 8, 0, 1)
     req.atomic = AtomicDesc("sum", 1)
     rig.iommu.on_arrival(req)
     with pytest.raises(Exception):

@@ -20,7 +20,7 @@ from aasim.link import (
 
 def test_split_put_slices_and_orders():
     payload = bytes(range(256)) * 4  # 1024 bytes
-    pkts = split_put(0x2000, payload, 3, 7, 11, 256)
+    pkts = split_put(0x2000, payload, 3, 7, 256)
     assert [p.length for p in pkts] == [256, 256, 256, 256]
     assert [p.seq_in_txn for p in pkts] == [0, 1, 2, 3]
     assert [p.address for p in pkts] == [0x2000, 0x2100, 0x2200, 0x2300]
@@ -29,20 +29,20 @@ def test_split_put_slices_and_orders():
 
 
 def test_split_put_ragged_tail():
-    pkts = split_put(0, bytes(300), 0, 0, 0, 128)
+    pkts = split_put(0, bytes(300), 0, 0, 128)
     assert [p.length for p in pkts] == [128, 128, 44]
 
 
 def test_transaction_cap_enforced():
-    split_put(0, bytes(4096), 0, 0, 0, 256)
+    split_put(0, bytes(4096), 0, 0, 256)
     with pytest.raises(OversizeError):
-        split_put(0, bytes(4097), 0, 0, 0, 256)
+        split_put(0, bytes(4097), 0, 0, 256)
     with pytest.raises(OversizeError):
-        split_get(0, 4097, 0, 0, 0)
+        split_get(0, 4097, 0, 0)
 
 
 def test_completions_carry_only_low_address_bits():
-    req = split_get(0x12345, 300, 1, 9, 5)
+    req = split_get(0x12345, 300, 1, 9)
     data = bytes(range(256)) + bytes(44)
     cpls = make_completions(req, data, 256)
     assert len(cpls) == 2
@@ -52,7 +52,7 @@ def test_completions_carry_only_low_address_bits():
 
 
 def test_blocked_completion_is_empty():
-    req = split_get(0x80, 8, 1, 2, 3)
+    req = split_get(0x80, 8, 1, 2)
     cpl = blocked_completion(req)
     assert cpl.status == "blocked" and cpl.length == 0 and cpl.payload == b""
 
@@ -72,7 +72,7 @@ def _cfg(**kw):
 
 
 def _one_packet(requester, tag=0, length=8):
-    return split_put(0, bytes(length), requester, tag, tag, 256)[0]
+    return split_put(0, bytes(length), requester, tag, 256)[0]
 
 
 def test_link_serializes_and_times_arrivals():
@@ -238,7 +238,7 @@ def test_wire_byte_accounting():
     eng = Engine()
     counter = _Counter()
     link = Link(eng, lambda t: None, _cfg(), random.Random(0), counter)
-    for pkt in split_put(0, bytes(1000), 0, 0, 0, 256):
+    for pkt in split_put(0, bytes(1000), 0, 0, 256):
         link.send(pkt)
     eng.run()
     assert counter.packets == 4
@@ -274,7 +274,7 @@ def test_backchannel_serializes():
     eng = Engine()
     got = []
     chan = BackChannel(eng, lambda t: got.append(eng.now), _cfg(), _Counter())
-    req = split_get(0, 512, 1, 0, 0)
+    req = split_get(0, 512, 1, 0)
     for cpl in make_completions(req, bytes(512), 256):
         chan.deliver(cpl)
     eng.run()
