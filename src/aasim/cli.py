@@ -6,6 +6,7 @@ common CSV schema (metrics.CSV_COLUMNS), to stdout or to the file given with
 """
 
 import argparse
+import contextlib
 import csv
 import sys
 
@@ -174,30 +175,30 @@ def cmd_sweep_iotlb(args):
     return rows
 
 
-def write_rows(rows, out_path):
-    if out_path:
-        fh = open(out_path, "w", newline="")
-    else:
-        fh = sys.stdout
-    try:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if out_path:
-            fh.close()
+def write_rows(rows, fh):
+    writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(row)
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        rows = args.func(args)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        # Open --out first, as a shell redirect would: a bad path fails
+        # before the run, not after it.
+        out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print("error: cannot write --out %s: %s" % (args.out, exc.strerror), file=sys.stderr)
         return 2
-    write_rows(rows, args.out)
+    with out as fh:
+        try:
+            rows = args.func(args)
+        except ConfigError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
+        write_rows(rows, fh)
     if args.out:
         print("wrote %d row%s to %s" % (len(rows), "s" if len(rows) != 1 else "", args.out))
     return 0

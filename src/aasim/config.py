@@ -5,7 +5,6 @@ the field names below, with hyphens accepted in place of underscores.
 """
 
 import math
-import os
 from dataclasses import dataclass, fields
 
 from .logbuf import record_size
@@ -118,6 +117,8 @@ class SimConfig:
             raise ConfigError("credit_capacity must be >= 1")
         if self.link_bw_bytes_per_ns <= 0:
             raise ConfigError("link_bw_bytes_per_ns must be positive")
+        if self.joules_per_byte < 0:
+            raise ConfigError("joules_per_byte must be >= 0")
         if self.interrupt_batch < 1:
             raise ConfigError("interrupt_batch must be >= 1")
         return self
@@ -160,18 +161,24 @@ def _convert(key, raw, typ):
 def load_config(path, base=None):
     """Parse a key = value file on top of defaults (or a base config)."""
     cfg = base.replace() if base is not None else SimConfig()
-    if not os.path.exists(path):
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except FileNotFoundError:
         raise ConfigError("config file not found: %s" % path)
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("%s:%d: expected key = value" % (path, lineno))
-            key, raw = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in _FIELD_TYPES:
-                raise ConfigError("%s:%d: unknown config key %r" % (path, lineno, key))
-            setattr(cfg, key, _convert(key, raw, _FIELD_TYPES[key]))
+    except OSError as exc:
+        raise ConfigError("cannot read config file %s: %s" % (path, exc.strerror))
+    except UnicodeDecodeError:
+        raise ConfigError("config file %s is not text" % path)
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError("%s:%d: expected key = value" % (path, lineno))
+        key, raw = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key not in _FIELD_TYPES:
+            raise ConfigError("%s:%d: unknown config key %r" % (path, lineno, key))
+        setattr(cfg, key, _convert(key, raw, _FIELD_TYPES[key]))
     return cfg

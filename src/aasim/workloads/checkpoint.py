@@ -19,6 +19,9 @@ class CheckpointBench:
         if cfg.num_procs < 2 or n_pages < 1:
             raise ConfigError("checkpoint needs procs >= 2 (a collector and a source) and pages >= 1,"
                               " not procs=%d pages=%d" % (cfg.num_procs, n_pages))
+        if epochs < 0 or writes_per_source < 0:
+            raise ConfigError("checkpoint needs epochs >= 0 and writes >= 0,"
+                              " not epochs=%d writes=%d" % (epochs, writes_per_source))
         self.cfg = cfg
         self.n_pages = n_pages
         self.epochs = epochs

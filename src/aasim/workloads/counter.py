@@ -43,6 +43,8 @@ class CounterBench:
         if cfg.num_procs < 2 or n_pages < 1:
             raise ConfigError("counter needs procs >= 2 (a target and a source) and pages >= 1,"
                               " not procs=%d pages=%d" % (cfg.num_procs, n_pages))
+        if accesses < 0:
+            raise ConfigError("counter needs accesses >= 0, not %d" % accesses)
         self.cfg = cfg
         self.variant = variant
         self.n_pages = n_pages

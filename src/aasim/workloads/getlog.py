@@ -8,6 +8,7 @@ log region at the target, doubling the payload on the wire. Recovery means
 reconstructing the exact sequence of values the source fetched.
 """
 
+from ..config import ConfigError
 from ..memory import PAGE_SIZE
 from ..sim import Simulation
 
@@ -19,6 +20,8 @@ class GetLogBench:
         if variant not in SCHEMES:
             raise ValueError("unknown get-logging variant %r" % variant)
         cfg.validate()
+        if n_gets < 0:
+            raise ConfigError("getlog needs gets >= 0, not %d" % n_gets)
         self.cfg = cfg
         self.variant = variant
         self.n_gets = n_gets

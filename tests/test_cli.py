@@ -75,6 +75,13 @@ def test_missing_config_file_fails(capsys):
     assert "config file not found" in capsys.readouterr().err
 
 
+def test_non_text_config_file_fails(tmp_path, capsys):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"seed = 1\n\xd0\xff\xfe\n")
+    assert main(["dht", "--config", str(path)]) == 2
+    assert "not text" in capsys.readouterr().err
+
+
 def test_bad_config_value_fails(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("r_cols = 1.5\n")
@@ -169,6 +176,7 @@ BAD_VALUES = [
     ("poll_interval_ns", {"poll_interval_ns": 0, "mem_access_ns": 0}),
     ("fault_log_entries", {"fault_log_entries": -1}),
     ("stall_limit_ns", {"stall_limit_ns": 0}),
+    ("joules_per_byte", {"joules_per_byte": -1}),
     # Removed keys: the scheme alone picks the notification mode, and
     # handler replies always go out right after the handler runs.
     ("notification", {"notification": "int"}),
@@ -229,6 +237,10 @@ BAD_WORKLOAD_ARGS = [
     ({}, ["sort", "--procs", "3"]),
     ({}, ["sort", "--words", "100"]),
     ({}, ["sort", "--procs", "3", "--words", "12289"]),
+    ({}, ["counter", "--procs", "2", "--accesses", "-5"]),
+    ({}, ["getlog", "--gets", "-3"]),
+    ({}, ["checkpoint", "--procs", "2", "--epochs", "-1"]),
+    ({}, ["checkpoint", "--procs", "2", "--writes", "-2"]),
     ({}, ["dht", "--scheme", "am", "--delete-fraction", "0.5"]),
     ({}, ["dht", "--delete-fraction", "-1"]),
     ({}, ["dht", "--delete-fraction", "2"]),
@@ -250,6 +262,10 @@ def test_bad_workload_arguments_fail_fast(tmp_path, config, argv):
         path = tmp_path / "run.cfg"
         path.write_text("".join("%s = %s\n" % item for item in config.items()))
         argv = argv[:1] + ["--config", str(path)] + argv[1:]
+    assert_fails_fast(argv)
+
+
+def assert_fails_fast(argv):
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run(
         [sys.executable, "-m", "aasim.cli"] + argv,
@@ -259,3 +275,11 @@ def test_bad_workload_arguments_fail_fast(tmp_path, config, argv):
     assert len(done.stderr.splitlines()) == 1
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize("flag,path", [
+    ("--out", os.path.join("missing", "x.csv")),  # its directory does not exist
+    ("--config", "."),  # a directory
+])
+def test_unusable_paths_fail_fast(tmp_path, flag, path):
+    assert_fails_fast(["dht", "--procs", "2", "--ops", "10", flag, str(tmp_path / path)])

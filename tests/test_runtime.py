@@ -446,6 +446,49 @@ def test_backpressure_slow_consumer_loses_nothing():
     assert metrics.records_consumed == 40
 
 
+def test_stalled_head_serves_open_transactions_through_the_link():
+    # Three sources interleave 4-packet logged puts on one ingress link into
+    # a 2 KiB log, so a head often cannot reserve while another source's put
+    # is half delivered; the bridge must serve those continuations ahead of
+    # the stalled head and return each one's credit.
+    sim = Simulation(small_cfg(num_procs=4, access_log_size=2048, scheme="aa-poll", seed=1))
+    target = sim.procs[0]
+    handled = []
+    iuid = target.register_handler(lambda ctx, rec: handled.append(rec))
+    base = target.memory.reserve_region("data", PAGE_SIZE)
+    target.assoc_page(base, iuid, wl=True, wld=True, e=True)
+    iommu = target.iommu
+    served = []
+    serve = iommu._serve_open_txns
+
+    def counting_serve():
+        hit = yield from serve()
+        served.append(hit)
+        return hit
+
+    iommu._serve_open_txns = counting_serve
+
+    def app(proc):
+        handles = []
+        for i in range(20):
+            payload = bytes([proc.rank, i]) * 512
+            handles.append((yield from proc.put(0, base + (proc.rank - 1) * 1024, payload)))
+        for handle in handles:
+            yield from handle.wait()
+        yield from proc.flush(0)
+
+    for rank in (1, 2, 3):
+        sim.add_app(rank, app(sim.procs[rank]))
+    metrics = sim.run()
+    assert metrics.backpressure_stalls > 0
+    assert sum(served) > 0
+    assert metrics.records_committed == metrics.records_consumed == 60
+    for rank in (1, 2, 3):
+        mine = [rec.payload for rec in handled if rec.device_id == rank]
+        assert mine == [bytes([rank, i]) * 512 for i in range(20)]
+    assert all(link.credits == link.capacity for link in sim.links)
+
+
 def test_oversize_and_straddle_rejected():
     sim = Simulation(small_cfg())
     proc = sim.procs[0]
