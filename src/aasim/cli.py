@@ -168,9 +168,7 @@ def cmd_sweep_iotlb(args):
                 point = cfg.replace(
                     iotlb_size=size, iotlb_assoc=str(assoc), iotlb_policy=policy
                 )
-                bench, metrics = dht.run_scheme(
-                    point, key_mode="skewed", page_stride=2
-                )
+                bench, metrics = dht.run_scheme(point, key_mode="skewed")
                 rows.append(metrics.as_row(point))
     return rows
 

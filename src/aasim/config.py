@@ -158,9 +158,9 @@ def _convert(key, raw, typ):
     return raw
 
 
-def load_config(path, base=None):
-    """Parse a key = value file on top of defaults (or a base config)."""
-    cfg = base.replace() if base is not None else SimConfig()
+def load_config(path):
+    """Parse a key = value file on top of the defaults."""
+    cfg = SimConfig()
     try:
         with open(path) as fh:
             lines = fh.readlines()

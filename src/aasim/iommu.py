@@ -155,7 +155,7 @@ class Iommu:
         walk = self.translator.walk(tlp.requester_id, tlp.address)
         if walk.mem_accesses:
             yield self.cfg.mem_access_ns * walk.mem_accesses
-        if walk.fault:
+        if walk.pte is None:
             self._append_fault(tlp, op, blocked=True)
             return TagEntry(dev_addr=tlp.address, bytes_remaining=tlp.txn_total, status="fault")
         acts = classify(walk.pte, op)
@@ -164,16 +164,16 @@ class Iommu:
             bytes_remaining=tlp.txn_total,
             phys_base=walk.phys,
             memory_effect=acts.memory_effect,
-            status="blocked" if acts.blocked else "ok",
+            status="ok" if acts.memory_effect else "blocked",
         )
-        if acts.logged:
+        if acts.log_meta:
             if acts.to_access_log:
                 log = self.alogs.get(acts.iuid)
                 with_data = acts.log_data
                 nbytes = logbuf.record_size(tlp.txn_total, with_data)
                 offset = yield from self._reserve_with_bypass(log, nbytes)
                 flags = (logbuf.FLAG_DATA if with_data else 0) | (
-                    logbuf.FLAG_BLOCKED if acts.blocked else 0
+                    0 if acts.memory_effect else logbuf.FLAG_BLOCKED
                 )
                 rec = logbuf.LogRecord(
                     op_kind=logbuf.OP_PUT if op == PUT else logbuf.OP_GET,
@@ -191,7 +191,7 @@ class Iommu:
                 # Header store costs one memory access of pipeline occupancy.
                 yield self.cfg.mem_access_ns
             else:
-                self._append_fault(tlp, op, blocked=acts.blocked)
+                self._append_fault(tlp, op, blocked=not acts.memory_effect)
         return entry
 
     def _reserve_with_bypass(self, log, nbytes):

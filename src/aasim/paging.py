@@ -71,19 +71,15 @@ class ActionSet:
     log_data: bool
     to_access_log: bool  # False => fault log, when any logging happens
     iuid: int
-    blocked: bool
-
-    @property
-    def logged(self):
-        return self.log_meta or self.log_data
 
 
 def classify(pte, kind):
     """Total classification of an access against a (possibly raw) PTE.
 
     A set data-logging bit implies logging even if the meta bit was left
-    clear; blocked gets never log data because there is no returned value to
-    copy.
+    clear, so log_meta is set whenever log_data is; an access without a
+    memory effect is blocked, and blocked gets never log data because there
+    is no returned value to copy.
     """
     if kind == PUT:
         memory_effect = pte.w
@@ -101,7 +97,6 @@ def classify(pte, kind):
         log_data=log_data,
         to_access_log=bool(pte.e),
         iuid=pte.iuid,
-        blocked=not memory_effect,
     )
 
 
@@ -244,7 +239,6 @@ class WalkResult:
     pte: object  # Pte or None on fault
     phys: int
     mem_accesses: int
-    fault: bool
 
 
 class AddressTranslator:
@@ -281,7 +275,7 @@ class AddressTranslator:
             pte, accesses = self.page_table.lookup(page)
             cost += accesses
             if pte is None:
-                return WalkResult(None, 0, cost, True)
+                return WalkResult(None, 0, cost)
             self.iotlb.insert(page, pte)
         phys = (pte.frame << PAGE_SHIFT) | (addr & ((1 << PAGE_SHIFT) - 1))
-        return WalkResult(pte, phys, cost, False)
+        return WalkResult(pte, phys, cost)

@@ -52,39 +52,20 @@ class _GetState:
 class HandlerCtx:
     """Passed to a record handler; memory helpers charge consumer CPU time."""
 
-    def __init__(self, proc, record):
+    def __init__(self, proc):
         self.proc = proc
-        self.record = record
         self.cost_ns = 0.0
-        self.replies = []
 
-    def _charge(self, accesses=1):
+    def touch(self, accesses=1):
         self.cost_ns += accesses * self.proc.cfg.mem_access_ns
 
     def read_word(self, addr):
-        self._charge()
+        self.touch()
         return self.proc.memory.read_word(addr)
 
     def write_word(self, addr, value):
-        self._charge()
+        self.touch()
         self.proc.memory.write_word(addr, value)
-
-    def read(self, addr, length):
-        self._charge()
-        return self.proc.memory.read(addr, length)
-
-    def write(self, addr, payload):
-        self._charge()
-        self.proc.memory.write(addr, payload)
-
-    def touch(self, accesses=1):
-        self._charge(accesses)
-
-    def reply(self, payload):
-        """Put payload back to the record's source rank once the handler has run."""
-        if self.record is None:
-            raise NodeError("reply outside a record handler")
-        self.replies.append((self.record.device_id, bytes(payload)))
 
 
 class Proc:
@@ -111,7 +92,6 @@ class Proc:
         self.inbox = deque()
         self.inbox_addr = None
         self.am_handler = None
-        self.reply_page = None
         self.sysflush_addr = None
         iommu.on_flush_armed = self._notify
 
@@ -171,13 +151,6 @@ class Proc:
         self.iommu.add_write_hook(
             base, PAGE_SIZE, lambda src, payload: self.inbox.append((src, payload))
         )
-
-    def enable_reply(self, handler, log_size=None):
-        iuid = self.register_handler(handler, log_size)
-        base = self.memory.reserve_region("replypage", PAGE_SIZE)
-        self.assoc_page(base, iuid, wl=True, wld=True, e=True)
-        self.reply_page = base
-        return iuid
 
     # -- tags --------------------------------------------------------------
 
@@ -366,7 +339,7 @@ class Proc:
                     break
                 record, size = out
                 yield from self.cpu.busy(self.cfg.mem_access_ns)  # record fetch
-                ctx = HandlerCtx(self, record)
+                ctx = HandlerCtx(self)
                 handler(ctx, record)
                 yield from self.cpu.busy(self.cfg.handler_cost_ns + ctx.cost_ns)
                 log.advance_tail(size)
@@ -374,11 +347,6 @@ class Proc:
                 consumed += 1
                 self.engine.note_activity()
                 self.iommu.check_flushes(log)
-                for src, payload in ctx.replies:
-                    peer = self.sim.procs[src]
-                    if peer.reply_page is None:
-                        raise NodeError("no reply page registered at source %d" % src)
-                    yield from self.put(src, peer.reply_page, payload)
         return consumed
 
     def am_consumer(self):
@@ -389,7 +357,7 @@ class Proc:
             while self.inbox:
                 src, payload = self.inbox.popleft()
                 yield from self.cpu.busy(2 * self.cfg.mem_access_ns)  # dequeue
-                ctx = HandlerCtx(self, None)
+                ctx = HandlerCtx(self)
                 self.am_handler(ctx, src, payload)
                 yield from self.cpu.busy(self.cfg.handler_cost_ns + ctx.cost_ns)
                 self.metrics.handler_invocations += 1

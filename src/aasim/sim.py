@@ -98,7 +98,7 @@ class Simulation:
             w.idle() for w in self._wires
         )
 
-    def run(self, max_events=DEFAULT_EVENT_BUDGET):
+    def run(self):
         if self._ran:
             raise RuntimeError("simulation already ran")
         self._ran = True
@@ -110,7 +110,7 @@ class Simulation:
         for _rank, gen in self._apps:
             self.engine.spawn(self._wrap_app(gen))
         self.engine.spawn(self._sweeper())
-        self.engine.run(max_events=max_events)
+        self.engine.run(max_events=DEFAULT_EVENT_BUDGET)
         if not self.stopping and self._apps:
             raise DeadlockError("event heap drained without quiescence\n" + self.diagnose())
         self._aggregate()

@@ -235,8 +235,6 @@ class DhtBench:
         cfg,
         delete_fraction=0.0,
         key_mode="collision",
-        skew=1.1,
-        page_stride=1,
         sources=None,
         record_ops=False,
     ):
@@ -262,8 +260,6 @@ class DhtBench:
         self.scheme = cfg.scheme
         self.delete_fraction = delete_fraction
         self.key_mode = key_mode
-        self.skew = skew
-        self.page_stride = page_stride
         self.sources = sources
         self.record_ops = record_ops
         self.op_log = []  # (rank, kind, key, remote_ops_used) when recording
@@ -322,15 +318,7 @@ class DhtBench:
                 table_size=self.table_size,
             )
         if self.key_mode == "skewed":
-            return K.skewed_bucket_keys(
-                rng,
-                count,
-                0,
-                self.cfg.num_procs,
-                self.table_size,
-                self.skew,
-                self.page_stride,
-            )
+            return K.skewed_bucket_keys(rng, count, 0, self.cfg.num_procs, self.table_size)
         raise ValueError("unknown key mode %r" % self.key_mode)
 
     def _build_plan(self):
@@ -421,13 +409,12 @@ class DhtBench:
                 if owner != proc.rank:
                     yield from proc.rma_flush(owner)
 
-    def run(self, max_events=None):
+    def run(self):
         sources = [r for r in range(self.cfg.num_procs) if self.plan[r]]
         barrier = Barrier(self.sim.engine, len(sources))
         for rank in sources:
             self.sim.add_app(rank, self._app(rank, barrier))
-        kw = {"max_events": max_events} if max_events else {}
-        metrics = self.sim.run(**kw)
+        metrics = self.sim.run()
         metrics.collisions = self.collisions()
         return metrics
 

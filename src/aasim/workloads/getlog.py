@@ -13,10 +13,11 @@ from ..memory import PAGE_SIZE
 from ..sim import Simulation
 
 SCHEMES = ("no-ft", "aa", "sendback")
+DATA_PAGES = 4
 
 
 class GetLogBench:
-    def __init__(self, cfg, variant, n_gets=200, data_pages=4):
+    def __init__(self, cfg, variant, n_gets=200):
         if variant not in SCHEMES:
             raise ValueError("unknown get-logging variant %r" % variant)
         cfg.validate()
@@ -25,19 +26,18 @@ class GetLogBench:
         self.cfg = cfg
         self.variant = variant
         self.n_gets = n_gets
-        self.data_pages = data_pages
         self.sim = Simulation(cfg)
         self.recovered = []  # (address, bytes) at the target, in record order
         self.fetched = []  # (address, bytes) at the source, in issue order
         rng = self.sim.rng_for(4)
         self.addr_plan = [
-            rng.randrange(0, data_pages * PAGE_SIZE // 8 - 1) * 8 for _ in range(n_gets)
+            rng.randrange(0, DATA_PAGES * PAGE_SIZE // 8 - 1) * 8 for _ in range(n_gets)
         ]
         self._build(rng)
 
     def _build(self, rng):
         target = self.sim.procs[0]
-        span = self.data_pages * PAGE_SIZE
+        span = DATA_PAGES * PAGE_SIZE
         self.region = target.memory.reserve_region("data", span)
         target.memory.write(self.region, bytes(rng.getrandbits(8) for _ in range(span)))
         if self.variant == "aa":
@@ -82,9 +82,9 @@ class GetLogBench:
         return [data for (_addr, data) in self.fetched]
 
 
-def run_variants(cfg, variants=SCHEMES, **kw):
+def run_variants(cfg, **kw):
     out = {}
-    for variant in variants:
+    for variant in SCHEMES:
         bench = GetLogBench(cfg.replace(), variant, **kw)
         metrics = bench.run()
         out[variant] = (bench, metrics)

@@ -17,11 +17,11 @@ from .dht import DhtBench
 SIZES = (4, 8, 16, 32)
 ASSOCS = (1, 2, 4, "full")
 POLICIES = ("lru", "rnd")
-
-
-def dht_page_trace(rng, table_pages=64, count=2000, skew=1.1, loops=3):
-    """Page visits of a skewed bucket stream, replayed loops times."""
-    return K.zipf_page_trace(rng, table_pages, count, skew, loops)
+# The replayed trace: page visits of a skewed bucket stream over a table of
+# TRACE_PAGES pages, TRACE_VISITS long and played TRACE_LOOPS times.
+TRACE_PAGES = 64
+TRACE_VISITS = 2000
+TRACE_LOOPS = 3
 
 
 def replay_hit_rate(trace, size, assoc, policy, seed):
@@ -33,12 +33,12 @@ def replay_hit_rate(trace, size, assoc, policy, seed):
     return cache.hits / total if total else 0.0
 
 
-def sweep_hit_rates(seed=1, sizes=SIZES, assocs=ASSOCS, table_pages=64, count=2000):
+def sweep_hit_rates(seed=1):
     """Rows of (size, assoc, policy, hit_rate) over the replayed trace."""
-    trace = dht_page_trace(random.Random(seed * 65537), table_pages, count)
+    trace = K.zipf_page_trace(random.Random(seed * 65537), TRACE_PAGES, TRACE_VISITS, TRACE_LOOPS)
     rows = []
-    for size in sizes:
-        for assoc in assocs:
+    for size in SIZES:
+        for assoc in ASSOCS:
             if assoc != "full" and size % int(assoc):
                 continue
             for policy in POLICIES:
@@ -47,7 +47,7 @@ def sweep_hit_rates(seed=1, sizes=SIZES, assocs=ASSOCS, table_pages=64, count=20
     return rows
 
 
-def insert_rate(cfg, assoc, ops=300, skew=1.1, page_stride=2):
+def insert_rate(cfg, assoc, ops=300):
     """Hot-owner insert throughput with the given cache shape at the owner.
 
     The low issue cost keeps sources well ahead of the owner bridge and the
@@ -62,6 +62,6 @@ def insert_rate(cfg, assoc, ops=300, skew=1.1, page_stride=2):
         handler_cost_ns=10.0,
         ops_per_proc=ops,
     )
-    bench = DhtBench(run_cfg, key_mode="skewed", skew=skew, page_stride=page_stride)
+    bench = DhtBench(run_cfg, key_mode="skewed")
     metrics = bench.run()
     return metrics.throughput_ops_per_s, metrics

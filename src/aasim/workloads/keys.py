@@ -8,6 +8,10 @@ invertible mod 2**64, so the generator can build a preimage for any target
 FIB = 0x9E3779B97F4A7C15
 FIB_INV = pow(FIB, -1, 1 << 64)
 MASK64 = (1 << 64) - 1
+ZIPF_SKEW = 1.1
+# Hot table pages sit this many pages apart, so that they contend for the
+# same sets of a set-associative translation cache.
+HOT_PAGE_STRIDE = 2
 
 
 def hash64(key):
@@ -119,9 +123,9 @@ def forced_collision_keys(rng, count, owner, bucket, procs, table_size):
     return out
 
 
-def zipf_indices(rng, universe, count, skew=1.1):
+def zipf_indices(rng, universe, count):
     """count draws from [0, universe) with a power-law popularity profile."""
-    weights = [1.0 / (rank + 1) ** skew for rank in range(universe)]
+    weights = [1.0 / (rank + 1) ** ZIPF_SKEW for rank in range(universe)]
     total = 0.0
     cum = []
     for w in weights:
@@ -130,20 +134,16 @@ def zipf_indices(rng, universe, count, skew=1.1):
     return rng.choices(range(universe), cum_weights=cum, k=count)
 
 
-def skewed_bucket_keys(rng, count, owner, procs, table_size, skew=1.1, page_stride=1):
-    """Keys for one owner whose buckets cluster on a few hot table pages.
-
-    A stride above one spaces the hot pages out so they contend for the
-    same sets of a set-associative translation cache.
-    """
+def skewed_bucket_keys(rng, count, owner, procs, table_size):
+    """Keys for one owner whose buckets cluster on a few hot table pages."""
     buckets_per_page = 4096 // 16
     n_pages = max(1, table_size // buckets_per_page)
-    universe = max(1, n_pages // page_stride)
-    ranks = zipf_indices(rng, universe, count, skew)
+    universe = max(1, n_pages // HOT_PAGE_STRIDE)
+    ranks = zipf_indices(rng, universe, count)
     used = set()
     out = []
     for rank in ranks:
-        page = rank * page_stride % n_pages
+        page = rank * HOT_PAGE_STRIDE % n_pages
         bucket = page * buckets_per_page + rng.randrange(buckets_per_page)
         key = key_for(rng, owner, bucket, procs, table_size, used)
         used.add(key)
@@ -151,7 +151,7 @@ def skewed_bucket_keys(rng, count, owner, procs, table_size, skew=1.1, page_stri
     return out
 
 
-def zipf_page_trace(rng, n_pages, count, skew=1.1, loops=1):
+def zipf_page_trace(rng, n_pages, count, loops=1):
     """A page-visit trace with hot pages, replayed loops times end to end."""
-    once = zipf_indices(rng, n_pages, count, skew)
+    once = zipf_indices(rng, n_pages, count)
     return once * loops

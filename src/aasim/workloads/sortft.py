@@ -45,7 +45,6 @@ class SortBench:
             raise ConfigError("%d words over %d procs do not fill whole %d B pages per rank"
                               % (total_words, procs, PAGE_SIZE))
         self.sim = Simulation(cfg)
-        self.logged_bytes = [0] * procs
         rng = self.sim.rng_for(4)
         self.arrays = [
             sorted(rng.getrandbits(32) for _ in range(self.words_per_rank))
@@ -99,7 +98,7 @@ class SortBench:
             )
             self.regions.append(region)
             if self.variant == "aa":
-                iuid = proc.register_handler(self._make_logger(rank))
+                iuid = proc.register_handler(self._log_record)
                 proc.assoc_page(region, iuid, span=span, r=True, rl=True, rld=True, e=True)
             else:
                 proc.map_plain(region, r=True, span=span)
@@ -110,12 +109,9 @@ class SortBench:
             else:
                 self.xlogs.append(None)
 
-    def _make_logger(self, rank):
-        def logger(ctx, record):
-            self.logged_bytes[rank] += record.length
-            ctx.touch(1)
-
-        return logger
+    @staticmethod
+    def _log_record(ctx, record):
+        ctx.touch(1)
 
     def _sendback_base(self, owner, fetcher):
         """Byte offset of fetcher's slot in owner's exchange log."""
@@ -175,9 +171,9 @@ class SortBench:
         return sorted(everything)
 
 
-def run_variants(cfg, total_words=1 << 13, variants=getlog.SCHEMES):
+def run_variants(cfg, total_words=1 << 13):
     out = {}
-    for variant in variants:
+    for variant in getlog.SCHEMES:
         bench = SortBench(cfg.replace(), variant, total_words)
         metrics = bench.run()
         out[variant] = (bench, metrics)

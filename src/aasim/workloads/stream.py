@@ -11,16 +11,17 @@ pages while the wire stays the bottleneck.
 from ..memory import PAGE_SIZE
 from ..sim import Simulation
 
+BUF_PAGES = 16
+
 
 class StreamBench:
-    def __init__(self, cfg, n_puts=256, buf_pages=16):
+    def __init__(self, cfg, n_puts=256):
         cfg.validate()
         self.cfg = cfg
         self.n_puts = n_puts
-        self.buf_pages = buf_pages
         self.sim = Simulation(cfg)
         target = self.sim.procs[0]
-        span = buf_pages * PAGE_SIZE
+        span = BUF_PAGES * PAGE_SIZE
         self.region = target.memory.reserve_region("streambuf", span)
         target.map_plain(self.region, w=True, span=span)
         self.payload = bytes(range(256)) * (PAGE_SIZE // 256)
@@ -28,7 +29,7 @@ class StreamBench:
     def _source_app(self):
         proc = self.sim.procs[1]
         for i in range(self.n_puts):
-            addr = self.region + (i % self.buf_pages) * PAGE_SIZE
+            addr = self.region + (i % BUF_PAGES) * PAGE_SIZE
             yield from proc.put(0, addr, self.payload)
             self.sim.metrics.ops += 1
 
@@ -42,10 +43,10 @@ class StreamBench:
         return self.n_puts * PAGE_SIZE / m.sim_time_ns
 
 
-def bandwidth_pair(cfg, n_puts=256, buf_pages=16):
+def bandwidth_pair(cfg, n_puts=256):
     """(with extended bridge, without) bandwidths for the same stream."""
-    on = StreamBench(cfg.replace(iommu_enabled=True), n_puts, buf_pages)
+    on = StreamBench(cfg.replace(iommu_enabled=True), n_puts)
     on.run()
-    off = StreamBench(cfg.replace(iommu_enabled=False), n_puts, buf_pages)
+    off = StreamBench(cfg.replace(iommu_enabled=False), n_puts)
     off.run()
     return on.bandwidth(), off.bandwidth()

@@ -40,7 +40,6 @@ def test_active_put_page():
     assert not acts.memory_effect
     assert acts.log_meta and acts.log_data
     assert acts.to_access_log and acts.iuid == 7
-    assert acts.blocked
 
 
 def test_legacy_fault_page():
@@ -53,7 +52,6 @@ def test_legacy_fault_page():
 def test_statistics_page():
     acts = classify(bits_pte(w=1, wl=1, e=1), PUT)
     assert acts.memory_effect and acts.log_meta and not acts.log_data
-    assert not acts.blocked
 
 
 def test_get_logging_page():
@@ -63,15 +61,15 @@ def test_get_logging_page():
 
 def test_blocked_get_never_logs_data():
     acts = classify(bits_pte(r=0, rl=1, rld=1, e=1), GET)
-    assert acts.blocked
+    assert not acts.memory_effect
     assert acts.log_meta
     assert not acts.log_data
 
 
 def test_plain_pages():
-    assert not classify(bits_pte(w=1), PUT).logged
-    assert not classify(bits_pte(r=1), GET).logged
-    assert classify(bits_pte(), PUT).blocked
+    assert not classify(bits_pte(w=1), PUT).log_meta
+    assert not classify(bits_pte(r=1), GET).log_meta
+    assert not classify(bits_pte(), PUT).memory_effect
 
 
 def test_classify_total_and_consistent():
@@ -82,12 +80,11 @@ def test_classify_total_and_consistent():
         pte = bits_pte(w, r, wl, wld, rl, rld, e)
         for kind in (PUT, GET):
             acts = classify(pte, kind)
-            assert acts.blocked == (not acts.memory_effect)
             if acts.log_data:
                 assert acts.log_meta
             if kind == GET and acts.log_data:
                 assert acts.memory_effect
-            if acts.logged:
+            if acts.log_meta:
                 assert acts.to_access_log == bool(e)
 
 
@@ -293,7 +290,7 @@ def test_translator_costs_and_caching():
 def test_translator_fault_on_unmapped():
     tr = build_translator()
     res = tr.walk(0, 0x9000)
-    assert res.fault and res.pte is None
+    assert res.pte is None and res.phys == 0
 
 
 def test_remap_invalidates_cached_translation():

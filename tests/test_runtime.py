@@ -369,46 +369,6 @@ def test_flush_on_idle_log_returns():
     run_app(sim, app(sim.procs[0]))  # must terminate
 
 
-def test_reply_reaches_source_handler():
-    sim = Simulation(small_cfg())
-    source, target = sim.procs
-    answers = []
-    source.enable_reply(lambda ctx, rec: answers.append(rec.payload), 4096)
-
-    def svc(ctx, rec):
-        ctx.reply(b"pong" + rec.payload[:4])
-
-    iuid = target.register_handler(svc, 4096)
-    base = target.memory.reserve_region("data", PAGE_SIZE)
-    target.assoc_page(base, iuid, wl=True, wld=True, e=True)
-
-    def app(proc):
-        handle = yield from proc.put(1, base, b"ping0001")
-        yield from handle.wait()
-
-    run_app(sim, app(source))
-    assert answers == [b"pongping"]
-
-
-def test_reply_without_reply_page_errors():
-    sim = Simulation(small_cfg())
-    source, target = sim.procs
-
-    def svc(ctx, rec):
-        ctx.reply(b"x" * 8)
-
-    iuid = target.register_handler(svc, 4096)
-    base = target.memory.reserve_region("data", PAGE_SIZE)
-    target.assoc_page(base, iuid, wl=True, wld=True, e=True)
-
-    def app(proc):
-        handle = yield from proc.put(1, base, b"ping0001")
-        yield from handle.wait()
-
-    with pytest.raises(NodeError):
-        run_app(sim, app(source))
-
-
 def test_am_send_runs_inbox_handler():
     sim = Simulation(small_cfg(scheme="am"))
     source, target = sim.procs
