@@ -9,6 +9,7 @@ and the log-consumer loop with its three notification modes.
 from collections import deque
 
 from . import link as lnk
+from .config import ConfigError
 from .engine import Signal
 from .logbuf import AccessLog
 from .memory import PAGE_SIZE
@@ -105,6 +106,9 @@ class Proc:
 
     def register_handler(self, handler, log_size=None):
         """Bind a handler to a fresh logging domain; returns its id (iuid)."""
+        if not self.iommu.enabled:
+            # A bypassed bridge never classifies, so nothing would be logged.
+            raise ConfigError("logging workloads need the bridge; iommu_enabled is false")
         iuid = len(self.domains) + 1  # iuid 0 is reserved for fault-log records
         if iuid >= IUID_LIMIT:
             raise NodeError("out of logging domains (iuid space exhausted)")

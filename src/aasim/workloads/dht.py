@@ -271,6 +271,16 @@ class DhtBench:
         self.plan = []  # per rank: list of ("insert"|"delete", key)
         self._build_nodes()
         self._build_plan()
+        capacity = cfg.vol_size - table_size
+        # Cheap bound first: an owner takes at most one cell per planned insert.
+        if cfg.ops_per_proc * sum(1 for ops in self.plan if ops) > capacity:
+            cells = self.overflow_cells()
+            owner = max(range(cfg.num_procs), key=cells.__getitem__)
+            if cells[owner] > capacity:
+                raise ConfigError(
+                    "inserts at rank %d need %d overflow cells, more than the %d that"
+                    " vol_size - table_size leaves" % (owner, cells[owner], capacity)
+                )
 
     # -- construction ----------------------------------------------------
 
@@ -340,6 +350,26 @@ class DhtBench:
             self.plan.append(ops)
         for key in victims:
             self.oracle.delete(key)
+
+    def overflow_cells(self):
+        """Overflow-heap cells each owner's planned inserts take.
+
+        Every insert runs before any delete, and each takes a heap cell
+        except the first into its bucket, so an owner uses its inserts minus
+        the distinct buckets they land in.
+        """
+        procs = self.cfg.num_procs
+        cells = [0] * procs
+        spots = set()
+        for ops in self.plan:
+            for kind, key in ops:
+                if kind == "insert":
+                    spot = K.placement(key, procs, self.table_size)
+                    cells[spot[0]] += 1
+                    spots.add(spot)
+        for owner, _bucket in spots:
+            cells[owner] -= 1
+        return cells
 
     def _is_source(self, rank):
         if self.sources is not None:

@@ -41,7 +41,7 @@ class SortBench:
         if total_words % procs:
             raise ConfigError("%d words do not split evenly over %d procs" % (total_words, procs))
         self.words_per_rank = total_words // procs
-        if self.words_per_rank == 0 or self.words_per_rank * WORD % PAGE_SIZE:
+        if self.words_per_rank <= 0 or self.words_per_rank * WORD % PAGE_SIZE:
             raise ConfigError("%d words over %d procs do not fill whole %d B pages per rank"
                               % (total_words, procs, PAGE_SIZE))
         self.sim = Simulation(cfg)

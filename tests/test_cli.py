@@ -49,7 +49,8 @@ def test_dht_is_deterministic_for_fixed_seed(tmp_path):
     b = str(tmp_path / "b.csv")
     assert main(["dht", "--config", cfg, "--scheme", "rma", "--seed", "3", "--out", a]) == 0
     assert main(["dht", "--config", cfg, "--scheme", "rma", "--seed", "3", "--out", b]) == 0
-    assert open(a).read() == open(b).read()
+    with open(a) as fa, open(b) as fb:
+        assert fa.read() == fb.read()
 
 
 def test_dht_prints_csv_to_stdout(tmp_path, capsys):
@@ -237,6 +238,7 @@ BAD_WORKLOAD_ARGS = [
     ({}, ["sort", "--procs", "3"]),
     ({}, ["sort", "--words", "100"]),
     ({}, ["sort", "--procs", "3", "--words", "12289"]),
+    ({}, ["sort", "--procs", "4", "--words", "-16384"]),
     ({}, ["counter", "--procs", "2", "--accesses", "-5"]),
     ({}, ["getlog", "--gets", "-3"]),
     ({}, ["checkpoint", "--procs", "2", "--epochs", "-1"]),
@@ -247,6 +249,16 @@ BAD_WORKLOAD_ARGS = [
     # A logged get whose record can never fit the ring (4120 B for a page).
     ({"access_log_size": 1024}, ["sort", "--scheme", "aa", "--procs", "2", "--words", "2048"]),
     ({"access_log_size": 4096}, ["sort", "--scheme", "aa", "--procs", "4", "--words", "8192"]),
+    # Inserts that need more overflow cells at one owner than the heap holds.
+    ({"vol_size": 4096, "table_size": 2048}, ["dht", "--procs", "2", "--ops", "3000", "--r-cols", "0.9"]),
+    ({"vol_size": 4096, "table_size": 2048},
+     ["dht", "--scheme", "rma", "--procs", "2", "--ops", "3000", "--r-cols", "0.9"]),
+    # A bypassed bridge logs nothing, so no workload may register a handler.
+    ({"iommu_enabled": "false"}, ["dht", "--procs", "2", "--ops", "10"]),
+    ({"iommu_enabled": "false"}, ["counter", "--procs", "2"]),
+    ({"iommu_enabled": "false"}, ["getlog"]),
+    ({"iommu_enabled": "false"}, ["sort", "--procs", "2", "--words", "1024"]),
+    ({"iommu_enabled": "false"}, ["checkpoint", "--procs", "2"]),
 ]
 
 
@@ -283,3 +295,15 @@ def assert_fails_fast(argv):
 ])
 def test_unusable_paths_fail_fast(tmp_path, flag, path):
     assert_fails_fast(["dht", "--procs", "2", "--ops", "10", flag, str(tmp_path / path)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["dht", "--scheme", "rma"],
+    ["dht", "--scheme", "am"],
+    ["counter", "--scheme", "rma-atomics"],
+    ["getlog", "--scheme", "no-ft"],
+])
+def test_plain_schemes_run_with_the_bridge_off(tmp_path, capsys, argv):
+    cfg = write_small_cfg(tmp_path, iommu_enabled="false", num_procs=2)
+    assert main(argv[:1] + ["--config", cfg, "--seed", "1"] + argv[1:]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 2

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from aasim.config import SCHEMES, SimConfig
+from aasim.config import SCHEMES, ConfigError, SimConfig
 from aasim.memory import PAGE_SIZE, PhysMemory
 from aasim.workloads import dht, iotlb, keys, stream
 from aasim.workloads.checkpoint import CheckpointBench
@@ -261,6 +261,32 @@ def test_heap_overflow_raises():
     with pytest.raises(DhtOverflow):
         for key in colliders:
             dht.local_insert(mem, layout, key)
+
+
+@pytest.mark.parametrize("scheme,kw", [
+    ("aa-poll", {"delete_fraction": 0.25}),
+    ("rma", {"delete_fraction": 0.25}),
+    ("am", {}),
+    ("aa-sp", {"key_mode": "skewed"}),
+])
+def test_overflow_cells_match_heap_use(scheme, kw):
+    bench, _m = dht.run_scheme(small_cfg(scheme=scheme, r_cols=0.6, ops_per_proc=300), **kw)
+    used = [
+        proc.memory.read_word(layout.next_free_addr) - bench.table_size
+        for proc, layout in zip(bench.sim.procs, bench.layouts)
+    ]
+    assert bench.overflow_cells() == used
+    assert max(used) > 0
+
+
+@pytest.mark.parametrize("scheme", ("rma", "am"))
+def test_plan_that_fills_the_heap_runs_and_one_more_insert_is_rejected(scheme):
+    cfg = small_cfg(scheme=scheme, num_procs=2, vol_size=64)  # 32 heap cells
+    full = dht.DhtBench(cfg.replace(ops_per_proc=33), key_mode="forced", sources=(0,))
+    assert full.overflow_cells() == [0, 32]
+    full.run()
+    with pytest.raises(ConfigError, match="overflow cells"):
+        dht.DhtBench(cfg.replace(ops_per_proc=34), key_mode="forced", sources=(0,))
 
 
 # -- access counting ---------------------------------------------------------
