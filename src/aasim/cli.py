@@ -149,27 +149,14 @@ def cmd_sort(args):
 
 
 def cmd_sweep_iotlb(args):
-    # Translation only shows up end to end when the bridge is the bottleneck,
-    # so the sweep runs with a cheap handler and a faster issue path.
-    cfg = base_config(
-        args,
-        scheme="aa-sp",
-        num_procs=args.procs or 4,
-        vol_size=1 << 14,
-        issue_cost_ns=300.0,
-        handler_cost_ns=10.0,
-    )
+    # Translation only shows up end to end when the bridge is the bottleneck.
+    cfg = base_config(args, num_procs=args.procs or 4, vol_size=1 << 14, **iotlb.BRIDGE_BOUND)
     rows = []
-    for size in iotlb.SIZES:
-        for assoc in iotlb.ASSOCS:
-            if assoc != "full" and size % assoc:
-                continue
-            for policy in iotlb.POLICIES:
-                point = cfg.replace(
-                    iotlb_size=size, iotlb_assoc=str(assoc), iotlb_policy=policy
-                )
-                bench, metrics = dht.run_scheme(point, key_mode="skewed")
-                rows.append(metrics.as_row(point))
+    for size, assoc, policy in iotlb.SHAPES:
+        point, metrics = iotlb.insert_run(
+            cfg, iotlb_size=size, iotlb_assoc=str(assoc), iotlb_policy=policy
+        )
+        rows.append(metrics.as_row(point))
     return rows
 
 

@@ -12,6 +12,10 @@ reads logged with data (each completion is also copied into the record) and
 atomics (a read-modify-write). A get to a flush page instead joins its
 domain's FIFO of flush waiters; the head waiter is answered once the consumer
 has freed every record reserved before it arrived.
+
+Logging domains are bridge state: the bridge numbers each one, reserves its
+ring and flush page, and resolves a PTE's IUID to its log. The active-message
+inbox is too: a write to the inbox page is queued with its source.
 """
 
 from collections import deque
@@ -20,7 +24,8 @@ from dataclasses import dataclass
 from . import link as lnk
 from . import logbuf
 from .engine import Signal
-from .paging import GET, PUT, classify
+from .memory import PAGE_SHIFT, PAGE_SIZE
+from .paging import GET, IUID_LIMIT, PUT, classify
 
 
 class IommuError(Exception):
@@ -40,48 +45,51 @@ class TagEntry:
 
 
 class Iommu:
-    def __init__(self, engine, cfg, memory, translator, fault_log, metrics, node_id):
+    def __init__(self, engine, cfg, memory, translator, fault_log, metrics):
         self.engine = engine
         self.cfg = cfg
         self.memory = memory
         self.translator = translator
         self.fault_log = fault_log
         self.metrics = metrics
-        self.node_id = node_id
         self.enabled = cfg.iommu_enabled
-        self.alogs = logbuf.AccessLogTable()
+        self.alogs = []  # one AccessLog per logging domain; iuid i at index i-1
         self.tag_buffer = {}
-        self.flush_pages = {}  # flush-page address -> iuid
-        self.flush_waiters = {}  # iuid -> deque of (mark, request); head is active
+        self.flush_pages = {}  # flush-page address -> its domain's log, in iuid order
         self.ingress = deque()
         self._ingress_signal = Signal(engine)
         self._blocked_log = None  # log the stalled head waits on, if any
         self.link = None  # ingress link, for credit release
         self.backchannels = {}  # requester_id -> BackChannel
-        self.write_hooks = []  # (base, span, callback) for inbox-style regions
+        self.inbox_page = None  # page number whose writes are queued as messages
+        self.inbox = deque()  # (source, payload) per inbox write, in arrival order
         self.on_flush_armed = None  # callable(): a flush waits on the consumer
         self._fault_seq = 0
         engine.spawn(self._pipeline())
 
     # -- wiring ------------------------------------------------------------
 
-    def register_log(self, log):
-        self.alogs.register(log)
-
-    def register_flush_page(self, address, iuid):
-        if address in self.flush_pages:
-            raise IommuError("flush page %d already registered" % address)
-        if iuid in self.flush_waiters:
-            raise IommuError("domain %d already has a flush page" % iuid)
-        self.flush_pages[address] = iuid
-        self.flush_waiters[iuid] = deque()
-
-    def add_write_hook(self, base, span, callback):
-        self.write_hooks.append((base, span, callback))
+    def add_domain(self, size):
+        """Open the next logging domain: a size-byte ring and a flush page.
+        Returns its AccessLog."""
+        iuid = len(self.alogs) + 1  # iuid 0 is reserved for fault-log records
+        if iuid >= IUID_LIMIT:
+            raise IommuError("out of logging domains (iuid space exhausted)")
+        base = self.memory.reserve_region("log%d" % iuid, size)
+        log = logbuf.AccessLog(self.engine, self.memory, iuid, base, size)
+        self.alogs.append(log)
+        self.flush_pages[self.memory.reserve_region("flush%d" % iuid, PAGE_SIZE)] = log
+        return log
 
     def idle(self):
-        """No packet waits in ingress, no transaction is open, no flush is parked."""
-        return not self.ingress and not self.tag_buffer and not any(self.flush_waiters.values())
+        """No packet waits in ingress, no transaction is open, no flush is
+        parked and no inbox message is unread."""
+        return (
+            not self.ingress
+            and not self.tag_buffer
+            and not self.inbox
+            and not any(log.flush_waiters for log in self.alogs)
+        )
 
     def describe(self):
         """What idle() finds still busy, as diagnostic phrases."""
@@ -90,9 +98,11 @@ class Iommu:
             bits.append("ingress=%d" % len(self.ingress))
         if self.tag_buffer:
             bits.append("open txns=%d" % len(self.tag_buffer))
-        for addr, iuid in sorted(self.flush_pages.items()):
-            if self.flush_waiters[iuid]:
-                bits.append("flush@%d waiting=%d" % (addr, len(self.flush_waiters[iuid])))
+        for addr, log in self.flush_pages.items():
+            if log.flush_waiters:
+                bits.append("flush@%d waiting=%d" % (addr, len(log.flush_waiters)))
+        if self.inbox:
+            bits.append("inbox=%d" % len(self.inbox))
         return bits
 
     def backchannel_for(self, requester_id):
@@ -131,9 +141,9 @@ class Iommu:
         if tlp.kind == lnk.POSTED_WRITE:
             yield from self.intercept_write(tlp)
         elif tlp.kind == lnk.READ_REQUEST:
-            iuid = self.flush_pages.get(tlp.address) if self.enabled else None
-            if iuid is not None:
-                self.handle_flush_get(tlp, iuid)
+            log = self.flush_pages.get(tlp.address) if self.enabled else None
+            if log is not None:
+                self.handle_flush_get(tlp, log)
             else:
                 yield from self.intercept_read_request(tlp)
         else:
@@ -168,7 +178,9 @@ class Iommu:
         )
         if acts.log_meta:
             if acts.to_access_log:
-                log = self.alogs.get(acts.iuid)
+                if not 0 < acts.iuid <= len(self.alogs):
+                    raise IommuError("no access log registered for iuid %d" % acts.iuid)
+                log = self.alogs[acts.iuid - 1]
                 with_data = acts.log_data
                 nbytes = logbuf.record_size(tlp.txn_total, with_data)
                 offset = yield from self._reserve_with_bypass(log, nbytes)
@@ -176,7 +188,7 @@ class Iommu:
                     0 if acts.memory_effect else logbuf.FLAG_BLOCKED
                 )
                 rec = logbuf.LogRecord(
-                    op_kind=logbuf.OP_PUT if op == PUT else logbuf.OP_GET,
+                    op_kind=op,
                     device_id=tlp.requester_id,
                     iuid=acts.iuid,
                     dev_addr=tlp.address,
@@ -231,7 +243,7 @@ class Iommu:
 
     def _append_fault(self, tlp, op, blocked):
         rec = logbuf.LogRecord(
-            op_kind=logbuf.OP_PUT if op == PUT else logbuf.OP_GET,
+            op_kind=op,
             device_id=tlp.requester_id,
             iuid=0,
             dev_addr=tlp.address,
@@ -252,10 +264,10 @@ class Iommu:
             self.tag_buffer[key] = entry
         off = tlp.address - entry.dev_addr
         if entry.memory_effect:
-            self.memory.write(entry.phys_base + off, tlp.payload)
-            for base, span, cb in self.write_hooks:
-                if base <= entry.phys_base + off < base + span:
-                    cb(tlp.requester_id, tlp.payload)
+            phys = entry.phys_base + off
+            self.memory.write(phys, tlp.payload)
+            if phys >> PAGE_SHIFT == self.inbox_page:
+                self.inbox.append((tlp.requester_id, tlp.payload))
         if entry.log is not None and entry.log_data:
             entry.log.ring_write(entry.offset + logbuf.HEADER_BYTES + off, tlp.payload)
         entry.bytes_remaining -= tlp.length
@@ -336,9 +348,8 @@ class Iommu:
 
     # -- flushes -----------------------------------------------------------
 
-    def handle_flush_get(self, tlp, iuid):
-        log = self.alogs.get(iuid)
-        waiters = self.flush_waiters[iuid]
+    def handle_flush_get(self, tlp, log):
+        waiters = log.flush_waiters
         if not waiters and log.tail >= log.head:
             self._answer_flush(tlp)
             return
@@ -354,7 +365,7 @@ class Iommu:
 
     def check_flushes(self, log):
         """Called when the consumer advances a tail; completes covered flushes."""
-        waiters = self.flush_waiters.get(log.iuid, ())
+        waiters = log.flush_waiters
         while waiters and log.tail >= waiters[0][0]:
             _mark, request = waiters.popleft()
             self._answer_flush(request)

@@ -16,9 +16,6 @@ from .engine import Signal
 HEADER = struct.Struct("<BHHQHBQ")
 HEADER_BYTES = HEADER.size  # 24
 
-OP_PUT = 0
-OP_GET = 1
-
 FLAG_DATA = 0x01
 FLAG_BLOCKED = 0x02
 
@@ -41,7 +38,7 @@ def record_size(length, with_data):
 
 @dataclass
 class LogRecord:
-    op_kind: int
+    op_kind: int  # paging.PUT or paging.GET
     device_id: int
     iuid: int
     dev_addr: int
@@ -98,6 +95,7 @@ class AccessLog:
         self.next_seq = 0
         self.space_freed = Signal(engine)
         self.commit_hooks = []
+        self.flush_waiters = deque()  # (mark, flush request); the head is active
         self.records_committed = 0
         self.records_consumed = 0
         self.reserve_failures = 0
@@ -196,25 +194,6 @@ class AccessLog:
         self.tail += nbytes
         self.records_consumed += 1
         self.space_freed.fire()
-
-
-class AccessLogTable:
-    def __init__(self):
-        self._logs = {}
-
-    def register(self, log):
-        if log.iuid in self._logs:
-            raise LogError("iuid %d already has a log" % log.iuid)
-        self._logs[log.iuid] = log
-
-    def get(self, iuid):
-        log = self._logs.get(iuid)
-        if log is None:
-            raise LogError("no access log registered for iuid %d" % iuid)
-        return log
-
-    def __iter__(self):
-        return iter(self._logs.values())
 
 
 class FaultLog:

@@ -15,8 +15,9 @@ IUID_BITS = 10
 IUID_LIMIT = 1 << IUID_BITS
 FRAME_BITS = 40
 
-PUT = "put"
-GET = "get"
+# Access kinds; each is also the op_kind of the log records it produces.
+PUT = 0
+GET = 1
 
 # Radix tree geometry: 4 levels of 9 bits over a 36-bit page-number space.
 LEVELS = 4

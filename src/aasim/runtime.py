@@ -6,14 +6,11 @@ handles, blocking atomics, page association with handler binding, flushes,
 and the log-consumer loop with its three notification modes.
 """
 
-from collections import deque
-
 from . import link as lnk
 from .config import ConfigError
 from .engine import Signal
-from .logbuf import AccessLog
-from .memory import PAGE_SIZE
-from .paging import IUID_LIMIT, Pte
+from .memory import PAGE_SHIFT, PAGE_SIZE
+from .paging import Pte
 
 
 class NodeError(Exception):
@@ -86,12 +83,10 @@ class Proc:
         self._tag_freed = Signal(engine)
         self._gets = {}
         self.outstanding_puts = {}
-        self.domains = []  # (log, handler) per logging domain, in iuid order
+        self.handlers = []  # record handler per logging domain, in iuid order
         self._wake = Signal(engine)
         self._int_armed = False
         self.live_ops = 0
-        self.inbox = deque()
-        self.inbox_addr = None
         self.am_handler = None
         self.sysflush_addr = None
         iommu.on_flush_armed = self._notify
@@ -109,18 +104,10 @@ class Proc:
         if not self.iommu.enabled:
             # A bypassed bridge never classifies, so nothing would be logged.
             raise ConfigError("logging workloads need the bridge; iommu_enabled is false")
-        iuid = len(self.domains) + 1  # iuid 0 is reserved for fault-log records
-        if iuid >= IUID_LIMIT:
-            raise NodeError("out of logging domains (iuid space exhausted)")
-        size = log_size if log_size is not None else self.cfg.access_log_size
-        base = self.memory.reserve_region("log%d" % iuid, size)
-        log = AccessLog(self.engine, self.memory, iuid, base, size)
-        self.iommu.register_log(log)
+        log = self.iommu.add_domain(log_size if log_size is not None else self.cfg.access_log_size)
         log.commit_hooks.append(self._on_commit)
-        flush_base = self.memory.reserve_region("flush%d" % iuid, PAGE_SIZE)
-        self.iommu.register_flush_page(flush_base, iuid)
-        self.domains.append((log, handler))
-        return iuid
+        self.handlers.append(handler)
+        return log.iuid
 
     def assoc_page(self, vaddr, hlr_id=0, span=PAGE_SIZE, **bits):
         """Install extended mapping bits for every page that [vaddr, vaddr+span)
@@ -138,7 +125,7 @@ class Proc:
         if end > base + size:
             raise NodeError("pages [%d, %d) run past region %r" % (vaddr, end, name))
         logging_bits = any(bits.get(b) for b in ("wl", "wld", "rl", "rld"))
-        if logging_bits and bits.get("e") and all(log.iuid != hlr_id for log, _ in self.domains):
+        if logging_bits and bits.get("e") and not 0 < hlr_id <= len(self.handlers):
             raise NodeError("no handler/log registered for id %d" % hlr_id)
         pte = Pte(frame=vaddr >> 12, iuid=hlr_id, **bits)
         self.translator.map_range(vaddr, pte, pages)
@@ -147,14 +134,11 @@ class Proc:
         self.assoc_page(vaddr, 0, span=span, w=w, r=r)
 
     def setup_inbox(self, handler):
-        """AM receive side: a writable page whose writes land in a queue."""
+        """AM receive side: a writable page whose writes the bridge queues."""
         base = self.memory.reserve_region("inbox", PAGE_SIZE)
         self.map_plain(base, w=True)
-        self.inbox_addr = base
+        self.iommu.inbox_page = base >> PAGE_SHIFT
         self.am_handler = handler
-        self.iommu.add_write_hook(
-            base, PAGE_SIZE, lambda src, payload: self.inbox.append((src, payload))
-        )
 
     # -- tags --------------------------------------------------------------
 
@@ -283,18 +267,18 @@ class Proc:
             yield from handle.wait()
 
     def am_send(self, target, payload):
-        peer = self.sim.procs[target]
-        if peer.inbox_addr is None:
+        inbox_page = self.sim.procs[target].iommu.inbox_page
+        if inbox_page is None:
             raise NodeError("target %d has no inbox" % target)
         self.metrics.am_messages += 1
-        handle = yield from self.put(target, peer.inbox_addr, payload)
+        handle = yield from self.put(target, inbox_page << PAGE_SHIFT, payload)
         return handle
 
     # -- notification and consumption -------------------------------------
 
     def _on_commit(self, _log):
         if self._notification != "int" or (
-            sum(log.pending_records for log, _ in self.domains) >= self.cfg.interrupt_batch
+            sum(log.pending_records for log in self.iommu.alogs) >= self.cfg.interrupt_batch
         ):
             self._notify()
 
@@ -320,7 +304,7 @@ class Proc:
                 # Under sp the core reads its committed-head mirror first and
                 # parks only when nothing is committed.
                 if self._notification == "int" or not any(
-                    log.committed_bytes > 0 for log, _ in self.domains
+                    log.committed_bytes > 0 for log in self.iommu.alogs
                 ):
                     yield self._wake
             if self.sim.stopping:
@@ -336,7 +320,7 @@ class Proc:
         check = self.cfg.scratchpad_ns if self._notification == "sp" else self.cfg.mem_access_ns
         yield from self.cpu.busy(check)
         consumed = 0
-        for log, handler in self.domains:
+        for log, handler in zip(self.iommu.alogs, self.handlers):
             while True:
                 out = log.read_record()
                 if out is None:
@@ -355,11 +339,12 @@ class Proc:
 
     def am_consumer(self):
         """AM receive loop: poll the inbox, run the bound handler inline."""
+        inbox = self.iommu.inbox
         while True:
             yield self.cfg.poll_interval_ns
             yield from self.cpu.busy(self.cfg.mem_access_ns)  # inbox pointer
-            while self.inbox:
-                src, payload = self.inbox.popleft()
+            while inbox:
+                src, payload = inbox.popleft()
                 yield from self.cpu.busy(2 * self.cfg.mem_access_ns)  # dequeue
                 ctx = HandlerCtx(self)
                 self.am_handler(ctx, src, payload)
@@ -372,8 +357,4 @@ class Proc:
     # -- quiescence --------------------------------------------------------
 
     def drained(self):
-        return (
-            self.live_ops == 0
-            and not self.inbox
-            and all(log.drained() for log, _ in self.domains)
-        )
+        return self.live_ops == 0 and all(log.drained() for log in self.iommu.alogs)

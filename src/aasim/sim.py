@@ -49,7 +49,7 @@ class Simulation:
             )
             translator = AddressTranslator(PageTable(), iotlb)
             fault_log = FaultLog(cfg.fault_log_entries)
-            iommu = Iommu(self.engine, cfg, memory, translator, fault_log, self.metrics, rank)
+            iommu = Iommu(self.engine, cfg, memory, translator, fault_log, self.metrics)
             cpu = Cpu(self.engine)
             proc = Proc(self, rank, cfg, self.engine, self.metrics, memory, translator, iommu, cpu)
             link = Link(self.engine, iommu.on_arrival, cfg, self.rng_for(_STREAM_LINK, rank), self.metrics)
@@ -103,9 +103,9 @@ class Simulation:
             raise RuntimeError("simulation already ran")
         self._ran = True
         for proc in self.procs:
-            if proc.domains:
+            if proc.handlers:
                 self.engine.spawn(proc.consumer())
-            if proc.inbox_addr is not None:
+            if proc.am_handler is not None:
                 self.engine.spawn(proc.am_consumer())
         for _rank, gen in self._apps:
             self.engine.spawn(self._wrap_app(gen))
@@ -139,8 +139,6 @@ class Simulation:
             bits.extend(proc.iommu.describe())
             if proc.live_ops:
                 bits.append("live ops=%d" % proc.live_ops)
-            if proc.inbox:
-                bits.append("inbox=%d" % len(proc.inbox))
             for log in proc.iommu.alogs:
                 if not log.drained():
                     bits.append(

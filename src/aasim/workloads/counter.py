@@ -11,6 +11,7 @@ from collections import Counter
 
 from ..config import ConfigError
 from ..memory import PAGE_SIZE
+from ..paging import PUT
 from ..sim import Simulation
 
 SCHEMES = ("aa", "rma-atomics", "allreduce")
@@ -76,7 +77,7 @@ class CounterBench:
 
     def _count_record(self, ctx, record):
         page = (record.dev_addr - self.region) // PAGE_SIZE
-        kind = "put" if record.op_kind == 0 else "get"
+        kind = "put" if record.op_kind == PUT else "get"
         self.counts[(kind, page)] += 1
         ctx.touch(1)  # counter bump
 

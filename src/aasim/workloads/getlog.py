@@ -40,11 +40,7 @@ class GetLogBench:
         span = DATA_PAGES * PAGE_SIZE
         self.region = target.memory.reserve_region("data", span)
         target.memory.write(self.region, bytes(rng.getrandbits(8) for _ in range(span)))
-        if self.variant == "aa":
-            iuid = target.register_handler(self._log_record)
-            target.assoc_page(self.region, iuid, span=span, r=True, rl=True, rld=True, e=True)
-        else:
-            target.map_plain(self.region, r=True, span=span)
+        expose(target, self.region, span, self.variant, self._log_record)
         if self.variant == "sendback":
             size = (self.n_gets * 8 + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
             self.sendlog = target.memory.reserve_region("sendlog", size)
@@ -80,6 +76,16 @@ class GetLogBench:
 
     def fetched_values(self):
         return [data for (_addr, data) in self.fetched]
+
+
+def expose(proc, region, span, variant, handler):
+    """Map a data region readable; under aa, every get of it is logged with
+    its data and the record goes to handler."""
+    if variant == "aa":
+        iuid = proc.register_handler(handler)
+        proc.assoc_page(region, iuid, span=span, r=True, rl=True, rld=True, e=True)
+    else:
+        proc.map_plain(region, r=True, span=span)
 
 
 def run_variants(cfg, **kw):

@@ -14,9 +14,17 @@ from ..paging import IotlbCache
 from . import keys as K
 from .dht import DhtBench
 
-SIZES = (4, 8, 16, 32)
-ASSOCS = (1, 2, 4, "full")
-POLICIES = ("lru", "rnd")
+# Cache shapes swept, as (size, assoc, policy).
+SHAPES = [
+    (size, assoc, policy)
+    for size in (4, 8, 16, 32)
+    for assoc in (1, 2, 4, "full")
+    for policy in ("lru", "rnd")
+]
+# The low issue cost keeps sources well ahead of the owner bridge and the
+# cheap handler keeps the consumer ahead of it too, so the run time tracks
+# the bridge's walk stalls and with them the cache misses.
+BRIDGE_BOUND = dict(scheme="aa-sp", issue_cost_ns=300.0, handler_cost_ns=10.0)
 # The replayed trace: page visits of a skewed bucket stream over a table of
 # TRACE_PAGES pages, TRACE_VISITS long and played TRACE_LOOPS times.
 TRACE_PAGES = 64
@@ -36,32 +44,20 @@ def replay_hit_rate(trace, size, assoc, policy, seed):
 def sweep_hit_rates(seed=1):
     """Rows of (size, assoc, policy, hit_rate) over the replayed trace."""
     trace = K.zipf_page_trace(random.Random(seed * 65537), TRACE_PAGES, TRACE_VISITS, TRACE_LOOPS)
-    rows = []
-    for size in SIZES:
-        for assoc in ASSOCS:
-            if assoc != "full" and size % int(assoc):
-                continue
-            for policy in POLICIES:
-                rate = replay_hit_rate(trace, size, assoc, policy, seed)
-                rows.append((size, assoc, policy, rate))
-    return rows
+    return [
+        (size, assoc, policy, replay_hit_rate(trace, size, assoc, policy, seed))
+        for size, assoc, policy in SHAPES
+    ]
+
+
+def insert_run(cfg, **shape):
+    """One bridge-bound skewed insert run against a single hot owner, with
+    the config fields in shape set; returns the run's config and metrics."""
+    point = cfg.replace(**BRIDGE_BOUND, **shape)
+    return point, DhtBench(point, key_mode="skewed").run()
 
 
 def insert_rate(cfg, assoc, ops=300):
-    """Hot-owner insert throughput with the given cache shape at the owner.
-
-    The low issue cost keeps sources well ahead of the owner bridge and the
-    cheap handler keeps the consumer ahead of it too, so the run time tracks
-    the bridge's walk stalls and with them the cache misses.
-    """
-    run_cfg = cfg.replace(
-        scheme="aa-sp",
-        iotlb_assoc=assoc,
-        iotlb_policy="lru",
-        issue_cost_ns=300.0,
-        handler_cost_ns=10.0,
-        ops_per_proc=ops,
-    )
-    bench = DhtBench(run_cfg, key_mode="skewed")
-    metrics = bench.run()
+    """Hot-owner insert throughput with the given associativity at the owner."""
+    _point, metrics = insert_run(cfg, iotlb_assoc=assoc, iotlb_policy="lru", ops_per_proc=ops)
     return metrics.throughput_ops_per_s, metrics

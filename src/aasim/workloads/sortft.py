@@ -97,11 +97,7 @@ class SortBench:
                 region, b"".join(w.to_bytes(WORD, "little") for w in self.arrays[rank])
             )
             self.regions.append(region)
-            if self.variant == "aa":
-                iuid = proc.register_handler(self._log_record)
-                proc.assoc_page(region, iuid, span=span, r=True, rl=True, rld=True, e=True)
-            else:
-                proc.map_plain(region, r=True, span=span)
+            getlog.expose(proc, region, span, self.variant, self._log_record)
             if self.variant == "sendback":
                 xlog = proc.memory.reserve_region("xlog", span)
                 proc.map_plain(xlog, w=True, span=span)

@@ -8,10 +8,10 @@ from aasim.config import SimConfig
 from aasim.engine import Engine
 from aasim.iommu import Iommu, IommuError
 from aasim.link import split_get, split_put
-from aasim.logbuf import AccessLog, FaultLog
+from aasim.logbuf import FaultLog
 from aasim.memory import PAGE_SIZE, PhysMemory
 from aasim.metrics import Metrics
-from aasim.paging import AddressTranslator, IotlbCache, PageTable, Pte
+from aasim.paging import IUID_LIMIT, AddressTranslator, IotlbCache, PageTable, Pte
 
 
 class FakeChannel:
@@ -36,17 +36,11 @@ class Rig:
         for dev in range(n_devices):
             self.translator.register_device(dev)
         fault_log = FaultLog(self.cfg.fault_log_entries)
-        self.iommu = Iommu(
-            self.engine, self.cfg, self.memory, self.translator, fault_log, self.metrics, 0
-        )
-        log_base = self.memory.reserve_region("log", log_size)
-        self.log = AccessLog(self.engine, self.memory, 3, log_base, log_size)
-        self.iommu.register_log(self.log)
-        flush_base = self.memory.reserve_region("flush", PAGE_SIZE)
-        self.iommu.register_flush_page(flush_base, 3)
+        self.iommu = Iommu(self.engine, self.cfg, self.memory, self.translator, fault_log, self.metrics)
+        self.log = self.iommu.add_domain(log_size)
         self.page = self.memory.reserve_region("page", PAGE_SIZE)
         table.map_range(
-            self.page, Pte(frame=self.page >> 12, wl=True, wld=True, e=True, iuid=3)
+            self.page, Pte(frame=self.page >> 12, wl=True, wld=True, e=True, iuid=self.log.iuid)
         )
         self.channels = {}
         for dev in range(n_devices):
@@ -238,7 +232,7 @@ def test_atomic_on_logged_page_rejected():
 
     # make the logged page readable so the atomic reaches the check
     rig.translator.map_range(
-        rig.page, Pte(frame=rig.page >> 12, r=True, rl=True, e=True, iuid=3)
+        rig.page, Pte(frame=rig.page >> 12, r=True, rl=True, e=True, iuid=rig.log.iuid)
     )
     req = split_get(rig.page, 8, 0, 1)
     req.atomic = AtomicDesc("sum", 1)
@@ -247,11 +241,34 @@ def test_atomic_on_logged_page_rejected():
         rig.engine.run()
 
 
-def test_second_flush_page_for_one_domain_rejected():
+def test_domains_are_numbered_until_the_iuid_space_runs_out():
     rig = Rig()
-    other = rig.memory.reserve_region("flush2", PAGE_SIZE)
+    while len(rig.iommu.alogs) < IUID_LIMIT - 1:
+        rig.iommu.add_domain(64)
+    alogs = rig.iommu.alogs
+    assert [log.iuid for log in alogs] == list(range(1, IUID_LIMIT))
+    assert len({log.base for log in alogs}) == len(alogs)
+    assert len(rig.iommu.flush_pages) == len(alogs)
+    assert list(rig.iommu.flush_pages.values()) == alogs
     with pytest.raises(IommuError):
-        rig.iommu.register_flush_page(other, 3)
-    with pytest.raises(IommuError):
-        rig.iommu.register_flush_page(next(iter(rig.iommu.flush_pages)), 4)
-    assert list(rig.iommu.flush_pages.values()) == [3]
+        rig.iommu.add_domain(64)
+    assert len(alogs) == IUID_LIMIT - 1
+
+
+def test_inbox_queues_writes_to_its_page_in_order():
+    rig = Rig()
+    inbox = rig.memory.reserve_region("inbox", PAGE_SIZE)
+    other = rig.memory.reserve_region("other", PAGE_SIZE)
+    rig.translator.map_range(inbox, Pte(frame=inbox >> 12, w=True), pages=2)
+    rig.iommu.inbox_page = inbox >> 12
+    rig.iommu.on_arrival(split_put(inbox + 8, b"a" * 8, 2, 0, 256)[0])
+    rig.iommu.on_arrival(split_put(other, b"x" * 8, 1, 0, 256)[0])
+    rig.iommu.on_arrival(split_put(inbox, b"b" * 8, 1, 1, 256)[0])
+    rig.engine.run()
+    assert list(rig.iommu.inbox) == [(2, b"a" * 8), (1, b"b" * 8)]
+    assert rig.memory.read(other, 8) == b"x" * 8
+    assert not rig.iommu.idle()
+    rig.iommu.inbox.popleft()
+    assert not rig.iommu.idle()
+    rig.iommu.inbox.popleft()
+    assert rig.iommu.idle()
