@@ -150,7 +150,8 @@ def cmd_sort(args):
 
 def cmd_sweep_iotlb(args):
     # Translation only shows up end to end when the bridge is the bottleneck.
-    cfg = base_config(args, num_procs=args.procs or 4, vol_size=1 << 14, **iotlb.BRIDGE_BOUND)
+    procs = 4 if args.procs is None else args.procs
+    cfg = base_config(args, num_procs=procs, vol_size=1 << 14, **iotlb.BRIDGE_BOUND)
     rows = []
     for size, assoc, policy in iotlb.SHAPES:
         point, metrics = iotlb.insert_run(

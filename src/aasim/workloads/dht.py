@@ -250,6 +250,8 @@ class DhtBench:
                 " logged table and the plain heap cannot share a page"
                 % (table_size, table_size * CELL, cfg.scheme)
             )
+        if key_mode == "skewed" and cfg.num_procs < 2:
+            raise ConfigError("skewed keys need >= 2 procs: rank 0 is the hot owner, the rest are sources")
         fresh = cfg.ops_per_proc - int(cfg.ops_per_proc * cfg.r_cols)
         if key_mode == "collision" and fresh > cfg.num_procs * table_size:
             raise ConfigError(

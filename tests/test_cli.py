@@ -246,6 +246,9 @@ BAD_WORKLOAD_ARGS = [
     ({}, ["dht", "--scheme", "am", "--delete-fraction", "0.5"]),
     ({}, ["dht", "--delete-fraction", "-1"]),
     ({}, ["dht", "--delete-fraction", "2"]),
+    # The sweep's skewed inserts need a hot owner and at least one source.
+    ({}, ["sweep-iotlb", "--procs", "0", "--ops", "5"]),
+    ({}, ["sweep-iotlb", "--procs", "1", "--ops", "5"]),
     # A logged get whose record can never fit the ring (4120 B for a page).
     ({"access_log_size": 1024}, ["sort", "--scheme", "aa", "--procs", "2", "--words", "2048"]),
     ({"access_log_size": 4096}, ["sort", "--scheme", "aa", "--procs", "4", "--words", "8192"]),
