@@ -259,7 +259,7 @@ class Proc:
         """Consumption barrier: every record our prior puts/gets produced at
         target is handled before this returns."""
         handles = []
-        # Flush pages are registered in iuid order, one per logging domain.
+        # The bridge keeps one flush page per logging domain, in iuid order.
         for flush_addr in self.sim.procs[target].iommu.flush_pages:
             handle = yield from self.get(target, flush_addr, 8)
             handles.append(handle)
