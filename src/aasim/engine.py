@@ -7,6 +7,7 @@ Processes are generators. A process may yield:
 Nested calls compose with ``yield from`` and may return values. Events with
 equal timestamps run in schedule order (a monotonically increasing sequence
 number breaks ties), which is what makes runs bit-identical for a fixed seed.
+Only the relative order of sequence numbers matters, never their values.
 
 Heap entries are ``(t, seq, fn, args)`` for callbacks and ``(t, seq, None,
 gen)`` for process resumes, which the run loop performs itself.
@@ -14,11 +15,20 @@ gen)`` for process resumes, which the run loop performs itself.
 Fast-forward: when a resumed process sleeps ``d`` and the heap is empty or its
 earliest entry lies strictly later than ``now + d``, no other event can run
 first, so the loop advances the clock and resumes the same process at once
-instead of pushing and popping it. The step still takes one sequence number,
-counts as one event and is checked against the event budget after it runs,
-and an entry at exactly ``now + d`` still goes first (it holds the lower
-sequence number), so event order, clock values and ``events_run`` are the
-same as with one heap entry per resume.
+instead of pushing and popping it. The step takes no sequence number (no
+other entry could be ordered against it), but it counts as one event and is
+checked against the event budget after it runs; an entry at exactly
+``now + d`` still goes first (it holds the lower sequence number), so event
+order and clock values are the same as with one heap entry per resume.
+
+In-place resume: a callback may wake a parked process with
+``Signal.fire_last``. When the heap is empty or its earliest entry lies
+strictly later than ``now``, the woken process would be the next entry
+popped, so the loop resumes it as soon as the callback returns, inside the
+callback's event, instead of queueing it. An entry at exactly ``now`` runs
+first (it holds the lower sequence number), so in that case, and outside a
+callback the run loop executes, the process is queued as ``Signal.fire``
+queues it. An in-place resume is not counted as an event of its own.
 """
 
 import heapq
@@ -45,6 +55,19 @@ class Signal:
         for gen in waiters:
             heapq.heappush(heap, (now, next(seq), None, gen))
 
+    def fire_last(self):
+        """fire(), resuming the first waiter in place when nothing else is due
+        now (see the module docstring). The resume happens once the current
+        callback returns, so it comes after the rest of the callback."""
+        waiters = self._waiters
+        if not waiters:
+            return
+        engine = self._engine
+        heap = engine._heap
+        if engine._handoff is None and (not heap or heap[0][0] > engine.now):
+            engine._handoff = waiters.pop(0)
+        self.fire()
+
 
 class Barrier:
     """Reusable rendezvous of a fixed number of processes: each round, the
@@ -70,6 +93,9 @@ class Engine:
         self._heap = []
         self._seq = itertools.count()
         self.events_run = 0
+        # A process a callback hands to the run loop to resume in place: None
+        # while a callback runs and nothing is handed over, False otherwise.
+        self._handoff = False
         # Timestamp of the last productive step; callers mark it explicitly.
         self.last_activity = 0.0
 
@@ -105,46 +131,55 @@ class Engine:
         """Drain the event heap. Returns the number of events executed."""
         heap, seq = self._heap, self._seq
         heappop, heappush = heapq.heappop, heapq.heappush
-        start = self.events_run
+        events = start = self.events_run
         limit = float("inf") if max_events is None else start + max_events
-        while heap:
-            t, _, fn, args = heappop(heap)
-            if t < self.now:
-                raise RuntimeError("time went backwards")
-            self.now = t
-            self.events_run += 1
-            if fn is not None:
-                fn(*args)
-            else:
-                gen = args
+        try:
+            while heap:
+                t, _, fn, gen = heappop(heap)
+                if t < self.now:
+                    raise RuntimeError("time went backwards")
+                self.now = t
+                events += 1
+                if fn is not None:
+                    self._handoff = None
+                    fn(*gen)
+                    gen = self._handoff
+                    self._handoff = False
+                    if gen is None:
+                        if events > limit:
+                            raise RuntimeError("event budget exceeded (%d)" % max_events)
+                        continue
                 while True:
                     try:
                         req = gen.send(None)
                     except StopIteration:
                         break
-                    if isinstance(req, Signal):
-                        req._waiters.append(gen)
-                        break
-                    if not isinstance(req, (int, float)):
-                        raise TypeError("process yielded %r; expected a delay or a Signal" % (req,))
+                    if type(req) is not float:
+                        if isinstance(req, Signal):
+                            req._waiters.append(gen)
+                            break
+                        if not isinstance(req, (int, float)):
+                            raise TypeError("process yielded %r; expected a delay or a Signal" % (req,))
                     if req < 0:
                         raise ValueError("negative delay")
                     t = self.now + req
                     # A queued entry at or before t runs first (on a tie it
                     # holds the lower sequence number); otherwise nothing can
                     # run in between, so fast-forward: resume gen at t now,
-                    # with the sequence number and budget check of a pop.
+                    # with the budget check of a pop.
                     if heap and not t < heap[0][0]:
                         heappush(heap, (t, next(seq), None, gen))
                         break
-                    next(seq)
-                    if self.events_run > limit:
+                    if events > limit:
                         raise RuntimeError("event budget exceeded (%d)" % max_events)
                     self.now = t
-                    self.events_run += 1
-            if self.events_run > limit:
-                raise RuntimeError("event budget exceeded (%d)" % max_events)
-        return self.events_run - start
+                    events += 1
+                if events > limit:
+                    raise RuntimeError("event budget exceeded (%d)" % max_events)
+        finally:
+            self.events_run = events
+            self._handoff = False
+        return events - start
 
 
 class Cpu:

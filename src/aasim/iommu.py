@@ -32,7 +32,7 @@ class IommuError(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class TagEntry:
     dev_addr: int
     bytes_remaining: int
@@ -115,11 +115,13 @@ class Iommu:
 
     def on_arrival(self, tlp):
         self.ingress.append(tlp)
-        self._ingress_signal.fire()
         if self._blocked_log is not None:
             # A stalled head rescans the queue on every arrival: the new
             # packet may belong to an open transaction it can serve.
             self._blocked_log.space_freed.fire()
+        # Only a parked pipeline waits here, and never while a head is
+        # stalled; an arrival event can resume it in place.
+        self._ingress_signal.fire_last()
 
     def _pipeline(self):
         while True:
@@ -156,24 +158,19 @@ class Iommu:
         if tlp.seq_in_txn != 0:
             raise IommuError("transaction started mid-stream (tag reuse?)")
         if not self.enabled:
-            return TagEntry(
-                dev_addr=tlp.address,
-                bytes_remaining=tlp.txn_total,
-                phys_base=tlp.address,
-                memory_effect=True,
-            )
+            return TagEntry(tlp.address, tlp.txn_total, tlp.address, True)
         walk = self.translator.walk(tlp.requester_id, tlp.address)
         if walk.mem_accesses:
             yield self.cfg.mem_access_ns * walk.mem_accesses
         if walk.pte is None:
             self._append_fault(tlp, op, blocked=True)
-            return TagEntry(dev_addr=tlp.address, bytes_remaining=tlp.txn_total, status="fault")
+            return TagEntry(tlp.address, tlp.txn_total, status="fault")
         acts = classify(walk.pte, op)
         entry = TagEntry(
-            dev_addr=tlp.address,
-            bytes_remaining=tlp.txn_total,
-            phys_base=walk.phys,
-            memory_effect=acts.memory_effect,
+            tlp.address,
+            tlp.txn_total,
+            walk.phys,
+            acts.memory_effect,
             status="ok" if acts.memory_effect else "blocked",
         )
         if acts.log_meta:
@@ -188,13 +185,7 @@ class Iommu:
                     0 if acts.memory_effect else logbuf.FLAG_BLOCKED
                 )
                 rec = logbuf.LogRecord(
-                    op_kind=op,
-                    device_id=tlp.requester_id,
-                    iuid=acts.iuid,
-                    dev_addr=tlp.address,
-                    length=tlp.txn_total,
-                    flags=flags,
-                    seq_no=log.take_seq(),
+                    op, tlp.requester_id, acts.iuid, tlp.address, tlp.txn_total, flags, log.take_seq()
                 )
                 log.ring_write(offset, rec.pack_header())
                 entry.log = log

@@ -27,14 +27,14 @@ class OversizeError(LinkError):
     """Transaction larger than the 4 KiB cap."""
 
 
-@dataclass
+@dataclass(slots=True)
 class AtomicDesc:
     op: str  # 'cas' | 'sum' | 'replace'
     operand: int
     compare: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Tlp:
     kind: str
     requester_id: tuple
@@ -59,16 +59,7 @@ def _slices(kind, data, address, address_mask, requester_id, tag, max_payload):
     for seq, off in enumerate(range(0, len(data), max_payload)):
         chunk = bytes(data[off : off + max_payload])
         out.append(
-            Tlp(
-                kind=kind,
-                requester_id=requester_id,
-                tag=tag,
-                address=(address + off) & address_mask,
-                length=len(chunk),
-                payload=chunk,
-                seq_in_txn=seq,
-                txn_total=len(data),
-            )
+            Tlp(kind, requester_id, tag, (address + off) & address_mask, len(chunk), chunk, seq, len(data))
         )
     return out
 
@@ -89,15 +80,7 @@ def split_get(address, length, requester_id, tag):
         raise LinkError("empty get")
     if length > MAX_TXN_BYTES:
         raise OversizeError("get of %d bytes exceeds %d" % (length, MAX_TXN_BYTES))
-    return Tlp(
-        kind=READ_REQUEST,
-        requester_id=requester_id,
-        tag=tag,
-        address=address,
-        length=length,
-        seq_in_txn=0,
-        txn_total=length,
-    )
+    return Tlp(READ_REQUEST, requester_id, tag, address, length, None, 0, length)
 
 
 def make_completions(request, data, max_payload):

@@ -36,7 +36,7 @@ def record_size(length, with_data):
     return HEADER_BYTES + (pad8(length) if with_data else 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class LogRecord:
     op_kind: int  # paging.PUT or paging.GET
     device_id: int

@@ -63,7 +63,7 @@ class Pte:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class ActionSet:
     """What the bridge must do for one transaction against one page."""
 
@@ -92,13 +92,7 @@ def classify(pte, kind):
         log_data = pte.rld and pte.r
     else:
         raise PagingError("unknown access kind %r" % (kind,))
-    return ActionSet(
-        memory_effect=memory_effect,
-        log_meta=log_meta,
-        log_data=log_data,
-        to_access_log=bool(pte.e),
-        iuid=pte.iuid,
-    )
+    return ActionSet(memory_effect, log_meta, log_data, bool(pte.e), pte.iuid)
 
 
 class PageTable:
@@ -161,7 +155,11 @@ class PageTable:
         if run is None:
             return None, LEVELS
         delta, bits = run
-        return Pte(vpn + delta, *bits), LEVELS
+        # map_range checked the run's frames and iuid, so skip __post_init__.
+        pte = object.__new__(Pte)
+        pte.frame = vpn + delta
+        pte.w, pte.r, pte.wl, pte.wld, pte.rl, pte.rld, pte.e, pte.iuid = bits
+        return pte, LEVELS
 
 
 def iotlb_ways(capacity, assoc, policy):
@@ -235,7 +233,7 @@ class IotlbCache:
                 del s[page]
 
 
-@dataclass
+@dataclass(slots=True)
 class WalkResult:
     pte: object  # Pte or None on fault
     phys: int

@@ -6,11 +6,20 @@ loop executes the application coroutines plus per-node consumer loops and a
 sweeper that declares quiescence once every queue, log, and handle has
 drained; a drained event heap with pending work, or a long stretch without
 progress, raises a diagnostic deadlock error instead of hanging.
+
+The sweeper stays parked until the last app finishes, since no run can be
+quiescent before that. From then on it ticks on the 1 us grid (multiples of
+SWEEP_INTERVAL_NS, as if it had ticked from t = 0), and each tick checks for
+quiescence, wakes the consumers and checks for a stall. While apps run, a
+watchdog checks for a stall instead: it sleeps to its deadline, the first
+grid tick more than stall_limit_ns after the last activity, and there either
+raises or, if there was activity meanwhile, sleeps to the new deadline. So a
+stall raises on the grid tick a 1 us ticker would have raised on.
 """
 
 import random
 
-from .engine import Cpu, Engine
+from .engine import Cpu, Engine, Signal
 from .iommu import Iommu
 from .link import BackChannel, Link
 from .logbuf import FaultLog
@@ -40,6 +49,7 @@ class Simulation:
         self._ran = False
         self._apps = []
         self._apps_done = 0
+        self._apps_finished = Signal(self.engine)
         self.procs = []
         self.links = []
         for rank in range(cfg.num_procs):
@@ -79,19 +89,45 @@ class Simulation:
         yield from gen
         self._apps_done += 1
         self.engine.note_activity()
+        if self._apps_done == len(self._apps):
+            self._apps_finished.fire()
+
+    def _apps_running(self):
+        return self._apps_done < len(self._apps)
+
+    def _stalled(self, t):
+        return t - self.engine.last_activity > self.cfg.stall_limit_ns
+
+    def _watchdog(self):
+        """While apps run, raise on the first grid tick the run is stalled at."""
+        engine = self.engine
+        while self._apps_running():
+            tick = (engine.last_activity + self.cfg.stall_limit_ns) // SWEEP_INTERVAL_NS
+            while not self._stalled(tick * SWEEP_INTERVAL_NS):
+                tick += 1
+            deadline = tick * SWEEP_INTERVAL_NS
+            yield deadline - engine.now
+            # Once the last app has finished, the sweeper's ticks watch instead.
+            if self._apps_running() and self._stalled(deadline):
+                raise DeadlockError(self.diagnose())
 
     def _sweeper(self):
+        engine = self.engine
+        while self._apps_running():
+            yield self._apps_finished
+        # The first grid tick after the last app finished; a finish exactly
+        # on a tick comes after that tick.
+        yield (engine.now // SWEEP_INTERVAL_NS + 1) * SWEEP_INTERVAL_NS - engine.now
         while True:
-            yield SWEEP_INTERVAL_NS
-            if self._apps_done == len(self._apps):
-                self.stopping = self.drained()
-                # Wake parked consumers, to stop or to take sub-batch leftovers.
-                for proc in self.procs:
-                    proc._wake.fire()
-                if self.stopping:
-                    return
-            if self.engine.now - self.engine.last_activity > self.cfg.stall_limit_ns:
+            self.stopping = self.drained()
+            # Wake parked consumers, to stop or to take sub-batch leftovers.
+            for proc in self.procs:
+                proc._wake.fire()
+            if self.stopping:
+                return
+            if self._stalled(engine.now):
                 raise DeadlockError(self.diagnose())
+            yield SWEEP_INTERVAL_NS
 
     def drained(self):
         return all(p.drained() and p.iommu.idle() for p in self.procs) and all(
@@ -109,6 +145,7 @@ class Simulation:
                 self.engine.spawn(proc.am_consumer())
         for _rank, gen in self._apps:
             self.engine.spawn(self._wrap_app(gen))
+        self.engine.spawn(self._watchdog())
         self.engine.spawn(self._sweeper())
         self.engine.run(max_events=DEFAULT_EVENT_BUDGET)
         if not self.stopping and self._apps:

@@ -187,12 +187,15 @@ def test_barrier_is_reusable_and_only_the_last_arriver_releases():
 class RefSignal:
     def __init__(self, engine):
         self.engine = engine
-        self.waiters = []
+        self._waiters = []
 
     def fire(self):
-        waiters, self.waiters = self.waiters, []
+        waiters, self._waiters = self._waiters, []
         for gen in waiters:
             self.engine.schedule(0, self.engine.advance, gen)
+
+    # An in-place resume is an ordinary zero-delay wake-up here.
+    fire_last = fire
 
 
 class RefEngine:
@@ -200,12 +203,12 @@ class RefEngine:
 
     def __init__(self):
         self.now = 0.0
-        self.heap = []
+        self._heap = []
         self.seq = itertools.count()
         self.events_run = 0
 
     def schedule(self, delay, fn, *args):
-        heapq.heappush(self.heap, (self.now + delay, next(self.seq), fn, args))
+        heapq.heappush(self._heap, (self.now + delay, next(self.seq), fn, args))
 
     def spawn(self, gen):
         self.advance(gen)
@@ -216,26 +219,30 @@ class RefEngine:
         except StopIteration:
             return
         if isinstance(req, RefSignal):
-            req.waiters.append(gen)
+            req._waiters.append(gen)
         else:
             self.schedule(req, self.advance, gen)
 
     def run(self):
-        while self.heap:
-            self.now, _, fn, args = heapq.heappop(self.heap)
+        while self._heap:
+            self.now, _, fn, args = heapq.heappop(self._heap)
             self.events_run += 1
             fn(*args)
 
 
 def simulate(engine, make_signal, plan):
     """Run ``plan`` and return the (now, pid, step) trace of every resume and
-    callback. A process step is (op, a, b): sleep a; wait on signal a; fire
-    signal a; schedule a callback after a that fires signal b or, for
-    "call-spawn", spawns process b; or spawn process b."""
+    callback, the events run, the final clock and the number of fire_last
+    calls that find a waiter and nothing due now. A process step is (op, a,
+    b): sleep a; wait on signal a; fire signal a; schedule a callback after a
+    that fires signal b, fires it with fire_last for "call-last" or, for
+    "call-spawn", spawns process b; or spawn process b. A top-level callback
+    (delay, k, last) fires signal k, with fire_last if last is set."""
     tops, callbacks = plan
     signals = [make_signal(engine) for _ in range(2)]
     pids = itertools.count()
     trace = []
+    in_place = [0]
 
     def proc(steps, depth):
         pid = next(pids)
@@ -249,6 +256,8 @@ def simulate(engine, make_signal, plan):
                 signals[a % 2].fire()
             elif op == "call":
                 engine.schedule(a, fire, b % 2)
+            elif op == "call-last":
+                engine.schedule(a, fire_last, b % 2)
             elif op == "call-spawn" and depth < 2:
                 engine.schedule(a, start, tops[b % len(tops)], depth + 1)
             elif op == "spawn" and depth < 2:
@@ -258,31 +267,44 @@ def simulate(engine, make_signal, plan):
         trace.append((engine.now, "fire", k))
         signals[k].fire()
 
+    def fire_last(k):
+        trace.append((engine.now, "fire-last", k))
+        heap = engine._heap
+        if signals[k]._waiters and not (heap and heap[0][0] <= engine.now):
+            in_place[0] += 1
+        signals[k].fire_last()
+
     def start(steps, depth):
         trace.append((engine.now, "start", depth))
         engine.spawn(proc(steps, depth))
 
     for steps in tops:
         engine.spawn(proc(steps, 0))
-    for delay, k in callbacks:
-        engine.schedule(delay, fire, k)
+    for delay, k, last in callbacks:
+        engine.schedule(delay, fire_last if last else fire, k)
     engine.run()
-    return trace, engine.events_run, engine.now
+    return trace, engine.events_run, engine.now, in_place[0]
 
 
 small = st.integers(min_value=0, max_value=3)
 step = st.tuples(
-    st.sampled_from(["sleep", "sleep", "sleep", "wait", "fire", "call", "call-spawn", "spawn"]),
+    st.sampled_from(
+        ["sleep", "sleep", "sleep", "wait", "fire", "call", "call-last", "call-spawn", "spawn"]
+    ),
     small,
     small,
 )
 plans = st.tuples(
     st.lists(st.lists(step, max_size=8), min_size=1, max_size=4),
-    st.lists(st.tuples(small, st.integers(min_value=0, max_value=1)), max_size=4),
+    st.lists(st.tuples(small, st.integers(min_value=0, max_value=1), st.booleans()), max_size=4),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(plans)
 def test_engine_matches_heap_only_reference(plan):
-    assert simulate(Engine(), Signal, plan) == simulate(RefEngine(), RefSignal, plan)
+    trace, events, now, in_place = simulate(Engine(), Signal, plan)
+    ref_trace, ref_events, ref_now, ref_in_place = simulate(RefEngine(), RefSignal, plan)
+    assert (trace, now, in_place) == (ref_trace, ref_now, ref_in_place)
+    # An in-place resume runs inside its callback's event, not as one of its own.
+    assert events == ref_events - in_place

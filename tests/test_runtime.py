@@ -503,7 +503,9 @@ def test_deadlock_detected_when_log_has_no_consumer():
             yield from handle.wait()
 
     sim.add_app(0, app(sim.procs[0]))
-    with pytest.raises(DeadlockError):
+    # The watchdog raises on the first 1 us tick more than the stall limit
+    # after the last activity.
+    with pytest.raises(DeadlockError, match=r"^deadlock diagnostics at t=207000 ns:"):
         sim.run()
 
 
@@ -526,10 +528,39 @@ def test_deadlock_names_flush_held_behind_unconsumed_record():
     with pytest.raises(DeadlockError) as err:
         sim.run()
     message = str(err.value)
+    assert message.startswith("deadlock diagnostics at t=205000 ns:")
     assert "rank 1:" in message
     assert "flush@%d waiting=1" % flush_addr in message
     size = record_size(8, with_data=True)
     assert "log%d head=%d committed=%d tail=0" % (iuid, size, size) in message
+
+
+def test_first_sweep_after_an_app_that_ends_on_a_tick():
+    # Under aa-int a record below the interrupt batch is consumed only when a
+    # sweeper tick wakes the consumer, so sim_time_ns dates the first tick
+    # after the last app. The app ends exactly on the 3 us tick, after a sleep
+    # shorter than a tick: that tick comes first, and the 4 us tick sweeps.
+    sim = Simulation(small_cfg(scheme="aa-int"))
+    target = sim.procs[1]
+    iuid = target.register_handler(lambda ctx, rec: None)
+    base = target.memory.reserve_region("data", PAGE_SIZE)
+    target.assoc_page(base, iuid, w=True, wl=True, e=True)
+    ends = []
+
+    def app(proc):
+        handle = yield from proc.put(1, base, bytes(8))
+        yield from handle.wait()
+        yield -proc.engine.now % 1000.0
+        ends.append(proc.engine.now)
+
+    metrics = run_app(sim, app(sim.procs[0]))
+    assert ends == [3000.0]
+    assert metrics.records_consumed == 1
+    assert metrics.as_row(sim.cfg) == {
+        "scheme": "aa-int", "procs": 2, "r_cols": 0.0, "r_comp": 0.0, "notification": "int",
+        "iotlb": "64-full-lru", "ops": 0, "remote_ops": 1, "bytes_wire": 32,
+        "sim_time_ns": 4240.0, "energy_j": 3.2e-08, "throughput_ops_per_s": 0.0,
+    }
 
 
 def test_fixed_seed_runs_are_identical():
