@@ -107,7 +107,9 @@ class Simulation:
                 tick += 1
             deadline = tick * SWEEP_INTERVAL_NS
             yield deadline - engine.now
-            # Once the last app has finished, the sweeper's ticks watch instead.
+            # Once the last app has finished, the sweeper's ticks watch
+            # instead. This wake may then come after quiescence: it moves
+            # the final clock, never last_activity (sim_time_ns).
             if self._apps_running() and self._stalled(deadline):
                 raise DeadlockError(self.diagnose())
 
