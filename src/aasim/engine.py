@@ -34,6 +34,10 @@ queues it. An in-place resume is not counted as an event of its own.
 import heapq
 import itertools
 
+# Engine._handoff while a callback runs and has handed no process over; it is
+# None outside callbacks, and the handed-over process otherwise.
+_IN_CALLBACK = object()
+
 
 class Signal:
     """One-to-many wakeup. Firing resumes every currently parked waiter.
@@ -64,7 +68,7 @@ class Signal:
             return
         engine = self._engine
         heap = engine._heap
-        if engine._handoff is None and (not heap or heap[0][0] > engine.now):
+        if engine._handoff is _IN_CALLBACK and (not heap or heap[0][0] > engine.now):
             engine._handoff = waiters.pop(0)
         self.fire()
 
@@ -93,9 +97,8 @@ class Engine:
         self._heap = []
         self._seq = itertools.count()
         self.events_run = 0
-        # A process a callback hands to the run loop to resume in place: None
-        # while a callback runs and nothing is handed over, False otherwise.
-        self._handoff = False
+        # The process a callback hands to the run loop to resume in place.
+        self._handoff = None
         # Timestamp of the last productive step; callers mark it explicitly.
         self.last_activity = 0.0
 
@@ -135,17 +138,19 @@ class Engine:
         limit = float("inf") if max_events is None else start + max_events
         try:
             while heap:
-                t, _, fn, gen = heappop(heap)
+                t, _, fn, args = heappop(heap)
                 if t < self.now:
                     raise RuntimeError("time went backwards")
                 self.now = t
                 events += 1
-                if fn is not None:
-                    self._handoff = None
-                    fn(*gen)
+                if fn is None:
+                    gen = args
+                else:
+                    self._handoff = _IN_CALLBACK
+                    fn(*args)
                     gen = self._handoff
-                    self._handoff = False
-                    if gen is None:
+                    self._handoff = None
+                    if gen is _IN_CALLBACK:
                         if events > limit:
                             raise RuntimeError("event budget exceeded (%d)" % max_events)
                         continue
@@ -178,7 +183,7 @@ class Engine:
                     raise RuntimeError("event budget exceeded (%d)" % max_events)
         finally:
             self.events_run = events
-            self._handoff = False
+            self._handoff = None
         return events - start
 
 

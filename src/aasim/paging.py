@@ -48,6 +48,15 @@ class Pte:
         if not (0 <= self.frame < (1 << FRAME_BITS)):
             raise PagingError("frame %d out of range" % self.frame)
 
+    @staticmethod
+    def _from_run(frame, bits):
+        """A Pte from a mapped run's frame and bits (``astuple(pte)[1:]``, the
+        fields after frame), without the checks map_range made for the run."""
+        pte = object.__new__(Pte)
+        pte.frame = frame
+        pte.w, pte.r, pte.wl, pte.wld, pte.rl, pte.rld, pte.e, pte.iuid = bits
+        return pte
+
     def normalized(self):
         """Data-logging implies logging: fold wld into wl and rld into rl."""
         return Pte(
@@ -155,11 +164,7 @@ class PageTable:
         if run is None:
             return None, LEVELS
         delta, bits = run
-        # map_range checked the run's frames and iuid, so skip __post_init__.
-        pte = object.__new__(Pte)
-        pte.frame = vpn + delta
-        pte.w, pte.r, pte.wl, pte.wld, pte.rl, pte.rld, pte.e, pte.iuid = bits
-        return pte, LEVELS
+        return Pte._from_run(vpn + delta, bits), LEVELS
 
 
 def iotlb_ways(capacity, assoc, policy):

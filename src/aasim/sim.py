@@ -10,11 +10,23 @@ progress, raises a diagnostic deadlock error instead of hanging.
 The sweeper stays parked until the last app finishes, since no run can be
 quiescent before that. From then on it ticks on the 1 us grid (multiples of
 SWEEP_INTERVAL_NS, as if it had ticked from t = 0), and each tick checks for
-quiescence, wakes the consumers and checks for a stall. While apps run, a
-watchdog checks for a stall instead: it sleeps to its deadline, the first
-grid tick more than stall_limit_ns after the last activity, and there either
-raises or, if there was activity meanwhile, sleeps to the new deadline. So a
-stall raises on the grid tick a 1 us ticker would have raised on.
+quiescence, wakes the consumers and checks for a stall. A ticker (a sweeper
+ticking every 1 us from t = 0) queues each tick 1 us ahead; the parked
+sweeper queues its first tick when the last app finishes, so that tick comes
+after any event due at the same time and queued in between. A finish
+exactly on a tick counts as before that tick, and the first sweep is the
+next tick. A ticker's tick comes after such a finish when the app's last
+wake-up was queued more than 1 us earlier, so such a run ends 1 us later
+than under a ticker.
+
+While apps run, a watchdog checks for a stall instead. Its deadline is the
+first grid tick more than stall_limit_ns after the last activity. It sleeps
+to the tick before the deadline and then 1 us more, so its wake at the
+deadline is queued 1 us ahead, as a ticker's is; there it either raises or,
+if there was activity meanwhile, sleeps toward the new deadline. So a stall
+raises on the grid tick a ticker would have raised on. Only an event due at
+the deadline and queued exactly 1 us before it can sort differently against
+the watchdog than against a ticker.
 """
 
 import random
@@ -106,10 +118,14 @@ class Simulation:
             while not self._stalled(tick * SWEEP_INTERVAL_NS):
                 tick += 1
             deadline = tick * SWEEP_INTERVAL_NS
-            yield deadline - engine.now
+            if deadline - SWEEP_INTERVAL_NS > engine.now:
+                yield deadline - SWEEP_INTERVAL_NS - engine.now
+                if not self._apps_running():
+                    return
+            yield SWEEP_INTERVAL_NS
             # Once the last app has finished, the sweeper's ticks watch
-            # instead. This wake may then come after quiescence: it moves
-            # the final clock, never last_activity (sim_time_ns).
+            # instead. These wakes may come after quiescence: they move the
+            # final clock, never last_activity (sim_time_ns).
             if self._apps_running() and self._stalled(deadline):
                 raise DeadlockError(self.diagnose())
 

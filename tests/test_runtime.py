@@ -535,6 +535,34 @@ def test_deadlock_names_flush_held_behind_unconsumed_record():
     assert "log%d head=%d committed=%d tail=0" % (iuid, size, size) in message
 
 
+def test_app_that_ends_on_a_moved_watchdog_deadline_completes():
+    # The put completes at 2457 ns, which moves the watchdog's deadline from
+    # 50,001,000 to 50,003,000 ns. The app ends exactly there, on a wake-up
+    # queued 1543 ns earlier; a 1 us ticker's tick at that time came after
+    # it, so the run completes instead of raising.
+    sim = Simulation(small_cfg())
+    target = sim.procs[1]
+    base = target.memory.reserve_region("data", PAGE_SIZE)
+    target.map_plain(base, w=True)
+    ends = []
+
+    def app(proc):
+        handle = yield from proc.put(1, base, bytes(8))
+        yield from handle.wait()
+        yield 49_999_000.0
+        ends.append(proc.engine.now)
+        yield 50_003_000.0 - proc.engine.now
+        ends.append(proc.engine.now)
+
+    metrics = run_app(sim, app(sim.procs[0]))
+    assert ends == [50_001_457.0, 50_003_000.0]
+    assert metrics.as_row(sim.cfg) == {
+        "scheme": "aa-poll", "procs": 2, "r_cols": 0.0, "r_comp": 0.0, "notification": "poll",
+        "iotlb": "64-full-lru", "ops": 0, "remote_ops": 1, "bytes_wire": 32,
+        "sim_time_ns": 50_003_000.0, "energy_j": 3.2e-08, "throughput_ops_per_s": 0.0,
+    }
+
+
 def test_first_sweep_after_an_app_that_ends_on_a_tick():
     # Under aa-int a record below the interrupt batch is consumed only when a
     # sweeper tick wakes the consumer, so sim_time_ns dates the first tick
