@@ -563,11 +563,26 @@ def test_app_that_ends_on_a_moved_watchdog_deadline_completes():
     }
 
 
-def test_first_sweep_after_an_app_that_ends_on_a_tick():
+@pytest.mark.parametrize(
+    "extra_ns, end_ns, sim_time_ns",
+    [
+        # A sleep shorter than a tick ends on the 3 us tick: that tick comes
+        # first, and the 4 us tick sweeps.
+        (0.0, 3000.0, 4240.0),
+        # A 1543 ns sleep ends on the 4 us tick. A sweeper ticking every 1 us
+        # from t = 0 queued that tick after the app's wake-up, so it ran after
+        # the app and swept (sim_time_ns 4240). The parked sweeper queues its
+        # first tick when the app ends, after the 4 us tick, so the 5 us tick
+        # sweeps.
+        (1000.0, 4000.0, 5240.0),
+    ],
+    ids=["short-sleep", "long-sleep"],
+)
+def test_first_sweep_after_an_app_that_ends_on_a_tick(extra_ns, end_ns, sim_time_ns):
     # Under aa-int a record below the interrupt batch is consumed only when a
     # sweeper tick wakes the consumer, so sim_time_ns dates the first tick
-    # after the last app. The app ends exactly on the 3 us tick, after a sleep
-    # shorter than a tick: that tick comes first, and the 4 us tick sweeps.
+    # after the last app. The app puts one record, waits for it, then sleeps
+    # to the next 1 us tick plus extra_ns.
     sim = Simulation(small_cfg(scheme="aa-int"))
     target = sim.procs[1]
     iuid = target.register_handler(lambda ctx, rec: None)
@@ -578,16 +593,16 @@ def test_first_sweep_after_an_app_that_ends_on_a_tick():
     def app(proc):
         handle = yield from proc.put(1, base, bytes(8))
         yield from handle.wait()
-        yield -proc.engine.now % 1000.0
+        yield -proc.engine.now % 1000.0 + extra_ns
         ends.append(proc.engine.now)
 
     metrics = run_app(sim, app(sim.procs[0]))
-    assert ends == [3000.0]
+    assert ends == [end_ns]
     assert metrics.records_consumed == 1
     assert metrics.as_row(sim.cfg) == {
         "scheme": "aa-int", "procs": 2, "r_cols": 0.0, "r_comp": 0.0, "notification": "int",
         "iotlb": "64-full-lru", "ops": 0, "remote_ops": 1, "bytes_wire": 32,
-        "sim_time_ns": 4240.0, "energy_j": 3.2e-08, "throughput_ops_per_s": 0.0,
+        "sim_time_ns": sim_time_ns, "energy_j": 3.2e-08, "throughput_ops_per_s": 0.0,
     }
 
 
