@@ -4,6 +4,7 @@ Config files are plain ``key = value`` lines (# comments allowed). Keys match
 the field names below, with hyphens accepted in place of underscores.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, fields
 
@@ -124,12 +125,10 @@ class SimConfig:
         return self
 
     def replace(self, **kw):
-        out = SimConfig(**{f.name: getattr(self, f.name) for f in fields(SimConfig)})
-        for key, value in kw.items():
-            if not hasattr(out, key):
+        for key in kw:
+            if key not in _FIELD_TYPES:
                 raise ConfigError("unknown config key %r" % key)
-            setattr(out, key, value)
-        return out
+        return dataclasses.replace(self, **kw)
 
 
 _FIELD_TYPES = {

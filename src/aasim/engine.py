@@ -111,6 +111,11 @@ class Engine:
             raise ValueError("negative delay")
         heapq.heappush(self._heap, (self.now + delay, next(self._seq), fn, args))
 
+    def stop(self):
+        """Drop every queued event: run() returns once the current step ends.
+        Processes parked on a Signal stay parked."""
+        self._heap.clear()
+
     def spawn(self, gen):
         """Start a process generator immediately (at the current time).
 
@@ -198,14 +203,12 @@ class Cpu:
     def __init__(self, engine):
         self.engine = engine
         self.free_at = 0.0
-        self.busy_ns = 0.0
 
     def busy(self, ns):
         if ns < 0:
             raise ValueError("negative busy time")
         start = max(self.engine.now, self.free_at)
         self.free_at = start + ns
-        self.busy_ns += ns
         delay = self.free_at - self.engine.now
         if delay > 0:
             yield delay

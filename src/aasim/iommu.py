@@ -45,13 +45,12 @@ class TagEntry:
 
 
 class Iommu:
-    def __init__(self, engine, cfg, memory, translator, fault_log, metrics):
+    def __init__(self, engine, cfg, memory, translator):
         self.engine = engine
         self.cfg = cfg
         self.memory = memory
         self.translator = translator
-        self.fault_log = fault_log
-        self.metrics = metrics
+        self.fault_log = logbuf.FaultLog(cfg.fault_log_entries)
         self.enabled = cfg.iommu_enabled
         self.alogs = []  # one AccessLog per logging domain; iuid i at index i-1
         self.tag_buffer = {}
@@ -201,7 +200,8 @@ class Iommu:
         """Reserve ring space, serving open transactions while blocked.
 
         A transaction head that cannot reserve must not be consumed, and its
-        link credit stays withheld.  But packets that continue transactions
+        link credit stays withheld; the log counts each failed try in
+        reserve_failures, the run's backpressure stalls.  But packets that continue transactions
         with records already reserved need no new space, and committing those
         records is the only way the consumer can free any.  Serving them ahead
         of the stalled head keeps per-device ordering intact (a device's open
@@ -212,7 +212,6 @@ class Iommu:
             try:
                 return log.reserve(nbytes)
             except logbuf.WouldBlock:
-                self.metrics.backpressure_stalls += 1
                 served = yield from self._serve_open_txns()
                 if not served:
                     self._blocked_log = log

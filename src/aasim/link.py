@@ -48,9 +48,6 @@ class Tlp:
     status: str = "ok"  # completions: 'ok' | 'blocked'
     on_done: object = field(default=None, repr=False)  # sim-side completion hook
 
-    def wire_bytes(self, header_bytes):
-        return header_bytes + (len(self.payload) if self.payload else 0)
-
 
 def _slices(kind, data, address, address_mask, requester_id, tag, max_payload):
     """Cut one transaction's data into ordered TLPs of at most max_payload
@@ -131,8 +128,10 @@ class _Wire:
 
     def _transmit(self, tlp, on_arrival):
         start = max(self.engine.now, self._wire_free_at)
-        self._wire_free_at = start + tlp.wire_bytes(self.header_bytes) / self.bw
-        self.metrics.count_wire(tlp, self.header_bytes)
+        payload_bytes = len(tlp.payload) if tlp.payload else 0
+        wire_bytes = self.header_bytes + payload_bytes
+        self._wire_free_at = start + wire_bytes / self.bw
+        self.metrics.count_wire(wire_bytes, payload_bytes)
         self.engine.schedule(self._wire_free_at + self.latency - self.engine.now, on_arrival, tlp)
 
 

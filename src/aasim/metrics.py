@@ -37,14 +37,11 @@ class Metrics:
     fault_entries: int = 0
     fault_drops: int = 0
     backpressure_stalls: int = 0
-    interrupts: int = 0
-    am_messages: int = 0
 
-    def count_wire(self, tlp, header_bytes):
+    def count_wire(self, wire_bytes, payload_bytes):
         self.packets += 1
-        n = len(tlp.payload) if tlp.payload else 0
-        self.bytes_wire += header_bytes + n
-        self.bytes_payload += n
+        self.bytes_wire += wire_bytes
+        self.bytes_payload += payload_bytes
 
     def finalize(self, cfg, engine):
         self.sim_time_ns = engine.last_activity

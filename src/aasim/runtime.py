@@ -3,12 +3,13 @@
 A Proc owns its node's memory, bridge, and core, and exposes the operation
 set applications program against: nonblocking put/get with completion
 handles, blocking atomics, page association with handler binding, flushes,
-and the log-consumer loop with its three notification modes.
+and one consumer loop that serves the node's logs, under three notification
+modes, and its active-message inbox.
 """
 
 from . import link as lnk
 from .config import ConfigError
-from .engine import Signal
+from .engine import Cpu, Signal
 from .memory import PAGE_SHIFT, PAGE_SIZE
 from .paging import Pte
 
@@ -67,16 +68,16 @@ class HandlerCtx:
 
 
 class Proc:
-    def __init__(self, sim, rank, cfg, engine, metrics, memory, translator, iommu, cpu):
+    def __init__(self, sim, rank, iommu):
         self.sim = sim
         self.rank = rank
-        self.cfg = cfg
-        self.engine = engine
-        self.metrics = metrics
-        self.memory = memory
-        self.translator = translator
+        self.cfg = cfg = sim.cfg
+        self.engine = engine = sim.engine
+        self.metrics = sim.metrics
+        self.memory = iommu.memory
+        self.translator = iommu.translator
         self.iommu = iommu
-        self.cpu = cpu
+        self.cpu = Cpu(engine)
         self._notification = cfg.resolved_notification()
         self._tag_cursor = 0
         self._tags_in_use = set()
@@ -134,7 +135,9 @@ class Proc:
         self.assoc_page(vaddr, 0, span=span, w=w, r=r)
 
     def setup_inbox(self, handler):
-        """AM receive side: a writable page whose writes the bridge queues."""
+        """AM receive side: a writable page whose writes the bridge queues.
+        The node's consumer drains the inbox after its logs; only a polling
+        consumer looks at it unprompted."""
         base = self.memory.reserve_region("inbox", PAGE_SIZE)
         self.map_plain(base, w=True)
         self.iommu.inbox_page = base >> PAGE_SHIFT
@@ -270,7 +273,6 @@ class Proc:
         inbox_page = self.sim.procs[target].iommu.inbox_page
         if inbox_page is None:
             raise NodeError("target %d has no inbox" % target)
-        self.metrics.am_messages += 1
         handle = yield from self.put(target, inbox_page << PAGE_SHIFT, payload)
         return handle
 
@@ -292,27 +294,25 @@ class Proc:
 
     def _interrupt(self):
         self._int_armed = False
-        self.metrics.interrupts += 1
         self._wake.fire()
 
     def consumer(self):
-        """Log-consumer loop; shares the core with the application thread."""
+        """Consumer loop of the node's logs and inbox; shares the core with
+        the application thread. It runs until the sweeper stops the engine."""
         while True:
             if self._notification == "poll":
                 yield self.cfg.poll_interval_ns
-            elif not self.sim.stopping:
-                # Under sp the core reads its committed-head mirror first and
-                # parks only when nothing is committed.
-                if self._notification == "int" or not any(
-                    log.committed_bytes > 0 for log in self.iommu.alogs
-                ):
-                    yield self._wake
-            if self.sim.stopping:
-                return
+            # Under sp the core reads its committed-head mirror first and
+            # parks only when nothing is committed.
+            elif self._notification == "int" or not any(
+                log.committed_bytes > 0 for log in self.iommu.alogs
+            ):
+                yield self._wake
             yield from self.poll_step()
 
     def poll_step(self):
-        """One consumption pass over all owned logs; returns records handled.
+        """One consumption pass over all owned logs, then the inbox; returns
+        the records and messages handled.
 
         The pointer check costs a memory access, or the scratchpad latency
         when the committed-head mirror lives in the core's scratchpad.
@@ -335,24 +335,20 @@ class Proc:
                 consumed += 1
                 self.engine.note_activity()
                 self.iommu.check_flushes(log)
-        return consumed
-
-    def am_consumer(self):
-        """AM receive loop: poll the inbox, run the bound handler inline."""
         inbox = self.iommu.inbox
-        while True:
-            yield self.cfg.poll_interval_ns
-            yield from self.cpu.busy(self.cfg.mem_access_ns)  # inbox pointer
-            while inbox:
-                src, payload = inbox.popleft()
-                yield from self.cpu.busy(2 * self.cfg.mem_access_ns)  # dequeue
-                ctx = HandlerCtx(self)
-                self.am_handler(ctx, src, payload)
-                yield from self.cpu.busy(self.cfg.handler_cost_ns + ctx.cost_ns)
-                self.metrics.handler_invocations += 1
-                self.engine.note_activity()
-            if self.sim.stopping:
-                return
+        while inbox:
+            src, payload = inbox[0]
+            yield from self.cpu.busy(2 * self.cfg.mem_access_ns)  # dequeue
+            ctx = HandlerCtx(self)
+            self.am_handler(ctx, src, payload)
+            yield from self.cpu.busy(self.cfg.handler_cost_ns + ctx.cost_ns)
+            # The message leaves the inbox only once handled, so a sweep
+            # during its handler does not find the node idle.
+            inbox.popleft()
+            self.metrics.handler_invocations += 1
+            consumed += 1
+            self.engine.note_activity()
+        return consumed
 
     # -- quiescence --------------------------------------------------------
 

@@ -2,22 +2,24 @@
 
 Every rank is one node (memory, bridge, core, ingress wire). Remote ranks
 appear at a node as source devices sharing the node's page table. The run
-loop executes the application coroutines plus per-node consumer loops and a
-sweeper that declares quiescence once every queue, log, and handle has
-drained; a drained event heap with pending work, or a long stretch without
-progress, raises a diagnostic deadlock error instead of hanging.
+loop executes the application coroutines, one consumer loop per node that
+has a handler, and a sweeper that stops the engine once every queue, log,
+and handle has drained; a long stretch without progress raises a diagnostic
+deadlock error instead of hanging.
 
 The sweeper stays parked until the last app finishes, since no run can be
 quiescent before that. From then on it ticks on the 1 us grid (multiples of
-SWEEP_INTERVAL_NS, as if it had ticked from t = 0), and each tick checks for
-quiescence, wakes the consumers and checks for a stall. A ticker (a sweeper
-ticking every 1 us from t = 0) queues each tick 1 us ahead; the parked
-sweeper queues its first tick when the last app finishes, so that tick comes
-after any event due at the same time and queued in between. A finish
-exactly on a tick counts as before that tick, and the first sweep is the
-next tick. A ticker's tick comes after such a finish when the app's last
-wake-up was queued more than 1 us earlier, so such a run ends 1 us later
-than under a ticker.
+SWEEP_INTERVAL_NS, as if it had ticked from t = 0). A tick that finds the
+system drained calls Engine.stop(), which drops every queued event, so the
+run ends on that tick: no consumer or watchdog is woken to be told to stop.
+Any other tick wakes the parked consumers to take sub-batch leftovers and
+checks for a stall. A ticker (a sweeper ticking every 1 us from t = 0)
+queues each tick 1 us ahead; the parked sweeper queues its first tick when
+the last app finishes, so that tick comes after any event due at the same
+time and queued in between. A finish exactly on a tick counts as before
+that tick, and the first sweep is the next tick. A ticker's tick comes after
+such a finish when the app's last wake-up was queued more than 1 us earlier,
+so such a run ends 1 us later than under a ticker.
 
 While apps run, a watchdog checks for a stall instead. Its deadline is the
 first grid tick more than stall_limit_ns after the last activity. It sleeps
@@ -31,10 +33,9 @@ the watchdog than against a ticker.
 
 import random
 
-from .engine import Cpu, Engine, Signal
+from .engine import Engine, Signal
 from .iommu import Iommu
 from .link import BackChannel, Link
-from .logbuf import FaultLog
 from .memory import PhysMemory
 from .metrics import Metrics
 from .paging import AddressTranslator, IotlbCache, PageTable
@@ -57,7 +58,6 @@ class Simulation:
         self.cfg = cfg
         self.engine = Engine()
         self.metrics = Metrics()
-        self.stopping = False
         self._ran = False
         self._apps = []
         self._apps_done = 0
@@ -65,15 +65,11 @@ class Simulation:
         self.procs = []
         self.links = []
         for rank in range(cfg.num_procs):
-            memory = PhysMemory(rank)
             iotlb = IotlbCache(
                 cfg.iotlb_size, cfg.iotlb_assoc, cfg.iotlb_policy, self.rng_for(_STREAM_IOTLB, rank)
             )
-            translator = AddressTranslator(PageTable(), iotlb)
-            fault_log = FaultLog(cfg.fault_log_entries)
-            iommu = Iommu(self.engine, cfg, memory, translator, fault_log, self.metrics)
-            cpu = Cpu(self.engine)
-            proc = Proc(self, rank, cfg, self.engine, self.metrics, memory, translator, iommu, cpu)
+            iommu = Iommu(self.engine, cfg, PhysMemory(rank), AddressTranslator(PageTable(), iotlb))
+            proc = Proc(self, rank, iommu)
             link = Link(self.engine, iommu.on_arrival, cfg, self.rng_for(_STREAM_LINK, rank), self.metrics)
             iommu.link = link
             self.procs.append(proc)
@@ -124,8 +120,7 @@ class Simulation:
                     return
             yield SWEEP_INTERVAL_NS
             # Once the last app has finished, the sweeper's ticks watch
-            # instead. These wakes may come after quiescence: they move the
-            # final clock, never last_activity (sim_time_ns).
+            # instead.
             if self._apps_running() and self._stalled(deadline):
                 raise DeadlockError(self.diagnose())
 
@@ -136,16 +131,14 @@ class Simulation:
         # The first grid tick after the last app finished; a finish exactly
         # on a tick comes after that tick.
         yield (engine.now // SWEEP_INTERVAL_NS + 1) * SWEEP_INTERVAL_NS - engine.now
-        while True:
-            self.stopping = self.drained()
-            # Wake parked consumers, to stop or to take sub-batch leftovers.
+        while not self.drained():
+            # Wake parked consumers to take sub-batch leftovers.
             for proc in self.procs:
                 proc._wake.fire()
-            if self.stopping:
-                return
             if self._stalled(engine.now):
                 raise DeadlockError(self.diagnose())
             yield SWEEP_INTERVAL_NS
+        engine.stop()
 
     def drained(self):
         return all(p.drained() and p.iommu.idle() for p in self.procs) and all(
@@ -157,17 +150,13 @@ class Simulation:
             raise RuntimeError("simulation already ran")
         self._ran = True
         for proc in self.procs:
-            if proc.handlers:
+            if proc.handlers or proc.am_handler is not None:
                 self.engine.spawn(proc.consumer())
-            if proc.am_handler is not None:
-                self.engine.spawn(proc.am_consumer())
         for _rank, gen in self._apps:
             self.engine.spawn(self._wrap_app(gen))
         self.engine.spawn(self._watchdog())
         self.engine.spawn(self._sweeper())
         self.engine.run(max_events=DEFAULT_EVENT_BUDGET)
-        if not self.stopping and self._apps:
-            raise DeadlockError("event heap drained without quiescence\n" + self.diagnose())
         self._aggregate()
         return self.metrics
 
@@ -179,6 +168,7 @@ class Simulation:
             for log in proc.iommu.alogs:
                 self.metrics.records_committed += log.records_committed
                 self.metrics.records_consumed += log.records_consumed
+                self.metrics.backpressure_stalls += log.reserve_failures
             self.metrics.fault_entries += len(proc.iommu.fault_log.entries)
             self.metrics.fault_drops += proc.iommu.fault_log.drops
         self.metrics.finalize(self.cfg, self.engine)

@@ -39,7 +39,7 @@ class GetLogBench:
         target = self.sim.procs[0]
         span = DATA_PAGES * PAGE_SIZE
         self.region = target.memory.reserve_region("data", span)
-        target.memory.write(self.region, bytes(rng.getrandbits(8) for _ in range(span)))
+        target.memory.write(self.region, rng.randbytes(span))
         expose(target, self.region, span, self.variant, self._log_record)
         if self.variant == "sendback":
             size = (self.n_gets * 8 + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE

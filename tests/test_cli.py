@@ -7,7 +7,7 @@ from dataclasses import fields
 import pytest
 
 from aasim.cli import main
-from aasim.config import SimConfig
+from aasim.config import ConfigError, SimConfig
 from aasim.metrics import CSV_COLUMNS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -189,6 +189,17 @@ BAD_VALUES = [
     if f.type in (float, "float")
     for value in ("nan", "inf")
 ]
+
+
+@pytest.mark.parametrize("key", ["validate", "replace", "notification", "no_such_key"])
+def test_replace_takes_only_config_fields(key):
+    base = SimConfig()
+    with pytest.raises(ConfigError, match=key):
+        base.replace(**{key: 0})
+    assert base.validate() is base  # the method is still a method
+    copy = base.replace(seed=7)
+    assert (copy.seed, base.seed) == (7, 1)
+    assert copy.validate() is copy
 
 
 @pytest.mark.parametrize("field,values", BAD_VALUES, ids=lambda v: str(v))

@@ -87,7 +87,7 @@ def test_cpu_serializes_fifo():
     eng.run()
     # b queued behind a even though both started at t=0
     assert done == [("a", 10), ("b", 15)]
-    assert cpu.busy_ns == 15
+    assert cpu.free_at == 15
 
 
 def test_bad_yield_raises():
@@ -308,3 +308,24 @@ def test_engine_matches_heap_only_reference(plan):
     assert (trace, now, in_place) == (ref_trace, ref_now, ref_in_place)
     # An in-place resume runs inside its callback's event, not as one of its own.
     assert events == ref_events - in_place
+
+
+def test_stop_drops_queued_events_and_ends_the_run():
+    eng = Engine()
+    woken = []
+
+    def sleeper(ns):
+        yield ns
+        woken.append(eng.now)
+
+    def stopper():
+        yield 50
+        eng.stop()
+
+    eng.spawn(sleeper(100))
+    eng.spawn(stopper())
+    eng.spawn(sleeper(10))
+    eng.run()
+    assert woken == [10]
+    assert eng.now == 50
+    assert not eng._heap

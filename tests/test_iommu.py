@@ -8,9 +8,7 @@ from aasim.config import SimConfig
 from aasim.engine import Engine
 from aasim.iommu import Iommu, IommuError
 from aasim.link import split_get, split_put
-from aasim.logbuf import FaultLog
 from aasim.memory import PAGE_SIZE, PhysMemory
-from aasim.metrics import Metrics
 from aasim.paging import IUID_LIMIT, AddressTranslator, IotlbCache, PageTable, Pte
 
 
@@ -29,14 +27,12 @@ class Rig:
         self.cfg = cfg or SimConfig(access_log_size=log_size)
         self.engine = Engine()
         self.memory = PhysMemory(0)
-        self.metrics = Metrics()
         table = PageTable()
         iotlb = IotlbCache(64, "full", "lru", random.Random(0))
         self.translator = AddressTranslator(table, iotlb)
         for dev in range(n_devices):
             self.translator.register_device(dev)
-        fault_log = FaultLog(self.cfg.fault_log_entries)
-        self.iommu = Iommu(self.engine, self.cfg, self.memory, self.translator, fault_log, self.metrics)
+        self.iommu = Iommu(self.engine, self.cfg, self.memory, self.translator)
         self.log = self.iommu.add_domain(log_size)
         self.page = self.memory.reserve_region("page", PAGE_SIZE)
         table.map_range(
@@ -131,7 +127,7 @@ def test_head_of_line_stall_until_consumer_frees_space():
         rig.iommu.on_arrival(pkt)
     rig.engine.run()
     # four reserved, fifth stalls the pipeline head
-    assert rig.metrics.backpressure_stalls >= 1
+    assert rig.log.reserve_failures >= 1
     assert len(rig.iommu.ingress) == 2
     first = rig.drain_records()
     assert [r.payload[0] for r in first] == [0, 1, 2, 3]

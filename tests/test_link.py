@@ -62,9 +62,9 @@ class _Counter:
         self.packets = 0
         self.bytes_wire = 0
 
-    def count_wire(self, tlp, header_bytes):
+    def count_wire(self, wire_bytes, payload_bytes):
         self.packets += 1
-        self.bytes_wire += header_bytes + (len(tlp.payload) if tlp.payload else 0)
+        self.bytes_wire += wire_bytes
 
 
 def _cfg(**kw):

@@ -381,7 +381,7 @@ def test_am_send_runs_inbox_handler():
 
     metrics = run_app(sim, app(source))
     assert got == [(0, bytes([i]) * 8) for i in range(4)]
-    assert metrics.am_messages == 4
+    assert metrics.handler_invocations == 4
 
 
 def test_backpressure_slow_consumer_loses_nothing():

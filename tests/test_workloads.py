@@ -6,6 +6,7 @@ import pytest
 
 from aasim.config import SCHEMES, ConfigError, SimConfig
 from aasim.memory import PAGE_SIZE, PhysMemory
+from aasim.sim import SWEEP_INTERVAL_NS
 from aasim.workloads import dht, iotlb, keys, stream
 from aasim.workloads.checkpoint import CheckpointBench
 from aasim.workloads.counter import CounterBench
@@ -180,12 +181,16 @@ def test_delete_phase_matches_oracle(scheme):
 
 
 # Event counts at seed 1, pinned because the golden digest does not cover them
-# and the event budget is counted in events. Two kinds of event are gone: the
+# and the event budget is counted in events. Three kinds of event are gone: the
 # sweeper's 1 us ticks before the last app finishes (a watchdog deadline
-# replaced them), and the pipeline wake-up after an arrival at an idle bridge
-# (the arrival event resumes the pipeline in place).
+# replaced them), the pipeline wake-up after an arrival at an idle bridge
+# (the arrival event resumes the pipeline in place), and every wake after the
+# sweep that finds quiescence (it stops the engine, so no consumer is woken
+# to return and the watchdog's last wake never runs). am keeps its count: its
+# last handler ends on a sweep tick, after that sweep, which now finds the
+# message still queued and leaves the stop to the next tick.
 PINNED_EVENTS = {
-    "aa-int": 1392, "aa-poll": 1443, "aa-sp": 1523, "rma": 3313, "am": 918, "getlog-aa": 949,
+    "aa-int": 1387, "aa-poll": 1438, "aa-sp": 1518, "rma": 3312, "am": 918, "getlog-aa": 947,
 }
 
 
@@ -197,6 +202,55 @@ def test_event_counts_are_pinned(workload):
     else:
         bench, _metrics = dht.run_scheme(small_cfg(scheme=workload, r_cols=0.3))
     assert bench.sim.engine.events_run == PINNED_EVENTS[workload]
+
+
+def _run_recording_sweeps(bench):
+    """Run bench; returns its metrics and (time, drained) for every sweep."""
+    sim = bench.sim
+    drained = sim.drained
+    sweeps = []
+
+    def recording():
+        result = drained()
+        sweeps.append((sim.engine.now, result))
+        return result
+
+    sim.drained = recording
+    return bench.run(), sweeps
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_EVENTS))
+def test_run_ends_on_the_sweep_that_finds_quiescence(workload):
+    if workload == "getlog-aa":
+        bench = GetLogBench(small_cfg(num_procs=2), "aa", n_gets=60)
+    else:
+        bench = dht.DhtBench(small_cfg(scheme=workload, r_cols=0.3))
+    metrics, sweeps = _run_recording_sweeps(bench)
+    now = bench.sim.engine.now
+    assert sweeps[-1] == (now, True)
+    assert not any(found for _t, found in sweeps[:-1])
+    assert now % SWEEP_INTERVAL_NS == 0
+    assert 0 <= now - metrics.sim_time_ns <= SWEEP_INTERVAL_NS
+
+
+def test_am_run_waits_for_a_handler_a_sweep_falls_inside():
+    # Handlers longer than the sweep interval: the last message stays in the
+    # inbox until its handler returns, so the sweeps inside that handler do
+    # not find the run quiescent.
+    cost = 2500.0
+    cfg = small_cfg(scheme="am", r_cols=0.3, handler_cost_ns=cost)
+    bench = dht.DhtBench(cfg)
+    metrics, sweeps = _run_recording_sweeps(bench)
+    assert any(
+        metrics.sim_time_ns - cost < t < metrics.sim_time_ns and not found for t, found in sweeps
+    )
+    assert metrics.handler_invocations == metrics.ops == 160
+    for rank in range(cfg.num_procs):
+        assert bench.contents(rank) == bench.oracle_contents(rank)
+    # The same row as when the sweeper only flagged the end and each
+    # consumer stopped itself.
+    row = metrics.as_row(cfg)
+    assert (row["remote_ops"], row["bytes_wire"], row["sim_time_ns"]) == (160, 5120, 189600.0)
 
 
 def test_bench_measures_target_collision_ratio():
