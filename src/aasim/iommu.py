@@ -201,12 +201,13 @@ class Iommu:
 
         A transaction head that cannot reserve must not be consumed, and its
         link credit stays withheld; the log counts each failed try in
-        reserve_failures, the run's backpressure stalls.  But packets that continue transactions
-        with records already reserved need no new space, and committing those
-        records is the only way the consumer can free any.  Serving them ahead
-        of the stalled head keeps per-device ordering intact (a device's open
-        transaction always precedes its next head in the queue) and keeps the
-        ring draining instead of wedging on a full ring of holes.
+        reserve_failures, the run's backpressure stalls.  But packets that
+        continue transactions with records already reserved need no new
+        space, and committing those records is the only way the consumer can
+        free any.  Serving them ahead of the stalled head keeps per-device
+        ordering intact (a device's open transaction always precedes its next
+        head in the queue) and keeps the ring draining instead of wedging on
+        a full ring of holes.
         """
         while True:
             try:

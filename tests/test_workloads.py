@@ -247,8 +247,7 @@ def test_am_run_waits_for_a_handler_a_sweep_falls_inside():
     assert metrics.handler_invocations == metrics.ops == 160
     for rank in range(cfg.num_procs):
         assert bench.contents(rank) == bench.oracle_contents(rank)
-    # The same row as when the sweeper only flagged the end and each
-    # consumer stopped itself.
+    # Pinned: the last handler ends at 189,600 ns.
     row = metrics.as_row(cfg)
     assert (row["remote_ops"], row["bytes_wire"], row["sim_time_ns"]) == (160, 5120, 189600.0)
 
