@@ -21,14 +21,15 @@ checked against the event budget after it runs; an entry at exactly
 ``now + d`` still goes first (it holds the lower sequence number), so event
 order and clock values are the same as with one heap entry per resume.
 
-In-place resume: a callback may wake a parked process with
-``Signal.fire_last``. When the heap is empty or its earliest entry lies
-strictly later than ``now``, the woken process would be the next entry
-popped, so the loop resumes it as soon as the callback returns, inside the
-callback's event, instead of queueing it. An entry at exactly ``now`` runs
-first (it holds the lower sequence number), so in that case, and outside a
-callback the run loop executes, the process is queued as ``Signal.fire``
-queues it. An in-place resume is not counted as an event of its own.
+In-place resume: when ``Signal.fire`` is called inside a callback the run
+loop executes and the heap is empty or its earliest entry lies strictly
+later than ``now``, the first waiter would be the next entry popped, so the
+loop resumes it as soon as the callback returns, inside the callback's
+event, instead of queueing it; any other waiters are queued. An entry at
+exactly ``now`` runs first (it holds the lower sequence number), so in that
+case, once a callback has handed one process over, and outside callbacks,
+every waiter is queued. An in-place resume is not counted as an event of
+its own.
 """
 
 import heapq
@@ -51,26 +52,24 @@ class Signal:
         self._waiters = []
 
     def fire(self):
-        if not self._waiters:
-            return
-        waiters, self._waiters = self._waiters, []
-        engine = self._engine
-        now, heap, seq = engine.now, engine._heap, engine._seq
-        for gen in waiters:
-            heapq.heappush(heap, (now, next(seq), None, gen))
-
-    def fire_last(self):
-        """fire(), resuming the first waiter in place when nothing else is due
-        now (see the module docstring). The resume happens once the current
-        callback returns, so it comes after the rest of the callback."""
+        """Resume every parked waiter; the first one in place when called
+        inside a callback with nothing else due now (see the module
+        docstring). That resume happens once the callback returns, so it
+        comes after the rest of the callback."""
         waiters = self._waiters
         if not waiters:
             return
+        self._waiters = []
         engine = self._engine
-        heap = engine._heap
-        if engine._handoff is _IN_CALLBACK and (not heap or heap[0][0] > engine.now):
-            engine._handoff = waiters.pop(0)
-        self.fire()
+        now, heap = engine.now, engine._heap
+        if engine._handoff is _IN_CALLBACK and (not heap or heap[0][0] > now):
+            engine._handoff = waiters[0]
+            if len(waiters) == 1:
+                return
+            waiters = waiters[1:]
+        seq = engine._seq
+        for gen in waiters:
+            heapq.heappush(heap, (now, next(seq), None, gen))
 
 
 class Barrier:
@@ -195,9 +194,11 @@ class Engine:
 class Cpu:
     """A FIFO execution resource shared by the coroutines of one node.
 
-    busy() claims the next free slot; callers are serviced in request order,
-    which models an application thread and a log-consumer thread contending
-    for the same core.
+    busy() claims the next free slot and returns how long the caller must
+    wait until its claim ends; callers are serviced in request order, which
+    models an application thread and a log-consumer thread contending for
+    the same core. A caller sleeps the wait only when it is positive: a
+    zero sleep is an event of its own and would reorder ties.
     """
 
     def __init__(self, engine):
@@ -207,8 +208,7 @@ class Cpu:
     def busy(self, ns):
         if ns < 0:
             raise ValueError("negative busy time")
-        start = max(self.engine.now, self.free_at)
+        now = self.engine.now
+        start = self.free_at if self.free_at > now else now
         self.free_at = start + ns
-        delay = self.free_at - self.engine.now
-        if delay > 0:
-            yield delay
+        return self.free_at - now

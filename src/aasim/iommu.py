@@ -62,7 +62,7 @@ class Iommu:
         self.backchannels = {}  # requester_id -> BackChannel
         self.inbox_page = None  # page number whose writes are queued as messages
         self.inbox = deque()  # (source, payload) per inbox write, in arrival order
-        self.on_flush_armed = None  # callable(): a flush waits on the consumer
+        self.wake_consumer = None  # callable(): a flush or a message waits on the consumer
         self._fault_seq = 0
         engine.spawn(self._pipeline())
 
@@ -120,7 +120,7 @@ class Iommu:
             self._blocked_log.space_freed.fire()
         # Only a parked pipeline waits here, and never while a head is
         # stalled; an arrival event can resume it in place.
-        self._ingress_signal.fire_last()
+        self._ingress_signal.fire()
 
     def _pipeline(self):
         while True:
@@ -179,14 +179,17 @@ class Iommu:
                 log = self.alogs[acts.iuid - 1]
                 with_data = acts.log_data
                 nbytes = logbuf.record_size(tlp.txn_total, with_data)
-                offset = yield from self._reserve_with_bypass(log, nbytes)
+                try:
+                    offset = log.reserve(nbytes)
+                except logbuf.WouldBlock:
+                    offset = yield from self._reserve_with_bypass(log, nbytes)
                 flags = (logbuf.FLAG_DATA if with_data else 0) | (
                     0 if acts.memory_effect else logbuf.FLAG_BLOCKED
                 )
-                rec = logbuf.LogRecord(
+                header = logbuf.HEADER.pack(
                     op, tlp.requester_id, acts.iuid, tlp.address, tlp.txn_total, flags, log.take_seq()
                 )
-                log.ring_write(offset, rec.pack_header())
+                log.ring_write(offset, header)
                 entry.log = log
                 entry.offset = offset
                 entry.log_data = with_data
@@ -197,7 +200,8 @@ class Iommu:
         return entry
 
     def _reserve_with_bypass(self, log, nbytes):
-        """Reserve ring space, serving open transactions while blocked.
+        """Reserve ring space after a failed try, serving open transactions
+        while blocked.
 
         A transaction head that cannot reserve must not be consumed, and its
         link credit stays withheld; the log counts each failed try in
@@ -210,14 +214,15 @@ class Iommu:
         a full ring of holes.
         """
         while True:
+            served = yield from self._serve_open_txns()
+            if not served:
+                self._blocked_log = log
+                yield log.space_freed
+                self._blocked_log = None
             try:
                 return log.reserve(nbytes)
             except logbuf.WouldBlock:
-                served = yield from self._serve_open_txns()
-                if not served:
-                    self._blocked_log = log
-                    yield log.space_freed
-                    self._blocked_log = None
+                pass
 
     def _serve_open_txns(self):
         """Process the first queued packet of an already-open transaction."""
@@ -259,6 +264,8 @@ class Iommu:
             self.memory.write(phys, tlp.payload)
             if phys >> PAGE_SHIFT == self.inbox_page:
                 self.inbox.append((tlp.requester_id, tlp.payload))
+                if self.wake_consumer is not None:
+                    self.wake_consumer()
         if entry.log is not None and entry.log_data:
             entry.log.ring_write(entry.offset + logbuf.HEADER_BYTES + off, tlp.payload)
         entry.bytes_remaining -= tlp.length
@@ -346,8 +353,8 @@ class Iommu:
             return
         # The flush covers every record reserved before it arrived.
         waiters.append((log.head, tlp))
-        if self.on_flush_armed is not None:
-            self.on_flush_armed()
+        if self.wake_consumer is not None:
+            self.wake_consumer()
 
     def _answer_flush(self, request):
         channel = self.backchannel_for(request.requester_id)
@@ -361,5 +368,5 @@ class Iommu:
             _mark, request = waiters.popleft()
             self._answer_flush(request)
             self.engine.note_activity()
-        if waiters and self.on_flush_armed is not None:
-            self.on_flush_armed()
+        if waiters and self.wake_consumer is not None:
+            self.wake_consumer()

@@ -142,10 +142,12 @@ class AccessLog:
 
     def ring_write(self, voffset, payload):
         pos = self.base + voffset % self.size
-        first = min(len(payload), self.base + self.size - pos)
-        self.memory.write(pos, payload[:first])
-        if first < len(payload):
-            self.memory.write(self.base, payload[first:])
+        room = self.base + self.size - pos  # bytes before the ring wraps
+        if len(payload) <= room:
+            self.memory.write(pos, payload)
+        else:
+            self.memory.write(pos, payload[:room])
+            self.memory.write(self.base, payload[room:])
 
     def ring_read(self, voffset, nbytes):
         pos = self.base + voffset % self.size
@@ -178,15 +180,17 @@ class AccessLog:
 
     def read_record(self):
         """Parse the record at the tail; returns (LogRecord, size) or None."""
-        if self.committed_bytes < HEADER_BYTES:
+        committed = self.committed_head - self.tail
+        if committed < HEADER_BYTES:
             return None
-        rec = LogRecord.unpack_header(self.ring_read(self.tail, HEADER_BYTES))
-        size = rec.size
-        if self.committed_bytes < size:
-            raise LogError("committed prefix ends inside a record")
-        if rec.data_present:
+        rec = LogRecord(*HEADER.unpack(self.ring_read(self.tail, HEADER_BYTES)))
+        if rec.flags & FLAG_DATA:
+            size = HEADER_BYTES + pad8(rec.length)
+            if committed < size:
+                raise LogError("committed prefix ends inside a record")
             rec.payload = self.ring_read(self.tail + HEADER_BYTES, rec.length)
-        return rec, size
+            return rec, size
+        return rec, HEADER_BYTES
 
     def advance_tail(self, nbytes):
         if self.tail + nbytes > self.committed_head:

@@ -8,6 +8,7 @@ modes, and its active-message inbox.
 """
 
 from . import link as lnk
+from . import logbuf
 from .config import ConfigError
 from .engine import Cpu, Signal
 from .memory import PAGE_SHIFT, PAGE_SIZE
@@ -44,7 +45,7 @@ class _GetState:
 
     def __init__(self, handle, length):
         self.handle = handle
-        self.buf = bytearray(length)
+        self.buf = None  # reassembly buffer, made by the first of several completions
         self.remaining = length
 
 
@@ -90,7 +91,7 @@ class Proc:
         self.live_ops = 0
         self.am_handler = None
         self.sysflush_addr = None
-        iommu.on_flush_armed = self._notify
+        iommu.wake_consumer = self._notify
 
     # -- setup -------------------------------------------------------------
 
@@ -136,14 +137,23 @@ class Proc:
 
     def setup_inbox(self, handler):
         """AM receive side: a writable page whose writes the bridge queues.
-        The node's consumer drains the inbox after its logs; only a polling
-        consumer looks at it unprompted."""
+        The node's consumer drains the inbox after its logs; each queued
+        write wakes it as a flush does."""
         base = self.memory.reserve_region("inbox", PAGE_SIZE)
         self.map_plain(base, w=True)
         self.iommu.inbox_page = base >> PAGE_SHIFT
         self.am_handler = handler
 
     # -- tags --------------------------------------------------------------
+
+    def _take_tag(self):
+        """The cursor's tag if it is free, taken; else None (see _alloc_tag)."""
+        tag = self._tag_cursor
+        if tag in self._tags_in_use:
+            return None
+        self._tag_cursor = (tag + 1) % 256
+        self._tags_in_use.add(tag)
+        return tag
 
     def _alloc_tag(self):
         while True:
@@ -177,8 +187,12 @@ class Proc:
         # races the issue path.
         self.live_ops += 1
         self.metrics.remote_ops += 1
-        yield from self.cpu.busy(self.cfg.issue_cost_ns)
-        tag = yield from self._alloc_tag()
+        wait = self.cpu.busy(self.cfg.issue_cost_ns)
+        if wait > 0:
+            yield wait
+        tag = self._take_tag()
+        if tag is None:
+            tag = yield from self._alloc_tag()
         handle = OpHandle(self.engine)
         pkts = lnk.split_put(address, payload, self.rank, tag, self.cfg.max_payload)
         self.outstanding_puts[target] = self.outstanding_puts.get(target, 0) + 1
@@ -201,8 +215,12 @@ class Proc:
         self._check_span(address, length)
         self.live_ops += 1
         self.metrics.remote_ops += 1
-        yield from self.cpu.busy(self.cfg.issue_cost_ns)
-        tag = yield from self._alloc_tag()
+        wait = self.cpu.busy(self.cfg.issue_cost_ns)
+        if wait > 0:
+            yield wait
+        tag = self._take_tag()
+        if tag is None:
+            tag = yield from self._alloc_tag()
         handle = OpHandle(self.engine)
         req = lnk.split_get(address, length, self.rank, tag)
         req.atomic = atomic
@@ -214,21 +232,25 @@ class Proc:
         state = self._gets.get(tlp.tag)
         if state is None:
             raise NodeError("completion for unknown tag %d at rank %d" % (tlp.tag, self.rank))
+        self.engine.note_activity()
         if tlp.status == "blocked":
-            del self._gets[tlp.tag]
-            self._free_tag(tlp.tag)
-            self.live_ops -= 1
-            state.handle.fire("blocked")
+            status, data = "blocked", None
+        elif tlp.length == tlp.txn_total:
+            # One completion carries the whole get.
+            status, data = "ok", tlp.payload
         else:
+            if state.buf is None:
+                state.buf = bytearray(tlp.txn_total)
             off = tlp.seq_in_txn * self.cfg.max_payload
             state.buf[off : off + tlp.length] = tlp.payload
             state.remaining -= tlp.length
-            if state.remaining == 0:
-                del self._gets[tlp.tag]
-                self._free_tag(tlp.tag)
-                self.live_ops -= 1
-                state.handle.fire("ok", bytes(state.buf))
-        self.engine.note_activity()
+            if state.remaining:
+                return
+            status, data = "ok", bytes(state.buf)
+        del self._gets[tlp.tag]
+        self._free_tag(tlp.tag)
+        self.live_ops -= 1
+        state.handle.fire(status, data)
 
     # -- atomics (blocking) ------------------------------------------------
 
@@ -317,19 +339,22 @@ class Proc:
         The pointer check costs a memory access, or the scratchpad latency
         when the committed-head mirror lives in the core's scratchpad.
         """
-        check = self.cfg.scratchpad_ns if self._notification == "sp" else self.cfg.mem_access_ns
-        yield from self.cpu.busy(check)
+        cfg, cpu = self.cfg, self.cpu
+        wait = cpu.busy(cfg.scratchpad_ns if self._notification == "sp" else cfg.mem_access_ns)
+        if wait > 0:
+            yield wait
         consumed = 0
         for log, handler in zip(self.iommu.alogs, self.handlers):
-            while True:
-                out = log.read_record()
-                if out is None:
-                    break
-                record, size = out
-                yield from self.cpu.busy(self.cfg.mem_access_ns)  # record fetch
+            while log.committed_head - log.tail >= logbuf.HEADER_BYTES:
+                record, size = log.read_record()
+                wait = cpu.busy(cfg.mem_access_ns)  # record fetch
+                if wait > 0:
+                    yield wait
                 ctx = HandlerCtx(self)
                 handler(ctx, record)
-                yield from self.cpu.busy(self.cfg.handler_cost_ns + ctx.cost_ns)
+                wait = cpu.busy(cfg.handler_cost_ns + ctx.cost_ns)
+                if wait > 0:
+                    yield wait
                 log.advance_tail(size)
                 self.metrics.handler_invocations += 1
                 consumed += 1
@@ -338,10 +363,14 @@ class Proc:
         inbox = self.iommu.inbox
         while inbox:
             src, payload = inbox[0]
-            yield from self.cpu.busy(2 * self.cfg.mem_access_ns)  # dequeue
+            wait = cpu.busy(2 * cfg.mem_access_ns)  # dequeue
+            if wait > 0:
+                yield wait
             ctx = HandlerCtx(self)
             self.am_handler(ctx, src, payload)
-            yield from self.cpu.busy(self.cfg.handler_cost_ns + ctx.cost_ns)
+            wait = cpu.busy(cfg.handler_cost_ns + ctx.cost_ns)
+            if wait > 0:
+                yield wait
             # The message leaves the inbox only once handled, so a sweep
             # during its handler does not find the node idle.
             inbox.popleft()

@@ -412,7 +412,9 @@ class DhtBench:
         started = engine.now
         for i, (kind, key) in enumerate(inserts):
             if gap:
-                yield from proc.cpu.busy(gap)
+                wait = proc.cpu.busy(gap)
+                if wait > 0:
+                    yield wait
             yield from self._timed_issue(proc, kind, key)
             if i + 1 == self.WARMUP_OPS and self.cfg.r_comp > 0.0:
                 gap = self._compute_gap((engine.now - started) / self.WARMUP_OPS)

@@ -79,7 +79,9 @@ def test_cpu_serializes_fifo():
     cpu = Cpu(eng)
 
     def job(name, ns):
-        yield from cpu.busy(ns)
+        wait = cpu.busy(ns)
+        if wait > 0:
+            yield wait
         done.append((name, eng.now))
 
     eng.spawn(job("a", 10))
@@ -194,9 +196,6 @@ class RefSignal:
         for gen in waiters:
             self.engine.schedule(0, self.engine.advance, gen)
 
-    # An in-place resume is an ordinary zero-delay wake-up here.
-    fire_last = fire
-
 
 class RefEngine:
     """Reference: every resume is one heap entry, popped in (time, seq) order."""
@@ -232,17 +231,20 @@ class RefEngine:
 
 def simulate(engine, make_signal, plan):
     """Run ``plan`` and return the (now, pid, step) trace of every resume and
-    callback, the events run, the final clock and the number of fire_last
-    calls that find a waiter and nothing due now. A process step is (op, a,
-    b): sleep a; wait on signal a; fire signal a; schedule a callback after a
-    that fires signal b, fires it with fire_last for "call-last" or, for
-    "call-spawn", spawns process b; or spawn process b. A top-level callback
-    (delay, k, last) fires signal k, with fire_last if last is set."""
+    callback, the events run, the final clock and the number of fires that
+    resume a waiter in place: the first fire inside a callback that finds a
+    waiter and nothing due now. A process step is (op, a, b): sleep a; wait on
+    signal a; fire signal a; schedule a callback after a that fires signal b
+    or, for "call-spawn", spawns process b; or spawn process b. A top-level
+    callback (delay, k) fires signal k."""
     tops, callbacks = plan
     signals = [make_signal(engine) for _ in range(2)]
     pids = itertools.count()
     trace = []
     in_place = [0]
+    # Whether a callback of this test runs, and whether it has handed a
+    # waiter over; a process it spawns runs inside it.
+    callback = {"inside": False, "handed": False}
 
     def proc(steps, depth):
         pid = next(pids)
@@ -253,26 +255,39 @@ def simulate(engine, make_signal, plan):
             elif op == "wait":
                 yield signals[a % 2]
             elif op == "fire":
-                signals[a % 2].fire()
+                fire_signal(a % 2)
             elif op == "call":
-                engine.schedule(a, fire, b % 2)
-            elif op == "call-last":
-                engine.schedule(a, fire_last, b % 2)
+                engine.schedule(a, as_callback(fire), b % 2)
             elif op == "call-spawn" and depth < 2:
-                engine.schedule(a, start, tops[b % len(tops)], depth + 1)
+                engine.schedule(a, as_callback(start), tops[b % len(tops)], depth + 1)
             elif op == "spawn" and depth < 2:
                 engine.spawn(proc(tops[b % len(tops)], depth + 1))
 
-    def fire(k):
-        trace.append((engine.now, "fire", k))
+    def fire_signal(k):
+        heap = engine._heap
+        if (
+            callback["inside"]
+            and not callback["handed"]
+            and signals[k]._waiters
+            and not (heap and heap[0][0] <= engine.now)
+        ):
+            in_place[0] += 1
+            callback["handed"] = True
         signals[k].fire()
 
-    def fire_last(k):
-        trace.append((engine.now, "fire-last", k))
-        heap = engine._heap
-        if signals[k]._waiters and not (heap and heap[0][0] <= engine.now):
-            in_place[0] += 1
-        signals[k].fire_last()
+    def as_callback(fn):
+        def run(*args):
+            callback.update(inside=True, handed=False)
+            try:
+                fn(*args)
+            finally:
+                callback["inside"] = False
+
+        return run
+
+    def fire(k):
+        trace.append((engine.now, "fire", k))
+        fire_signal(k)
 
     def start(steps, depth):
         trace.append((engine.now, "start", depth))
@@ -280,23 +295,21 @@ def simulate(engine, make_signal, plan):
 
     for steps in tops:
         engine.spawn(proc(steps, 0))
-    for delay, k, last in callbacks:
-        engine.schedule(delay, fire_last if last else fire, k)
+    for delay, k in callbacks:
+        engine.schedule(delay, as_callback(fire), k)
     engine.run()
     return trace, engine.events_run, engine.now, in_place[0]
 
 
 small = st.integers(min_value=0, max_value=3)
 step = st.tuples(
-    st.sampled_from(
-        ["sleep", "sleep", "sleep", "wait", "fire", "call", "call-last", "call-spawn", "spawn"]
-    ),
+    st.sampled_from(["sleep", "sleep", "sleep", "wait", "fire", "call", "call-spawn", "spawn"]),
     small,
     small,
 )
 plans = st.tuples(
     st.lists(st.lists(step, max_size=8), min_size=1, max_size=4),
-    st.lists(st.tuples(small, st.integers(min_value=0, max_value=1), st.booleans()), max_size=4),
+    st.lists(st.tuples(small, st.integers(min_value=0, max_value=1)), max_size=4),
 )
 
 
@@ -329,3 +342,94 @@ def test_stop_drops_queued_events_and_ends_the_run():
     assert woken == [10]
     assert eng.now == 50
     assert not eng._heap
+
+
+def test_callback_fire_resumes_the_first_waiter_in_place():
+    eng = Engine()
+    sig = Signal(eng)
+    woken = []
+
+    def waiter(name):
+        yield sig
+        woken.append((name, eng.now))
+
+    eng.spawn(waiter("x"))
+    eng.spawn(waiter("y"))
+    eng.schedule(5, sig.fire)
+    # x runs inside the callback's event; y is queued behind it, an event of
+    # its own.
+    assert eng.run() == 2
+    assert woken == [("x", 5), ("y", 5)]
+
+
+# -- Cpu.busy against the generator it used to be ------------------------------
+
+
+class GenCpu(Cpu):
+    """Reference: busy() as a generator that sleeps the wait when positive."""
+
+    def busy(self, ns):
+        if ns < 0:
+            raise ValueError("negative busy time")
+        start = max(self.engine.now, self.free_at)
+        self.free_at = start + ns
+        delay = self.free_at - self.engine.now
+        if delay > 0:
+            yield delay
+
+
+def run_claims(cpu_class, plan):
+    """Each process of plan sleeps, then claims the core, step by step; a gap
+    of None claims again at once. Returns every claim's (pid, step, start,
+    end, free_at), the events run and the final clock."""
+    eng = Engine()
+    cpu = cpu_class(eng)
+    out = []
+
+    def claimer(pid, steps):
+        for i, (gap, ns) in enumerate(steps):
+            if gap is not None:
+                yield gap
+            start = eng.now
+            if cpu_class is GenCpu:
+                yield from cpu.busy(ns)
+            else:
+                wait = cpu.busy(ns)
+                if wait > 0:
+                    yield wait
+            out.append((pid, i, start, eng.now, cpu.free_at))
+
+    for pid, steps in enumerate(plan):
+        eng.spawn(claimer(pid, steps))
+    eng.run()
+    return out, eng.events_run, eng.now
+
+
+claims = st.lists(
+    st.lists(
+        st.tuples(
+            st.sampled_from([None, 0, 0, 1, 2.5, 4]),
+            st.sampled_from([0, 0, 0.5, 1, 3, 7.25]),
+        ),
+        max_size=6,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(claims)
+def test_plain_busy_matches_the_generator_busy(plan):
+    assert run_claims(Cpu, plan) == run_claims(GenCpu, plan)
+
+
+def test_busy_returns_the_wait_and_queues_claims_fifo():
+    eng = Engine()
+    cpu = Cpu(eng)
+    assert cpu.busy(10) == 10
+    assert cpu.busy(0) == 10
+    assert cpu.busy(5) == 15
+    assert cpu.free_at == 15
+    with pytest.raises(ValueError):
+        cpu.busy(-1)

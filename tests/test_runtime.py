@@ -384,6 +384,28 @@ def test_am_send_runs_inbox_handler():
     assert metrics.handler_invocations == 4
 
 
+@pytest.mark.parametrize("scheme", ["aa-int", "aa-sp", "aa-poll"])
+def test_inbox_write_wakes_the_consumer_under_every_notification(scheme):
+    # The sender ends at 26,000 ns. A polling consumer finds each message on
+    # its own; under int and sp each inbox write must wake the consumer, or
+    # the messages would wait for the first sweep after the app.
+    sim = Simulation(small_cfg(scheme=scheme))
+    target, source = sim.procs
+    ran = []
+    target.setup_inbox(lambda ctx, src, payload: ran.append(sim.engine.now))
+
+    def app(proc):
+        for i in range(4):
+            yield from proc.am_send(0, bytes([i]) * 8)
+        yield 20000
+
+    metrics = run_app(sim, app(source), rank=1)
+    assert metrics.sim_time_ns == 26000
+    assert len(ran) == 4 and ran[-1] < 26000
+    if scheme == "aa-poll":
+        assert ran == [3350, 4660, 5970, 7280]
+
+
 def test_backpressure_slow_consumer_loses_nothing():
     cfg = small_cfg(poll_interval_ns=20000.0, credit_capacity=4)
     sim = Simulation(cfg)
@@ -440,13 +462,45 @@ def test_stalled_head_serves_open_transactions_through_the_link():
     for rank in (1, 2, 3):
         sim.add_app(rank, app(sim.procs[rank]))
     metrics = sim.run()
-    assert metrics.backpressure_stalls > 0
-    assert sum(served) > 0
+    # Exact counts: a reserve path that counted one failure twice, or served
+    # a different number of continuations, would move them.
+    assert metrics.backpressure_stalls == 304
+    assert sum(served) == 60
     assert metrics.records_committed == metrics.records_consumed == 60
     for rank in (1, 2, 3):
         mine = [rec.payload for rec in handled if rec.device_id == rank]
         assert mine == [bytes([rank, i]) * 512 for i in range(20)]
     assert all(link.credits == link.capacity for link in sim.links)
+
+
+def test_tag_exhaustion_blocks_the_issuer_until_a_tag_frees():
+    # One cycle of issue cost per put keeps 256 puts in flight at once, so
+    # the 257th waits for tag 0 to come back; tags come out in cursor order.
+    sim = Simulation(small_cfg(scheme="rma", issue_cost_ns=1.0))
+    target = sim.procs[1]
+    base = target.memory.reserve_region("data", PAGE_SIZE)
+    target.map_plain(base, w=True)
+    tags = []
+    send = sim.links[1].send
+
+    def recording_send(tlp):
+        tags.append(tlp.tag)
+        send(tlp)
+
+    sim.links[1].send = recording_send
+    in_use = []
+
+    def app(proc):
+        for i in range(300):
+            yield from proc.put(1, base + 8 * i, i.to_bytes(8, "little"))
+            in_use.append(len(proc._tags_in_use))
+        yield from proc.rma_flush(1)
+
+    metrics = run_app(sim, app(sim.procs[0]))
+    assert max(in_use) == 256
+    assert tags == list(range(256)) + list(range(45))
+    assert target.memory.read(base, 2400) == b"".join(i.to_bytes(8, "little") for i in range(300))
+    assert (metrics.remote_ops, metrics.bytes_wire, metrics.sim_time_ns) == (301, 9656, 11017.0)
 
 
 def test_oversize_and_straddle_rejected():

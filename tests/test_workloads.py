@@ -183,14 +183,17 @@ def test_delete_phase_matches_oracle(scheme):
 # Event counts at seed 1, pinned because the golden digest does not cover them
 # and the event budget is counted in events. Three kinds of event are gone: the
 # sweeper's 1 us ticks before the last app finishes (a watchdog deadline
-# replaced them), the pipeline wake-up after an arrival at an idle bridge
-# (the arrival event resumes the pipeline in place), and every wake after the
-# sweep that finds quiescence (it stops the engine, so no consumer is woken
-# to return and the watchdog's last wake never runs). am keeps its count: its
-# last handler ends on a sweep tick, after that sweep, which now finds the
-# message still queued and leaves the stop to the next tick.
+# replaced them), every wake-up a callback gives when nothing else is due at
+# that time (the callback's event resumes the first waiter in place: a
+# pipeline after an arrival at an idle bridge, an app after its get's
+# completion, a consumer after a scratchpad write or an interrupt), and every
+# wake after the sweep that finds quiescence (it stops the engine, so no
+# consumer is woken to return and the watchdog's last wake never runs). am
+# keeps its count: its apps wait on no completion, and its last handler ends
+# on a sweep tick, after that sweep, which finds the message still queued and
+# leaves the stop to the next tick.
 PINNED_EVENTS = {
-    "aa-int": 1387, "aa-poll": 1438, "aa-sp": 1518, "rma": 3312, "am": 918, "getlog-aa": 947,
+    "aa-int": 1376, "aa-poll": 1433, "aa-sp": 1512, "rma": 2931, "am": 918, "getlog-aa": 888,
 }
 
 
