@@ -111,9 +111,12 @@ class Engine:
         heapq.heappush(self._heap, (self.now + delay, next(self._seq), fn, args))
 
     def stop(self):
-        """Drop every queued event: run() returns once the current step ends.
+        """Drop every queued event, and a process a callback has handed over
+        for an in-place resume: run() returns once the current step ends.
         Processes parked on a Signal stay parked."""
         self._heap.clear()
+        if self._handoff is not None:
+            self._handoff = _IN_CALLBACK
 
     def spawn(self, gen):
         """Start a process generator immediately (at the current time).

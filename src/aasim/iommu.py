@@ -2,10 +2,28 @@
 
 All ingress packets of one node pass through a single pipeline coroutine in
 FIFO order. The first packet of a transaction misses the tag buffer, which
-triggers the translation walk, the classification, and (for logged accesses)
-the log-space reservation; later packets of the same transaction reuse the
-cached entry. A full access log stalls the pipeline head instead of dropping
-anything, so backpressure propagates to the link credits.
+triggers the translation walk, the classification (read off the mapped run),
+and (for logged accesses) the log-space reservation; later packets of the
+same transaction reuse the cached entry. A full access log stalls the
+pipeline head instead of dropping anything, so backpressure propagates to
+the link credits.
+
+Each step of pipeline occupancy is one sleep. A head's interception
+(iommu_proc_ns) and its walk are one step. When a logged head's record fits
+the ring at interception start, its reservation and header store (one memory
+access) join that step; otherwise the head sleeps the interception and walk,
+then reserves, in the bypass loop if the ring is still full, and then stores
+the header. An atomic's write-back and its completion's egress interception
+are one step too. Nothing outside the bridge can see a point inside a step:
+the IOTLB and the walk are the bridge's alone, and no workload remaps a page
+during a run. A record that fits at interception start still fits at the
+walk's end, at the same offset, because only the consumer moves the ring's
+tail, and only forward, and only the pipeline moves its head; a head that
+does not fit reserves at the walk's end as before, so reserve_failures
+counts the same stalls. One caveat: a merged step queues its end when it
+starts, so an event due at that same instant and queued in between now runs
+after it rather than before. No simulated number of the tests or the
+benchmark moves for it.
 
 Every get the bridge serves goes through one read coroutine: plain reads,
 reads logged with data (each completion is also copied into the record) and
@@ -25,7 +43,7 @@ from . import link as lnk
 from . import logbuf
 from .engine import Signal
 from .memory import PAGE_SHIFT, PAGE_SIZE
-from .paging import GET, IUID_LIMIT, PUT, classify
+from .paging import GET, IUID_LIMIT, PUT
 
 
 class IommuError(Exception):
@@ -36,12 +54,12 @@ class IommuError(Exception):
 class TagEntry:
     dev_addr: int
     bytes_remaining: int
-    phys_base: int = 0
-    memory_effect: bool = False
-    log_data: bool = False
-    log: object = None
-    offset: int = 0
-    status: str = "ok"
+    phys_base: int
+    memory_effect: bool
+    log_data: bool
+    log: object  # AccessLog holding the record, or None
+    offset: int  # the record's ring offset
+    status: str  # 'ok' | 'blocked' | 'fault'
 
 
 class Iommu:
@@ -123,12 +141,24 @@ class Iommu:
         self._ingress_signal.fire()
 
     def _pipeline(self):
+        ingress = self.ingress
         while True:
-            while not self.ingress:
+            while not ingress:
                 yield self._ingress_signal
-            tlp = self.ingress[0]
-            yield from self._process(tlp)
-            self.ingress.popleft()
+            tlp = ingress[0]
+            kind = tlp.kind
+            if kind == lnk.POSTED_WRITE:
+                yield from self.intercept_write(tlp)
+            elif kind == lnk.READ_REQUEST:
+                log = self.flush_pages.get(tlp.address) if self.enabled else None
+                if log is None:
+                    yield from self.intercept_read_request(tlp)
+                else:
+                    yield self.cfg.iommu_proc_ns
+                    self.handle_flush_get(tlp, log)
+            else:
+                raise IommuError("unexpected ingress packet kind %r" % kind)
+            ingress.popleft()
             self._retire()
 
     def _retire(self):
@@ -137,67 +167,65 @@ class Iommu:
         if self.link is not None:
             self.link.release_credit()
 
-    def _process(self, tlp):
-        yield self.cfg.iommu_proc_ns
-        if tlp.kind == lnk.POSTED_WRITE:
-            yield from self.intercept_write(tlp)
-        elif tlp.kind == lnk.READ_REQUEST:
-            log = self.flush_pages.get(tlp.address) if self.enabled else None
-            if log is not None:
-                self.handle_flush_get(tlp, log)
-            else:
-                yield from self.intercept_read_request(tlp)
-        else:
-            raise IommuError("unexpected ingress packet kind %r" % tlp.kind)
-
     # -- transaction heads -------------------------------------------------
 
     def _open_txn(self, tlp, op):
-        """First packet of a transaction: walk, classify, reserve. Generator."""
+        """First packet of a transaction: interception, walk, classification
+        and, for a logged access, the record's reservation and header store.
+        Generator; returns the transaction's TagEntry."""
         if tlp.seq_in_txn != 0:
             raise IommuError("transaction started mid-stream (tag reuse?)")
+        cfg = self.cfg
         if not self.enabled:
-            return TagEntry(tlp.address, tlp.txn_total, tlp.address, True)
-        walk = self.translator.walk(tlp.requester_id, tlp.address)
-        if walk.mem_accesses:
-            yield self.cfg.mem_access_ns * walk.mem_accesses
-        if walk.pte is None:
+            yield cfg.iommu_proc_ns
+            return TagEntry(tlp.address, tlp.txn_total, tlp.address, True, False, None, 0, "ok")
+        run, phys, accesses = self.translator.walk(tlp.requester_id, tlp.address)
+        # Interception and the walk: one step of pipeline occupancy.
+        occupancy = cfg.iommu_proc_ns + cfg.mem_access_ns * accesses
+        if run is None:
             self._append_fault(tlp, op, blocked=True)
-            return TagEntry(tlp.address, tlp.txn_total, status="fault")
-        acts = classify(walk.pte, op)
-        entry = TagEntry(
-            tlp.address,
-            tlp.txn_total,
-            walk.phys,
-            acts.memory_effect,
-            status="ok" if acts.memory_effect else "blocked",
+            yield occupancy
+            return TagEntry(tlp.address, tlp.txn_total, 0, False, False, None, 0, "fault")
+        acts = run.acts[op]
+        memory_effect = acts.memory_effect
+        status = "ok" if memory_effect else "blocked"
+        if not (acts.log_meta and acts.to_access_log):
+            if acts.log_meta:  # logged to the fault log
+                self._append_fault(tlp, op, blocked=not memory_effect)
+            yield occupancy
+            return TagEntry(tlp.address, tlp.txn_total, phys, memory_effect, False, None, 0, status)
+        iuid = acts.iuid
+        if not 0 < iuid <= len(self.alogs):
+            raise IommuError("no access log registered for iuid %d" % iuid)
+        log = self.alogs[iuid - 1]
+        with_data = acts.log_data
+        nbytes = logbuf.record_size(tlp.txn_total, with_data)
+        if nbytes <= log.free_bytes:
+            # Space freed later only adds to this, so the record reserved now
+            # is the one the walk's end would reserve, at the same offset;
+            # the header store (one memory access) joins the step.
+            offset = log.reserve(nbytes)
+            self._store_header(tlp, op, acts, log, offset)
+            yield occupancy + cfg.mem_access_ns
+        else:
+            yield occupancy
+            try:
+                offset = log.reserve(nbytes)
+            except logbuf.WouldBlock:
+                offset = yield from self._reserve_with_bypass(log, nbytes)
+            self._store_header(tlp, op, acts, log, offset)
+            yield cfg.mem_access_ns
+        return TagEntry(tlp.address, tlp.txn_total, phys, memory_effect, with_data, log, offset, status)
+
+    @staticmethod
+    def _store_header(tlp, op, acts, log, offset):
+        flags = (logbuf.FLAG_DATA if acts.log_data else 0) | (
+            0 if acts.memory_effect else logbuf.FLAG_BLOCKED
         )
-        if acts.log_meta:
-            if acts.to_access_log:
-                if not 0 < acts.iuid <= len(self.alogs):
-                    raise IommuError("no access log registered for iuid %d" % acts.iuid)
-                log = self.alogs[acts.iuid - 1]
-                with_data = acts.log_data
-                nbytes = logbuf.record_size(tlp.txn_total, with_data)
-                try:
-                    offset = log.reserve(nbytes)
-                except logbuf.WouldBlock:
-                    offset = yield from self._reserve_with_bypass(log, nbytes)
-                flags = (logbuf.FLAG_DATA if with_data else 0) | (
-                    0 if acts.memory_effect else logbuf.FLAG_BLOCKED
-                )
-                header = logbuf.HEADER.pack(
-                    op, tlp.requester_id, acts.iuid, tlp.address, tlp.txn_total, flags, log.take_seq()
-                )
-                log.ring_write(offset, header)
-                entry.log = log
-                entry.offset = offset
-                entry.log_data = with_data
-                # Header store costs one memory access of pipeline occupancy.
-                yield self.cfg.mem_access_ns
-            else:
-                self._append_fault(tlp, op, blocked=not acts.memory_effect)
-        return entry
+        header = logbuf.HEADER.pack(
+            op, tlp.requester_id, acts.iuid, tlp.address, tlp.txn_total, flags, log.take_seq()
+        )
+        log.ring_write(offset, header)
 
     def _reserve_with_bypass(self, log, nbytes):
         """Reserve ring space after a failed try, serving open transactions
@@ -232,7 +260,7 @@ class Iommu:
                 (tlp.requester_id, tlp.tag) in self.tag_buffer
             ):
                 del self.ingress[i]
-                yield from self._process(tlp)
+                yield from self.intercept_write(tlp)
                 self._retire()
                 return True
         return False
@@ -258,6 +286,8 @@ class Iommu:
         if entry is None:
             entry = yield from self._open_txn(tlp, PUT)
             self.tag_buffer[key] = entry
+        else:
+            yield self.cfg.iommu_proc_ns
         off = tlp.address - entry.dev_addr
         if entry.memory_effect:
             phys = entry.phys_base + off
@@ -313,8 +343,10 @@ class Iommu:
     def _serve_read(self, tlp, phys, log=None, offset=0):
         """Fetch (or atomically update) the data and send the completions,
         copying each one into the record at offset when log is given."""
-        yield self.cfg.mem_access_ns  # data fetch
+        cfg = self.cfg
+        yield cfg.mem_access_ns  # data fetch
         desc = tlp.atomic
+        egress = cfg.iommu_proc_ns
         if desc is None:
             data = self.memory.read(phys, tlp.length)
         else:
@@ -329,11 +361,13 @@ class Iommu:
             else:
                 raise IommuError("unknown atomic op %r" % desc.op)
             data = prev.to_bytes(8, "little")
-            yield self.cfg.mem_access_ns  # write-back
+            # The write-back and the first egress interception: one step.
+            egress += cfg.mem_access_ns
         channel = self.backchannel_for(tlp.requester_id)
         copied = 0
-        for cpl in lnk.make_completions(tlp, data, self.cfg.max_payload):
-            yield self.cfg.iommu_proc_ns  # egress interception
+        for cpl in lnk.make_completions(tlp, data, cfg.max_payload):
+            yield egress  # egress interception
+            egress = cfg.iommu_proc_ns
             if log is not None:
                 log.ring_write(offset + logbuf.HEADER_BYTES + copied, cpl.payload)
                 copied += len(cpl.payload)
@@ -341,7 +375,7 @@ class Iommu:
         if log is not None:
             del self.tag_buffer[(tlp.requester_id, tlp.tag)]
             log.mark_done(offset)
-            yield self.cfg.mem_access_ns
+            yield cfg.mem_access_ns
         self.engine.note_activity()
 
     # -- flushes -----------------------------------------------------------

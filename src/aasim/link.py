@@ -10,6 +10,7 @@ has a free credit. Nothing is ever dropped; senders stall.
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappush
 
 MAX_TXN_BYTES = 4096
 COMPLETION_ADDR_BITS = 7  # read completions carry only the low address bits
@@ -52,11 +53,14 @@ class Tlp:
 def _slices(kind, data, address, address_mask, requester_id, tag, max_payload):
     """Cut one transaction's data into ordered TLPs of at most max_payload
     bytes; each packet's address is masked with address_mask."""
+    total = len(data)
+    if total <= max_payload:
+        return [Tlp(kind, requester_id, tag, address & address_mask, total, bytes(data), 0, total)]
     out = []
-    for seq, off in enumerate(range(0, len(data), max_payload)):
+    for seq, off in enumerate(range(0, total, max_payload)):
         chunk = bytes(data[off : off + max_payload])
         out.append(
-            Tlp(kind, requester_id, tag, (address + off) & address_mask, len(chunk), chunk, seq, len(data))
+            Tlp(kind, requester_id, tag, (address + off) & address_mask, len(chunk), chunk, seq, total)
         )
     return out
 
@@ -127,12 +131,20 @@ class _Wire:
         self._wire_free_at = 0.0
 
     def _transmit(self, tlp, on_arrival):
-        start = max(self.engine.now, self._wire_free_at)
-        payload_bytes = len(tlp.payload) if tlp.payload else 0
+        """Count the packet and queue its arrival; Engine.schedule inlined,
+        with the same float expression for the arrival time."""
+        engine = self.engine
+        now = engine.now
+        free_at = self._wire_free_at
+        payload = tlp.payload
+        payload_bytes = len(payload) if payload else 0
         wire_bytes = self.header_bytes + payload_bytes
-        self._wire_free_at = start + wire_bytes / self.bw
-        self.metrics.count_wire(wire_bytes, payload_bytes)
-        self.engine.schedule(self._wire_free_at + self.latency - self.engine.now, on_arrival, tlp)
+        self._wire_free_at = free_at = (free_at if free_at > now else now) + wire_bytes / self.bw
+        metrics = self.metrics
+        metrics.packets += 1
+        metrics.bytes_wire += wire_bytes
+        metrics.bytes_payload += payload_bytes
+        heappush(engine._heap, (now + ((free_at + self.latency) - now), next(engine._seq), on_arrival, (tlp,)))
 
 
 class Link(_Wire):

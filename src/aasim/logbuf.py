@@ -55,26 +55,6 @@ class LogRecord:
     def blocked(self):
         return bool(self.flags & FLAG_BLOCKED)
 
-    def pack_header(self):
-        return HEADER.pack(
-            self.op_kind,
-            self.device_id,
-            self.iuid,
-            self.dev_addr,
-            self.length,
-            self.flags,
-            self.seq_no,
-        )
-
-    @classmethod
-    def unpack_header(cls, buf):
-        op_kind, device_id, iuid, dev_addr, length, flags, seq_no = HEADER.unpack(buf)
-        return cls(op_kind, device_id, iuid, dev_addr, length, flags, seq_no)
-
-    @property
-    def size(self):
-        return record_size(self.length, self.data_present)
-
 
 class AccessLog:
     """One domain's ring. Never drops; producers stall via WouldBlock."""

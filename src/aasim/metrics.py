@@ -38,11 +38,6 @@ class Metrics:
     fault_drops: int = 0
     backpressure_stalls: int = 0
 
-    def count_wire(self, wire_bytes, payload_bytes):
-        self.packets += 1
-        self.bytes_wire += wire_bytes
-        self.bytes_payload += payload_bytes
-
     def finalize(self, cfg, engine):
         self.sim_time_ns = engine.last_activity
         self.energy_j = self.bytes_wire * cfg.joules_per_byte

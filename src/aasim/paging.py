@@ -4,10 +4,16 @@ Page-table entries carry, besides the usual write/read protection bits, the
 logging controls that turn a device access into a log record: WL/WLD for
 writes, RL/RLD for reads, the E bit selecting the access-log vs the fault-log
 destination, and a 10-bit domain id (IUID) naming the per-domain log.
+
+Every page one map_range call maps shares one Run, which carries the run's
+physical offset and its classification for each access kind, worked out by
+classify() once, at map time. The IOTLB caches runs, and a walk returns the
+run with the physical address, so translating and classifying a transaction
+head builds no entry and no action set.
 """
 
-from collections import OrderedDict
-from dataclasses import astuple, dataclass
+from collections import OrderedDict, namedtuple
+from dataclasses import dataclass
 
 from .memory import PAGE_SHIFT
 
@@ -48,29 +54,6 @@ class Pte:
         if not (0 <= self.frame < (1 << FRAME_BITS)):
             raise PagingError("frame %d out of range" % self.frame)
 
-    @staticmethod
-    def _from_run(frame, bits):
-        """A Pte from a mapped run's frame and bits (``astuple(pte)[1:]``, the
-        fields after frame), without the checks map_range made for the run."""
-        pte = object.__new__(Pte)
-        pte.frame = frame
-        pte.w, pte.r, pte.wl, pte.wld, pte.rl, pte.rld, pte.e, pte.iuid = bits
-        return pte
-
-    def normalized(self):
-        """Data-logging implies logging: fold wld into wl and rld into rl."""
-        return Pte(
-            frame=self.frame,
-            w=self.w,
-            r=self.r,
-            wl=self.wl or self.wld,
-            wld=self.wld,
-            rl=self.rl or self.rld,
-            rld=self.rld,
-            e=self.e,
-            iuid=self.iuid,
-        )
-
 
 @dataclass(slots=True)
 class ActionSet:
@@ -104,13 +87,21 @@ def classify(pte, kind):
     return ActionSet(memory_effect, log_meta, log_data, bool(pte.e), pte.iuid)
 
 
+@dataclass(slots=True, frozen=True)
+class Run:
+    """The pages one map_range call mapped, as a walk sees them."""
+
+    offset: int  # physical minus virtual address: (frame - vpn) << PAGE_SHIFT
+    acts: tuple  # classify(pte, kind) at index kind, for PUT and GET
+
+
 class PageTable:
     """Four-level radix tree keyed by the 36-bit virtual page number.
 
-    A leaf table is a list of 512 slots. Each slot is None or the run its
-    page belongs to: one (frame - vpn, bits) pair shared by every page that
-    a map_range call mapped, so mapping costs one slice assignment per leaf
-    and a lookup builds the page's Pte from its run.
+    A leaf table is a list of 512 slots. Each slot is None or the Run its
+    page belongs to, shared by every page that a map_range call mapped, so
+    mapping costs one slice assignment per leaf and a lookup returns the run
+    as it is.
     """
 
     def __init__(self):
@@ -133,13 +124,11 @@ class PageTable:
             raise PagingError("map address %d not page aligned" % vaddr)
         if pages < 1:
             raise PagingError("cannot map %d pages" % pages)
-        template = pte.normalized()
-        if template.frame + pages > 1 << FRAME_BITS:
-            raise PagingError("frames %d+%d out of range" % (template.frame, pages))
+        if pte.frame + pages > 1 << FRAME_BITS:
+            raise PagingError("frames %d+%d out of range" % (pte.frame, pages))
         vpn = vaddr >> PAGE_SHIFT
         end = vpn + pages
-        # Every field after the frame, in declaration order.
-        run = (template.frame - vpn, astuple(template)[1:])
+        run = Run((pte.frame - vpn) << PAGE_SHIFT, (classify(pte, PUT), classify(pte, GET)))
         while vpn < end:
             top, mid, low, slot = self._indices(vpn)
             node = self._root.setdefault(top, {}).setdefault(mid, {})
@@ -149,7 +138,7 @@ class PageTable:
             vpn = stop
 
     def lookup(self, vpn):
-        """Returns (pte or None, memory accesses spent walking)."""
+        """Returns (run or None, memory accesses spent walking)."""
         # _indices inlined: this runs on every translation-cache miss.
         node = self._root.get((vpn >> 27) & LEVEL_MASK)
         if node is None:
@@ -160,11 +149,7 @@ class PageTable:
         leaf = node.get((vpn >> 9) & LEVEL_MASK)
         if leaf is None:
             return None, 3
-        run = leaf[vpn & LEVEL_MASK]
-        if run is None:
-            return None, LEVELS
-        delta, bits = run
-        return Pte._from_run(vpn + delta, bits), LEVELS
+        return leaf[vpn & LEVEL_MASK], LEVELS
 
 
 def iotlb_ways(capacity, assoc, policy):
@@ -184,7 +169,8 @@ def iotlb_ways(capacity, assoc, policy):
 
 
 class IotlbCache:
-    """Set-associative translation cache over page numbers.
+    """Set-associative translation cache over page numbers; a cached page
+    maps to its Run.
 
     Associativity is 1, 2, 4, or 'full'; replacement is per-set LRU or
     seeded-random. The set index is page mod set_count.
@@ -201,24 +187,21 @@ class IotlbCache:
         self.hits = 0
         self.misses = 0
 
-    def _set_for(self, page):
-        return self._sets[page % self.set_count]
-
     def lookup(self, page):
-        s = self._set_for(page)
-        pte = s.get(page)
-        if pte is None:
+        s = self._sets[page % self.set_count]
+        run = s.get(page)
+        if run is None:
             self.misses += 1
             return None
         self.hits += 1
         if self.policy == "lru":
             s.move_to_end(page)
-        return pte
+        return run
 
-    def insert(self, page, pte):
-        s = self._set_for(page)
+    def insert(self, page, run):
+        s = self._sets[page % self.set_count]
         if page in s:
-            s[page] = pte
+            s[page] = run
             if self.policy == "lru":
                 s.move_to_end(page)
             return
@@ -228,7 +211,7 @@ class IotlbCache:
             else:
                 victim = self.rng.randrange(len(s))
                 del s[list(s.keys())[victim]]
-        s[page] = pte
+        s[page] = run
 
     def invalidate_range(self, first, count):
         """Drop any cached translation of pages [first, first + count)."""
@@ -238,11 +221,8 @@ class IotlbCache:
                 del s[page]
 
 
-@dataclass(slots=True)
-class WalkResult:
-    pte: object  # Pte or None on fault
-    phys: int
-    mem_accesses: int
+# run is None on a fault, and phys is then 0.
+WalkResult = namedtuple("WalkResult", "run phys mem_accesses")
 
 
 class AddressTranslator:
@@ -267,19 +247,19 @@ class AddressTranslator:
         self.iotlb.invalidate_range(vaddr >> PAGE_SHIFT, pages)
 
     def walk(self, device_id, addr):
-        if device_id not in self._devices:
-            raise PagingError("unregistered device %r" % (device_id,))
         cost = 0
         if device_id not in self._ctx_seen:
+            # Only a registered device's context is ever cached.
+            if device_id not in self._devices:
+                raise PagingError("unregistered device %r" % (device_id,))
             self._ctx_seen.add(device_id)
-            cost += CONTEXT_WALK_ACCESSES
+            cost = CONTEXT_WALK_ACCESSES
         page = addr >> PAGE_SHIFT
-        pte = self.iotlb.lookup(page)
-        if pte is None:
-            pte, accesses = self.page_table.lookup(page)
+        run = self.iotlb.lookup(page)
+        if run is None:
+            run, accesses = self.page_table.lookup(page)
             cost += accesses
-            if pte is None:
+            if run is None:
                 return WalkResult(None, 0, cost)
-            self.iotlb.insert(page, pte)
-        phys = (pte.frame << PAGE_SHIFT) | (addr & ((1 << PAGE_SHIFT) - 1))
-        return WalkResult(pte, phys, cost)
+            self.iotlb.insert(page, run)
+        return WalkResult(run, addr + run.offset, cost)

@@ -22,6 +22,11 @@ class NodeError(Exception):
 class OpHandle:
     """Completion token for a nonblocking operation."""
 
+    # Reassembly state of a get answered by several completions, set by its
+    # first completion; every other handle reads these class defaults.
+    buf = None
+    remaining = 0
+
     def __init__(self, engine):
         self.done = False
         self.status = None
@@ -38,15 +43,6 @@ class OpHandle:
         while not self.done:
             yield self._signal
         return self
-
-
-class _GetState:
-    __slots__ = ("handle", "buf", "remaining")
-
-    def __init__(self, handle, length):
-        self.handle = handle
-        self.buf = None  # reassembly buffer, made by the first of several completions
-        self.remaining = length
 
 
 class HandlerCtx:
@@ -224,13 +220,13 @@ class Proc:
         handle = OpHandle(self.engine)
         req = lnk.split_get(address, length, self.rank, tag)
         req.atomic = atomic
-        self._gets[tag] = _GetState(handle, length)
+        self._gets[tag] = handle
         self.sim.links[target].send(req)
         return handle
 
     def on_completion(self, tlp):
-        state = self._gets.get(tlp.tag)
-        if state is None:
+        handle = self._gets.get(tlp.tag)
+        if handle is None:
             raise NodeError("completion for unknown tag %d at rank %d" % (tlp.tag, self.rank))
         self.engine.note_activity()
         if tlp.status == "blocked":
@@ -239,18 +235,20 @@ class Proc:
             # One completion carries the whole get.
             status, data = "ok", tlp.payload
         else:
-            if state.buf is None:
-                state.buf = bytearray(tlp.txn_total)
+            buf = handle.buf
+            if buf is None:
+                buf = handle.buf = bytearray(tlp.txn_total)
+                handle.remaining = tlp.txn_total
             off = tlp.seq_in_txn * self.cfg.max_payload
-            state.buf[off : off + tlp.length] = tlp.payload
-            state.remaining -= tlp.length
-            if state.remaining:
+            buf[off : off + tlp.length] = tlp.payload
+            handle.remaining -= tlp.length
+            if handle.remaining:
                 return
-            status, data = "ok", bytes(state.buf)
+            status, data = "ok", bytes(buf)
         del self._gets[tlp.tag]
         self._free_tag(tlp.tag)
         self.live_ops -= 1
-        state.handle.fire(status, data)
+        handle.fire(status, data)
 
     # -- atomics (blocking) ------------------------------------------------
 

@@ -344,6 +344,28 @@ def test_stop_drops_queued_events_and_ends_the_run():
     assert not eng._heap
 
 
+def test_stop_in_a_callback_drops_the_process_it_handed_over():
+    # The fire hands the waiter over for an in-place resume; the stop after
+    # it must drop that resume as it drops a queued one.
+    eng = Engine()
+    sig = Signal(eng)
+    woken = []
+
+    def waiter():
+        yield sig
+        woken.append(eng.now)
+
+    def fire_and_stop():
+        sig.fire()
+        eng.stop()
+
+    eng.spawn(waiter())
+    eng.schedule(5, fire_and_stop)
+    eng.run()
+    assert woken == []
+    assert eng.now == 5
+
+
 def test_callback_fire_resumes_the_first_waiter_in_place():
     eng = Engine()
     sig = Signal(eng)

@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 from aasim.config import SimConfig
 from aasim.engine import Engine
 from aasim.link import (
+    COMPLETION_ADDR_BITS,
+    POSTED_WRITE,
+    READ_COMPLETION,
     BackChannel,
     Link,
     LinkError,
     OversizeError,
+    Tlp,
     blocked_completion,
     make_completions,
     split_get,
@@ -57,14 +61,43 @@ def test_blocked_completion_is_empty():
     assert cpl.status == "blocked" and cpl.length == 0 and cpl.payload == b""
 
 
+def _reference_slices(kind, data, address, address_mask, requester_id, tag, max_payload):
+    """The slicer loop every transaction used to take, one-packet ones too."""
+    out = []
+    for seq, off in enumerate(range(0, len(data), max_payload)):
+        chunk = bytes(data[off : off + max_payload])
+        out.append(
+            Tlp(kind, requester_id, tag, (address + off) & address_mask, len(chunk), chunk, seq, len(data))
+        )
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4096),
+    st.integers(1, 512).map(lambda n: 8 * n),
+    st.integers(0, (1 << 40) - 4096),
+    st.integers(0, 15),
+    st.integers(0, 255),
+)
+def test_packets_match_the_reference_slicer(size, max_payload, address, requester, tag):
+    data = bytes(i % 251 for i in range(size))
+    assert split_put(address, data, requester, tag, max_payload) == _reference_slices(
+        POSTED_WRITE, data, address, -1, requester, tag, max_payload
+    )
+    request = split_get(address, size, requester, tag)
+    assert make_completions(request, data, max_payload) == _reference_slices(
+        READ_COMPLETION, data, address, (1 << COMPLETION_ADDR_BITS) - 1, requester, tag, max_payload
+    )
+
+
 class _Counter:
+    """The Metrics fields a wire counts into."""
+
     def __init__(self):
         self.packets = 0
         self.bytes_wire = 0
-
-    def count_wire(self, wire_bytes, payload_bytes):
-        self.packets += 1
-        self.bytes_wire += wire_bytes
+        self.bytes_payload = 0
 
 
 def _cfg(**kw):
@@ -243,6 +276,7 @@ def test_wire_byte_accounting():
     eng.run()
     assert counter.packets == 4
     assert counter.bytes_wire == 1000 + 4 * 24
+    assert counter.bytes_payload == 1000
 
 
 def _wire_run(make_wire, send_name):

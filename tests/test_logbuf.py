@@ -4,6 +4,7 @@ from aasim.engine import Engine
 from aasim.logbuf import (
     FLAG_BLOCKED,
     FLAG_DATA,
+    HEADER,
     HEADER_BYTES,
     AccessLog,
     FaultLog,
@@ -34,8 +35,8 @@ def test_header_layout_golden_bytes():
     )
     expected = bytes.fromhex("000200030088776655443322110800010900000000000000")
     assert len(expected) == HEADER_BYTES == 24
-    assert rec.pack_header() == expected
-    assert LogRecord.unpack_header(expected) == rec
+    assert HEADER.pack(0, 2, 3, 0x1122334455667788, 8, FLAG_DATA, 9) == expected
+    assert LogRecord(*HEADER.unpack(expected)) == rec
 
 
 def test_record_size_padding():
@@ -47,9 +48,8 @@ def test_record_size_padding():
 
 def test_reserve_commit_consume_roundtrip():
     log, _ = make_log(128)
-    rec = LogRecord(0, 1, 5, 0x1000, 8, FLAG_DATA, log.take_seq())
-    off = log.reserve(rec.size)
-    log.ring_write(off, rec.pack_header())
+    off = log.reserve(record_size(8, True))
+    log.ring_write(off, HEADER.pack(0, 1, 5, 0x1000, 8, FLAG_DATA, log.take_seq()))
     log.ring_write(off + HEADER_BYTES, b"ABCDEFGH")
     assert log.read_record() is None  # not yet committed
     log.mark_done(off)
@@ -64,8 +64,7 @@ def test_out_of_order_commits_publish_in_reservation_order():
     log, _ = make_log(256)
     offs = [log.reserve(32) for _ in range(3)]
     for off in offs:
-        rec = LogRecord(0, 1, 5, off, 8, FLAG_DATA, log.take_seq())
-        log.ring_write(off, rec.pack_header())
+        log.ring_write(off, HEADER.pack(0, 1, 5, off, 8, FLAG_DATA, log.take_seq()))
         log.ring_write(off + HEADER_BYTES, bytes(8))
     assert log.mark_done(offs[1]) == 0  # hole before it
     assert log.committed_head == 0
@@ -80,8 +79,7 @@ def test_byte_granular_wraparound():
     log, _ = make_log(64)
     # first record occupies [0, 40)
     off = log.reserve(40)
-    rec = LogRecord(0, 1, 5, 0, 16, FLAG_DATA, log.take_seq())
-    log.ring_write(off, rec.pack_header())
+    log.ring_write(off, HEADER.pack(0, 1, 5, 0, 16, FLAG_DATA, log.take_seq()))
     log.ring_write(off + HEADER_BYTES, bytes(range(16)))
     log.mark_done(off)
     _, size = log.read_record()
@@ -90,8 +88,7 @@ def test_byte_granular_wraparound():
     off = log.reserve(40)
     assert off == 40
     payload = bytes(range(100, 116))
-    rec = LogRecord(0, 1, 5, 0, 16, FLAG_DATA, log.take_seq())
-    log.ring_write(off, rec.pack_header())
+    log.ring_write(off, HEADER.pack(0, 1, 5, 0, 16, FLAG_DATA, log.take_seq()))
     log.ring_write(off + HEADER_BYTES, payload)
     log.mark_done(off)
     got, size = log.read_record()
@@ -108,8 +105,7 @@ def test_full_ring_blocks_until_space_freed():
         log.reserve(8)
     assert log.reserve_failures == 1
     # drain the first record
-    rec = LogRecord(0, 1, 5, 0, 8, FLAG_DATA, log.take_seq())
-    log.ring_write(a, rec.pack_header())
+    log.ring_write(a, HEADER.pack(0, 1, 5, 0, 8, FLAG_DATA, log.take_seq()))
     log.mark_done(a)
     _, size = log.read_record()
     log.advance_tail(size)

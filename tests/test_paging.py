@@ -18,6 +18,11 @@ from aasim.paging import (
 )
 
 
+def frame_of(run, vpn):
+    """The frame a mapped run puts page vpn on."""
+    return ((vpn << 12) + run.offset) >> 12
+
+
 def bits_pte(w=0, r=0, wl=0, wld=0, rl=0, rld=0, e=0, iuid=0, frame=1):
     return Pte(
         frame=frame,
@@ -97,8 +102,12 @@ def test_classify_rejects_unknown_kind():
 
 
 def test_pte_normalization_implies_meta_bits():
-    pte = bits_pte(wld=1, rld=1).normalized()
-    assert pte.wl and pte.rl
+    # A run mapped from data-logging bits alone is logged for both kinds.
+    table = PageTable()
+    table.map_range(0x5000, bits_pte(r=1, wld=1, rld=1, e=1, iuid=2, frame=5))
+    run, _ = table.lookup(5)
+    assert run.acts[PUT].log_meta and run.acts[PUT].log_data
+    assert run.acts[GET].log_meta and run.acts[GET].log_data
 
 
 def test_iuid_range_checked():
@@ -112,9 +121,9 @@ def test_iuid_range_checked():
 
 def test_walk_cost_is_four_levels():
     table = PageTable()
-    table.map_range(0x5000, bits_pte(w=1, frame=5))
-    pte, cost = table.lookup(5)
-    assert pte.frame == 5
+    table.map_range(0x5000, bits_pte(w=1, frame=9))
+    run, cost = table.lookup(5)
+    assert frame_of(run, 5) == 9
     assert cost == 4
 
 
@@ -131,9 +140,11 @@ def test_map_range_crosses_leaf_tables():
     table.map_range(500 << 12, bits_pte(w=1, wld=1, iuid=7, frame=900), pages=1030)
     assert table.lookup(499) == (None, 4)
     assert table.lookup(1530) == (None, 4)
+    want = bits_pte(w=1, wld=1, iuid=7)
     for vpn in (500, 511, 512, 1023, 1024, 1529):
-        pte, cost = table.lookup(vpn)
-        assert pte == bits_pte(w=1, wl=1, wld=1, iuid=7, frame=400 + vpn)
+        run, cost = table.lookup(vpn)
+        assert frame_of(run, vpn) == 400 + vpn
+        assert run.acts == (classify(want, PUT), classify(want, GET))
         assert cost == 4
 
 
@@ -190,7 +201,9 @@ def test_page_table_matches_per_page_reference(runs, probes):
         if vpn < 0:
             continue
         if vpn in ref:
-            assert table.lookup(vpn) == (ref[vpn], 4)
+            run, cost = table.lookup(vpn)
+            assert cost == 4 and frame_of(run, vpn) == ref[vpn].frame
+            assert run.acts == (classify(ref[vpn], PUT), classify(ref[vpn], GET))
         else:
             assert table.lookup(vpn) == (None, _depth_of_unmapped(ref, vpn))
 
@@ -206,7 +219,7 @@ def test_mapping_a_region_costs_per_leaf_not_per_page():
         tracemalloc.stop()
     # 16 leaves of 512 slots sharing one run; a Pte per page would take ~1.5 MiB.
     assert allocated < 256 * 1024
-    assert table.lookup((1 << 18) + 8191)[0].frame == (1 << 18) + 8191
+    assert frame_of(table.lookup((1 << 18) + 8191)[0], (1 << 18) + 8191) == (1 << 18) + 8191
 
 
 # -- iotlb ----------------------------------------------------------------
@@ -290,7 +303,7 @@ def test_translator_costs_and_caching():
 def test_translator_fault_on_unmapped():
     tr = build_translator()
     res = tr.walk(0, 0x9000)
-    assert res.pte is None and res.phys == 0
+    assert res.run is None and res.phys == 0
 
 
 def test_remap_invalidates_cached_translation():
@@ -300,7 +313,6 @@ def test_remap_invalidates_cached_translation():
     tr.map_range(0x3000, bits_pte(w=1, frame=9))
     res = tr.walk(0, 0x3004)
     assert res.mem_accesses == 4  # re-walk, context already cached
-    assert res.pte.frame == 9
     assert res.phys == 0x9004
 
 
@@ -314,7 +326,7 @@ def test_range_remap_invalidates_every_cached_page():
     for page in (4, 5):
         res = tr.walk(0, page << 12)
         assert res.mem_accesses == 4
-        assert res.pte.frame == 36 + page
+        assert res.phys >> 12 == 36 + page
     assert tr.walk(0, 6 << 12).mem_accesses == 0
 
 
@@ -325,27 +337,34 @@ def test_long_range_remap_invalidates_cached_pages_inside_it_only():
         tr.walk(0, page << 12)
     tr.map_range(8 << 12, bits_pte(w=1, frame=80), pages=20)
     assert [tr.walk(0, page << 12).mem_accesses for page in (2, 9, 10, 30)] == [0, 4, 4, 0]
-    assert tr.walk(0, 10 << 12).pte.frame == 82
+    assert tr.walk(0, 10 << 12).phys >> 12 == 82
 
 
 def test_cache_transparency_on_random_traces():
-    # cached and uncached translators agree on every result
+    # cached and uncached translators agree on every result, and a page's
+    # run carries the classification of the entry last mapped there
     rng = random.Random(42)
     cached = build_translator(capacity=4)
     plain = PageTable()
     pages = list(range(16))
-    for page in pages:
-        pte = bits_pte(w=1, frame=page + 100)
+    ref = {}
+
+    def remap(page):
+        pte = bits_pte(*(rng.random() < 0.5 for _ in range(7)), iuid=rng.randrange(4), frame=rng.randrange(1000))
         cached.map_range(page * 4096, pte)
         plain.map_range(page * 4096, pte)
+        ref[page] = pte
+
+    for page in pages:
+        remap(page)
     for _ in range(500):
         page = rng.choice(pages)
         if rng.random() < 0.1:
-            newpte = bits_pte(w=1, frame=rng.randrange(1000))
-            cached.map_range(page * 4096, newpte)
-            plain.map_range(page * 4096, newpte)
+            remap(page)
             continue
         got = cached.walk(0, page * 4096 + 8)
         want, _ = plain.lookup(page)
-        assert got.pte.frame == want.frame
-        assert got.phys == (want.frame << 12) + 8
+        assert got.run == want
+        assert got.phys == (ref[page].frame << 12) + 8
+        for kind in (PUT, GET):
+            assert got.run.acts[kind] == classify(ref[page], kind)

@@ -4,6 +4,7 @@ from aasim.config import SimConfig
 from aasim.link import OversizeError
 from aasim.logbuf import record_size
 from aasim.memory import PAGE_SIZE
+from aasim.paging import PUT
 from aasim.runtime import NodeError
 from aasim.sim import DeadlockError, Simulation
 
@@ -701,7 +702,10 @@ def test_assoc_span_maps_a_run_inside_one_region():
         target.assoc_page(base, 99, span=4 * PAGE_SIZE, wl=True, e=True)
     target.assoc_page(base + PAGE_SIZE, iuid, span=2 * PAGE_SIZE + 8, w=True, wl=True, e=True)
     for page in range(4):
-        pte, _ = target.translator.page_table.lookup((base >> 12) + page)
-        assert (pte is not None) == (page > 0)
-        if pte is not None:
-            assert (pte.frame, pte.iuid, pte.w, pte.wl) == ((base >> 12) + page, iuid, True, True)
+        vpn = (base >> 12) + page
+        run, _ = target.translator.page_table.lookup(vpn)
+        assert (run is not None) == (page > 0)
+        if run is not None:
+            acts = run.acts[PUT]
+            assert run.offset == 0  # assoc_page maps each page onto its own frame
+            assert (acts.iuid, acts.memory_effect, acts.log_meta) == (iuid, True, True)

@@ -191,9 +191,12 @@ def test_delete_phase_matches_oracle(scheme):
 # consumer is woken to return and the watchdog's last wake never runs). am
 # keeps its count: its apps wait on no completion, and its last handler ends
 # on a sweep tick, after that sweep, which finds the message still queued and
-# leaves the stop to the next tick.
+# leaves the stop to the next tick. The bridge then took one wake per step:
+# a transaction head's interception and walk are one sleep (with the header
+# store when its record fits at once), and so are an atomic's write-back and
+# its completion's egress.
 PINNED_EVENTS = {
-    "aa-int": 1376, "aa-poll": 1433, "aa-sp": 1512, "rma": 2931, "am": 918, "getlog-aa": 888,
+    "aa-int": 1181, "aa-poll": 1238, "aa-sp": 1317, "rma": 2548, "am": 902, "getlog-aa": 824,
 }
 
 
