@@ -25,11 +25,13 @@ starts, so an event due at that same instant and queued in between now runs
 after it rather than before. No simulated number of the tests or the
 benchmark moves for it.
 
-Every get the bridge serves goes through one read coroutine: plain reads,
-reads logged with data (each completion is also copied into the record) and
-atomics (a read-modify-write). A get to a flush page instead joins its
-domain's FIFO of flush waiters; the head waiter is answered once the consumer
-has freed every record reserved before it arrived.
+Every get the bridge serves is a chain of scheduled callbacks, one at the
+data fetch and one at each completion's egress: plain reads, reads logged
+with data (each completion is also copied into the record, which is
+published after the last) and atomics (a read-modify-write). A get to a
+flush page instead joins its domain's FIFO of flush waiters; the head waiter
+is answered once the consumer has freed every record reserved before it
+arrived.
 
 Logging domains are bridge state: the bridge numbers each one, reserves its
 ring and flush page, and resolves a PTE's IUID to its log. The active-message
@@ -325,26 +327,26 @@ class Iommu:
             self.backchannel_for(tlp.requester_id).deliver(lnk.blocked_completion(tlp))
             return
         if log is None:
-            self.engine.spawn(self._serve_read(tlp, entry.phys_base))
+            self.engine.schedule(self.cfg.mem_access_ns, self._fetch, tlp, entry.phys_base)
             return
         if tlp.atomic is not None:
             raise IommuError("atomics on logging-marked pages are unsupported")
         if entry.log_data:
             # The record stays open until the read has copied its data in.
             self.tag_buffer[key] = entry
-            self.engine.spawn(self._serve_read(tlp, entry.phys_base, log, entry.offset))
+            self.engine.schedule(self.cfg.mem_access_ns, self._fetch, tlp, entry.phys_base, log, entry.offset)
             return
-        # Metadata-only read record commits at interception, before the read
-        # is spawned: the commit hooks' wake-ups are scheduled ahead of it.
+        # Metadata-only read record commits at interception, before the fetch
+        # is queued: the commit hooks' wake-ups are scheduled ahead of it.
         log.mark_done(entry.offset)
-        self.engine.spawn(self._serve_read(tlp, entry.phys_base))
+        self.engine.schedule(self.cfg.mem_access_ns, self._fetch, tlp, entry.phys_base)
         yield self.cfg.mem_access_ns
 
-    def _serve_read(self, tlp, phys, log=None, offset=0):
-        """Fetch (or atomically update) the data and send the completions,
-        copying each one into the record at offset when log is given."""
+    def _fetch(self, tlp, phys, log=None, offset=0):
+        """At a get's data fetch: read (or atomically update) the data and
+        queue the first completion's egress. With a log, each completion is
+        also copied into the record at offset."""
         cfg = self.cfg
-        yield cfg.mem_access_ns  # data fetch
         desc = tlp.atomic
         egress = cfg.iommu_proc_ns
         if desc is None:
@@ -361,22 +363,28 @@ class Iommu:
             else:
                 raise IommuError("unknown atomic op %r" % desc.op)
             data = prev.to_bytes(8, "little")
-            # The write-back and the first egress interception: one step.
+            # The write-back and the egress interception: one step.
             egress += cfg.mem_access_ns
-        channel = self.backchannel_for(tlp.requester_id)
-        copied = 0
-        for cpl in lnk.make_completions(tlp, data, cfg.max_payload):
-            yield egress  # egress interception
-            egress = cfg.iommu_proc_ns
-            if log is not None:
-                log.ring_write(offset + logbuf.HEADER_BYTES + copied, cpl.payload)
-                copied += len(cpl.payload)
-            channel.deliver(cpl)
+        cpls = lnk.make_completions(tlp, data, cfg.max_payload)
+        self.engine.schedule(egress, self._egress, tlp, cpls, 0, log, offset)
+
+    def _egress(self, tlp, cpls, i, log, offset):
+        """At the end of completion i's egress interception: send it and
+        queue the next one's; after the last, publish the record if any."""
+        cfg = self.cfg
+        cpl = cpls[i]
         if log is not None:
+            log.ring_write(offset + logbuf.HEADER_BYTES + i * cfg.max_payload, cpl.payload)
+        self.backchannel_for(tlp.requester_id).deliver(cpl)
+        if i + 1 < len(cpls):
+            self.engine.schedule(cfg.iommu_proc_ns, self._egress, tlp, cpls, i + 1, log, offset)
+        elif log is None:
+            self.engine.note_activity()
+        else:
             del self.tag_buffer[(tlp.requester_id, tlp.tag)]
             log.mark_done(offset)
-            yield cfg.mem_access_ns
-        self.engine.note_activity()
+            # The pointer publish: one memory access, off the get's path.
+            self.engine.schedule(cfg.mem_access_ns, self.engine.note_activity)
 
     # -- flushes -----------------------------------------------------------
 

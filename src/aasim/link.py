@@ -173,6 +173,12 @@ class Link(_Wire):
         if rank is None:
             rank = self._rank[tlp.requester_id] = len(self._queues)
             self._queues.append(deque())
+        if not self._ready and self.credits:
+            # Nothing waits and a credit is free: the packet departs now, as
+            # _pump would send it.
+            self.credits -= 1
+            self._transmit(tlp, self.sink)
+            return
         queue = self._queues[rank]
         if not queue:
             insort(self._ready, rank)
