@@ -10,7 +10,6 @@ has a free credit. Nothing is ever dropped; senders stall.
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappush
 
 MAX_TXN_BYTES = 4096
 COMPLETION_ADDR_BITS = 7  # read completions carry only the low address bits
@@ -131,10 +130,8 @@ class _Wire:
         self._wire_free_at = 0.0
 
     def _transmit(self, tlp, on_arrival):
-        """Count the packet and queue its arrival; Engine.schedule inlined,
-        with the same float expression for the arrival time."""
-        engine = self.engine
-        now = engine.now
+        """Count the packet and queue its arrival."""
+        now = self.engine.now
         free_at = self._wire_free_at
         payload = tlp.payload
         payload_bytes = len(payload) if payload else 0
@@ -144,7 +141,7 @@ class _Wire:
         metrics.packets += 1
         metrics.bytes_wire += wire_bytes
         metrics.bytes_payload += payload_bytes
-        heappush(engine._heap, (now + ((free_at + self.latency) - now), next(engine._seq), on_arrival, (tlp,)))
+        self.engine.schedule((free_at + self.latency) - now, on_arrival, tlp)
 
 
 class Link(_Wire):
@@ -173,12 +170,6 @@ class Link(_Wire):
         if rank is None:
             rank = self._rank[tlp.requester_id] = len(self._queues)
             self._queues.append(deque())
-        if not self._ready and self.credits:
-            # Nothing waits and a credit is free: the packet departs now, as
-            # _pump would send it.
-            self.credits -= 1
-            self._transmit(tlp, self.sink)
-            return
         queue = self._queues[rank]
         if not queue:
             insort(self._ready, rank)

@@ -55,9 +55,11 @@ class Pte:
             raise PagingError("frame %d out of range" % self.frame)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class ActionSet:
-    """What the bridge must do for one transaction against one page."""
+    """What the bridge must do for one transaction against one page. Frozen:
+    one is built per access kind at map time and shared by every page of the
+    run, every IOTLB entry and every transaction head that reads it."""
 
     memory_effect: bool
     log_meta: bool
