@@ -5,6 +5,11 @@ producer side reserves space per transaction and may complete reservations
 out of order; a committed-head pointer publishes only the hole-free prefix,
 so consumers never observe a partially filled record. Offsets are virtual
 (monotonic) and wrap at byte granularity on the ring.
+
+A ring is one buffer that backs the ring's lines in the node's memory
+(``PhysMemory.back_region``). A ring write or read is one slice of it, two
+when it wraps, and a header is unpacked in place; ``PhysMemory.read`` and
+``write`` of the ring region see and change the same bytes.
 """
 
 import struct
@@ -67,6 +72,7 @@ class AccessLog:
         self.iuid = iuid
         self.base = base
         self.size = size
+        self._ring = memory.back_region(base, size)  # memoryview
         self.head = 0  # producer reservation frontier (virtual)
         self.committed_head = 0  # hole-free prefix boundary
         self.tail = 0  # consumer frontier
@@ -121,21 +127,23 @@ class AccessLog:
         return offset
 
     def ring_write(self, voffset, payload):
-        pos = self.base + voffset % self.size
-        room = self.base + self.size - pos  # bytes before the ring wraps
-        if len(payload) <= room:
-            self.memory.write(pos, payload)
+        size = self.size
+        pos = voffset % size
+        end = pos + len(payload)
+        if end <= size:
+            self._ring[pos:end] = payload
         else:
-            self.memory.write(pos, payload[:room])
-            self.memory.write(self.base, payload[room:])
+            room = size - pos  # bytes before the ring wraps
+            self._ring[pos:size] = payload[:room]
+            self._ring[: end - size] = payload[room:]
 
     def ring_read(self, voffset, nbytes):
-        pos = self.base + voffset % self.size
-        first = min(nbytes, self.base + self.size - pos)
-        out = self.memory.read(pos, first)
-        if first < nbytes:
-            out += self.memory.read(self.base, nbytes - first)
-        return out
+        size = self.size
+        pos = voffset % size
+        end = pos + nbytes
+        if end <= size:
+            return self._ring[pos:end].tobytes()
+        return self._ring[pos:size].tobytes() + self._ring[: end - size].tobytes()
 
     def mark_done(self, offset):
         entry = self._by_offset.get(offset)
@@ -163,7 +171,11 @@ class AccessLog:
         committed = self.committed_head - self.tail
         if committed < HEADER_BYTES:
             return None
-        rec = LogRecord(*HEADER.unpack(self.ring_read(self.tail, HEADER_BYTES)))
+        pos = self.tail % self.size
+        if pos + HEADER_BYTES <= self.size:
+            rec = LogRecord(*HEADER.unpack_from(self._ring, pos))
+        else:
+            rec = LogRecord(*HEADER.unpack(self.ring_read(self.tail, HEADER_BYTES)))
         if rec.flags & FLAG_DATA:
             size = HEADER_BYTES + pad8(rec.length)
             if committed < size:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aasim.engine import Engine
 from aasim.logbuf import (
@@ -13,7 +15,7 @@ from aasim.logbuf import (
     WouldBlock,
     record_size,
 )
-from aasim.memory import PhysMemory
+from aasim.memory import LINE_SIZE, PAGE_SIZE, PhysMemory
 
 
 def make_log(size=128):
@@ -140,3 +142,141 @@ def test_fault_log_rejects_data_records():
     flog = FaultLog(4)
     with pytest.raises(LogError):
         flog.append(LogRecord(0, 1, 0, 0, 8, FLAG_DATA, 0))
+
+
+class ReferenceRing:
+    """A ring kept in an unbacked PhysMemory: every ring write and read goes
+    through PhysMemory.write and read, split where the ring wraps."""
+
+    def __init__(self, size):
+        self.memory = PhysMemory(0)
+        self.memory.reserve_region("before", PAGE_SIZE)
+        self.base = self.memory.reserve_region("log", size)
+        self.memory.reserve_region("after", PAGE_SIZE)
+        self.size = size
+
+    def write(self, voffset, payload):
+        pos = self.base + voffset % self.size
+        room = self.base + self.size - pos
+        self.memory.write(pos, payload[:room])
+        if len(payload) > room:
+            self.memory.write(self.base, payload[room:])
+
+    def read(self, voffset, nbytes):
+        pos = self.base + voffset % self.size
+        first = min(nbytes, self.base + self.size - pos)
+        out = self.memory.read(pos, first)
+        if first < nbytes:
+            out += self.memory.read(self.base, nbytes - first)
+        return out
+
+    def record(self, tail, committed):
+        """What read_record gives: None, (record, size), or LogError when
+        the committed prefix ends inside the record."""
+        if committed < HEADER_BYTES:
+            return None
+        rec = LogRecord(*HEADER.unpack(self.read(tail, HEADER_BYTES)))
+        if not rec.flags & FLAG_DATA:
+            return rec, HEADER_BYTES
+        if committed < record_size(rec.length, True):
+            return LogError
+        rec.payload = self.read(tail + HEADER_BYTES, rec.length)
+        return rec, record_size(rec.length, True)
+
+
+def pattern(length, seed):
+    return bytes((seed + 7 * i) % 256 for i in range(length))
+
+
+RING_OPS = st.one_of(
+    st.tuples(st.just("reserve"), st.integers(1, 600), st.booleans()),
+    st.tuples(st.just("write"), st.integers(0, 7), st.integers(0, 600), st.integers(1, 600),
+              st.integers(0, 255)),
+    st.tuples(st.just("done"), st.integers(0, 7)),
+    st.tuples(st.just("consume"),),
+    # Plain memory traffic on and around the ring region: (offset from the
+    # ring's base, length, pattern seed).
+    st.tuples(st.just("mem_write"), st.integers(-64, 4096 + 64), st.integers(1, 600),
+              st.integers(0, 255)),
+    st.tuples(st.just("mem_read"), st.integers(-64, 4096 + 64), st.integers(1, 600)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1 << k for k in range(5, 13)]),
+    st.integers(0, 4096),
+    st.lists(RING_OPS, max_size=60),
+)
+def test_backed_ring_matches_a_ring_kept_in_the_line_store(size, lead, ops):
+    ref = ReferenceRing(size)
+    mem = PhysMemory(0)
+    mem.reserve_region("before", PAGE_SIZE)
+    base = mem.reserve_region("log", size)
+    mem.reserve_region("after", PAGE_SIZE)
+    assert base == ref.base
+    log = AccessLog(Engine(), mem, 5, base, size)
+    # One record consumed up front starts the ops at any offset, so that
+    # headers and payloads often wrap.
+    lead = lead // 8 * 8 % size
+    if lead >= HEADER_BYTES:
+        length = lead - HEADER_BYTES
+        offset = log.reserve(lead)
+        record = HEADER.pack(0, 1, 5, 0, length, FLAG_DATA if length else 0, log.take_seq())
+        record += pattern(length, lead)
+        log.ring_write(offset, record)
+        ref.write(offset, record)
+        log.mark_done(offset)
+        log.advance_tail(log.read_record()[1])
+    open_recs = []  # [offset, length, with_data] reserved and not yet done
+    span = -(-size // LINE_SIZE) * LINE_SIZE + LINE_SIZE  # backed lines and the next
+    for op in ops:
+        kind = op[0]
+        if kind == "reserve":
+            _, length, with_data = op
+            nbytes = record_size(length, with_data)
+            if nbytes > size:
+                with pytest.raises(LogError):
+                    log.reserve(nbytes)
+                continue
+            try:
+                offset = log.reserve(nbytes)
+            except WouldBlock:
+                continue
+            header = HEADER.pack(0, 1, 5, offset, length, FLAG_DATA if with_data else 0, log.take_seq())
+            log.ring_write(offset, header)
+            ref.write(offset, header)
+            open_recs.append([offset, length, with_data])
+        elif kind == "write" and open_recs:
+            _, k, at, length, seed = op
+            offset, rec_len, with_data = open_recs[k % len(open_recs)]
+            if not with_data:
+                continue
+            at %= rec_len
+            chunk = pattern(min(length, rec_len - at), seed)
+            log.ring_write(offset + HEADER_BYTES + at, chunk)
+            ref.write(offset + HEADER_BYTES + at, chunk)
+        elif kind == "done" and open_recs:
+            offset = open_recs.pop(op[1] % len(open_recs))[0]
+            log.mark_done(offset)
+        elif kind == "consume":
+            # Plain writes may have changed a header's length or flags.
+            try:
+                got = log.read_record()
+            except LogError:
+                got = LogError
+            assert got == ref.record(log.tail, log.committed_head - log.tail)
+            if got not in (None, LogError):
+                log.advance_tail(got[1])
+        elif kind == "mem_write":
+            _, at, length, seed = op
+            mem.write(base + at, pattern(length, seed))
+            ref.memory.write(base + at, pattern(length, seed))
+        elif kind == "mem_read":
+            _, at, length = op
+            assert mem.read(base + at, length) == ref.memory.read(base + at, length)
+        assert mem.read(base, size) == ref.memory.read(base, size)
+        assert log.ring_read(0, size) == ref.read(0, size)
+    assert mem.read(0, mem.size) == ref.memory.read(0, ref.memory.size)
+    for line in range(base - LINE_SIZE, base + span, LINE_SIZE):
+        assert mem.read(line, LINE_SIZE) == ref.memory.read(line, LINE_SIZE), line
