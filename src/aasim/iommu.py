@@ -174,20 +174,22 @@ class Iommu:
     def _open_txn(self, tlp, op):
         """First packet of a transaction: interception, walk, classification
         and, for a logged access, the record's reservation and header store.
-        Generator; returns the transaction's TagEntry."""
+        Generator; returns the head's classification, the fields of a
+        TagEntry after dev_addr and bytes_remaining: (phys_base,
+        memory_effect, log_data, log, offset, status)."""
         if tlp.seq_in_txn != 0:
             raise IommuError("transaction started mid-stream (tag reuse?)")
         cfg = self.cfg
         if not self.enabled:
             yield cfg.iommu_proc_ns
-            return TagEntry(tlp.address, tlp.txn_total, tlp.address, True, False, None, 0, "ok")
+            return tlp.address, True, False, None, 0, "ok"
         run, phys, accesses = self.translator.walk(tlp.requester_id, tlp.address)
         # Interception and the walk: one step of pipeline occupancy.
         occupancy = cfg.iommu_proc_ns + cfg.mem_access_ns * accesses
         if run is None:
             self._append_fault(tlp, op, blocked=True)
             yield occupancy
-            return TagEntry(tlp.address, tlp.txn_total, 0, False, False, None, 0, "fault")
+            return 0, False, False, None, 0, "fault"
         acts = run.acts[op]
         memory_effect = acts.memory_effect
         status = "ok" if memory_effect else "blocked"
@@ -195,7 +197,7 @@ class Iommu:
             if acts.log_meta:  # logged to the fault log
                 self._append_fault(tlp, op, blocked=not memory_effect)
             yield occupancy
-            return TagEntry(tlp.address, tlp.txn_total, phys, memory_effect, False, None, 0, status)
+            return phys, memory_effect, False, None, 0, status
         iuid = acts.iuid
         if not 0 < iuid <= len(self.alogs):
             raise IommuError("no access log registered for iuid %d" % iuid)
@@ -217,7 +219,7 @@ class Iommu:
                 offset = yield from self._reserve_with_bypass(log, nbytes)
             self._store_header(tlp, op, acts, log, offset)
             yield cfg.mem_access_ns
-        return TagEntry(tlp.address, tlp.txn_total, phys, memory_effect, with_data, log, offset, status)
+        return phys, memory_effect, with_data, log, offset, status
 
     @staticmethod
     def _store_header(tlp, op, acts, log, offset):
@@ -286,8 +288,8 @@ class Iommu:
         key = (tlp.requester_id, tlp.tag)
         entry = self.tag_buffer.get(key)
         if entry is None:
-            entry = yield from self._open_txn(tlp, PUT)
-            self.tag_buffer[key] = entry
+            head = yield from self._open_txn(tlp, PUT)
+            entry = self.tag_buffer[key] = TagEntry(tlp.address, tlp.txn_total, *head)
         else:
             yield self.cfg.iommu_proc_ns
         off = tlp.address - entry.dev_addr
@@ -318,28 +320,28 @@ class Iommu:
         key = (tlp.requester_id, tlp.tag)
         if key in self.tag_buffer:
             raise IommuError("read request with busy tag %r" % (key,))
-        entry = yield from self._open_txn(tlp, GET)
-        log = entry.log
-        if not entry.memory_effect:
+        head = yield from self._open_txn(tlp, GET)
+        phys, memory_effect, log_data, log, offset, _status = head
+        if not memory_effect:
             if log is not None:
-                log.mark_done(entry.offset)
+                log.mark_done(offset)
                 yield self.cfg.mem_access_ns
             self.backchannel_for(tlp.requester_id).deliver(lnk.blocked_completion(tlp))
             return
         if log is None:
-            self.engine.schedule(self.cfg.mem_access_ns, self._fetch, tlp, entry.phys_base)
+            self.engine.schedule(self.cfg.mem_access_ns, self._fetch, tlp, phys)
             return
         if tlp.atomic is not None:
             raise IommuError("atomics on logging-marked pages are unsupported")
-        if entry.log_data:
+        if log_data:
             # The record stays open until the read has copied its data in.
-            self.tag_buffer[key] = entry
-            self.engine.schedule(self.cfg.mem_access_ns, self._fetch, tlp, entry.phys_base, log, entry.offset)
+            self.tag_buffer[key] = TagEntry(tlp.address, tlp.txn_total, *head)
+            self.engine.schedule(self.cfg.mem_access_ns, self._fetch, tlp, phys, log, offset)
             return
         # Metadata-only read record commits at interception, before the fetch
         # is queued: the commit hooks' wake-ups are scheduled ahead of it.
-        log.mark_done(entry.offset)
-        self.engine.schedule(self.cfg.mem_access_ns, self._fetch, tlp, entry.phys_base)
+        log.mark_done(offset)
+        self.engine.schedule(self.cfg.mem_access_ns, self._fetch, tlp, phys)
         yield self.cfg.mem_access_ns
 
     def _fetch(self, tlp, phys, log=None, offset=0):

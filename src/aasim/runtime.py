@@ -26,20 +26,26 @@ class OpHandle:
     # first completion; every other handle reads these class defaults.
     buf = None
     remaining = 0
+    # Built by the first wait() that finds the op not done; most handles
+    # are never waited on.
+    _signal = None
 
     def __init__(self, engine):
         self.done = False
         self.status = None
         self.data = None
-        self._signal = Signal(engine)
+        self._engine = engine
 
     def fire(self, status, data=None):
         self.done = True
         self.status = status
         self.data = data
-        self._signal.fire()
+        if self._signal is not None:
+            self._signal.fire()
 
     def wait(self):
+        if not self.done and self._signal is None:
+            self._signal = Signal(self._engine)
         while not self.done:
             yield self._signal
         return self
