@@ -68,7 +68,6 @@ class AccessLog:
         if size <= 0 or size & (size - 1):
             raise LogError("log size %d not a power of two" % size)
         self.engine = engine
-        self.memory = memory
         self.iuid = iuid
         self.base = base
         self.size = size

@@ -62,12 +62,12 @@ class PhysMemory:
     def back_region(self, base, size):
         """Back the whole lines covering [base, base + size) with one
         bytearray and return a memoryview of it; each line's store entry
-        becomes a view of its 256 bytes. base must start a line."""
+        becomes a view of its 256 bytes, holding what the line held. base
+        must start a line."""
         if base & _LINE_MASK or size <= 0 or base < 0 or base + size > self._bump:
             raise MemoryError_("cannot back [%d, %d) with one buffer" % (base, base + size))
         count = -(-size // LINE_SIZE)
-        buf = bytearray(count * LINE_SIZE)
-        view = memoryview(buf)
+        view = memoryview(bytearray(count * LINE_SIZE))
         lines = self._lines
         first = base >> LINE_SHIFT
         for i in range(count):

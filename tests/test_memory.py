@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -206,3 +207,21 @@ def test_scattered_words_cost_a_line_each_not_a_page():
 
     assert _allocated_by(write_all) < 1 << 20
     assert all(mem.read_word(addr) == addr for addr in addrs)
+
+
+def test_a_backed_region_keeps_its_bytes_and_shares_them_with_the_store():
+    mem = PhysMemory(0)
+    base = mem.reserve_region("ring", 3 * LINE_SIZE)
+    mem.reserve_region("next", PAGE_SIZE)
+    mem.write(base + LINE_SIZE - 4, b"abcdefgh")  # straddles lines 0 and 1
+    view = mem.back_region(base, 2 * LINE_SIZE + 1)
+    assert len(view) == 3 * LINE_SIZE  # whole lines, no more
+    assert view[LINE_SIZE - 4 : LINE_SIZE + 4].tobytes() == b"abcdefgh"
+    view[2 * LINE_SIZE - 2 : 2 * LINE_SIZE + 2] = b"WXYZ"
+    assert mem.read(base + 2 * LINE_SIZE - 2, 4) == b"WXYZ"
+    mem.write(base + 3 * LINE_SIZE - 3, b"123456")  # into the next region
+    assert view[-3:].tobytes() == b"123"
+    assert mem.read(base + 3 * LINE_SIZE, 3) == b"456"
+    for bad in ((base + 8, 8), (base, 0), (base, mem.size + 1)):
+        with pytest.raises(MemoryError_):
+            mem.back_region(*bad)
