@@ -7,9 +7,11 @@ so consumers never observe a partially filled record. Offsets are virtual
 (monotonic) and wrap at byte granularity on the ring.
 
 A ring is one buffer that backs the ring's lines in the node's memory
-(``PhysMemory.back_region``). A ring write or read is one slice of it, two
-when it wraps, and a header is unpacked in place; ``PhysMemory.read`` and
-``write`` of the ring region see and change the same bytes.
+(``PhysMemory.back_region``), from its first reservation on; every ring
+write and read follows one. A ring write or read is one slice of the
+buffer, two when it wraps, and a header is unpacked in place;
+``PhysMemory.read`` and ``write`` of the ring region see and change the same
+bytes.
 """
 
 import struct
@@ -71,7 +73,8 @@ class AccessLog:
         self.iuid = iuid
         self.base = base
         self.size = size
-        self._ring = memory.back_region(base, size)  # memoryview
+        self.memory = memory
+        self._ring = None  # memoryview of the ring's buffer, from the first reserve
         self.head = 0  # producer reservation frontier (virtual)
         self.committed_head = 0  # hole-free prefix boundary
         self.tail = 0  # consumer frontier
@@ -118,6 +121,9 @@ class AccessLog:
         if nbytes > self.free_bytes:
             self.reserve_failures += 1
             raise WouldBlock()
+        if self._ring is None:
+            # A domain that never logs costs no buffer.
+            self._ring = self.memory.back_region(self.base, self.size)
         offset = self.head
         self.head += nbytes
         entry = [offset, nbytes, False]
