@@ -70,10 +70,10 @@ class AccessLog:
         if size <= 0 or size & (size - 1):
             raise LogError("log size %d not a power of two" % size)
         self.engine = engine
+        self.memory = memory
         self.iuid = iuid
         self.base = base
         self.size = size
-        self.memory = memory
         self._ring = None  # memoryview of the ring's buffer, from the first reserve
         self.head = 0  # producer reservation frontier (virtual)
         self.committed_head = 0  # hole-free prefix boundary

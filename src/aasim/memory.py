@@ -7,11 +7,11 @@ and resident memory therefore follow the lines a run touches, not the volumes
 it reserves, and a scattered 8-byte store costs one line rather than a page.
 Regions and paging still work in 4 KiB pages.
 
-A region's owner may instead back it up front with one buffer
-(``back_region``). Its lines then enter the store as views of that buffer, so
-the owner moves a run of bytes with one slice of the buffer, while ``read``
-and ``write`` still go through the store and see the same bytes. The access
-logs' rings are backed this way.
+A region's owner may instead back it with one buffer (``back_region``). Its
+lines then enter the store as views of that buffer, so the owner moves a run
+of bytes with one slice of the buffer, while ``read`` and ``write`` still go
+through the store and see the same bytes. The access logs' rings are backed
+this way.
 """
 
 from bisect import bisect_right

@@ -26,8 +26,8 @@ class OpHandle:
     # first completion; every other handle reads these class defaults.
     buf = None
     remaining = 0
-    # Built by the first wait() that finds the op not done; most handles
-    # are never waited on.
+    # Built by the first wait() that finds the op not done, so a handle
+    # that is never waited on (most puts') builds none.
     _signal = None
 
     def __init__(self, engine):
