@@ -14,6 +14,11 @@ from .engine import Cpu, Signal
 from .memory import PAGE_SHIFT, PAGE_SIZE
 from .paging import Pte
 
+# Under aa-int, a commit that leaves the node's pending records below
+# interrupt_batch raises the interrupt this long after the first such
+# commit, if records still wait then: the count-or-time rule of NIC
+# interrupt moderation.
+INTERRUPT_HOLDOFF_NS = 1000.0
 
 class NodeError(Exception):
     pass
@@ -90,6 +95,7 @@ class Proc:
         self.handlers = []  # record handler per logging domain, in iuid order
         self._wake = Signal(engine)
         self._int_armed = False
+        self._holdoff_armed = False
         self.live_ops = 0
         self.am_handler = None
         self.sysflush_addr = None
@@ -309,6 +315,14 @@ class Proc:
             sum(log.pending_records for log in self.iommu.alogs) >= self.cfg.interrupt_batch
         ):
             self._notify()
+        elif not self._holdoff_armed:
+            self._holdoff_armed = True
+            self.engine.schedule(INTERRUPT_HOLDOFF_NS, self._holdoff)
+
+    def _holdoff(self):
+        self._holdoff_armed = False
+        if any(log.pending_records for log in self.iommu.alogs):
+            self._notify()
 
     def _notify(self):
         """Wake the consumer: a scratchpad write under sp, one interrupt under int."""
@@ -324,15 +338,15 @@ class Proc:
 
     def consumer(self):
         """Consumer loop of the node's logs and inbox; shares the core with
-        the application thread. It runs until the sweeper stops the engine."""
+        the application thread. Under sp and int it drains until nothing is
+        committed before it parks, so a wake-up that finds it busy is never
+        needed again. It runs until the run is stopped."""
         while True:
             if self._notification == "poll":
                 yield self.cfg.poll_interval_ns
-            # Under sp the core reads its committed-head mirror first and
-            # parks only when nothing is committed.
-            elif self._notification == "int" or not any(
-                log.committed_bytes > 0 for log in self.iommu.alogs
-            ):
+            # The core reads its committed-head mirror (or the log's head
+            # pointer) first and parks only when nothing is committed.
+            elif not any(log.committed_bytes > 0 for log in self.iommu.alogs):
                 yield self._wake
             yield from self.poll_step()
 

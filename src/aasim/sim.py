@@ -1,34 +1,15 @@
-"""System assembly: nodes, wires, and the run loop with quiescence detection.
+"""System assembly: nodes, wires, and the run loop.
 
 Every rank is one node (memory, bridge, core, ingress wire). Remote ranks
 appear at a node as source devices sharing the node's page table. The run
-loop executes the application coroutines, one consumer loop per node that
-has a handler, and a sweeper that stops the engine once every queue, log,
-and handle has drained; a long stretch without progress raises a diagnostic
-deadlock error instead of hanging.
-
-The sweeper stays parked until the last app finishes, since no run can be
-quiescent before that. From then on it ticks on the 1 us grid (multiples of
-SWEEP_INTERVAL_NS, as if it had ticked from t = 0). A tick that finds the
-system drained calls Engine.stop(), which drops every queued event, so the
-run ends on that tick: no consumer or watchdog is woken to be told to stop.
-Any other tick wakes the parked consumers to take sub-batch leftovers and
-checks for a stall. A ticker (a sweeper ticking every 1 us from t = 0)
-queues each tick 1 us ahead; the parked sweeper queues its first tick when
-the last app finishes, so that tick comes after any event due at the same
-time and queued in between. A finish exactly on a tick counts as before
-that tick, and the first sweep is the next tick. A ticker's tick comes after
-such a finish when the app's last wake-up was queued more than 1 us earlier,
-so such a run ends 1 us later than under a ticker.
-
-While apps run, a watchdog checks for a stall instead. Its deadline is the
-first grid tick more than stall_limit_ns after the last activity. It sleeps
-to the tick before the deadline and then 1 us more, so its wake at the
-deadline is queued 1 us ahead, as a ticker's is; there it either raises or,
-if there was activity meanwhile, sleeps toward the new deadline. So a stall
-raises on the grid tick a ticker would have raised on. Only an event due at
-the deadline and queued exactly 1 us before it can sort differently against
-the watchdog than against a ticker.
+loop executes the application coroutines and one consumer loop per node that
+has a handler. Two observers watch the run; they only stop it or raise, and
+never wake a node. While apps run, a watchdog raises a diagnostic
+DeadlockError at last_activity + stall_limit_ns unless there was activity
+meanwhile. Once the last app has finished, a sweeper checks every
+SWEEP_INTERVAL_NS from that moment: a sweep that finds every queue, log and
+handle drained calls Engine.stop(), so the run ends on it, and one more than
+stall_limit_ns after the last activity raises instead.
 """
 
 import random
@@ -103,39 +84,21 @@ class Simulation:
     def _apps_running(self):
         return self._apps_done < len(self._apps)
 
-    def _stalled(self, t):
-        return t - self.engine.last_activity > self.cfg.stall_limit_ns
-
     def _watchdog(self):
-        """While apps run, raise on the first grid tick the run is stalled at."""
-        engine = self.engine
+        """While apps run, raise at the first deadline with no activity since."""
+        engine, limit = self.engine, self.cfg.stall_limit_ns
         while self._apps_running():
-            tick = (engine.last_activity + self.cfg.stall_limit_ns) // SWEEP_INTERVAL_NS
-            while not self._stalled(tick * SWEEP_INTERVAL_NS):
-                tick += 1
-            deadline = tick * SWEEP_INTERVAL_NS
-            if deadline - SWEEP_INTERVAL_NS > engine.now:
-                yield deadline - SWEEP_INTERVAL_NS - engine.now
-                if not self._apps_running():
-                    return
-            yield SWEEP_INTERVAL_NS
-            # Once the last app has finished, the sweeper's ticks watch
-            # instead.
-            if self._apps_running() and self._stalled(deadline):
+            deadline = engine.last_activity + limit
+            yield deadline - engine.now
+            if self._apps_running() and engine.last_activity + limit == deadline:
                 raise DeadlockError(self.diagnose())
 
     def _sweeper(self):
         engine = self.engine
         while self._apps_running():
             yield self._apps_finished
-        # The first grid tick after the last app finished; a finish exactly
-        # on a tick comes after that tick.
-        yield (engine.now // SWEEP_INTERVAL_NS + 1) * SWEEP_INTERVAL_NS - engine.now
         while not self.drained():
-            # Wake parked consumers to take sub-batch leftovers.
-            for proc in self.procs:
-                proc._wake.fire()
-            if self._stalled(engine.now):
+            if engine.now - engine.last_activity > self.cfg.stall_limit_ns:
                 raise DeadlockError(self.diagnose())
             yield SWEEP_INTERVAL_NS
         engine.stop()

@@ -5,7 +5,7 @@ from aasim.link import OversizeError
 from aasim.logbuf import record_size
 from aasim.memory import PAGE_SIZE
 from aasim.paging import PUT
-from aasim.runtime import NodeError
+from aasim.runtime import INTERRUPT_HOLDOFF_NS, NodeError
 from aasim.sim import DeadlockError, Simulation
 
 
@@ -389,7 +389,7 @@ def test_am_send_runs_inbox_handler():
 def test_inbox_write_wakes_the_consumer_under_every_notification(scheme):
     # The sender ends at 26,000 ns. A polling consumer finds each message on
     # its own; under int and sp each inbox write must wake the consumer, or
-    # the messages would wait for the first sweep after the app.
+    # the messages would never be read.
     sim = Simulation(small_cfg(scheme=scheme))
     target, source = sim.procs
     ran = []
@@ -558,16 +558,19 @@ def test_deadlock_detected_when_log_has_no_consumer():
             yield from handle.wait()
 
     sim.add_app(0, app(sim.procs[0]))
-    # The watchdog raises on the first 1 us tick more than the stall limit
-    # after the last activity.
-    with pytest.raises(DeadlockError, match=r"^deadlock diagnostics at t=207000 ns:"):
+    with pytest.raises(DeadlockError) as err:
         sim.run()
+    # The watchdog raises exactly the stall limit after the last activity.
+    deadline = sim.engine.last_activity + cfg.stall_limit_ns
+    assert sim.engine.now == deadline
+    assert str(err.value).startswith("deadlock diagnostics at t=%.0f ns:" % deadline)
 
 
 def test_deadlock_names_flush_held_behind_unconsumed_record():
     # The consumer sleeps past the stall limit, so the record stays
     # unconsumed and the flush behind it is still waiting.
-    sim = Simulation(small_cfg(stall_limit_ns=200000.0, poll_interval_ns=1e9))
+    cfg = small_cfg(stall_limit_ns=200000.0, poll_interval_ns=1e9)
+    sim = Simulation(cfg)
     target = sim.procs[1]
     iuid = target.register_handler(lambda ctx, rec: None, 4096)
     base = target.memory.reserve_region("data", PAGE_SIZE)
@@ -583,82 +586,107 @@ def test_deadlock_names_flush_held_behind_unconsumed_record():
     with pytest.raises(DeadlockError) as err:
         sim.run()
     message = str(err.value)
-    assert message.startswith("deadlock diagnostics at t=205000 ns:")
+    deadline = sim.engine.last_activity + cfg.stall_limit_ns
+    assert sim.engine.now == deadline
+    assert message.startswith("deadlock diagnostics at t=%.0f ns:" % deadline)
     assert "rank 1:" in message
     assert "flush@%d waiting=1" % flush_addr in message
     size = record_size(8, with_data=True)
     assert "log%d head=%d committed=%d tail=0" % (iuid, size, size) in message
 
 
-def test_app_that_ends_on_a_moved_watchdog_deadline_completes():
-    # The put completes at 2457 ns, which moves the watchdog's deadline from
-    # 50,001,000 to 50,003,000 ns. The app ends exactly there, on a wake-up
-    # queued 1543 ns earlier; a 1 us ticker's tick at that time came after
-    # it, so the run completes instead of raising.
-    sim = Simulation(small_cfg())
+@pytest.mark.parametrize("past_ns", [-1.0, 1.0], ids=["ends-before", "asleep-at"])
+def test_watchdog_deadline_is_the_stall_limit_after_the_last_activity(past_ns):
+    # The put's completion is the last activity; the app then sleeps to
+    # just before or just past the deadline, the stall limit after it.
+    cfg = small_cfg(stall_limit_ns=100_000.0)
+    sim = Simulation(cfg)
     target = sim.procs[1]
     base = target.memory.reserve_region("data", PAGE_SIZE)
     target.map_plain(base, w=True)
-    ends = []
+    done = []
 
     def app(proc):
         handle = yield from proc.put(1, base, bytes(8))
         yield from handle.wait()
-        yield 49_999_000.0
-        ends.append(proc.engine.now)
-        yield 50_003_000.0 - proc.engine.now
-        ends.append(proc.engine.now)
+        done.append(proc.engine.now)
+        yield cfg.stall_limit_ns + past_ns
 
-    metrics = run_app(sim, app(sim.procs[0]))
-    assert ends == [50_001_457.0, 50_003_000.0]
-    assert metrics.as_row(sim.cfg) == {
-        "scheme": "aa-poll", "procs": 2, "r_cols": 0.0, "r_comp": 0.0, "notification": "poll",
-        "iotlb": "64-full-lru", "ops": 0, "remote_ops": 1, "bytes_wire": 32,
-        "sim_time_ns": 50_003_000.0, "energy_j": 3.2e-08, "throughput_ops_per_s": 0.0,
-    }
+    sim.add_app(0, app(sim.procs[0]))
+    if past_ns < 0:
+        metrics = sim.run()
+        assert metrics.sim_time_ns == done[0] + cfg.stall_limit_ns + past_ns
+        return
+    with pytest.raises(DeadlockError, match=r"^deadlock diagnostics at t=\d+ ns:\n  apps done: 0/1"):
+        sim.run()
+    assert sim.engine.last_activity == done[0]
+    assert sim.engine.now == done[0] + cfg.stall_limit_ns
 
 
-@pytest.mark.parametrize(
-    "extra_ns, end_ns, sim_time_ns",
-    [
-        # A sleep shorter than a tick ends on the 3 us tick: that tick comes
-        # first, and the 4 us tick sweeps.
-        (0.0, 3000.0, 4240.0),
-        # A 1543 ns sleep ends on the 4 us tick. A sweeper ticking every 1 us
-        # from t = 0 queued that tick after the app's wake-up, so it ran after
-        # the app and swept (sim_time_ns 4240). The parked sweeper queues its
-        # first tick when the app ends, after the 4 us tick, so the 5 us tick
-        # sweeps.
-        (1000.0, 4000.0, 5240.0),
-    ],
-    ids=["short-sleep", "long-sleep"],
-)
-def test_first_sweep_after_an_app_that_ends_on_a_tick(extra_ns, end_ns, sim_time_ns):
-    # Under aa-int a record below the interrupt batch is consumed only when a
-    # sweeper tick wakes the consumer, so sim_time_ns dates the first tick
-    # after the last app. The app puts one record, waits for it, then sleeps
-    # to the next 1 us tick plus extra_ns.
-    sim = Simulation(small_cfg(scheme="aa-int"))
+def test_record_below_the_interrupt_batch_raises_the_interrupt_after_the_holdoff():
+    # One aa-int record, far below the batch of 10: the node raises its
+    # interrupt INTERRUPT_HOLDOFF_NS after the commit, and the consumer
+    # checks the log, fetches the record and runs the handler while the
+    # app still sleeps.
+    cfg = small_cfg(scheme="aa-int", handler_cost_ns=500.0)
+    sim = Simulation(cfg)
     target = sim.procs[1]
-    iuid = target.register_handler(lambda ctx, rec: None)
+    handled = []
+    iuid = target.register_handler(lambda ctx, rec: handled.append(sim.engine.now))
     base = target.memory.reserve_region("data", PAGE_SIZE)
     target.assoc_page(base, iuid, w=True, wl=True, e=True)
-    ends = []
+    log = target.iommu.alogs[0]
+    committed, consumed = [], []
+    log.commit_hooks.append(lambda _log: committed.append(sim.engine.now))
+    advance = log.advance_tail
+
+    def advance_tail(nbytes):
+        advance(nbytes)
+        consumed.append(sim.engine.now)
+
+    log.advance_tail = advance_tail
 
     def app(proc):
         handle = yield from proc.put(1, base, bytes(8))
         yield from handle.wait()
-        yield -proc.engine.now % 1000.0 + extra_ns
-        ends.append(proc.engine.now)
+        yield 20_000.0
 
     metrics = run_app(sim, app(sim.procs[0]))
-    assert ends == [end_ns]
+    (commit,) = committed
+    call = commit + INTERRUPT_HOLDOFF_NS + cfg.interrupt_ns + 2 * cfg.mem_access_ns  # check, fetch
+    assert handled == [call]
+    assert consumed == [call + cfg.handler_cost_ns]
+    assert consumed[0] < metrics.sim_time_ns - 10_000.0  # the app still sleeps
     assert metrics.records_consumed == 1
-    assert metrics.as_row(sim.cfg) == {
-        "scheme": "aa-int", "procs": 2, "r_cols": 0.0, "r_comp": 0.0, "notification": "int",
-        "iotlb": "64-full-lru", "ops": 0, "remote_ops": 1, "bytes_wire": 32,
-        "sim_time_ns": sim_time_ns, "energy_j": 3.2e-08, "throughput_ops_per_s": 0.0,
-    }
+
+
+def test_interrupt_that_finds_the_consumer_busy_strands_no_record():
+    # Rank 1 has two domains. The record in domain 2 is handled after the
+    # holdoff and the interrupt; the one in domain 1 commits while that
+    # handler runs, so its interrupt finds the consumer busy. The consumer
+    # parks only when nothing is committed, so it takes the record next.
+    cfg = small_cfg(scheme="aa-int", handler_cost_ns=10_000.0)
+    sim = Simulation(cfg)
+    target = sim.procs[1]
+    handled = []
+    bases = {}
+    for domain in (1, 2):
+        iuid = target.register_handler(
+            lambda ctx, rec, domain=domain: handled.append((domain, sim.engine.now))
+        )
+        bases[domain] = target.memory.reserve_region("data%d" % domain, PAGE_SIZE)
+        target.assoc_page(bases[domain], iuid, w=True, wl=True, e=True)
+
+    def app(proc):
+        handle = yield from proc.put(1, bases[2], bytes(8))
+        yield from handle.wait()
+        yield 5000.0
+        handle = yield from proc.put(1, bases[1], bytes(8))
+        yield from handle.wait()
+
+    metrics = run_app(sim, app(sim.procs[0]))
+    assert handled == [(2, 6667.0), (1, 16807.0)]
+    assert metrics.sim_time_ns == 26807.0
 
 
 def test_fixed_seed_runs_are_identical():
