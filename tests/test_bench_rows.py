@@ -16,10 +16,10 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # workload: (ops, remote_ops, bytes_wire, sim_time_ns, events_run)
 ROWS = {
-    "dht-active": (16000, 16112, 518272, 3888845.0, 99444),
-    "dht-rma": (16000, 38129, 2014600, 12821242.0, 217846),
-    "getlog-active": (20000, 20000, 1120000, 54121650.0, 272343),
-    "incast-logged": (16800, 17080, 18831680, 18826352.0, 230927),
+    "dht-active": (16000, 16112, 518272, 3888845.0, 99435),
+    "dht-rma": (16000, 38129, 2014600, 12821242.0, 217845),
+    "getlog-active": (20000, 20000, 1120000, 54121650.0, 272342),
+    "incast-logged": (16800, 17080, 18831680, 18826352.0, 230924),
 }
 
 

@@ -11,7 +11,7 @@ from wide_configs import outcome, wide_configs, wide_digest
 # wide_digest() of every config's outcome, in generator order. A change that
 # moves it changes a simulated number on some input; tools/compare_trees.py
 # run against the parent names the configs and fields that moved.
-WIDE_DIGEST = 3567344554
+WIDE_DIGEST = 2166857569
 
 
 def test_wide_digest_is_pinned():

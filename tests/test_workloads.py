@@ -192,22 +192,14 @@ def test_aa_int_ring_smaller_than_the_batch_reaches_quiescence():
 
 
 # Event counts at seed 1, pinned because the golden digest does not cover them
-# and the event budget is counted in events. Three kinds of event are gone: the
-# sweeper's 1 us ticks before the last app finishes (a watchdog deadline
-# replaced them), every wake-up a callback gives when nothing else is due at
-# that time (the callback's event resumes the first waiter in place: a
-# pipeline after an arrival at an idle bridge, an app after its get's
-# completion, a consumer after a scratchpad write or an interrupt), and every
-# wake after the sweep that finds quiescence (it stops the engine, so no
-# consumer is woken to return and the watchdog's last wake never runs). am
-# keeps its count: its apps wait on no completion, and its last handler ends
-# on a sweep tick, after that sweep, which finds the message still queued and
-# leaves the stop to the next tick. The bridge then took one wake per step:
-# a transaction head's interception and walk are one sleep (with the header
-# store when its record fits at once), and so are an atomic's write-back and
-# its completion's egress.
+# and the event budget is counted in events. A count covers the apps' and
+# bridges' steps, the wires' deliveries, each consumer's polls or wake-ups
+# (an aa-int node's holdoff timers and interrupts, an aa-sp node's
+# scratchpad writes), the watchdog's wakes while apps run, and the sweeps
+# from the last app's end to the one that finds quiescence and stops the
+# engine. A wake-up a callback resumes in place is not an event of its own.
 PINNED_EVENTS = {
-    "aa-int": 1181, "aa-poll": 1238, "aa-sp": 1317, "rma": 2548, "am": 902, "getlog-aa": 824,
+    "aa-int": 1218, "aa-poll": 1231, "aa-sp": 1316, "rma": 2547, "am": 897, "getlog-aa": 823,
 }
 
 
