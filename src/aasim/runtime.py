@@ -20,6 +20,7 @@ from .paging import Pte
 # interrupt moderation.
 INTERRUPT_HOLDOFF_NS = 1000.0
 
+
 class NodeError(Exception):
     pass
 
@@ -338,14 +339,12 @@ class Proc:
 
     def consumer(self):
         """Consumer loop of the node's logs and inbox; shares the core with
-        the application thread. Under sp and int it drains until nothing is
-        committed before it parks, so a wake-up that finds it busy is never
-        needed again. It runs until the run is stopped."""
+        the application thread. Under sp and int it parks only when nothing
+        is committed, so it drains what committed while it was busy and no
+        wake-up that found it busy is needed. It runs until the run stops."""
         while True:
             if self._notification == "poll":
                 yield self.cfg.poll_interval_ns
-            # The core reads its committed-head mirror (or the log's head
-            # pointer) first and parks only when nothing is committed.
             elif not any(log.committed_bytes > 0 for log in self.iommu.alogs):
                 yield self._wake
             yield from self.poll_step()

@@ -8,8 +8,8 @@ never wake a node. While apps run, a watchdog raises a diagnostic
 DeadlockError at last_activity + stall_limit_ns unless there was activity
 meanwhile. Once the last app has finished, a sweeper checks every
 SWEEP_INTERVAL_NS from that moment: a sweep that finds every queue, log and
-handle drained calls Engine.stop(), so the run ends on it, and one more than
-stall_limit_ns after the last activity raises instead.
+handle drained calls Engine.stop(), so the run ends on it, and a sweep more
+than stall_limit_ns after the last activity raises instead.
 """
 
 import random

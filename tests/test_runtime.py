@@ -614,13 +614,12 @@ def test_watchdog_deadline_is_the_stall_limit_after_the_last_activity(past_ns):
 
     sim.add_app(0, app(sim.procs[0]))
     if past_ns < 0:
-        metrics = sim.run()
-        assert metrics.sim_time_ns == done[0] + cfg.stall_limit_ns + past_ns
-        return
-    with pytest.raises(DeadlockError, match=r"^deadlock diagnostics at t=\d+ ns:\n  apps done: 0/1"):
-        sim.run()
-    assert sim.engine.last_activity == done[0]
-    assert sim.engine.now == done[0] + cfg.stall_limit_ns
+        assert sim.run().sim_time_ns == done[0] + cfg.stall_limit_ns + past_ns
+    else:
+        with pytest.raises(DeadlockError, match=r"^deadlock diagnostics at t=\d+ ns:\n  apps done: 0/1"):
+            sim.run()
+        assert sim.engine.last_activity == done[0]
+        assert sim.engine.now == done[0] + cfg.stall_limit_ns
 
 
 def test_record_below_the_interrupt_batch_raises_the_interrupt_after_the_holdoff():
