@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from aasim.config import SimConfig
@@ -6,7 +8,7 @@ from aasim.logbuf import record_size
 from aasim.memory import PAGE_SIZE
 from aasim.paging import PUT
 from aasim.runtime import INTERRUPT_HOLDOFF_NS, NodeError
-from aasim.sim import DeadlockError, Simulation
+from aasim.sim import SWEEP_INTERVAL_NS, DeadlockError, Simulation
 
 
 def small_cfg(**kw):
@@ -660,6 +662,46 @@ def test_record_below_the_interrupt_batch_raises_the_interrupt_after_the_holdoff
     assert handled == [call]
     assert consumed == [call + cfg.handler_cost_ns]
     assert sleep[0] < call and consumed[0] < sleep[1]
+    assert metrics.records_consumed == 1
+
+
+@pytest.mark.parametrize("sleep_ns", [0.0, 20_000.0], ids=["short-sleep", "long-sleep"])
+def test_first_sweep_after_an_app_that_ends_on_a_tick(sleep_ns):
+    # The sweeper's ticks start at the last app's end and follow every
+    # SWEEP_INTERVAL_NS; the first tick that finds the run drained ends it.
+    # The app puts one aa-int record below the batch, waits for the put,
+    # then sleeps. After a short sleep the record is still unconsumed at
+    # the app's end, so the run ends on the first tick after consumption;
+    # after a long one the tick at the app's end already finds it drained.
+    # The run stops on that tick; sim_time_ns is the last activity.
+    sim = Simulation(small_cfg(scheme="aa-int"))
+    target = sim.procs[1]
+    iuid = target.register_handler(lambda ctx, rec: None)
+    base = target.memory.reserve_region("data", PAGE_SIZE)
+    target.assoc_page(base, iuid, w=True, wl=True, e=True)
+    log = target.iommu.alogs[0]
+    consumed = []
+    advance = log.advance_tail
+
+    def advance_tail(nbytes):
+        advance(nbytes)
+        consumed.append(sim.engine.now)
+
+    log.advance_tail = advance_tail
+    ends = []
+
+    def app(proc):
+        handle = yield from proc.put(1, base, bytes(8))
+        yield from handle.wait()
+        yield sleep_ns
+        ends.append(proc.engine.now)
+
+    metrics = run_app(sim, app(sim.procs[0]))
+    (end,), (done,) = ends, consumed
+    ticks = 0 if done < end else math.floor((done - end) / SWEEP_INTERVAL_NS) + 1
+    assert (ticks > 0) == (sleep_ns == 0.0)
+    assert sim.engine.now == end + ticks * SWEEP_INTERVAL_NS
+    assert metrics.sim_time_ns == max(end, done)  # the last activity, not the tick
     assert metrics.records_consumed == 1
 
 
