@@ -44,7 +44,8 @@ class Signal:
     """One-to-many wakeup. Firing resumes every currently parked waiter.
 
     A waiter that needs a condition must re-check it after waking; firing with
-    no waiters is a no-op.
+    no waiters is a no-op. ``_waiters`` is empty exactly when none is parked,
+    so a per-operation site may test it to skip the call.
     """
 
     def __init__(self, engine):

@@ -9,29 +9,29 @@ pipeline head instead of dropping anything, so backpressure propagates to
 the link credits.
 
 Each step of pipeline occupancy is one sleep. A head's interception
-(iommu_proc_ns) and its walk are one step. When a logged head's record fits
-the ring at interception start, its reservation and header store (one memory
-access) join that step; otherwise the head sleeps the interception and walk,
-then reserves, in the bypass loop if the ring is still full, and then stores
-the header. An atomic's write-back and its completion's egress interception
-are one step too. Nothing outside the bridge can see a point inside a step:
-the IOTLB and the walk are the bridge's alone, and no workload remaps a page
-during a run. A record that fits at interception start still fits at the
-walk's end, at the same offset, because only the consumer moves the ring's
-tail, and only forward, and only the pipeline moves its head; a head that
-does not fit reserves at the walk's end as before, so reserve_failures
-counts the same stalls. One caveat: a merged step queues its end when it
-starts, so an event due at that same instant and queued in between now runs
-after it rather than before. No simulated number of the tests or the
-benchmark moves for it.
+(iommu_proc_ns) and its walk are one step, and the head is a plain call that
+returns it. When a logged head's record fits the ring at interception start,
+its reservation and header store (one memory access) join that step; else
+the head is a generator that sleeps the interception and walk, reserves (in
+the bypass loop while the ring is full), then stores the header. An atomic's
+write-back and its completion's egress interception are one step too.
+Nothing outside the bridge can see a point inside a step: the IOTLB and the
+walk are the bridge's alone, and no workload remaps a page during a run. A
+record that fits at interception start still fits at the walk's end, at the
+same offset, because only the consumer moves the ring's tail, and only
+forward, and only the pipeline moves its head; a head that does not fit
+reserves at the walk's end as before, so reserve_failures counts the same
+stalls. One caveat: a merged step queues its end when it starts, so an event
+due at that same instant and queued in between now runs after it rather than
+before. No simulated number of the tests or the benchmark moves for it.
 
 Every get the bridge serves is a chain of scheduled callbacks, one at the
 data fetch and one at each completion's egress: plain reads, reads logged
-with data (each completion is also copied into the record, which is
-published after the last) and atomics (a read-modify-write). A get to a
-flush page instead joins its domain's FIFO of flush waiters; the head waiter
-is answered once the consumer has freed every record reserved before it
-arrived.
+with data (each completion is also copied into the record, which commits
+after the last, with no publish callback) and atomics (a read-modify-write).
+A get to a flush page joins its domain's FIFO of flush waiters; the head
+waiter is answered once the consumer has freed every record reserved before
+it arrived.
 
 Logging domains are bridge state: the bridge numbers each one, reserves its
 ring and flush page, and resolves a PTE's IUID to its log. The active-message
@@ -140,7 +140,8 @@ class Iommu:
             self._blocked_log.space_freed.fire()
         # Only a parked pipeline waits here, and never while a head is
         # stalled; an arrival event can resume it in place.
-        self._ingress_signal.fire()
+        if self._ingress_signal._waiters:
+            self._ingress_signal.fire()
 
     def _pipeline(self):
         ingress = self.ingress
@@ -174,62 +175,65 @@ class Iommu:
     def _open_txn(self, tlp, op):
         """First packet of a transaction: interception, walk, classification
         and, for a logged access, the record's reservation and header store.
-        Generator; returns the head's classification, the fields of a
-        TagEntry after dev_addr and bytes_remaining: (phys_base,
-        memory_effect, log_data, log, offset, status)."""
+        Returns (step, head): the occupancy the caller sleeps, every side
+        effect done, and the head's classification, the fields of a TagEntry
+        after dev_addr and bytes_remaining: (phys_base, memory_effect,
+        log_data, log, offset, status); or, for a record that does not fit
+        at interception start, the generator that reserves late, and None."""
         if tlp.seq_in_txn != 0:
             raise IommuError("transaction started mid-stream (tag reuse?)")
         cfg = self.cfg
         if not self.enabled:
-            yield cfg.iommu_proc_ns
-            return tlp.address, True, False, None, 0, "ok"
+            return cfg.iommu_proc_ns, (tlp.address, True, False, None, 0, "ok")
         run, phys, accesses = self.translator.walk(tlp.requester_id, tlp.address)
         # Interception and the walk: one step of pipeline occupancy.
         occupancy = cfg.iommu_proc_ns + cfg.mem_access_ns * accesses
         if run is None:
             self._append_fault(tlp, op, blocked=True)
-            yield occupancy
-            return 0, False, False, None, 0, "fault"
+            return occupancy, (0, False, False, None, 0, "fault")
         acts = run.acts[op]
         memory_effect = acts.memory_effect
         status = "ok" if memory_effect else "blocked"
         if not (acts.log_meta and acts.to_access_log):
             if acts.log_meta:  # logged to the fault log
                 self._append_fault(tlp, op, blocked=not memory_effect)
-            yield occupancy
-            return phys, memory_effect, False, None, 0, status
+            return occupancy, (phys, memory_effect, False, None, 0, status)
         iuid = acts.iuid
         if not 0 < iuid <= len(self.alogs):
             raise IommuError("no access log registered for iuid %d" % iuid)
         log = self.alogs[iuid - 1]
         with_data = acts.log_data
-        nbytes = logbuf.record_size(tlp.txn_total, with_data)
-        if nbytes <= log.free_bytes:
-            # Space freed later only adds to this, so the record reserved now
-            # is the one the walk's end would reserve, at the same offset;
-            # the header store (one memory access) joins the step.
+        nbytes = logbuf.HEADER_BYTES + ((tlp.txn_total + 7) & ~7 if with_data else 0)
+        if nbytes > log.size - (log.head - log.tail):
+            return self._reserve_late(tlp, op, acts, log, nbytes, occupancy, phys, status), None
+        # Space freed later only adds to this, so the record reserved now is
+        # the one the walk's end would reserve, at the same offset; the
+        # header store (one memory access) joins the step.
+        offset = log.reserve(nbytes)
+        self._store_header(tlp, op, acts, log, offset)
+        return occupancy + cfg.mem_access_ns, (phys, memory_effect, with_data, log, offset, status)
+
+    def _reserve_late(self, tlp, op, acts, log, nbytes, occupancy, phys, status):
+        """Sleep the interception and walk, reserve (in the bypass loop while
+        the ring is full), then store the header. Returns the head."""
+        yield occupancy
+        try:
             offset = log.reserve(nbytes)
-            self._store_header(tlp, op, acts, log, offset)
-            yield occupancy + cfg.mem_access_ns
-        else:
-            yield occupancy
-            try:
-                offset = log.reserve(nbytes)
-            except logbuf.WouldBlock:
-                offset = yield from self._reserve_with_bypass(log, nbytes)
-            self._store_header(tlp, op, acts, log, offset)
-            yield cfg.mem_access_ns
-        return phys, memory_effect, with_data, log, offset, status
+        except logbuf.WouldBlock:
+            offset = yield from self._reserve_with_bypass(log, nbytes)
+        self._store_header(tlp, op, acts, log, offset)
+        yield self.cfg.mem_access_ns
+        return phys, acts.memory_effect, acts.log_data, log, offset, status
 
     @staticmethod
     def _store_header(tlp, op, acts, log, offset):
         flags = (logbuf.FLAG_DATA if acts.log_data else 0) | (
             0 if acts.memory_effect else logbuf.FLAG_BLOCKED
         )
-        header = logbuf.HEADER.pack(
-            op, tlp.requester_id, acts.iuid, tlp.address, tlp.txn_total, flags, log.take_seq()
-        )
-        log.ring_write(offset, header)
+        seq = log.next_seq
+        log.next_seq = seq + 1
+        log.ring_write(offset, logbuf.HEADER.pack(
+            op, tlp.requester_id, acts.iuid, tlp.address, tlp.txn_total, flags, seq))
 
     def _reserve_with_bypass(self, log, nbytes):
         """Reserve ring space after a failed try, serving open transactions
@@ -288,7 +292,11 @@ class Iommu:
         key = (tlp.requester_id, tlp.tag)
         entry = self.tag_buffer.get(key)
         if entry is None:
-            head = yield from self._open_txn(tlp, PUT)
+            step, head = self._open_txn(tlp, PUT)
+            if head is None:
+                head = yield from step
+            else:
+                yield step
             entry = self.tag_buffer[key] = TagEntry(tlp.address, tlp.txn_total, *head)
         else:
             yield self.cfg.iommu_proc_ns
@@ -320,7 +328,11 @@ class Iommu:
         key = (tlp.requester_id, tlp.tag)
         if key in self.tag_buffer:
             raise IommuError("read request with busy tag %r" % (key,))
-        head = yield from self._open_txn(tlp, GET)
+        step, head = self._open_txn(tlp, GET)
+        if head is None:
+            head = yield from step
+        else:
+            yield step
         phys, memory_effect, log_data, log, offset, _status = head
         if not memory_effect:
             if log is not None:
@@ -372,7 +384,7 @@ class Iommu:
 
     def _egress(self, tlp, cpls, i, log, offset):
         """At the end of completion i's egress interception: send it and
-        queue the next one's; after the last, publish the record if any."""
+        queue the next one's; after the last, commit the record if any."""
         cfg = self.cfg
         cpl = cpls[i]
         if log is not None:
@@ -383,10 +395,10 @@ class Iommu:
         elif log is None:
             self.engine.note_activity()
         else:
+            # The publish needs no event: the consumer's record fetch comes no
+            # earlier and claims a memory access, so it marks activity later.
             del self.tag_buffer[(tlp.requester_id, tlp.tag)]
             log.mark_done(offset)
-            # The pointer publish: one memory access, off the get's path.
-            self.engine.schedule(cfg.mem_access_ns, self.engine.note_activity)
 
     # -- flushes -----------------------------------------------------------
 

@@ -194,7 +194,8 @@ class AccessLog:
             raise LogError("tail advance past committed head")
         self.tail += nbytes
         self.records_consumed += 1
-        self.space_freed.fire()
+        if self.space_freed._waiters:  # only a stalled pipeline head waits
+            self.space_freed.fire()
 
 
 class FaultLog:

@@ -58,7 +58,8 @@ class OpHandle:
 
 
 class HandlerCtx:
-    """Passed to a record handler; memory helpers charge consumer CPU time."""
+    """Passed to a record or message handler; memory helpers charge consumer
+    CPU time. A Proc's one ctx is valid only during the call it is passed to."""
 
     def __init__(self, proc):
         self.proc = proc
@@ -97,6 +98,7 @@ class Proc:
         self._wake = Signal(engine)
         self._int_armed = False
         self._holdoff_armed = False
+        self._ctx = HandlerCtx(self)
         self.live_ops = 0
         self.am_handler = None
         self.sysflush_addr = None
@@ -116,7 +118,8 @@ class Proc:
             # A bypassed bridge never classifies, so nothing would be logged.
             raise ConfigError("logging workloads need the bridge; iommu_enabled is false")
         log = self.iommu.add_domain(log_size if log_size is not None else self.cfg.access_log_size)
-        log.commit_hooks.append(self._on_commit)
+        if self._notification != "poll":  # a polling consumer needs no wake-up
+            log.commit_hooks.append(self._on_commit)
         self.handlers.append(handler)
         return log.iuid
 
@@ -176,7 +179,8 @@ class Proc:
 
     def _free_tag(self, tag):
         self._tags_in_use.discard(tag)
-        self._tag_freed.fire()
+        if self._tag_freed._waiters:
+            self._tag_freed.fire()
 
     @staticmethod
     def _check_span(address, length):
@@ -227,9 +231,12 @@ class Proc:
         wait = self.cpu.busy(self.cfg.issue_cost_ns)
         if wait > 0:
             yield wait
-        tag = self._take_tag()
-        if tag is None:
+        tag = self._tag_cursor
+        if tag in self._tags_in_use:
             tag = yield from self._alloc_tag()
+        else:  # _take_tag, inlined
+            self._tag_cursor = (tag + 1) % 256
+            self._tags_in_use.add(tag)
         handle = OpHandle(self.engine)
         req = lnk.split_get(address, length, self.rank, tag)
         req.atomic = atomic
@@ -241,7 +248,9 @@ class Proc:
         handle = self._gets.get(tlp.tag)
         if handle is None:
             raise NodeError("completion for unknown tag %d at rank %d" % (tlp.tag, self.rank))
-        self.engine.note_activity()
+        engine = self.engine
+        if engine.now > engine.last_activity:  # note_activity, inlined
+            engine.last_activity = engine.now
         if tlp.status == "blocked":
             status, data = "blocked", None
         elif tlp.length == tlp.txn_total:
@@ -356,7 +365,7 @@ class Proc:
         The pointer check costs a memory access, or the scratchpad latency
         when the committed-head mirror lives in the core's scratchpad.
         """
-        cfg, cpu = self.cfg, self.cpu
+        cfg, cpu, engine, ctx = self.cfg, self.cpu, self.engine, self._ctx
         wait = cpu.busy(cfg.scratchpad_ns if self._notification == "sp" else cfg.mem_access_ns)
         if wait > 0:
             yield wait
@@ -367,7 +376,7 @@ class Proc:
                 wait = cpu.busy(cfg.mem_access_ns)  # record fetch
                 if wait > 0:
                     yield wait
-                ctx = HandlerCtx(self)
+                ctx.cost_ns = 0.0
                 handler(ctx, record)
                 wait = cpu.busy(cfg.handler_cost_ns + ctx.cost_ns)
                 if wait > 0:
@@ -375,15 +384,17 @@ class Proc:
                 log.advance_tail(size)
                 self.metrics.handler_invocations += 1
                 consumed += 1
-                self.engine.note_activity()
-                self.iommu.check_flushes(log)
+                if engine.now > engine.last_activity:  # note_activity, inlined
+                    engine.last_activity = engine.now
+                if log.flush_waiters:
+                    self.iommu.check_flushes(log)
         inbox = self.iommu.inbox
         while inbox:
             src, payload = inbox[0]
             wait = cpu.busy(2 * cfg.mem_access_ns)  # dequeue
             if wait > 0:
                 yield wait
-            ctx = HandlerCtx(self)
+            ctx.cost_ns = 0.0
             self.am_handler(ctx, src, payload)
             wait = cpu.busy(cfg.handler_cost_ns + ctx.cost_ns)
             if wait > 0:
@@ -393,7 +404,7 @@ class Proc:
             inbox.popleft()
             self.metrics.handler_invocations += 1
             consumed += 1
-            self.engine.note_activity()
+            engine.note_activity()
         return consumed
 
     # -- quiescence --------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import asdict
 import pytest
 
 from aasim.config import SimConfig
-from aasim.workloads import dht
+from aasim.workloads import dht, getlog
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -43,25 +43,34 @@ def test_every_traced_attribute_is_owned_and_restored(tracing):
         assert vars(owner)[attr] is originals[(owner, attr)], attr
 
 
-def run_dht(scheme, tracer=None):
-    cfg = SimConfig(scheme=scheme, num_procs=4, ops_per_proc=40, vol_size=1 << 12,
+def build(workload):
+    """A small run: a dht scheme, or ``getlog-aa``, gets logged with data."""
+    if workload == "getlog-aa":
+        return getlog.GetLogBench(SimConfig(num_procs=2, seed=1), "aa", n_gets=200)
+    cfg = SimConfig(scheme=workload, num_procs=4, ops_per_proc=40, vol_size=1 << 12,
                     r_cols=0.25, seed=1)
+    return dht.DhtBench(cfg)
+
+
+def run(workload, tracer=None):
     with tracer.installed() if tracer else contextlib.nullcontext():
-        bench = dht.DhtBench(cfg)
+        bench = build(workload)
         if tracer:
             tracer.watch_commits(bench.sim)
         metrics = bench.run()
     return bench.sim, asdict(metrics)
 
 
-@pytest.mark.parametrize("scheme", ["aa-poll", "rma"])
-def test_traced_run_matches_untraced(tracing, scheme):
+@pytest.mark.parametrize("workload", ["aa-poll", "rma", "getlog-aa"])
+def test_traced_run_matches_untraced(tracing, workload):
     tracer = tracing.Tracer()
-    traced_sim, traced = run_dht(scheme, tracer)
-    plain_sim, plain = run_dht(scheme)
+    traced_sim, traced = run(workload, tracer)
+    plain_sim, plain = run(workload)
     assert traced == plain
     assert traced_sim.engine.events_run == plain_sim.engine.events_run
     counts = tracer.counts(traced_sim)
     assert counts["link.send_calls"] > 0
     assert counts["logbuf.commit_to_consume_samples"] == plain["records_consumed"]
     assert tracer.calls["workloads.handler"] == plain["handler_invocations"]
+    if workload == "getlog-aa":
+        assert plain["records_consumed"] == 200

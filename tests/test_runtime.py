@@ -9,6 +9,7 @@ from aasim.memory import PAGE_SIZE
 from aasim.paging import PUT
 from aasim.runtime import INTERRUPT_HOLDOFF_NS, NodeError
 from aasim.sim import SWEEP_INTERVAL_NS, DeadlockError, Simulation
+from aasim.workloads.getlog import GetLogBench
 
 
 def small_cfg(**kw):
@@ -732,6 +733,51 @@ def test_interrupt_that_finds_the_consumer_busy_strands_no_record():
     metrics = run_app(sim, app(sim.procs[0]))
     assert handled == [(2, 6667.0), (1, 16807.0)]
     assert metrics.sim_time_ns == 26807.0
+
+
+# sim_time_ns of the 30-get getlog aa runs below, taken while each get's
+# commit still queued a pointer-publish mark mem_access_ns after it.
+GETLOG_END_NS = {
+    ("aa-poll", 0.0, 0.0): 77000.0,
+    ("aa-poll", 0.0, 100.0): 77000.0,
+    ("aa-poll", 70.0, 0.0): 82440.0,
+    ("aa-poll", 70.0, 100.0): 83130.0,
+    ("aa-sp", 0.0, 0.0): 76980.0,
+    ("aa-sp", 0.0, 100.0): 76980.0,
+    ("aa-sp", 70.0, 0.0): 82440.0,
+    ("aa-sp", 70.0, 100.0): 82440.0,
+    ("aa-int", 0.0, 0.0): 77882.0,
+    ("aa-int", 0.0, 100.0): 78082.0,
+    ("aa-int", 70.0, 0.0): 83692.0,
+    ("aa-int", 70.0, 100.0): 83892.0,
+}
+
+
+@pytest.mark.parametrize("scheme,mem_access_ns,handler_cost_ns", list(GETLOG_END_NS))
+def test_logged_get_publish_never_ends_the_run(scheme, mem_access_ns, handler_cost_ns):
+    # A get logged with data commits its record at the last egress and
+    # queues no publish mark: the consumer fetches the record no earlier than
+    # the commit, at a memory access's cost, so its own mark is no earlier.
+    # The handler also checks the node's one HandlerCtx: cost_ns is 0 on
+    # entry to every record, and touch(k) charges exactly k accesses.
+    entry_costs, charges = [], []
+
+    class Bench(GetLogBench):
+        def _log_record(self, ctx, record):
+            entry_costs.append(ctx.cost_ns)
+            super()._log_record(ctx, record)
+            k = len(self.recovered) % 3
+            before = ctx.cost_ns
+            ctx.touch(k)
+            charges.append((ctx.cost_ns - before, k * mem_access_ns))
+
+    cfg = small_cfg(scheme=scheme, mem_access_ns=mem_access_ns, handler_cost_ns=handler_cost_ns)
+    bench = Bench(cfg, "aa", n_gets=30)
+    metrics = bench.run()
+    assert metrics.sim_time_ns == GETLOG_END_NS[(scheme, mem_access_ns, handler_cost_ns)]
+    assert bench.replayed() == bench.fetched_values()
+    assert entry_costs == [0.0] * 30
+    assert [charged for charged, _ in charges] == [want for _, want in charges]
 
 
 def test_fixed_seed_runs_are_identical():
