@@ -18,7 +18,7 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROWS = {
     "dht-active": (16000, 16112, 518272, 3888845.0, 99435),
     "dht-rma": (16000, 38129, 2014600, 12821242.0, 217845),
-    "getlog-active": (20000, 20000, 1120000, 54121650.0, 272342),
+    "getlog-active": (20000, 20000, 1120000, 54121650.0, 252342),
     "incast-logged": (16800, 17080, 18831680, 18826352.0, 230924),
 }
 

@@ -199,7 +199,7 @@ def test_aa_int_ring_smaller_than_the_batch_reaches_quiescence():
 # from the last app's end to the one that finds quiescence and stops the
 # engine. A wake-up a callback resumes in place is not an event of its own.
 PINNED_EVENTS = {
-    "aa-int": 1218, "aa-poll": 1231, "aa-sp": 1316, "rma": 2547, "am": 897, "getlog-aa": 823,
+    "aa-int": 1218, "aa-poll": 1231, "aa-sp": 1316, "rma": 2547, "am": 897, "getlog-aa": 763,
 }
 
 
