@@ -33,9 +33,16 @@ A get to a flush page joins its domain's FIFO of flush waiters; the head
 waiter is answered once the consumer has freed every record reserved before
 it arrived.
 
+The tag buffer holds only what a later packet or event needs. A write keeps
+a TagEntry there only while packets of its transaction are still to come: a
+one-packet write is classified, applied and retired inside one call, so an
+entry for it could never be seen, and it builds none. A get logged with data
+keeps only its key there, until its record commits.
+
 Logging domains are bridge state: the bridge numbers each one, reserves its
 ring and flush page, and resolves a PTE's IUID to its log. The active-message
-inbox is too: a write to the inbox page is queued with its source.
+inbox is too: a write to the inbox page is queued with its source, whole,
+once the last packet of its transaction has landed.
 """
 
 from collections import deque
@@ -54,14 +61,12 @@ class IommuError(Exception):
 
 @dataclass(slots=True)
 class TagEntry:
+    """A write transaction with packets still to come."""
+
     dev_addr: int
     bytes_remaining: int
-    phys_base: int
-    memory_effect: bool
-    log_data: bool
-    log: object  # AccessLog holding the record, or None
-    offset: int  # the record's ring offset
-    status: str  # 'ok' | 'blocked' | 'fault'
+    head: tuple  # the classification _open_txn returns for its first packet
+    message: bytes = b""  # the pieces so far of a write to the inbox page
 
 
 class Iommu:
@@ -73,6 +78,8 @@ class Iommu:
         self.fault_log = logbuf.FaultLog(cfg.fault_log_entries)
         self.enabled = cfg.iommu_enabled
         self.alogs = []  # one AccessLog per logging domain; iuid i at index i-1
+        # (requester, tag) -> the TagEntry of a write with packets still to
+        # come, or None for a get logged with data until its record commits.
         self.tag_buffer = {}
         self.flush_pages = {}  # flush-page address -> its domain's log, in iuid order
         self.ingress = deque()
@@ -166,7 +173,9 @@ class Iommu:
 
     def _retire(self):
         """A packet left ingress processed: note progress, return its credit."""
-        self.engine.note_activity()
+        engine = self.engine
+        if engine.now > engine.last_activity:  # note_activity, inlined
+            engine.last_activity = engine.now
         if self.link is not None:
             self.link.release_credit()
 
@@ -176,10 +185,11 @@ class Iommu:
         """First packet of a transaction: interception, walk, classification
         and, for a logged access, the record's reservation and header store.
         Returns (step, head): the occupancy the caller sleeps, every side
-        effect done, and the head's classification, the fields of a TagEntry
-        after dev_addr and bytes_remaining: (phys_base, memory_effect,
-        log_data, log, offset, status); or, for a record that does not fit
-        at interception start, the generator that reserves late, and None."""
+        effect done, and the head's classification (phys_base, memory_effect,
+        log_data, log, offset, status), where log is the AccessLog holding
+        the record or None, offset the record's ring offset and status 'ok',
+        'blocked' or 'fault'; or, for a record that does not fit at
+        interception start, the generator that reserves late, and None."""
         if tlp.seq_in_txn != 0:
             raise IommuError("transaction started mid-stream (tag reuse?)")
         cfg = self.cfg
@@ -297,30 +307,50 @@ class Iommu:
                 head = yield from step
             else:
                 yield step
-            entry = self.tag_buffer[key] = TagEntry(tlp.address, tlp.txn_total, *head)
+            off = 0
+            last = tlp.length >= tlp.txn_total
+            if not last:
+                entry = self.tag_buffer[key] = TagEntry(
+                    tlp.address, tlp.txn_total - tlp.length, head)
         else:
             yield self.cfg.iommu_proc_ns
-        off = tlp.address - entry.dev_addr
-        if entry.memory_effect:
-            phys = entry.phys_base + off
-            self.memory.write(phys, tlp.payload)
+            head = entry.head
+            off = tlp.address - entry.dev_addr
+            entry.bytes_remaining -= tlp.length
+            last = entry.bytes_remaining <= 0
+            if last:
+                del self.tag_buffer[key]
+        phys, memory_effect, log_data, log, offset, status = head
+        payload = tlp.payload
+        if memory_effect:
+            phys += off
+            self.memory.write(phys, payload)
             if phys >> PAGE_SHIFT == self.inbox_page:
-                self.inbox.append((tlp.requester_id, tlp.payload))
-                if self.wake_consumer is not None:
-                    self.wake_consumer()
-        if entry.log is not None and entry.log_data:
-            entry.log.ring_write(entry.offset + logbuf.HEADER_BYTES + off, tlp.payload)
-        entry.bytes_remaining -= tlp.length
-        if entry.bytes_remaining <= 0:
-            del self.tag_buffer[key]
+                self._to_inbox(tlp.requester_id, payload, entry, last)
+        if log_data:
+            log.ring_write(offset + logbuf.HEADER_BYTES + off, payload)
+        if last:
             if tlp.on_done is not None:
                 # An active put (no memory effect, but logged) succeeded.
-                tlp.on_done("ok" if entry.log is not None else entry.status)
-            if entry.log is not None:
-                entry.log.mark_done(entry.offset)
+                tlp.on_done(tlp.tag, "ok" if log is not None else status)
+            if log is not None:
+                log.mark_done(offset)
                 # Trailing pointer publish: occupies the pipeline, not the
                 # transaction's completion path.
                 yield self.cfg.mem_access_ns
+
+    def _to_inbox(self, source, payload, entry, last):
+        """Queue a write to the inbox page as one message, once the last
+        packet of its transaction has landed; entry is None for a one-packet
+        write."""
+        if entry is not None:
+            entry.message += payload
+            if not last:
+                return
+            payload = entry.message
+        self.inbox.append((source, payload))
+        if self.wake_consumer is not None:
+            self.wake_consumer()
 
     # -- reads -------------------------------------------------------------
 
@@ -346,8 +376,9 @@ class Iommu:
         if tlp.atomic is not None:
             raise IommuError("atomics on logging-marked pages are unsupported")
         if log_data:
-            # The record stays open until the read has copied its data in.
-            self.tag_buffer[key] = TagEntry(tlp.address, tlp.txn_total, *head)
+            # The record stays open until the read has copied its data in;
+            # the key alone keeps the tag busy and the bridge not idle.
+            self.tag_buffer[key] = None
             self.engine.schedule(self.cfg.mem_access_ns, self._fetch, tlp, phys, log, offset)
             return
         # Metadata-only read record commits at interception, before the fetch

@@ -46,7 +46,8 @@ class Tlp:
     txn_total: int = 0  # total data bytes of the transaction
     atomic: AtomicDesc = None
     status: str = "ok"  # completions: 'ok' | 'blocked'
-    on_done: object = field(default=None, repr=False)  # sim-side completion hook
+    # Sim-side completion hook of a put's last packet: on_done(tag, status).
+    on_done: object = field(default=None, repr=False)
 
 
 def _slices(kind, data, address, address_mask, requester_id, tag, max_payload):

@@ -118,7 +118,7 @@ class AccessLog:
             raise LogError(
                 "record of %d bytes can never fit log of %d" % (nbytes, self.size)
             )
-        if nbytes > self.free_bytes:
+        if nbytes > self.size - (self.head - self.tail):  # free_bytes, inlined
             self.reserve_failures += 1
             raise WouldBlock()
         if self._ring is None:
@@ -151,14 +151,12 @@ class AccessLog:
         return self._ring[pos:size].tobytes() + self._ring[: end - size].tobytes()
 
     def mark_done(self, offset):
+        """Complete the reservation at offset and advance committed_head over
+        the done prefix; returns the records published."""
         entry = self._by_offset.get(offset)
         if entry is None or entry[2]:
             raise LogError("bad completion for reservation at %d" % offset)
         entry[2] = True
-        return self.commit_holes()
-
-    def commit_holes(self):
-        """Advance committed_head over the done prefix; returns records published."""
         published = 0
         while self._pending and self._pending[0][2]:
             offset, nbytes, _ = self._pending.popleft()
@@ -182,7 +180,7 @@ class AccessLog:
         else:
             rec = LogRecord(*HEADER.unpack(self.ring_read(self.tail, HEADER_BYTES)))
         if rec.flags & FLAG_DATA:
-            size = HEADER_BYTES + pad8(rec.length)
+            size = HEADER_BYTES + ((rec.length + 7) & ~7)  # record_size, inlined
             if committed < size:
                 raise LogError("committed prefix ends inside a record")
             rec.payload = self.ring_read(self.tail + HEADER_BYTES, rec.length)

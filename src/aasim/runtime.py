@@ -59,22 +59,25 @@ class OpHandle:
 
 class HandlerCtx:
     """Passed to a record or message handler; memory helpers charge consumer
-    CPU time. A Proc's one ctx is valid only during the call it is passed to."""
+    CPU time, mem_access_ns per access. A Proc's one ctx is valid only during
+    the call it is passed to."""
 
     def __init__(self, proc):
         self.proc = proc
         self.cost_ns = 0.0
+        self._access_ns = proc.cfg.mem_access_ns
+        self._memory = proc.memory
 
     def touch(self, accesses=1):
-        self.cost_ns += accesses * self.proc.cfg.mem_access_ns
+        self.cost_ns += accesses * self._access_ns
 
     def read_word(self, addr):
-        self.touch()
-        return self.proc.memory.read_word(addr)
+        self.cost_ns += self._access_ns
+        return self._memory.read_word(addr)
 
     def write_word(self, addr, value):
-        self.touch()
-        self.proc.memory.write_word(addr, value)
+        self.cost_ns += self._access_ns
+        self._memory.write_word(addr, value)
 
 
 class Proc:
@@ -93,6 +96,7 @@ class Proc:
         self._tags_in_use = set()
         self._tag_freed = Signal(engine)
         self._gets = {}
+        self._puts = {}  # tag -> (target, handle) of each put in flight
         self.outstanding_puts = {}
         self.handlers = []  # record handler per logging domain, in iuid order
         self._wake = Signal(engine)
@@ -158,15 +162,6 @@ class Proc:
 
     # -- tags --------------------------------------------------------------
 
-    def _take_tag(self):
-        """The cursor's tag if it is free, taken; else None (see _alloc_tag)."""
-        tag = self._tag_cursor
-        if tag in self._tags_in_use:
-            return None
-        self._tag_cursor = (tag + 1) % 256
-        self._tags_in_use.add(tag)
-        return tag
-
     def _alloc_tag(self):
         while True:
             for _ in range(256):
@@ -183,49 +178,23 @@ class Proc:
             self._tag_freed.fire()
 
     @staticmethod
-    def _check_span(address, length):
+    def _span_error(address, length):
+        """The error for a transfer that is empty or straddles a page."""
         if length <= 0:
-            raise NodeError("empty transfer")
-        if (address % PAGE_SIZE) + length > PAGE_SIZE:
-            raise NodeError("transfer [%d, +%d) straddles a page" % (address, length))
+            return NodeError("empty transfer")
+        return NodeError("transfer [%d, +%d) straddles a page" % (address, length))
 
     # -- data movement -----------------------------------------------------
 
     def put(self, target, address, payload):
         """Nonblocking write of payload to target's address; returns a handle."""
-        if len(payload) > lnk.MAX_TXN_BYTES:
-            raise lnk.OversizeError("put of %d bytes exceeds %d" % (len(payload), lnk.MAX_TXN_BYTES))
-        self._check_span(address, len(payload))
+        nbytes = len(payload)
+        if nbytes > lnk.MAX_TXN_BYTES:
+            raise lnk.OversizeError("put of %d bytes exceeds %d" % (nbytes, lnk.MAX_TXN_BYTES))
+        if not 0 < nbytes <= PAGE_SIZE - address % PAGE_SIZE:
+            raise self._span_error(address, nbytes)
         # Count the op as live before any yield so quiescence detection never
         # races the issue path.
-        self.live_ops += 1
-        self.metrics.remote_ops += 1
-        wait = self.cpu.busy(self.cfg.issue_cost_ns)
-        if wait > 0:
-            yield wait
-        tag = self._take_tag()
-        if tag is None:
-            tag = yield from self._alloc_tag()
-        handle = OpHandle(self.engine)
-        pkts = lnk.split_put(address, payload, self.rank, tag, self.cfg.max_payload)
-        self.outstanding_puts[target] = self.outstanding_puts.get(target, 0) + 1
-
-        def done(status, _tag=tag, _target=target, _handle=handle):
-            self._free_tag(_tag)
-            self.outstanding_puts[_target] -= 1
-            self.live_ops -= 1
-            _handle.fire(status)
-            self.engine.note_activity()
-
-        pkts[-1].on_done = done
-        wire = self.sim.links[target]
-        for pkt in pkts:
-            wire.send(pkt)
-        return handle
-
-    def get(self, target, address, length, atomic=None):
-        """Nonblocking read; the handle carries the data when it completes."""
-        self._check_span(address, length)
         self.live_ops += 1
         self.metrics.remote_ops += 1
         wait = self.cpu.busy(self.cfg.issue_cost_ns)
@@ -234,7 +203,43 @@ class Proc:
         tag = self._tag_cursor
         if tag in self._tags_in_use:
             tag = yield from self._alloc_tag()
-        else:  # _take_tag, inlined
+        else:  # the cursor's tag is free: take it
+            self._tag_cursor = (tag + 1) % 256
+            self._tags_in_use.add(tag)
+        handle = OpHandle(self.engine)
+        pkts = lnk.split_put(address, payload, self.rank, tag, self.cfg.max_payload)
+        self.outstanding_puts[target] = self.outstanding_puts.get(target, 0) + 1
+        self._puts[tag] = (target, handle)
+        pkts[-1].on_done = self._put_done
+        wire = self.sim.links[target]
+        for pkt in pkts:
+            wire.send(pkt)
+        return handle
+
+    def _put_done(self, tag, status):
+        """The last packet of the put holding tag has landed at its target."""
+        target, handle = self._puts.pop(tag)
+        self._free_tag(tag)
+        self.outstanding_puts[target] -= 1
+        self.live_ops -= 1
+        handle.fire(status)
+        engine = self.engine
+        if engine.now > engine.last_activity:  # note_activity, inlined
+            engine.last_activity = engine.now
+
+    def get(self, target, address, length, atomic=None):
+        """Nonblocking read; the handle carries the data when it completes."""
+        if not 0 < length <= PAGE_SIZE - address % PAGE_SIZE:
+            raise self._span_error(address, length)
+        self.live_ops += 1
+        self.metrics.remote_ops += 1
+        wait = self.cpu.busy(self.cfg.issue_cost_ns)
+        if wait > 0:
+            yield wait
+        tag = self._tag_cursor
+        if tag in self._tags_in_use:
+            tag = yield from self._alloc_tag()
+        else:  # the cursor's tag is free: take it
             self._tag_cursor = (tag + 1) % 256
             self._tags_in_use.add(tag)
         handle = OpHandle(self.engine)

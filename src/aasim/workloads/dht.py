@@ -9,6 +9,7 @@ the element to the owner's inbox. All variants share local_insert and
 local_delete so their final contents can be compared cell for cell.
 """
 
+import struct
 import sys
 from array import array
 from collections import Counter
@@ -22,6 +23,7 @@ from . import keys as K
 CELL = 16
 EMPTY = 0
 _READ_CHUNK = 1 << 20
+_WORD = struct.Struct("<Q")
 
 
 class DhtOverflow(RuntimeError):
@@ -29,7 +31,7 @@ class DhtOverflow(RuntimeError):
 
 
 def word(value):
-    return int(value).to_bytes(8, "little")
+    return value.to_bytes(8, "little")
 
 
 class VolumeLayout:
@@ -83,8 +85,9 @@ def local_insert(rw, layout, elem):
     """Single-consumer insert over read/write words; mirrors the remote
     atomic sequence step for step."""
     pos = K.bucket_of(K.hash64(elem), layout.table_size)
-    if rw.read_word(layout.elem_addr(pos)) == EMPTY:
-        rw.write_word(layout.elem_addr(pos), elem)
+    head = layout.elem_addr(pos)
+    if rw.read_word(head) == EMPTY:
+        rw.write_word(head, elem)
         return
     free_cell = rw.read_word(layout.next_free_addr)
     rw.write_word(layout.next_free_addr, free_cell + 1)
@@ -132,9 +135,8 @@ def extract_contents(memory, layout):
 # -- remote insert and delete paths -----------------------------------------
 
 
-def insert_rma(proc, owner, layout, elem):
-    """The six-to-eight remote-op insert sequence."""
-    pos = K.bucket_of(K.hash64(elem), layout.table_size)
+def insert_rma(proc, owner, layout, elem, pos):
+    """The six-to-eight remote-op insert sequence; pos is elem's bucket."""
     old = yield from proc.cas(owner, layout.elem_addr(pos), EMPTY, elem)
     if old != EMPTY:
         free_cell = yield from proc.fao(owner, "sum", 1, layout.next_free_addr)
@@ -149,14 +151,9 @@ def insert_rma(proc, owner, layout, elem):
             yield from proc.rma_flush(owner)
 
 
-def insert_aa(proc, owner, layout, elem):
-    pos = K.bucket_of(K.hash64(elem), layout.table_size)
-    yield from proc.put(owner, layout.elem_addr(pos), word(elem))
-
-
-def delete_rma(proc, owner, layout, key):
-    """Walk the bucket chain remotely, swapping out every matching cell."""
-    pos = K.bucket_of(K.hash64(key), layout.table_size)
+def delete_rma(proc, owner, layout, key, pos):
+    """Walk the bucket chain remotely, swapping out every matching cell;
+    pos is key's bucket."""
     handle = yield from proc.get(owner, layout.elem_addr(pos), CELL)
     yield from handle.wait()
     elem = int.from_bytes(handle.data[0:8], "little")
@@ -206,22 +203,20 @@ class SequentialOracle:
 
 
 class DhtNode:
-    """Owner-side handlers of the active and message schemes."""
+    """Owner-side handlers of the active and message schemes; each decodes
+    the element word that leads its payload."""
 
     def __init__(self, layout):
         self.layout = layout
 
     def insert_handler(self, ctx, record):
-        elem = int.from_bytes(record.payload[:8], "little")
-        local_insert(ctx, self.layout, elem)
+        local_insert(ctx, self.layout, _WORD.unpack_from(record.payload)[0])
 
     def delete_handler(self, ctx, record):
-        key = int.from_bytes(record.payload[:8], "little")
-        local_delete(ctx, self.layout, key)
+        local_delete(ctx, self.layout, _WORD.unpack_from(record.payload)[0])
 
     def am_handler(self, ctx, src, payload):
-        elem = int.from_bytes(payload[:8], "little")
-        local_insert(ctx, self.layout, elem)
+        local_insert(ctx, self.layout, _WORD.unpack_from(payload)[0])
 
 
 class DhtBench:
@@ -383,20 +378,26 @@ class DhtBench:
     # -- execution -------------------------------------------------------
 
     def _issue(self, proc, kind, key):
-        owner, _ = K.placement(key, self.cfg.num_procs, self.table_size)
+        """Issue one op and count it, with the remote ops it took when
+        recording."""
+        metrics = self.sim.metrics
+        before = metrics.remote_ops
+        owner, pos = K.placement(key, self.cfg.num_procs, self.table_size)
         layout = self.layouts[owner]
         if kind == "insert":
             if self.scheme == "rma":
-                yield from insert_rma(proc, owner, layout, key)
+                yield from insert_rma(proc, owner, layout, key, pos)
             elif self.scheme == "am":
                 yield from proc.am_send(owner, word(key))
-            else:
-                yield from insert_aa(proc, owner, layout, key)
+            else:  # the active insert: one put, the owner's handler does the rest
+                yield from proc.put(owner, layout.elem_addr(pos), word(key))
+        elif self.scheme == "rma":
+            yield from delete_rma(proc, owner, layout, key, pos)
         else:
-            if self.scheme == "rma":
-                yield from delete_rma(proc, owner, layout, key)
-            else:
-                yield from proc.put(owner, self.delete_pages[owner], word(key))
+            yield from proc.put(owner, self.delete_pages[owner], word(key))
+        metrics.ops += 1
+        if self.record_ops:
+            self.op_log.append((proc.rank, kind, key, metrics.remote_ops - before))
 
     def _compute_gap(self, mean_ns):
         r = self.cfg.r_comp
@@ -415,22 +416,15 @@ class DhtBench:
                 wait = proc.cpu.busy(gap)
                 if wait > 0:
                     yield wait
-            yield from self._timed_issue(proc, kind, key)
+            yield from self._issue(proc, kind, key)
             if i + 1 == self.WARMUP_OPS and self.cfg.r_comp > 0.0:
                 gap = self._compute_gap((engine.now - started) / self.WARMUP_OPS)
         if deletes:
             yield from self._fence(proc)
             yield from barrier.arrive()
             for kind, key in deletes:
-                yield from self._timed_issue(proc, kind, key)
+                yield from self._issue(proc, kind, key)
         yield from self._fence(proc)
-
-    def _timed_issue(self, proc, kind, key):
-        before = self.sim.metrics.remote_ops
-        yield from self._issue(proc, kind, key)
-        self.sim.metrics.ops += 1
-        if self.record_ops:
-            self.op_log.append((proc.rank, kind, key, self.sim.metrics.remote_ops - before))
 
     def _fence(self, proc):
         """Consumption barrier towards every owner this scheme needs one for."""

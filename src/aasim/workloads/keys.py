@@ -27,8 +27,9 @@ def owner_of(h, procs):
 
 
 def placement(key, procs, table_size):
-    h = hash64(key)
-    return owner_of(h, procs), bucket_of(h, table_size)
+    """(owner, bucket) of key: hash64, owner_of and bucket_of, inlined."""
+    h = (key * FIB) & MASK64
+    return (h >> 54) % procs, h & (table_size - 1)
 
 
 def key_for(rng, owner, bucket, procs, table_size, used_keys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from aasim import iommu as iommu_mod
 from aasim.config import SimConfig
 from aasim.engine import Engine
 from aasim.iommu import Iommu, IommuError
@@ -268,3 +269,123 @@ def test_inbox_queues_writes_to_its_page_in_order():
     assert not rig.iommu.idle()
     rig.iommu.inbox.popleft()
     assert rig.iommu.idle()
+
+
+def test_interleaved_multi_packet_inbox_writes_each_arrive_whole():
+    rig = Rig()
+    inbox = rig.memory.reserve_region("inbox", PAGE_SIZE)
+    rig.translator.map_range(inbox, Pte(frame=inbox >> 12, w=True))
+    rig.iommu.inbox_page = inbox >> 12
+    one = bytes(i % 251 for i in range(515))  # three packets
+    two = bytes(255 - i % 256 for i in range(800))  # four packets
+    ones, twos = split_put(inbox, one, 1, 3, 256), split_put(inbox, two, 2, 3, 256)
+    for a, b in zip(ones[:2], twos[:2]):
+        rig.iommu.on_arrival(a)
+        rig.iommu.on_arrival(b)
+        rig.engine.run()
+        assert not rig.iommu.inbox  # neither message is whole yet
+    rig.iommu.on_arrival(ones[2])
+    rig.iommu.on_arrival(twos[2])
+    rig.engine.run()
+    assert list(rig.iommu.inbox) == [(1, one)]
+    rig.iommu.on_arrival(twos[3])
+    rig.engine.run()
+    assert list(rig.iommu.inbox) == [(1, one), (2, two)]
+    assert not rig.iommu.tag_buffer
+
+
+class CountingTagEntries:
+    """Stands in for iommu.TagEntry and counts the entries built."""
+
+    def __init__(self, real):
+        self.real = real
+        self.built = 0
+
+    def __call__(self, *args):
+        self.built += 1
+        return self.real(*args)
+
+
+# A 64 B put against each classification of the write path: the page's bits,
+# the status its on_done hook gets, and whether the page is the inbox page.
+WRITE_CLASSES = {
+    "plain": (dict(w=True), "ok", False),
+    "logged metadata": (dict(w=True, wl=True, e=True), "ok", False),
+    "logged with data": (dict(wl=True, wld=True, e=True), "ok", False),
+    "fault-logged": (dict(w=True, wl=True), "ok", False),
+    "execute-only": (dict(e=True), "blocked", False),
+    "unmapped": (None, "fault", False),
+    "inbox": (dict(w=True), "ok", True),
+}
+
+
+def write_outcome(monkeypatch, bits, inbox, max_payload):
+    """Send one 64 B put as max_payload packets; return everything it left."""
+    entries = CountingTagEntries(iommu_mod.TagEntry)
+    monkeypatch.setattr(iommu_mod, "TagEntry", entries)
+    rig = Rig()
+    page = rig.memory.reserve_region("target", PAGE_SIZE)
+    if bits is not None:
+        rig.translator.map_range(page, Pte(frame=page >> 12, iuid=rig.log.iuid, **bits))
+    if inbox:
+        rig.iommu.inbox_page = page >> 12
+    rig.memory.write(page, bytes(range(128)))
+    statuses = []
+    pkts = split_put(page + 32, bytes(range(100, 164)), 0, 7, max_payload)
+    pkts[-1].on_done = lambda tag, status: statuses.append((tag, status))
+    for pkt in pkts:
+        rig.iommu.on_arrival(pkt)
+    rig.engine.run()
+    return {
+        "packets": len(pkts),
+        "memory": rig.memory.read(page, PAGE_SIZE),
+        "records": rig.log.ring_read(0, rig.log.committed_head) if rig.log.committed_head else b"",
+        "statuses": statuses,
+        "faults": list(rig.iommu.fault_log.entries),
+        "inbox": list(rig.iommu.inbox),
+        "open": dict(rig.iommu.tag_buffer),
+        "entries": entries.built,
+    }
+
+
+@pytest.mark.parametrize("name", WRITE_CLASSES)
+def test_one_packet_and_eight_packet_puts_leave_the_same_state(monkeypatch, name):
+    bits, status, inbox = WRITE_CLASSES[name]
+    whole = write_outcome(monkeypatch, bits, inbox, 256)
+    pieces = write_outcome(monkeypatch, bits, inbox, 8)
+    assert (whole["packets"], pieces["packets"]) == (1, 8)
+    assert whole["statuses"] == [(7, status)]
+    # A one-packet write keeps no entry; one with packets to come keeps one.
+    assert (whole["entries"], pieces["entries"]) == (0, 1)
+    for key in ("memory", "records", "statuses", "faults", "inbox", "open"):
+        assert whole[key] == pieces[key], key
+    assert whole["open"] == {}
+
+
+def test_a_get_logged_with_data_holds_only_its_key_until_its_record_commits(monkeypatch):
+    entries = CountingTagEntries(iommu_mod.TagEntry)
+    monkeypatch.setattr(iommu_mod, "TagEntry", entries)
+    rig = Rig()
+    rig.translator.map_range(
+        rig.page, Pte(frame=rig.page >> 12, r=True, rl=True, rld=True, e=True, iuid=rig.log.iuid)
+    )
+    rig.memory.write(rig.page, b"logged!!")
+    channel = rig.channels[1]
+    seen = []
+
+    def deliver(tlp):  # at the completion's egress, before the record commits
+        seen.append((rig.iommu.idle(), rig.iommu.describe(), list(rig.iommu.tag_buffer)))
+        channel.delivered.append(tlp)
+
+    channel.deliver = deliver
+    rig.iommu.on_arrival(split_get(rig.page, 8, 1, 5))
+    rig.engine.run()
+    assert seen == [(False, ["open txns=1"], [(1, 5)])]
+    assert rig.iommu.idle() and channel.delivered[0].payload == b"logged!!"
+    assert [rec.payload for rec in rig.drain_records()] == [b"logged!!"]
+    # A second get on a tag whose logged get is still open is refused.
+    rig.iommu.on_arrival(split_get(rig.page, 8, 1, 6))
+    rig.iommu.on_arrival(split_get(rig.page, 8, 1, 6))
+    with pytest.raises(IommuError, match="busy tag"):
+        rig.engine.run()
+    assert entries.built == 0

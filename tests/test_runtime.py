@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from aasim import iommu
 from aasim.config import SimConfig
 from aasim.link import OversizeError
 from aasim.logbuf import record_size
@@ -386,6 +387,54 @@ def test_am_send_runs_inbox_handler():
     metrics = run_app(sim, app(source))
     assert got == [(0, bytes([i]) * 8) for i in range(4)]
     assert metrics.handler_invocations == 4
+
+
+def test_am_longer_than_max_payload_reaches_its_handler_whole():
+    sim = Simulation(small_cfg(scheme="am", max_payload=256))
+    source, target = sim.procs
+    got = []
+    target.setup_inbox(lambda ctx, src, payload: got.append((src, payload)))
+    message = bytes(i % 251 for i in range(515))
+
+    def app(proc):
+        handle = yield from proc.am_send(1, message)
+        yield from handle.wait()
+
+    metrics = run_app(sim, app(source))
+    assert metrics.packets == 3
+    assert got == [(0, message)]
+    assert metrics.handler_invocations == 1
+
+
+def test_multi_packet_messages_from_two_sources_each_arrive_whole():
+    sim = Simulation(small_cfg(scheme="am", num_procs=3, max_payload=64))
+    target = sim.procs[0]
+    got = []
+    target.setup_inbox(lambda ctx, src, payload: got.append((src, payload)))
+    sent = {src: [bytes([src * 16 + i]) * (200 + 40 * i) for i in range(4)] for src in (1, 2)}
+
+    def app(proc):
+        for message in sent[proc.rank]:
+            yield from proc.am_send(0, message)
+
+    for src in sent:
+        sim.add_app(src, app(sim.procs[src]))
+    metrics = sim.run()
+    assert sorted(got) == sorted((src, m) for src, ms in sent.items() for m in ms)
+    assert [m for src, m in got if src == 1] == sent[1]
+    assert metrics.handler_invocations == 8
+
+
+def test_gets_logged_with_data_build_no_tag_entry(monkeypatch):
+    # Such a get keeps only its key in the tag buffer until its record commits.
+    built = []
+    real = iommu.TagEntry
+    monkeypatch.setattr(iommu, "TagEntry", lambda *args: built.append(args) or real(*args))
+    bench = GetLogBench(small_cfg(), "aa", n_gets=200)
+    bench.run()
+    assert len(bench.recovered) == 200
+    assert bench.replayed() == bench.fetched_values()
+    assert built == []
 
 
 @pytest.mark.parametrize("scheme", ["aa-int", "aa-sp", "aa-poll"])
