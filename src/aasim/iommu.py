@@ -151,10 +151,10 @@ class Iommu:
             self._ingress_signal.fire()
 
     def _pipeline(self):
-        ingress = self.ingress
+        ingress, arrived, retire = self.ingress, self._ingress_signal, self._retire
         while True:
             while not ingress:
-                yield self._ingress_signal
+                yield arrived
             tlp = ingress[0]
             kind = tlp.kind
             if kind == lnk.POSTED_WRITE:
@@ -169,7 +169,7 @@ class Iommu:
             else:
                 raise IommuError("unexpected ingress packet kind %r" % kind)
             ingress.popleft()
-            self._retire()
+            retire()
 
     def _retire(self):
         """A packet left ingress processed: note progress, return its credit."""

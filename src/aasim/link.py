@@ -53,16 +53,20 @@ class Tlp:
 def _slices(kind, data, address, address_mask, requester_id, tag, max_payload):
     """Cut one transaction's data into ordered TLPs of at most max_payload
     bytes; each packet's address is masked with address_mask."""
+    # The one copy: a slice of bytes is bytes, so no packet aliases the
+    # caller's buffer. A loop, not a comprehension: on CPython 3.11 a
+    # comprehension's closure costs more than it saves on four packets.
+    data = bytes(data)
     total = len(data)
     if total <= max_payload:
-        return [Tlp(kind, requester_id, tag, address & address_mask, total, bytes(data), 0, total)]
-    out = []
+        return [Tlp(kind, requester_id, tag, address & address_mask, total, data, 0, total)]
+    pkts = []
     for seq, off in enumerate(range(0, total, max_payload)):
-        chunk = bytes(data[off : off + max_payload])
-        out.append(
+        chunk = data[off : off + max_payload]
+        pkts.append(
             Tlp(kind, requester_id, tag, (address + off) & address_mask, len(chunk), chunk, seq, total)
         )
-    return out
+    return pkts
 
 
 def split_put(address, payload, requester_id, tag, max_payload):
@@ -151,9 +155,12 @@ class Link(_Wire):
     Per-device FIFO queues feed the wire; the arbiter picks the next device
     from those with packets waiting, listed in the order the link first saw
     them, with its own RNG stream so cross-device interleaving is arbitrary
-    but reproducible. A device joins or leaves the ready list only when its
-    queue turns non-empty or empty. One credit is consumed per departed
-    packet and returned by the bridge once the packet has been processed.
+    but reproducible. It draws as rng.randrange does, inlined: the same
+    getrandbits calls in the same rejection loop. A device joins or leaves
+    the ready list only when its queue turns non-empty or empty. One credit
+    is consumed per departed packet and returned by the bridge once the
+    packet has been processed. stalled_polls counts each send or credit
+    return that finds packets waiting and no credit left.
     """
 
     def __init__(self, engine, sink, cfg, rng, metrics):
@@ -175,7 +182,10 @@ class Link(_Wire):
         if not queue:
             insort(self._ready, rank)
         queue.append(tlp)
-        self._pump()
+        if self.credits:
+            self._pump()
+        else:  # what _pump would find: packets waiting and no credit
+            self.stalled_polls += 1
 
     def release_credit(self):
         if self.credits >= self.capacity:
@@ -186,17 +196,22 @@ class Link(_Wire):
 
     def _pump(self):
         ready = self._ready
-        while ready:
-            if not self.credits:
-                self.stalled_polls += 1
-                return
-            i = self.rng.randrange(len(ready)) if len(ready) > 1 else 0
+        while ready and self.credits:
+            n = len(ready)
+            i = 0
+            if n > 1:  # rng.randrange(n), inlined
+                k = n.bit_length()
+                i = self.rng.getrandbits(k)
+                while i >= n:
+                    i = self.rng.getrandbits(k)
             queue = self._queues[ready[i]]
             tlp = queue.popleft()
             if not queue:
                 del ready[i]
             self.credits -= 1
             self._transmit(tlp, self.sink)
+        if ready:  # packets wait and no credit is left
+            self.stalled_polls += 1
 
     @property
     def queued(self):

@@ -15,6 +15,7 @@ this way.
 """
 
 from bisect import bisect_right
+from struct import Struct
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
@@ -22,6 +23,10 @@ LINE_SIZE = 256
 LINE_SHIFT = 8
 _LINE_MASK = LINE_SIZE - 1
 _ZERO_LINE = bytes(LINE_SIZE)
+# _INTO_LINE[n](line, off, payload) copies an n-byte bytes or bytearray
+# payload into a line in place. A slice assignment to a bytearray line would
+# first copy a bytes payload into a temporary bytearray.
+_INTO_LINE = [None] + [Struct("%ds" % n).pack_into for n in range(1, LINE_SIZE + 1)]
 
 
 class MemoryError_(Exception):
@@ -133,6 +138,7 @@ class PhysMemory:
         return whole[off : off + length]
 
     def write(self, addr, payload):
+        """Store payload, bytes or bytearray, at addr."""
         length = len(payload)
         off = addr & _LINE_MASK
         if 0 <= addr < self._bump and 0 < length <= LINE_SIZE - off:
@@ -140,7 +146,7 @@ class PhysMemory:
             line = self._lines.get(n)
             if line is None:
                 line = self._lines[n] = bytearray(LINE_SIZE)
-            line[off : off + length] = payload
+            _INTO_LINE[length](line, off, payload)
             return
         if addr < 0 or addr + length > self._bump:
             raise self._outside(addr, length)

@@ -223,7 +223,8 @@ class IotlbCache:
                 del s[page]
 
 
-# run is None on a fault, and phys is then 0.
+# run is None on a fault, and phys is then 0. walk builds it with
+# tuple.__new__, which skips the namedtuple's Python-level __new__.
 WalkResult = namedtuple("WalkResult", "run phys mem_accesses")
 
 
@@ -262,6 +263,6 @@ class AddressTranslator:
             run, accesses = self.page_table.lookup(page)
             cost += accesses
             if run is None:
-                return WalkResult(None, 0, cost)
+                return tuple.__new__(WalkResult, (None, 0, cost))
             self.iotlb.insert(page, run)
-        return WalkResult(run, addr + run.offset, cost)
+        return tuple.__new__(WalkResult, (run, addr + run.offset, cost))

@@ -72,6 +72,14 @@ def _reference_slices(kind, data, address, address_mask, requester_id, tag, max_
     return out
 
 
+# The buffer types a caller may hand the slicer, built from the same bytes.
+BUFFERS = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "memoryview": lambda data: memoryview(bytearray(data)),
+}
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 4096),
@@ -79,14 +87,19 @@ def _reference_slices(kind, data, address, address_mask, requester_id, tag, max_
     st.integers(0, (1 << 40) - 4096),
     st.integers(0, 15),
     st.integers(0, 255),
+    st.sampled_from(sorted(BUFFERS)),
 )
-def test_packets_match_the_reference_slicer(size, max_payload, address, requester, tag):
+def test_packets_match_the_reference_slicer(size, max_payload, address, requester, tag, buffer):
     data = bytes(i % 251 for i in range(size))
-    assert split_put(address, data, requester, tag, max_payload) == _reference_slices(
-        POSTED_WRITE, data, address, -1, requester, tag, max_payload
-    )
-    request = split_get(address, size, requester, tag)
-    assert make_completions(request, data, max_payload) == _reference_slices(
+    caller = BUFFERS[buffer](data)
+    pkts = split_put(address, caller, requester, tag, max_payload)
+    cpls = make_completions(split_get(address, size, requester, tag), caller, max_payload)
+    if buffer != "bytes":
+        # Packets that aliased the caller's buffer would now read zeros.
+        caller[:] = bytes(size)
+    assert all(type(pkt.payload) is bytes for pkt in pkts + cpls)
+    assert pkts == _reference_slices(POSTED_WRITE, data, address, -1, requester, tag, max_payload)
+    assert cpls == _reference_slices(
         READ_COMPLETION, data, address, (1 << COMPLETION_ADDR_BITS) - 1, requester, tag, max_payload
     )
 
@@ -213,8 +226,8 @@ class ReferenceLink(Link):
 # devices leave and rejoin the ready list out of first-seen order.
 LINK_STEPS = st.lists(
     st.one_of(
-        st.tuples(st.just("send"), st.integers(0, 7), st.integers(1, 300)),
-        st.tuples(st.just("send"), st.integers(0, 7), st.integers(1, 300)),
+        st.tuples(st.just("send"), st.integers(0, 39), st.integers(1, 300)),
+        st.tuples(st.just("send"), st.integers(0, 39), st.integers(1, 300)),
         st.tuples(st.just("release"), st.integers(1, 2)),
         st.tuples(st.just("run")),
     ),
@@ -249,14 +262,25 @@ def _arbitrate(cls, seed, capacity, devices, steps):
     return got, states, link.stalled_polls, counter.bytes_wire
 
 
+def _all_ready(n):
+    """Devices and steps that queue n devices behind the only credit: the
+    drain then draws among n, n - 1, ... 2 ready devices."""
+    devices = [(i // 16, i % 16) for i in range(n)]
+    return devices, [("send", 0, 8)] + [("send", i, 8) for i in range(n)]
+
+
 @settings(max_examples=200, deadline=None)
 # Device 1 queues behind the only credit before device 0, which it first
 # followed: the ready list must still put device 0 first.
 @example(0, 1, [(0, 0), (0, 1)], [("send", 0, 8), ("send", 1, 8), ("send", 0, 8)])
+# Just above a power of two, nearly half the draws of the inlined randrange
+# are rejected and drawn again.
+@example(7, 1, *_all_ready(17))
+@example(7, 1, *_all_ready(33))
 @given(
     st.integers(0, 2**32),
     st.integers(1, 4),
-    st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=1, max_size=8, unique=True),
+    st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=1, max_size=40, unique=True),
     LINK_STEPS,
 )
 def test_link_arbiter_matches_reference(seed, capacity, devices, steps):
