@@ -2,7 +2,8 @@
 
 Every subcommand runs one or more simulations and emits result rows in the
 common CSV schema (metrics.CSV_COLUMNS), to stdout or to the file given with
---out. All runs are deterministic for a fixed seed.
+--out. All runs are deterministic for a fixed seed. A run exits 0 with its
+rows, 2 on a bad input and 3 on a stalled run, with its diagnosis.
 """
 
 import argparse
@@ -12,6 +13,7 @@ import sys
 
 from .config import SCHEMES, ConfigError, SimConfig, load_config
 from .metrics import CSV_COLUMNS
+from .sim import DeadlockError
 from .workloads import checkpoint as ckpt
 from .workloads import counter as cntr
 from .workloads import dht
@@ -184,6 +186,9 @@ def main(argv=None):
         except ConfigError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
+        except DeadlockError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 3
         write_rows(rows, fh)
     if args.out:
         print("wrote %d row%s to %s" % (len(rows), "s" if len(rows) != 1 else "", args.out))

@@ -134,8 +134,8 @@ class _Wire:
         self.metrics = metrics
         self._wire_free_at = 0.0
 
-    def _transmit(self, tlp, on_arrival):
-        """Count the packet and queue its arrival."""
+    def _transmit(self, tlp):
+        """Count the packet and queue its arrival at the sink."""
         now = self.engine.now
         free_at = self._wire_free_at
         payload = tlp.payload
@@ -146,7 +146,7 @@ class _Wire:
         metrics.packets += 1
         metrics.bytes_wire += wire_bytes
         metrics.bytes_payload += payload_bytes
-        self.engine.schedule((free_at + self.latency) - now, on_arrival, tlp)
+        self.engine.schedule((free_at + self.latency) - now, self.sink, tlp)
 
 
 class Link(_Wire):
@@ -209,7 +209,7 @@ class Link(_Wire):
             if not queue:
                 del ready[i]
             self.credits -= 1
-            self._transmit(tlp, self.sink)
+            self._transmit(tlp)
         if ready:  # packets wait and no credit is left
             self.stalled_polls += 1
 
@@ -221,24 +221,8 @@ class Link(_Wire):
     def in_flight(self):
         return self.capacity - self.credits
 
-    def idle(self):
-        return not self._ready and self.credits == self.capacity
-
 
 class BackChannel(_Wire):
     """Return wire for completions (target back to one source); no credits."""
 
-    def __init__(self, engine, sink, cfg, metrics):
-        super().__init__(engine, sink, cfg, metrics)
-        self.outstanding = 0
-
-    def deliver(self, tlp):
-        self.outstanding += 1
-        self._transmit(tlp, self._arrive)
-
-    def _arrive(self, tlp):
-        self.outstanding -= 1
-        self.sink(tlp)
-
-    def idle(self):
-        return self.outstanding == 0
+    deliver = _Wire._transmit

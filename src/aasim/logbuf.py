@@ -89,10 +89,6 @@ class AccessLog:
         self.reserve_failures = 0
 
     @property
-    def free_bytes(self):
-        return self.size - (self.head - self.tail)
-
-    @property
     def committed_bytes(self):
         return self.committed_head - self.tail
 
@@ -101,12 +97,8 @@ class AccessLog:
         return self.records_committed - self.records_consumed
 
     def drained(self):
-        return self.head == self.tail and not self._pending
-
-    def take_seq(self):
-        seq = self.next_seq
-        self.next_seq += 1
-        return seq
+        # tail <= committed_head <= head, so no reservation is pending either.
+        return self.head == self.tail
 
     def reserve(self, nbytes):
         """Claim nbytes at the head; returns the virtual offset.
@@ -118,7 +110,7 @@ class AccessLog:
             raise LogError(
                 "record of %d bytes can never fit log of %d" % (nbytes, self.size)
             )
-        if nbytes > self.size - (self.head - self.tail):  # free_bytes, inlined
+        if nbytes > self.size - (self.head - self.tail):  # more than the consumer has left free
             self.reserve_failures += 1
             raise WouldBlock()
         if self._ring is None:

@@ -93,17 +93,16 @@ class Proc:
         self.cpu = Cpu(engine)
         self._notification = cfg.resolved_notification()
         self._tag_cursor = 0
-        self._tags_in_use = set()
         self._tag_freed = Signal(engine)
-        self._gets = {}
+        # The one record of the ops in flight: a tag is in use exactly while
+        # it is a key here, until the last packet or completion is handled.
+        self._gets = {}  # tag -> handle of each get in flight
         self._puts = {}  # tag -> (target, handle) of each put in flight
-        self.outstanding_puts = {}
         self.handlers = []  # record handler per logging domain, in iuid order
         self._wake = Signal(engine)
         self._int_armed = False
         self._holdoff_armed = False
         self._ctx = HandlerCtx(self)
-        self.live_ops = 0
         self.am_handler = None
         self.sysflush_addr = None
         iommu.wake_consumer = self._notify
@@ -163,19 +162,16 @@ class Proc:
     # -- tags --------------------------------------------------------------
 
     def _alloc_tag(self):
+        """The next free tag from the cursor, once one is free. The caller
+        registers it before its next yield, so no other op can take it."""
+        puts, gets = self._puts, self._gets
         while True:
             for _ in range(256):
                 tag = self._tag_cursor
-                self._tag_cursor = (self._tag_cursor + 1) % 256
-                if tag not in self._tags_in_use:
-                    self._tags_in_use.add(tag)
+                self._tag_cursor = (tag + 1) % 256
+                if tag not in puts and tag not in gets:
                     return tag
             yield self._tag_freed
-
-    def _free_tag(self, tag):
-        self._tags_in_use.discard(tag)
-        if self._tag_freed._waiters:
-            self._tag_freed.fire()
 
     @staticmethod
     def _span_error(address, length):
@@ -193,22 +189,17 @@ class Proc:
             raise lnk.OversizeError("put of %d bytes exceeds %d" % (nbytes, lnk.MAX_TXN_BYTES))
         if not 0 < nbytes <= PAGE_SIZE - address % PAGE_SIZE:
             raise self._span_error(address, nbytes)
-        # Count the op as live before any yield so quiescence detection never
-        # races the issue path.
-        self.live_ops += 1
         self.metrics.remote_ops += 1
         wait = self.cpu.busy(self.cfg.issue_cost_ns)
         if wait > 0:
             yield wait
         tag = self._tag_cursor
-        if tag in self._tags_in_use:
+        if tag in self._puts or tag in self._gets:
             tag = yield from self._alloc_tag()
         else:  # the cursor's tag is free: take it
             self._tag_cursor = (tag + 1) % 256
-            self._tags_in_use.add(tag)
         handle = OpHandle(self.engine)
         pkts = lnk.split_put(address, payload, self.rank, tag, self.cfg.max_payload)
-        self.outstanding_puts[target] = self.outstanding_puts.get(target, 0) + 1
         self._puts[tag] = (target, handle)
         pkts[-1].on_done = self._put_done
         wire = self.sim.links[target]
@@ -218,10 +209,8 @@ class Proc:
 
     def _put_done(self, tag, status):
         """The last packet of the put holding tag has landed at its target."""
-        target, handle = self._puts.pop(tag)
-        self._free_tag(tag)
-        self.outstanding_puts[target] -= 1
-        self.live_ops -= 1
+        _target, handle = self._puts.pop(tag)
+        self._tag_freed.fire()
         handle.fire(status)
         engine = self.engine
         if engine.now > engine.last_activity:  # note_activity, inlined
@@ -231,17 +220,15 @@ class Proc:
         """Nonblocking read; the handle carries the data when it completes."""
         if not 0 < length <= PAGE_SIZE - address % PAGE_SIZE:
             raise self._span_error(address, length)
-        self.live_ops += 1
         self.metrics.remote_ops += 1
         wait = self.cpu.busy(self.cfg.issue_cost_ns)
         if wait > 0:
             yield wait
         tag = self._tag_cursor
-        if tag in self._tags_in_use:
+        if tag in self._puts or tag in self._gets:
             tag = yield from self._alloc_tag()
         else:  # the cursor's tag is free: take it
             self._tag_cursor = (tag + 1) % 256
-            self._tags_in_use.add(tag)
         handle = OpHandle(self.engine)
         req = lnk.split_get(address, length, self.rank, tag)
         req.atomic = atomic
@@ -273,8 +260,7 @@ class Proc:
                 return
             status, data = "ok", bytes(buf)
         del self._gets[tlp.tag]
-        self._free_tag(tlp.tag)
-        self.live_ops -= 1
+        self._tag_freed.fire()
         handle.fire(status, data)
 
     # -- atomics (blocking) ------------------------------------------------
@@ -302,7 +288,7 @@ class Proc:
             raise NodeError("target %d has no flush target page" % target)
         handle = yield from self.get(target, peer.sysflush_addr, 8)
         yield from handle.wait()
-        if self.outstanding_puts.get(target, 0) != 0:
+        if any(t == target for t, _h in self._puts.values()):
             raise NodeError("puts still outstanding after rma_flush")
 
     def flush(self, target):
@@ -415,4 +401,5 @@ class Proc:
     # -- quiescence --------------------------------------------------------
 
     def drained(self):
-        return self.live_ops == 0 and all(log.drained() for log in self.iommu.alogs)
+        # Asked only once every app has returned: no op is in its issue wait.
+        return not (self._gets or self._puts) and all(log.drained() for log in self.iommu.alogs)

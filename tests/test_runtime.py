@@ -345,6 +345,50 @@ def test_rma_flush_orders_prior_puts():
     run_app(sim, app(sim.procs[0]))
 
 
+def _late_put_done_sim():
+    """Three ranks with a writable page at ranks 1 and 2, where rank 0
+    hears of each put's last packet 10 us after it lands: its puts stay
+    outstanding past any rma_flush."""
+    sim = Simulation(small_cfg(scheme="rma", num_procs=3))
+    bases = {}
+    for rank in (1, 2):
+        bases[rank] = sim.procs[rank].memory.reserve_region("data", PAGE_SIZE)
+        sim.procs[rank].map_plain(bases[rank], w=True)
+    source = sim.procs[0]
+    put_done = source._put_done
+
+    def late_put_done(tag, status):
+        sim.engine.schedule(10_000.0, put_done, tag, status)
+
+    source._put_done = late_put_done
+    return sim, bases
+
+
+def test_rma_flush_raises_while_a_put_to_its_target_is_outstanding():
+    sim, bases = _late_put_done_sim()
+
+    def app(proc):
+        yield from proc.put(1, bases[1], bytes(8))
+        yield from proc.rma_flush(1)
+
+    with pytest.raises(NodeError, match="puts still outstanding after rma_flush"):
+        run_app(sim, app(sim.procs[0]))
+
+
+def test_rma_flush_ignores_a_put_outstanding_to_another_target():
+    sim, bases = _late_put_done_sim()
+    seen = {}
+
+    def app(proc):
+        handle = yield from proc.put(2, bases[2], bytes(8))
+        yield from proc.rma_flush(1)
+        seen["put done at flush"] = handle.done
+        yield from handle.wait()
+
+    run_app(sim, app(sim.procs[0]))
+    assert seen == {"put done at flush": False}
+
+
 def test_flush_waits_for_handler_consumption():
     sim = Simulation(small_cfg(poll_interval_ns=5000.0))
     target = sim.procs[1]
@@ -546,7 +590,7 @@ def test_tag_exhaustion_blocks_the_issuer_until_a_tag_frees():
     def app(proc):
         for i in range(300):
             yield from proc.put(1, base + 8 * i, i.to_bytes(8, "little"))
-            in_use.append(len(proc._tags_in_use))
+            in_use.append(len(proc._puts) + len(proc._gets))
         yield from proc.rma_flush(1)
 
     metrics = run_app(sim, app(sim.procs[0]))
