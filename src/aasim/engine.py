@@ -40,6 +40,10 @@ import itertools
 _IN_CALLBACK = object()
 
 
+class BudgetExceeded(RuntimeError):
+    """Engine.run executed more events than its max_events."""
+
+
 class Signal:
     """One-to-many wakeup. Firing resumes every currently parked waiter.
 
@@ -160,7 +164,7 @@ class Engine:
                     self._handoff = None
                     if gen is _IN_CALLBACK:
                         if events > limit:
-                            raise RuntimeError("event budget exceeded (%d)" % max_events)
+                            raise BudgetExceeded("event budget exceeded (%d)" % max_events)
                         continue
                 while True:
                     try:
@@ -184,11 +188,11 @@ class Engine:
                         heappush(heap, (t, next(seq), None, gen))
                         break
                     if events > limit:
-                        raise RuntimeError("event budget exceeded (%d)" % max_events)
+                        raise BudgetExceeded("event budget exceeded (%d)" % max_events)
                     self.now = t
                     events += 1
                 if events > limit:
-                    raise RuntimeError("event budget exceeded (%d)" % max_events)
+                    raise BudgetExceeded("event budget exceeded (%d)" % max_events)
         finally:
             self.events_run = events
             self._handoff = None

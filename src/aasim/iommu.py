@@ -107,18 +107,9 @@ class Iommu:
         self.flush_pages[self.memory.reserve_region("flush%d" % iuid, PAGE_SIZE)] = log
         return log
 
-    def idle(self):
-        """No packet waits in ingress, no transaction is open, no flush is
-        parked and no inbox message is unread."""
-        return (
-            not self.ingress
-            and not self.tag_buffer
-            and not self.inbox
-            and not any(log.flush_waiters for log in self.alogs)
-        )
-
-    def describe(self):
-        """What idle() finds still busy, as diagnostic phrases."""
+    def outstanding(self):
+        """Queued packets, open transactions, parked flushes and unread inbox
+        messages, as diagnostic phrases; empty when there are none."""
         bits = []
         if self.ingress:
             bits.append("ingress=%d" % len(self.ingress))
@@ -377,7 +368,7 @@ class Iommu:
             raise IommuError("atomics on logging-marked pages are unsupported")
         if log_data:
             # The record stays open until the read has copied its data in;
-            # the key alone keeps the tag busy and the bridge not idle.
+            # the key alone keeps the tag busy and the transaction outstanding.
             self.tag_buffer[key] = None
             self.engine.schedule(self.cfg.mem_access_ns, self._fetch, tlp, phys, log, offset)
             return

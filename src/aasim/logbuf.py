@@ -96,10 +96,6 @@ class AccessLog:
     def pending_records(self):
         return self.records_committed - self.records_consumed
 
-    def drained(self):
-        # tail <= committed_head <= head, so no reservation is pending either.
-        return self.head == self.tail
-
     def reserve(self, nbytes):
         """Claim nbytes at the head; returns the virtual offset.
 

@@ -111,9 +111,7 @@ class PhysMemory:
 
     # Regions are whole pages and lines divide pages, so an access that
     # starts below the bump pointer and stays inside its first line is in
-    # bounds. An access that crosses into the next line only (a 256 B packet
-    # at a record offset, say) takes an inline two-line path. A longer read
-    # joins its lines in one call; a longer write loops over them.
+    # bounds. A longer read joins its lines in one call; a longer write loops.
 
     def read(self, addr, length):
         off = addr & _LINE_MASK
@@ -122,17 +120,7 @@ class PhysMemory:
             return bytes(length) if line is None else bytes(line[off : off + length])
         if addr < 0 or length < 0 or addr + length > self._bump:
             raise self._outside(addr, length)
-        lines = self._lines
-        head = LINE_SIZE - off
-        if head < length <= head + LINE_SIZE:
-            n = addr >> LINE_SHIFT
-            first = lines.get(n)
-            second = lines.get(n + 1)
-            return b"".join((
-                bytes(head) if first is None else first[off:],
-                bytes(length - head) if second is None else second[: length - head],
-            ))
-        get = lines.get
+        get = self._lines.get
         end = (addr + length + _LINE_MASK) >> LINE_SHIFT
         whole = b"".join([get(n, _ZERO_LINE) for n in range(addr >> LINE_SHIFT, end)])
         return whole[off : off + length]
@@ -151,18 +139,6 @@ class PhysMemory:
         if addr < 0 or addr + length > self._bump:
             raise self._outside(addr, length)
         lines = self._lines
-        head = LINE_SIZE - off
-        if head < length <= head + LINE_SIZE:
-            n = addr >> LINE_SHIFT
-            first = lines.get(n)
-            if first is None:
-                first = lines[n] = bytearray(LINE_SIZE)
-            second = lines.get(n + 1)
-            if second is None:
-                second = lines[n + 1] = bytearray(LINE_SIZE)
-            first[off:] = payload[:head]
-            second[: length - head] = payload[head:]
-            return
         view = memoryview(payload)
         pos = 0
         for n, off, step in self._pieces(addr, length):

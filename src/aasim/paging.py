@@ -201,12 +201,8 @@ class IotlbCache:
         return run
 
     def insert(self, page, run):
+        """Cache page's run; called only after a miss on page."""
         s = self._sets[page % self.set_count]
-        if page in s:
-            s[page] = run
-            if self.policy == "lru":
-                s.move_to_end(page)
-            return
         if len(s) >= self.ways:
             if self.policy == "lru":
                 s.popitem(last=False)

@@ -63,7 +63,6 @@ class HandlerCtx:
     the call it is passed to."""
 
     def __init__(self, proc):
-        self.proc = proc
         self.cost_ns = 0.0
         self._access_ns = proc.cfg.mem_access_ns
         self._memory = proc.memory
@@ -400,6 +399,16 @@ class Proc:
 
     # -- quiescence --------------------------------------------------------
 
-    def drained(self):
-        # Asked only once every app has returned: no op is in its issue wait.
-        return not (self._gets or self._puts) and all(log.drained() for log in self.iommu.alogs)
+    def outstanding(self):
+        """The bridge's outstanding(), then the node's ops in flight and each
+        log with records not yet handled; empty once the node is drained."""
+        bits = self.iommu.outstanding()
+        in_flight = len(self._gets) + len(self._puts)
+        if in_flight:
+            bits.append("ops in flight=%d" % in_flight)
+        for log in self.iommu.alogs:
+            # tail <= committed_head <= head: a tail at head leaves none pending.
+            if log.head != log.tail:
+                bits.append("log%d head=%d committed=%d tail=%d"
+                            % (log.iuid, log.head, log.committed_head, log.tail))
+        return bits

@@ -9,12 +9,14 @@ DeadlockError at last_activity + stall_limit_ns unless there was activity
 meanwhile. Once the last app has finished, a sweeper checks every
 SWEEP_INTERVAL_NS from that moment: a sweep that finds every queue, log and
 handle drained calls Engine.stop(), so the run ends on it, and a sweep more
-than stall_limit_ns after the last activity raises instead.
+than stall_limit_ns after the last activity raises instead. A run that
+executes more than DEFAULT_EVENT_BUDGET events raises it too, with the same
+diagnosis after a line naming the budget.
 """
 
 import random
 
-from .engine import Engine, Signal
+from .engine import BudgetExceeded, Engine, Signal
 from .iommu import Iommu
 from .link import BackChannel, Link
 from .memory import PhysMemory
@@ -102,10 +104,11 @@ class Simulation:
         engine.stop()
 
     def drained(self):
-        # No wire needs a look: a device's packets stay in order and a put
-        # completes at its last packet, still in ingress, so all a wire holds
-        # belongs to an op still in its source's _puts or _gets.
-        return all(p.drained() and p.iommu.idle() for p in self.procs)
+        # Asked once every app has returned: no op is in its issue wait, so no
+        # core's claim holds work. No wire needs a look: a device's packets
+        # stay in order and a put completes at its last packet, still in
+        # ingress, so all a wire holds belongs to an op in _puts or _gets.
+        return not any(p.outstanding() for p in self.procs)
 
     def run(self):
         if self._ran:
@@ -118,7 +121,10 @@ class Simulation:
             self.engine.spawn(self._wrap_app(gen))
         self.engine.spawn(self._watchdog())
         self.engine.spawn(self._sweeper())
-        self.engine.run(max_events=DEFAULT_EVENT_BUDGET)
+        try:
+            self.engine.run(max_events=DEFAULT_EVENT_BUDGET)
+        except BudgetExceeded as exc:
+            raise DeadlockError("%s\n%s" % (exc, self.diagnose())) from exc
         self._aggregate()
         return self.metrics
 
@@ -138,21 +144,13 @@ class Simulation:
     def diagnose(self):
         lines = ["deadlock diagnostics at t=%.0f ns:" % self.engine.now]
         lines.append("  apps done: %d/%d" % (self._apps_done, len(self._apps)))
-        for proc in self.procs:
-            link = self.links[proc.rank]
+        for proc, link in zip(self.procs, self.links):
             bits = []
             if link.queued or link.in_flight:
                 bits.append("link queued=%d in_flight=%d" % (link.queued, link.in_flight))
-            bits.extend(proc.iommu.describe())
-            in_flight = len(proc._gets) + len(proc._puts)
-            if in_flight:
-                bits.append("ops in flight=%d" % in_flight)
-            for log in proc.iommu.alogs:
-                if not log.drained():
-                    bits.append(
-                        "log%d head=%d committed=%d tail=%d"
-                        % (log.iuid, log.head, log.committed_head, log.tail)
-                    )
+            bits += proc.outstanding()
+            if proc.cpu.free_at > self.engine.now:
+                bits.append("core busy until t=%.0f" % proc.cpu.free_at)
             if bits:
                 lines.append("  rank %d: %s" % (proc.rank, "; ".join(bits)))
         return "\n".join(lines)

@@ -6,9 +6,11 @@ from dataclasses import fields
 
 import pytest
 
+from aasim import sim as sim_mod
 from aasim.cli import main
 from aasim.config import ConfigError, SimConfig
 from aasim.metrics import CSV_COLUMNS
+from aasim.workloads import dht
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -331,5 +333,51 @@ def test_stalled_run_exits_3_with_its_diagnosis(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.err.startswith("error: deadlock diagnostics at t=")
+    # Every app is still in its first issue wait, which only its core shows.
+    for rank in range(4):
+        assert "  rank %d: core busy until t=1500\n" % rank in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_exceeded_event_budget_exits_3_with_its_diagnosis(monkeypatch, capsys):
+    monkeypatch.setattr(sim_mod, "DEFAULT_EVENT_BUDGET", 50)
+    rc = main(["dht", "--procs", "2", "--ops", "20"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    err = captured.err.splitlines()
+    assert err[0] == "error: event budget exceeded (50)"
+    assert err[1].startswith("deadlock diagnostics at t=")
+    assert err[2] == "  apps done: 0/2"
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_out_into_a_missing_directory_exits_2_in_one_line(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "x.csv")
+    assert main(["dht", "--procs", "2", "--ops", "10", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write --out %s: " % out)
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+def test_r_comp_adds_compute_gaps_and_nothing_else(tmp_path):
+    # The gap is a sleep on the source's core, taken after WARMUP_OPS
+    # inserts: it moves the run's time, not its ops or its bytes.
+    rows = {}
+    for r_comp in ("0", "0.5"):
+        out = str(tmp_path / ("r%s.csv" % r_comp))
+        argv = ["dht", "--procs", "2", "--ops", "40", "--seed", "1", "--out", out]
+        assert main(argv + ["--r-comp", r_comp]) == 0
+        header, body = read_rows(out)
+        rows[r_comp] = dict(zip(header, body[0]))
+    plain, gapped = rows["0"], rows["0.5"]
+    assert float(gapped["r_comp"]) == 0.5
+    assert gapped["remote_ops"] == plain["remote_ops"]
+    assert gapped["bytes_wire"] == plain["bytes_wire"]
+    assert float(gapped["sim_time_ns"]) > float(plain["sim_time_ns"])
+    bench = dht.DhtBench(SimConfig(num_procs=2, ops_per_proc=40, seed=1, r_comp=0.5))
+    bench.run()
+    for rank in range(2):
+        assert bench.contents(rank) == bench.oracle_contents(rank)

@@ -135,29 +135,29 @@ def test_head_of_line_stall_until_consumer_frees_space():
     rig.engine.run()  # space_freed resumes the pipeline
     rest = rig.drain_records()
     assert [r.payload[0] for r in rest] == [4, 5]
-    assert rig.log.drained()
+    assert rig.log.head == rig.log.tail
 
 
 def test_idle_is_false_while_a_packet_a_transaction_or_a_flush_waits():
     rig = Rig()
-    assert rig.iommu.idle()
+    assert not rig.iommu.outstanding()
     put_pkts = split_put(rig.page, bytes(600), 0, 9, 256)  # 3 packets
     rig.iommu.on_arrival(put_pkts[0])
-    assert rig.iommu.ingress and not rig.iommu.idle()
+    assert rig.iommu.ingress and rig.iommu.outstanding()
     rig.engine.run()
     # the head is processed, but its transaction's tag entry stays open
-    assert not rig.iommu.ingress and rig.iommu.tag_buffer and not rig.iommu.idle()
+    assert not rig.iommu.ingress and rig.iommu.tag_buffer and rig.iommu.outstanding()
     for pkt in put_pkts[1:]:
         rig.iommu.on_arrival(pkt)
     rig.engine.run()
-    assert rig.iommu.idle()
+    assert not rig.iommu.outstanding()
     # a committed, unconsumed record holds the flush back
     rig.iommu.on_arrival(split_get(next(iter(rig.iommu.flush_pages)), 8, 1, 5))
     rig.engine.run()
     assert not rig.iommu.ingress and not rig.iommu.tag_buffer
-    assert not rig.iommu.idle()
+    assert rig.iommu.outstanding()
     rig.drain_records()
-    assert rig.channels[1].delivered and rig.iommu.idle()
+    assert rig.channels[1].delivered and not rig.iommu.outstanding()
 
 
 def test_flush_mark_covers_reserved_but_uncommitted_records():
@@ -264,11 +264,11 @@ def test_inbox_queues_writes_to_its_page_in_order():
     rig.engine.run()
     assert list(rig.iommu.inbox) == [(2, b"a" * 8), (1, b"b" * 8)]
     assert rig.memory.read(other, 8) == b"x" * 8
-    assert not rig.iommu.idle()
+    assert rig.iommu.outstanding()
     rig.iommu.inbox.popleft()
-    assert not rig.iommu.idle()
+    assert rig.iommu.outstanding()
     rig.iommu.inbox.popleft()
-    assert rig.iommu.idle()
+    assert not rig.iommu.outstanding()
 
 
 def test_interleaved_multi_packet_inbox_writes_each_arrive_whole():
@@ -374,14 +374,14 @@ def test_a_get_logged_with_data_holds_only_its_key_until_its_record_commits(monk
     seen = []
 
     def deliver(tlp):  # at the completion's egress, before the record commits
-        seen.append((rig.iommu.idle(), rig.iommu.describe(), list(rig.iommu.tag_buffer)))
+        seen.append((rig.iommu.outstanding(), list(rig.iommu.tag_buffer)))
         channel.delivered.append(tlp)
 
     channel.deliver = deliver
     rig.iommu.on_arrival(split_get(rig.page, 8, 1, 5))
     rig.engine.run()
-    assert seen == [(False, ["open txns=1"], [(1, 5)])]
-    assert rig.iommu.idle() and channel.delivered[0].payload == b"logged!!"
+    assert seen == [(["open txns=1"], [(1, 5)])]
+    assert not rig.iommu.outstanding() and channel.delivered[0].payload == b"logged!!"
     assert [rec.payload for rec in rig.drain_records()] == [b"logged!!"]
     # A second get on a tag whose logged get is still open is refused.
     rig.iommu.on_arrival(split_get(rig.page, 8, 1, 6))

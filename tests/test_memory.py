@@ -150,9 +150,10 @@ def test_every_short_access_near_a_page_boundary_matches_reference():
 
 
 def test_every_short_access_near_a_line_boundary_matches_reference():
-    # Exhaustive where the one-line fast path hands over to the two-line
-    # path (lengths up to 13) and where that hands over to the loop over
-    # lines (lengths near one and two lines).
+    # Exhaustive where the one-line fast path hands over to the join (for
+    # reads) or the loop over lines (for writes), short lengths up to 13,
+    # and where an access spans one, two or three lines (lengths near one
+    # and two lines).
     sparse, dense = PhysMemory(0), DenseMemory()
     for mem in (sparse, dense):
         mem.reserve_region("a", PAGE_SIZE)
