@@ -105,7 +105,7 @@ class SimConfig:
             if f.name.endswith("_ns") and value < 0:
                 raise ConfigError("%s must be >= 0" % f.name)
         if self.poll_interval_ns == 0:
-            # A polling loop that never advances the clock starves the sweeper.
+            # A polling loop that never advances the clock starves the sweep.
             raise ConfigError("poll_interval_ns must be > 0")
         if self.stall_limit_ns == 0:
             # The watchdog would call a run stalled before any event runs.

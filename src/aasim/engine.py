@@ -103,12 +103,9 @@ class Engine:
         self.events_run = 0
         # The process a callback hands to the run loop to resume in place.
         self._handoff = None
-        # Timestamp of the last productive step; callers mark it explicitly.
+        # Time of the last productive step: callers store now in it, and the
+        # clock never goes back, so the last store is the latest.
         self.last_activity = 0.0
-
-    def note_activity(self):
-        if self.now > self.last_activity:
-            self.last_activity = self.now
 
     def schedule(self, delay, fn, *args):
         if delay < 0:

@@ -164,9 +164,7 @@ class Iommu:
 
     def _retire(self):
         """A packet left ingress processed: note progress, return its credit."""
-        engine = self.engine
-        if engine.now > engine.last_activity:  # note_activity, inlined
-            engine.last_activity = engine.now
+        self.engine.last_activity = self.engine.now
         if self.link is not None:
             self.link.release_credit()
 
@@ -415,7 +413,7 @@ class Iommu:
         if i + 1 < len(cpls):
             self.engine.schedule(cfg.iommu_proc_ns, self._egress, tlp, cpls, i + 1, log, offset)
         elif log is None:
-            self.engine.note_activity()
+            self.engine.last_activity = self.engine.now
         else:
             # The publish needs no event: the consumer's record fetch comes no
             # earlier and claims a memory access, so it marks activity later.
@@ -445,6 +443,6 @@ class Iommu:
         while waiters and log.tail >= waiters[0][0]:
             _mark, request = waiters.popleft()
             self._answer_flush(request)
-            self.engine.note_activity()
+            self.engine.last_activity = self.engine.now
         if waiters and self.wake_consumer is not None:
             self.wake_consumer()

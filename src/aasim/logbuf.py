@@ -89,10 +89,6 @@ class AccessLog:
         self.reserve_failures = 0
 
     @property
-    def committed_bytes(self):
-        return self.committed_head - self.tail
-
-    @property
     def pending_records(self):
         return self.records_committed - self.records_consumed
 

@@ -211,9 +211,7 @@ class Proc:
         _target, handle = self._puts.pop(tag)
         self._tag_freed.fire()
         handle.fire(status)
-        engine = self.engine
-        if engine.now > engine.last_activity:  # note_activity, inlined
-            engine.last_activity = engine.now
+        self.engine.last_activity = self.engine.now
 
     def get(self, target, address, length, atomic=None):
         """Nonblocking read; the handle carries the data when it completes."""
@@ -239,9 +237,7 @@ class Proc:
         handle = self._gets.get(tlp.tag)
         if handle is None:
             raise NodeError("completion for unknown tag %d at rank %d" % (tlp.tag, self.rank))
-        engine = self.engine
-        if engine.now > engine.last_activity:  # note_activity, inlined
-            engine.last_activity = engine.now
+        self.engine.last_activity = self.engine.now
         if tlp.status == "blocked":
             status, data = "blocked", None
         elif tlp.length == tlp.txn_total:
@@ -344,7 +340,7 @@ class Proc:
         while True:
             if self._notification == "poll":
                 yield self.cfg.poll_interval_ns
-            elif not any(log.committed_bytes > 0 for log in self.iommu.alogs):
+            elif not any(log.pending_records for log in self.iommu.alogs):
                 yield self._wake
             yield from self.poll_step()
 
@@ -374,8 +370,7 @@ class Proc:
                 log.advance_tail(size)
                 self.metrics.handler_invocations += 1
                 consumed += 1
-                if engine.now > engine.last_activity:  # note_activity, inlined
-                    engine.last_activity = engine.now
+                engine.last_activity = engine.now
                 if log.flush_waiters:
                     self.iommu.check_flushes(log)
         inbox = self.iommu.inbox
@@ -394,7 +389,7 @@ class Proc:
             inbox.popleft()
             self.metrics.handler_invocations += 1
             consumed += 1
-            engine.note_activity()
+            engine.last_activity = engine.now
         return consumed
 
     # -- quiescence --------------------------------------------------------

@@ -4,19 +4,19 @@ Every rank is one node (memory, bridge, core, ingress wire). Remote ranks
 appear at a node as source devices sharing the node's page table. The run
 loop executes the application coroutines and one consumer loop per node that
 has a handler. Two observers watch the run; they only stop it or raise, and
-never wake a node. While apps run, a watchdog raises a diagnostic
-DeadlockError at last_activity + stall_limit_ns unless there was activity
-meanwhile. Once the last app has finished, a sweeper checks every
-SWEEP_INTERVAL_NS from that moment: a sweep that finds every queue, log and
-handle drained calls Engine.stop(), so the run ends on it, and a sweep more
-than stall_limit_ns after the last activity raises instead. A run that
-executes more than DEFAULT_EVENT_BUDGET events raises it too, with the same
-diagnosis after a line naming the budget.
+never wake a node. The watchdog is the one stall rule, in every phase of the
+run: it raises a diagnostic DeadlockError at last_activity + stall_limit_ns
+unless there was activity meanwhile. The last app to return sweeps, every
+SWEEP_INTERVAL_NS from its return (a run with no app sweeps from the start):
+a sweep that finds every queue, log and handle drained calls Engine.stop(),
+so the run ends on it. A run that executes more than DEFAULT_EVENT_BUDGET
+events raises DeadlockError too, with the same diagnosis after a line naming
+the budget.
 """
 
 import random
 
-from .engine import BudgetExceeded, Engine, Signal
+from .engine import BudgetExceeded, Engine
 from .iommu import Iommu
 from .link import BackChannel, Link
 from .memory import PhysMemory
@@ -44,7 +44,6 @@ class Simulation:
         self._ran = False
         self._apps = []
         self._apps_done = 0
-        self._apps_finished = Signal(self.engine)
         self.procs = []
         self.links = []
         for rank in range(cfg.num_procs):
@@ -70,38 +69,32 @@ class Simulation:
         return random.Random(self.cfg.seed * 0x9E3779B1 + stream * 65537 + idx)
 
     def add_app(self, rank, gen):
-        self._apps.append((rank, gen))
+        self._apps.append(gen)
 
     # -- run loop ----------------------------------------------------------
 
     def _wrap_app(self, gen):
         yield from gen
         self._apps_done += 1
-        self.engine.note_activity()
+        self.engine.last_activity = self.engine.now
         if self._apps_done == len(self._apps):
-            self._apps_finished.fire()
-
-    def _apps_running(self):
-        return self._apps_done < len(self._apps)
+            # Sweep after the events already due now: they may end the last work.
+            yield 0.0
+            yield from self._sweep()
 
     def _watchdog(self):
-        """While apps run, raise at the first deadline with no activity since."""
+        """Raise at the first deadline with no activity since, in any phase."""
         engine, limit = self.engine, self.cfg.stall_limit_ns
-        while self._apps_running():
+        while True:
             deadline = engine.last_activity + limit
             yield deadline - engine.now
-            if self._apps_running() and engine.last_activity + limit == deadline:
+            if engine.last_activity + limit == deadline:
                 raise DeadlockError(self.diagnose())
 
-    def _sweeper(self):
-        engine = self.engine
-        while self._apps_running():
-            yield self._apps_finished
+    def _sweep(self):
         while not self.drained():
-            if engine.now - engine.last_activity > self.cfg.stall_limit_ns:
-                raise DeadlockError(self.diagnose())
             yield SWEEP_INTERVAL_NS
-        engine.stop()
+        self.engine.stop()
 
     def drained(self):
         # Asked once every app has returned: no op is in its issue wait, so no
@@ -117,10 +110,13 @@ class Simulation:
         for proc in self.procs:
             if proc.handlers or proc.am_handler is not None:
                 self.engine.spawn(proc.consumer())
-        for _rank, gen in self._apps:
+        for gen in self._apps:
             self.engine.spawn(self._wrap_app(gen))
+        # The watchdog goes first: a sweep that stops the engine inside spawn
+        # must not leave its wake queued.
         self.engine.spawn(self._watchdog())
-        self.engine.spawn(self._sweeper())
+        if not self._apps:
+            self.engine.spawn(self._sweep())
         try:
             self.engine.run(max_events=DEFAULT_EVENT_BUDGET)
         except BudgetExceeded as exc:

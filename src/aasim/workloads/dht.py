@@ -245,6 +245,11 @@ class DhtBench:
                 " logged table and the plain heap cannot share a page"
                 % (table_size, table_size * CELL, cfg.scheme)
             )
+        if cfg.r_comp > 0.0 and cfg.ops_per_proc <= self.WARMUP_OPS:
+            raise ConfigError(
+                "r_comp > 0 needs more than %d ops per proc: the compute gap is sized on"
+                " each source's first %d inserts" % (self.WARMUP_OPS, self.WARMUP_OPS)
+            )
         if key_mode == "skewed" and cfg.num_procs < 2:
             raise ConfigError("skewed keys need >= 2 procs: rank 0 is the hot owner, the rest are sources")
         fresh = cfg.ops_per_proc - int(cfg.ops_per_proc * cfg.r_cols)
@@ -399,16 +404,12 @@ class DhtBench:
         if self.record_ops:
             self.op_log.append((proc.rank, kind, key, metrics.remote_ops - before))
 
-    def _compute_gap(self, mean_ns):
-        r = self.cfg.r_comp
-        return r / (1.0 - r) * mean_ns if r > 0.0 else 0.0
-
     def _app(self, rank, barrier):
         proc = self.sim.procs[rank]
         ops = self.plan[rank]
         inserts = [op for op in ops if op[0] == "insert"]
         deletes = [op for op in ops if op[0] == "delete"]
-        engine = self.sim.engine
+        engine, r = self.sim.engine, self.cfg.r_comp
         gap = 0.0
         started = engine.now
         for i, (kind, key) in enumerate(inserts):
@@ -417,8 +418,8 @@ class DhtBench:
                 if wait > 0:
                     yield wait
             yield from self._issue(proc, kind, key)
-            if i + 1 == self.WARMUP_OPS and self.cfg.r_comp > 0.0:
-                gap = self._compute_gap((engine.now - started) / self.WARMUP_OPS)
+            if i + 1 == self.WARMUP_OPS and r > 0.0:
+                gap = r / (1.0 - r) * ((engine.now - started) / self.WARMUP_OPS)
         if deletes:
             yield from self._fence(proc)
             yield from barrier.arrive()

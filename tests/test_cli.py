@@ -259,6 +259,8 @@ BAD_WORKLOAD_ARGS = [
     ({}, ["dht", "--scheme", "am", "--delete-fraction", "0.5"]),
     ({}, ["dht", "--delete-fraction", "-1"]),
     ({}, ["dht", "--delete-fraction", "2"]),
+    # The compute gap is sized on each source's first 16 inserts.
+    ({}, ["dht", "--procs", "2", "--ops", "16", "--r-comp", "0.5"]),
     # The sweep's skewed inserts need a hot owner and at least one source.
     ({}, ["sweep-iotlb", "--procs", "0", "--ops", "5"]),
     ({}, ["sweep-iotlb", "--procs", "1", "--ops", "5"]),
@@ -381,3 +383,16 @@ def test_r_comp_adds_compute_gaps_and_nothing_else(tmp_path):
     bench.run()
     for rank in range(2):
         assert bench.contents(rank) == bench.oracle_contents(rank)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dht", "--procs", "2", "--ops", "0"],  # no app: run() sweeps at once
+    ["checkpoint", "--procs", "2", "--epochs", "0"],  # apps return in their first step
+])
+def test_empty_runs_end_at_time_zero(tmp_path, argv):
+    out = str(tmp_path / "empty.csv")
+    assert main(argv + ["--out", out]) == 0
+    header, body = read_rows(out)
+    (row,) = [dict(zip(header, line)) for line in body]
+    assert row["ops"] == "0"
+    assert float(row["sim_time_ns"]) == 0.0

@@ -691,6 +691,33 @@ def test_deadlock_names_flush_held_behind_unconsumed_record():
     assert "log%d head=%d committed=%d tail=0" % (iuid, size, size) in message
 
 
+def test_stall_after_the_last_app_returns_raises_at_the_deadline():
+    # The app returns once its logged put has landed, but the consumer
+    # sleeps past the stall limit, so the record stays unconsumed and the
+    # sweeps never find the run drained. The watchdog still raises exactly
+    # the stall limit after the last activity, not on a sweep tick.
+    cfg = small_cfg(stall_limit_ns=200000.0, poll_interval_ns=1e9)
+    sim = Simulation(cfg)
+    target = sim.procs[1]
+    iuid = target.register_handler(lambda ctx, rec: None, 4096)
+    base = target.memory.reserve_region("data", PAGE_SIZE)
+    target.assoc_page(base, iuid, wl=True, wld=True, e=True)
+
+    def app(proc):
+        handle = yield from proc.put(1, base, bytes(8))
+        yield from handle.wait()
+
+    sim.add_app(0, app(sim.procs[0]))
+    with pytest.raises(DeadlockError) as err:
+        sim.run()
+    deadline = sim.engine.last_activity + cfg.stall_limit_ns
+    assert sim.engine.now == deadline
+    message = str(err.value)
+    assert message.startswith("deadlock diagnostics at t=%.0f ns:\n  apps done: 1/1\n" % deadline)
+    size = record_size(8, with_data=True)
+    assert "log%d head=%d committed=%d tail=0" % (iuid, size, size) in message
+
+
 @pytest.mark.parametrize("past_ns", [-1.0, 1.0], ids=["ends-before", "asleep-at"])
 def test_watchdog_deadline_is_the_stall_limit_after_the_last_activity(past_ns):
     # The put's completion is the last activity; the app then sleeps to
@@ -761,8 +788,9 @@ def test_record_below_the_interrupt_batch_raises_the_interrupt_after_the_holdoff
 
 @pytest.mark.parametrize("sleep_ns", [0.0, 20_000.0], ids=["short-sleep", "long-sleep"])
 def test_first_sweep_after_an_app_that_ends_on_a_tick(sleep_ns):
-    # The sweeper's ticks start at the last app's end and follow every
-    # SWEEP_INTERVAL_NS; the first tick that finds the run drained ends it.
+    # The last app to return sweeps: its ticks start at its end and follow
+    # every SWEEP_INTERVAL_NS; the first tick that finds the run drained
+    # ends it.
     # The app puts one aa-int record below the batch, waits for the put,
     # then sleeps. After a short sleep the record is still unconsumed at
     # the app's end, so the run ends on the first tick after consumption;

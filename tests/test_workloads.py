@@ -195,9 +195,10 @@ def test_aa_int_ring_smaller_than_the_batch_reaches_quiescence():
 # and the event budget is counted in events. A count covers the apps' and
 # bridges' steps, the wires' deliveries, each consumer's polls or wake-ups
 # (an aa-int node's holdoff timers and interrupts, an aa-sp node's
-# scratchpad writes), the watchdog's wakes while apps run, and the sweeps
-# from the last app's end to the one that finds quiescence and stops the
-# engine. A wake-up a callback resumes in place is not an event of its own.
+# scratchpad writes), the watchdog's wakes in any phase of the run, and the
+# sweeps the last app runs from its end to the one that finds quiescence and
+# stops the engine. A wake-up a callback resumes in place is not an event of
+# its own.
 PINNED_EVENTS = {
     "aa-int": 1218, "aa-poll": 1231, "aa-sp": 1316, "rma": 2547, "am": 897, "getlog-aa": 763,
 }

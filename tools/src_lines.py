@@ -1,0 +1,54 @@
+"""Print the total lines and the code lines of a source tree.
+
+    python3 tools/src_lines.py [DIR]
+
+DIR defaults to this checkout's ``src``. A code line is one that is neither
+blank, comment-only nor part of a docstring. A docstring is any string
+constant that stands alone as an expression statement (found with ``ast``);
+a comment-only line holds no token but a comment (found with ``tokenize``).
+"""
+
+import ast
+import io
+import os
+import sys
+import tokenize
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def count(text):
+    """(total, code) line counts of one Python source."""
+    lines = text.splitlines()
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str)):
+            docstrings.update(range(node.lineno, node.end_lineno + 1))
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in NOT_CODE:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    code -= docstrings
+    return len(lines), sum(1 for i in code if lines[i - 1].strip())
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    top = argv[0] if argv else os.path.join(ROOT, "src")
+    total = code = 0
+    for dirpath, _dirnames, filenames in os.walk(top):
+        for name in filenames:
+            if name.endswith(".py"):
+                with open(os.path.join(dirpath, name), encoding="utf-8") as f:
+                    t, c = count(f.read())
+                total += t
+                code += c
+    print("%s: %d lines, %d code lines" % (top, total, code))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
