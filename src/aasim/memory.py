@@ -23,10 +23,11 @@ LINE_SIZE = 256
 LINE_SHIFT = 8
 _LINE_MASK = LINE_SIZE - 1
 _ZERO_LINE = bytes(LINE_SIZE)
-# _INTO_LINE[n](line, off, payload) copies an n-byte bytes or bytearray
-# payload into a line in place. A slice assignment to a bytearray line would
-# first copy a bytes payload into a temporary bytearray.
-_INTO_LINE = [None] + [Struct("%ds" % n).pack_into for n in range(1, LINE_SIZE + 1)]
+# _INTO_LINE[n](line, off, payload) copies an n-byte payload into a line in
+# place, and _FROM_LINE[n](line, off)[0] copies n bytes of a line out as bytes,
+# each in one copy where going through a slice would take two.
+_INTO_LINE = [Struct("%ds" % n).pack_into for n in range(LINE_SIZE + 1)]
+_FROM_LINE = [Struct("%ds" % n).unpack_from for n in range(LINE_SIZE + 1)]
 
 
 class MemoryError_(Exception):
@@ -117,7 +118,7 @@ class PhysMemory:
         off = addr & _LINE_MASK
         if 0 <= addr < self._bump and 0 < length <= LINE_SIZE - off:
             line = self._lines.get(addr >> LINE_SHIFT)
-            return bytes(length) if line is None else bytes(line[off : off + length])
+            return bytes(length) if line is None else _FROM_LINE[length](line, off)[0]
         if addr < 0 or length < 0 or addr + length > self._bump:
             raise self._outside(addr, length)
         get = self._lines.get

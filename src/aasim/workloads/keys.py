@@ -33,35 +33,22 @@ def placement(key, procs, table_size):
 
 
 def key_for(rng, owner, bucket, procs, table_size, used_keys):
-    """A fresh key hashing to exactly (owner, bucket).
+    """A fresh key hashing to exactly (owner, bucket): 64-bit draws until one
+    gives a nonzero, unused key there.
 
-    The table size is a power of two, so clearing a draw's low bits and
-    adding the bucket gives a hash in that bucket; the loop inlines
-    owner_of and the inverse hash.
+    The table size is a power of two of at most 2**54, so a draw with its low
+    bits cleared plus the bucket is a hash in that bucket whose owner bits are
+    the draw's top ten; they are tested first.
     """
     draw = rng.getrandbits
     high = ~(table_size - 1)
     while True:
-        h = ((draw(64) & high) + bucket) & MASK64
-        if (h >> 54) % procs != owner:
+        r = draw(64)
+        if (r >> 54) % procs != owner:
             continue
-        key = (h * FIB_INV) & MASK64
+        key = (((r & high) + bucket) * FIB_INV) & MASK64
         if key and key not in used_keys:
             return key
-
-
-def fresh_key(rng, procs, table_size, used_buckets, used_keys):
-    """A key whose (owner, bucket) is not occupied yet; placement inlined."""
-    draw = rng.getrandbits
-    mask = table_size - 1
-    while True:
-        key = draw(64)
-        if not key or key in used_keys:
-            continue
-        h = (key * FIB) & MASK64
-        spot = ((h >> 54) % procs, h & mask)
-        if spot not in used_buckets:
-            return key, spot
 
 
 class KeyStream:
@@ -89,27 +76,42 @@ class KeyStream:
         self.issued = 0
         self.collisions = 0
 
-    def next_key(self):
-        issued = self.issued
-        rng = self.rng
-        if int((issued + 1) * self.r_cols) > int(issued * self.r_cols) and self.used:
-            owner, bucket = self.used[rng.randrange(len(self.used))]
-            key = key_for(rng, owner, bucket, self.procs, self.table_size, self.used_keys)
-            self.collisions += 1
-        else:
-            key, spot = fresh_key(rng, self.procs, self.table_size, self.used_set, self.used_keys)
-            self.used.append(spot)
-            self.used_set.add(spot)
-        self.used_keys.add(key)
-        self.issued = issued + 1
-        return key
-
     def take(self, count):
-        return [self.next_key() for _ in range(count)]
-
-    @property
-    def measured_r_cols(self):
-        return self.collisions / self.issued if self.issued else 0.0
+        """The next count keys. A fresh key takes 64-bit draws until one gives
+        a nonzero, unused key on a free spot; an aimed key takes one draw as
+        rng.randrange(len(used)) would, to pick a used spot, then key_for's."""
+        draw = self.rng.getrandbits
+        procs, table_size, r_cols = self.procs, self.table_size, self.r_cols
+        mask = table_size - 1
+        used, used_set, used_keys = self.used, self.used_set, self.used_keys
+        start = self.issued
+        floor = int(start * r_cols)
+        out = []
+        for issued in range(start + 1, start + count + 1):
+            quota = int(issued * r_cols)
+            if quota > floor and used:
+                # rng.randrange(n), inlined: the same getrandbits calls.
+                i = n = len(used)
+                k = n.bit_length()
+                while i >= n:
+                    i = draw(k)
+                key = key_for(self.rng, *used[i], procs, table_size, used_keys)
+                self.collisions += 1
+            else:
+                while True:
+                    key = draw(64)
+                    if key and key not in used_keys:
+                        h = (key * FIB) & MASK64
+                        spot = ((h >> 54) % procs, h & mask)
+                        if spot not in used_set:
+                            break
+                used.append(spot)
+                used_set.add(spot)
+            floor = quota
+            used_keys.add(key)
+            out.append(key)
+        self.issued = start + count
+        return out
 
 
 def forced_collision_keys(rng, count, owner, bucket, procs, table_size):
@@ -127,12 +129,7 @@ def forced_collision_keys(rng, count, owner, bucket, procs, table_size):
 def zipf_indices(rng, universe, count):
     """count draws from [0, universe) with a power-law popularity profile."""
     weights = [1.0 / (rank + 1) ** ZIPF_SKEW for rank in range(universe)]
-    total = 0.0
-    cum = []
-    for w in weights:
-        total += w
-        cum.append(total)
-    return rng.choices(range(universe), cum_weights=cum, k=count)
+    return rng.choices(range(universe), weights, k=count)
 
 
 def skewed_bucket_keys(rng, count, owner, procs, table_size):

@@ -51,8 +51,7 @@ def test_key_stream_hits_collision_ratio_exactly():
     stream_ = keys.KeyStream(random.Random(5), 4, 2048, r_cols=0.25)
     out = stream_.take(1000)
     assert len(set(out)) == 1000
-    assert stream_.collisions == 250
-    assert stream_.measured_r_cols == 0.25
+    assert (stream_.issued, stream_.collisions) == (1000, 250)
 
 
 def test_key_stream_zero_ratio_never_collides():
@@ -103,10 +102,15 @@ def _ref_stream(rng, procs, table_size, r_cols, count):
     return out, collisions
 
 
+# (procs, table size). Five procs are not a power of two; one proc owns
+# every bucket.
+STREAM_SHAPES = ((8, 1 << 20), (3, 256), (5, 1 << 20), (1, 1 << 12))
+
+
 @pytest.mark.parametrize("r_cols", [0.0, 0.25, 0.9])
 @pytest.mark.parametrize("seed", [1, 7, 1009])
 def test_key_stream_matches_reference_draw_for_draw(seed, r_cols):
-    for procs, table_size in ((8, 1 << 20), (3, 256)):
+    for procs, table_size in STREAM_SHAPES:
         rng, ref_rng = random.Random(seed), random.Random(seed)
         stream_ = keys.KeyStream(rng, procs, table_size, r_cols)
         got = stream_.take(500)
@@ -116,15 +120,31 @@ def test_key_stream_matches_reference_draw_for_draw(seed, r_cols):
         assert rng.getstate() == ref_rng.getstate()
 
 
+@pytest.mark.parametrize("r_cols", [0.25, 0.9])
+@pytest.mark.parametrize("first,second", [(0, 300), (1, 299), (7, 293), (150, 150)])
+def test_key_stream_takes_in_parts_match_one_reference_stream(first, second, r_cols):
+    # The quota of the second take picks up from the keys already issued.
+    for procs, table_size in STREAM_SHAPES:
+        rng, ref_rng = random.Random(5), random.Random(5)
+        stream_ = keys.KeyStream(rng, procs, table_size, r_cols)
+        got = stream_.take(first) + stream_.take(second)
+        want, collisions = _ref_stream(ref_rng, procs, table_size, r_cols, first + second)
+        assert got == want
+        assert stream_.issued == first + second
+        assert stream_.collisions == collisions
+        assert rng.getstate() == ref_rng.getstate()
+
+
 @pytest.mark.parametrize("seed", [2, 11, 1009])
 def test_key_for_matches_reference_draw_for_draw(seed):
-    rng, ref_rng = random.Random(seed), random.Random(seed)
-    used = set()
-    for owner, bucket in itertools.product(range(3), (0, 1, 255)):
-        key = keys.key_for(rng, owner, bucket, 3, 256, used)
-        assert key == _ref_key_for(ref_rng, owner, bucket, 3, 256, used)
-        used.add(key)
-    assert rng.getstate() == ref_rng.getstate()
+    for procs, table_size in ((3, 256), (5, 1 << 20)):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        used = set()
+        for owner, bucket in itertools.product(range(procs), (0, 1, table_size - 1)):
+            key = keys.key_for(rng, owner, bucket, procs, table_size, used)
+            assert key == _ref_key_for(ref_rng, owner, bucket, procs, table_size, used)
+            used.add(key)
+        assert rng.getstate() == ref_rng.getstate()
 
 
 def test_forced_collision_keys_share_one_bucket():

@@ -14,11 +14,11 @@ to this checkout's ``src``. Each tree runs, in its own process:
 
 The configs and scenarios always come from this checkout, so both trees run
 the same inputs. The script prints one line per config whose outputs moved,
-with each moved field as ``old -> new``, then one line per bench run whose
-event count moved, as ``events old -> new``, then a summary, and exits 1 if
-any output moved. Event counts are host work, not simulated numbers: the
-summary counts the runs whose event count moved, and they never make the
-exit 1.
+with each moved field as ``old -> new``, then one line per config or bench
+run whose event count moved, as ``events old -> new``, then a summary, and
+exits 1 if any output moved. Event counts are host work, not simulated
+numbers: the summary counts the runs whose event count moved, and they never
+make the exit 1.
 """
 
 import argparse
@@ -95,22 +95,20 @@ def main(argv=None):
         print("a tree failed to run", file=sys.stderr)
         return 2
     old, new = (json.loads(out) for out in outs)
-    moved = events_moved = 0
-    bench_events = []
+    moved = 0
+    event_moves = []
     for name in old:
         a, b = old[name], new[name]
         fields = [k for k in a.keys() | b.keys() if k != "events" and a.get(k) != b.get(k)]
         if a.get("events") != b.get("events"):
-            events_moved += 1
-            if "verify" in a:  # a bench run
-                bench_events.append("%s: events %r -> %r" % (name, a.get("events"), b.get("events")))
+            event_moves.append("%s: events %r -> %r" % (name, a.get("events"), b.get("events")))
         if fields:
             moved += 1
             print("%s: %s" % (name, ", ".join(
                 "%s %r -> %r" % (k, a.get(k), b.get(k)) for k in sorted(fields))))
-    for line in bench_events:
+    for line in event_moves:
         print(line)
-    print("%d of %d configs moved; event counts moved in %d" % (moved, len(old), events_moved))
+    print("%d of %d configs moved; event counts moved in %d" % (moved, len(old), len(event_moves)))
     return 1 if moved else 0
 
 

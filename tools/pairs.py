@@ -13,9 +13,11 @@ Prints one JSON object. For each end-to-end metric of ``BENCHMARK.json`` it
 gives each side's median and quartiles (inclusive method), the ratio of the
 medians and the median of the per-pair ratios, the pairs NEW won (ties count
 for neither side), NEW's median gain and OLD's interquartile range, both in
-the metric's unit with a gain positive when NEW is better, and every run in
-pair order. OLD is reported as ``parent`` and NEW as ``change``. Exits 1 if
-any run failed or reported a wrong output.
+the metric's unit with a gain positive when NEW is better, whether the gain
+rule is met, and every run in pair order. The gain rule holds when NEW wins
+at least nine tenths of the pairs and its median gain exceeds OLD's
+interquartile range. OLD is reported as ``parent`` and NEW as ``change``.
+Exits 1 if any run failed or reported a wrong output.
 """
 
 import argparse
@@ -67,6 +69,8 @@ def summary(better, runs):
     ties = sum(a == b for a, b in zip(old, new))
     stats = {side: quartiles(runs[side]) for side in SIDES}
     ratio = stats["change"]["median"] / stats["parent"]["median"]
+    gain = sign * (stats["parent"]["median"] - stats["change"]["median"])
+    iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
     return {
         "parent": stats["parent"],
         "change": stats["change"],
@@ -74,8 +78,9 @@ def summary(better, runs):
         "median_pair_ratio": statistics.median(b / a for a, b in zip(old, new)),
         "change_wins": wins,
         "ties": ties,
-        "median_gain": sign * (stats["parent"]["median"] - stats["change"]["median"]),
-        "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
+        "median_gain": gain,
+        "parent_iqr": iqr,
+        "gain_rule_met": 10 * wins >= 9 * len(old) and gain > iqr,
         "runs": runs,
     }
 
