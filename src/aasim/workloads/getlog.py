@@ -30,9 +30,18 @@ class GetLogBench:
         self.recovered = []  # (address, bytes) at the target, in record order
         self.fetched = []  # (address, bytes) at the source, in issue order
         rng = self.sim.rng_for(4)
-        self.addr_plan = [
-            rng.randrange(0, DATA_PAGES * PAGE_SIZE // 8 - 1) * 8 for _ in range(n_gets)
-        ]
+        # Each address is rng.randrange(n) * 8, inlined: the same getrandbits
+        # calls. n leaves out the region's last word on purpose; drawing it
+        # would move every address.
+        draw = rng.getrandbits
+        n = DATA_PAGES * PAGE_SIZE // 8 - 1
+        k = n.bit_length()
+        self.addr_plan = plan = []
+        for _ in range(n_gets):
+            i = draw(k)
+            while i >= n:
+                i = draw(k)
+            plan.append(i * 8)
         self._build(rng)
 
     def _build(self, rng):

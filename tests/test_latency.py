@@ -5,8 +5,9 @@ nothing else runs, so the time from one operation's completion to the next
 one's is the sum of the steps on its path. Each expected value is derived
 here from SimConfig fields alone: the issue on the source's core, the
 request on the wire, the bridge's interception, walk and fetch, the
-completion's egress interception and its way back. The literal figures are
-those of the default config.
+completion's egress interception and its way back; a put is done once the
+bridge has taken its last packet. The literal figures are those of the
+default config.
 """
 
 import pytest
@@ -35,6 +36,23 @@ def expected_get_ns(cfg, walk_accesses, bridge_extra_ns=0.0):
         + completion_wire
         + cfg.link_latency_ns
     )
+
+
+def expected_put_ns(cfg, nbytes, walk_accesses):
+    """One put waited on its handle: issue, then the bridge's end of its last
+    packet. Packet i lands once packets 0..i are on the wire; the bridge ends
+    packet 0 after its interception and walk, and each later packet one
+    interception after both it has landed and the one before has ended."""
+    wire_ns = 0.0
+    for i, off in enumerate(range(0, nbytes, cfg.max_payload)):
+        length = min(cfg.max_payload, nbytes - off)
+        wire_ns += (cfg.wire_header_bytes + length) / cfg.link_bw_bytes_per_ns
+        landing = cfg.link_latency_ns + wire_ns
+        if i == 0:
+            end = landing + cfg.iommu_proc_ns + walk_accesses * cfg.mem_access_ns
+        else:
+            end = max(landing, end) + cfg.iommu_proc_ns
+    return cfg.issue_cost_ns + end
 
 
 def marginals(cfg, op, distinct_pages, **bits):
@@ -67,6 +85,18 @@ def marginals(cfg, op, distinct_pages, **bits):
 def get(proc, addr):
     handle = yield from proc.get(1, addr, 8)
     yield from handle.wait()
+
+
+def put_of(nbytes):
+    def put(proc, addr):
+        handle = yield from proc.put(1, addr, bytes(nbytes))
+        yield from handle.wait()
+
+    return put
+
+
+def rma_flush(proc, addr):
+    yield from proc.rma_flush(1)
 
 
 def cas(proc, addr):
@@ -104,3 +134,32 @@ def test_get_logged_with_data_adds_the_header_store():
     want = expected_get_ns(cfg, 0, cfg.mem_access_ns)
     assert want == 2706.0
     assert marginals(cfg, get, False, r=True, rl=True, rld=True, e=True) == [want] * (OPS - 1)
+
+
+@pytest.mark.parametrize(
+    "nbytes,hit_literal,miss_literal",
+    [
+        (8, 2037.0, 2317.0),
+        (256, 2285.0, 2565.0),
+        (264, 2317.0, 2570.0),
+        (1024, 3125.0, 3125.0),
+        (4096, 6485.0, 6485.0),
+    ],
+    ids=["8B", "256B", "264B", "1KiB", "4KiB"],
+)
+@pytest.mark.parametrize("miss", [False, True], ids=["hit", "miss"])
+def test_put_latency_is_closed_form(nbytes, hit_literal, miss_literal, miss):
+    # From 264 bytes on a put is more than one packet; once the later
+    # packets' wire time covers the first one's walk, a miss costs nothing.
+    cfg = SimConfig(scheme="rma", num_procs=2)
+    want = expected_put_ns(cfg, nbytes, LEVELS if miss else 0)
+    assert want == (miss_literal if miss else hit_literal)
+    assert marginals(cfg, put_of(nbytes), miss, w=True) == [want] * (OPS - 1)
+
+
+def test_rma_flush_with_no_puts_is_one_get():
+    # The null get always reads the same sysflush page, so it hits the IOTLB.
+    cfg = SimConfig(scheme="rma", num_procs=2)
+    want = expected_get_ns(cfg, 0)
+    assert want == 2636.0
+    assert marginals(cfg, rma_flush, False, w=True) == [want] * (OPS - 1)

@@ -418,6 +418,23 @@ def test_getlog_payload_accounting_is_exact():
     assert out["sendback"][1].bytes_payload == 2 * base
 
 
+def _ref_getlog_plan(rng, n_gets):
+    return [rng.randrange(0, 2047) * 8 for _ in range(n_gets)]
+
+
+# An 11-bit draw of 2047 is rejected and drawn again: once in seed 7's first
+# 200 draws and twice in seed 1's first 5,000, so those two cases cover the
+# retry path.
+@pytest.mark.parametrize("seed,n_gets", [(1, 0), (1, 1), (7, 200), (1, 5000)])
+def test_getlog_plan_matches_randrange_draw_for_draw(seed, n_gets):
+    bench = GetLogBench(small_cfg(num_procs=2, seed=seed), "aa", n_gets=n_gets)
+    rng = bench.sim.rng_for(4)
+    assert bench.addr_plan == _ref_getlog_plan(rng, n_gets)
+    # The data region is drawn after the plan, so it checks the rng's state.
+    span = 4 * PAGE_SIZE
+    assert bench.sim.procs[0].memory.read(bench.region, span) == rng.randbytes(span)
+
+
 # -- checkpointing -----------------------------------------------------------
 
 

@@ -67,7 +67,7 @@ def tree(spec, scratch):
         fh.write(archive)
         fh.seek(0)
         with tarfile.open(fileobj=fh) as tar:
-            tar.extractall(out)
+            tar.extractall(out, filter="data")
     return os.path.join(out, "src")
 
 
