@@ -1,4 +1,4 @@
-"""tools/pairs.py's verdict on the gain rule, from hand-made runs."""
+"""tools/pairs.py's verdict on the gain rule and compare_trees.py's diff, from hand-made inputs."""
 
 import importlib
 import os
@@ -40,3 +40,34 @@ def test_gain_rule_missed_on_the_iqr(pairs):
     assert out["change_wins"] == 10
     assert 0 < out["median_gain"] < out["parent_iqr"]
     assert out["gain_rule_met"] is False
+
+
+@pytest.fixture
+def compare_trees(monkeypatch):
+    monkeypatch.syspath_prepend(TOOLS)
+    return importlib.import_module("compare_trees")
+
+
+OLD = {
+    "dht#000": {"sim_time_ns": 765.0, "check": True, "events": 343},
+    "dht#001": {"sim_time_ns": 900.0, "check": True, "events": 813},
+    "incast#002": {"error": "DeadlockError", "now": 105452.0, "events": 75},
+    "incast#003": {"sim_time_ns": 10.0, "check": True, "events": 9},
+    "small rma": {"sim_time_ns": 5.0, "check": True, "events": 20},
+}
+
+
+def test_diff_names_each_moved_entry_once(compare_trees):
+    new = {name: dict(entry) for name, entry in OLD.items() if name != "small rma"}
+    new["dht#000"]["sim_time_ns"] = 770.0
+    new["dht#001"]["events"] = 812
+    new["incast#002"] = {"sim_time_ns": 2e5, "check": True, "events": 90}
+    moved, events_only = compare_trees.diff(OLD, new)
+    assert moved == [
+        "dht#000: sim_time_ns 765.0 -> 770.0",
+        "incast#002: check None -> True, error 'DeadlockError' -> None, events 75 -> 90,"
+        " now 105452.0 -> None, sim_time_ns None -> 200000.0",
+        "small rma: only in old",
+    ]
+    assert events_only == ["dht#001: events 813 -> 812"]
+    assert compare_trees.diff(OLD, OLD) == ([], [])

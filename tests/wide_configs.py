@@ -107,6 +107,25 @@ def wide_configs(seed=GENERATOR_SEED):
     return configs
 
 
+# Seed-1 runs at default costs whose event counts are pinned beside their
+# outcomes: every dht scheme, and 60 gets logged with data.
+_SMALL = {"num_procs": 4, "ops_per_proc": 40, "vol_size": 1 << 12, "seed": 1}
+NAMED_CONFIGS = {
+    **{
+        "small %s" % scheme: {"kind": "dht", "scheme": scheme, "r_cols": 0.3, **_SMALL}
+        for scheme in ("aa-int", "aa-poll", "aa-sp", "rma", "am")
+    },
+    "small getlog-aa": {"kind": "getlog", **_SMALL, "num_procs": 2, "gets": 60},
+}
+
+
+def named_configs():
+    """Every config by its name in the record: ``kind#index`` for the wide
+    set, then ``NAMED_CONFIGS``."""
+    configs = {"%s#%03d" % (c["kind"], i): c for i, c in enumerate(wide_configs())}
+    return {**configs, **NAMED_CONFIGS}
+
+
 def sim_config(config):
     fields = {k: v for k, v in config.items() if k in SimConfig.__dataclass_fields__}
     return SimConfig(**fields)

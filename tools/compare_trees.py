@@ -1,24 +1,28 @@
 """Run the same configs on two source trees and print every output that moved.
 
     python3 tools/compare_trees.py OLD [NEW]
+    python3 tools/compare_trees.py --worker src > tests/exact.json
 
 OLD and NEW each name a git revision (its ``src`` is taken with
-``git archive``) or a directory holding an ``aasim`` package. NEW defaults
-to this checkout's ``src``. Each tree runs, in its own process:
+``git archive``), a directory holding an ``aasim`` package, or a record file
+such as ``tests/exact.json``. NEW defaults to this checkout's ``src``. Each
+tree runs, in its own process, ``record()``:
 
   * every config of ``tests/wide_configs.py`` (seeded small runs off the
-    default costs), giving its CSV row, IOTLB misses, records consumed and
-    check, or the error class and ``engine.now`` of a run that stalls;
+    default costs, and the named seed-1 runs at default costs), giving its
+    CSV row, IOTLB misses, records consumed and check, or the error class,
+    message and ``engine.now`` of a run that raises a model error;
   * the four ``bench/scenarios.py`` workloads at seeds 1 and 1009, giving
-    every ``Metrics`` field and ``verify()``.
+    every ``Metrics`` field and ``verify()``;
 
-The configs and scenarios always come from this checkout, so both trees run
-the same inputs. The script prints one line per config whose outputs moved,
-with each moved field as ``old -> new``, then one line per config or bench
-run whose event count moved, as ``events old -> new``, then a summary, and
+each with its engine's event count. The configs and scenarios always come
+from this checkout, so both trees run the same inputs. ``--worker SRC``
+prints the record of one tree, one entry per line with keys sorted; the
+second form above re-pins the committed record. The script prints one line
+per entry whose outputs moved, with each moved field as ``old -> new``, then
+one line per entry where only the event count moved, then a summary, and
 exits 1 if any output moved. Event counts are host work, not simulated
-numbers: the summary counts the runs whose event count moved, and they never
-make the exit 1.
+numbers: on their own they never make the exit 1.
 """
 
 import argparse
@@ -34,14 +38,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_SEEDS = (1, 1009)
 
 
-def worker(src):
-    sys.path[:0] = [src, os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")]
+def record():
+    """The outcome of every config and bench run, on the aasim package that
+    ``import`` finds; ``wide_configs`` and ``scenarios`` must be importable."""
     import scenarios
     import wide_configs
 
-    results = {}
-    for i, config in enumerate(wide_configs.wide_configs()):
-        results["%s#%03d" % (config["kind"], i)] = wide_configs.outcome(config)
+    results = {name: wide_configs.outcome(c) for name, c in wide_configs.named_configs().items()}
     for name, make in scenarios.WORKLOADS.items():
         for seed in BENCH_SEEDS:
             scenario = make(seed)
@@ -51,7 +54,28 @@ def worker(src):
                 "verify": scenario.verify(),
                 "events": scenario.sim.engine.events_run,
             }
-    json.dump(results, sys.stdout)
+    return results
+
+
+def diff(old, new):
+    """(moved, events_only): one line per entry that moved between two records.
+
+    ``moved`` names each entry that only one record holds, or whose outcome
+    moved, as ``name: field old -> new, ...`` with its event count if that
+    moved too; ``events_only`` names each entry where only the event count
+    moved.
+    """
+    moved, events_only = [], []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old or name not in new:
+            moved.append("%s: only in %s" % (name, "old" if name in old else "new"))
+            continue
+        a, b = old[name], new[name]
+        fields = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+        if fields:
+            line = "%s: %s" % (name, ", ".join("%s %r -> %r" % (k, a.get(k), b.get(k)) for k in fields))
+            (events_only if fields == ["events"] else moved).append(line)
+    return moved, events_only
 
 
 def tree(spec, scratch):
@@ -71,44 +95,49 @@ def tree(spec, scratch):
     return os.path.join(out, "src")
 
 
-def run_tree(src):
+def start(spec, scratch):
+    """A record file's path as is, or a worker started on the tree a spec names."""
+    if os.path.isfile(spec):
+        return spec
     return subprocess.Popen(
-        [sys.executable, os.path.abspath(__file__), "--worker", src],
+        [sys.executable, os.path.abspath(__file__), "--worker", tree(spec, scratch)],
         stdout=subprocess.PIPE,
         env={**os.environ, "PYTHONHASHSEED": "0"},
     )
+
+
+def collect(run):
+    """The record a started run gives, or None if its worker failed."""
+    if isinstance(run, str):
+        with open(run) as fh:
+            return json.load(fh)
+    out = run.communicate()[0]
+    return None if run.returncode else json.loads(out)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old")
     parser.add_argument("new", nargs="?", default=os.path.join(ROOT, "src"))
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument(
+        "--worker", action="store_true", help="print the record of the src directory OLD"
+    )
     args = parser.parse_args(argv)
     if args.worker:
-        worker(args.old)
+        sys.path[:0] = [os.path.abspath(args.old), os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")]
+        entries = ("%s: %s" % (json.dumps(k), json.dumps(v, sort_keys=True)) for k, v in sorted(record().items()))
+        print("{\n%s\n}" % ",\n".join(entries))
         return 0
     with tempfile.TemporaryDirectory() as scratch:
-        procs = [run_tree(tree(spec, scratch)) for spec in (args.old, args.new)]
-        outs = [p.communicate()[0] for p in procs]
-    if any(p.returncode for p in procs):
+        runs = [start(spec, scratch) for spec in (args.old, args.new)]
+        old, new = (collect(run) for run in runs)
+    if old is None or new is None:
         print("a tree failed to run", file=sys.stderr)
         return 2
-    old, new = (json.loads(out) for out in outs)
-    moved = 0
-    event_moves = []
-    for name in old:
-        a, b = old[name], new[name]
-        fields = [k for k in a.keys() | b.keys() if k != "events" and a.get(k) != b.get(k)]
-        if a.get("events") != b.get("events"):
-            event_moves.append("%s: events %r -> %r" % (name, a.get("events"), b.get("events")))
-        if fields:
-            moved += 1
-            print("%s: %s" % (name, ", ".join(
-                "%s %r -> %r" % (k, a.get(k), b.get(k)) for k in sorted(fields))))
-    for line in event_moves:
+    moved, events_only = diff(old, new)
+    for line in moved + events_only:
         print(line)
-    print("%d of %d configs moved; event counts moved in %d" % (moved, len(old), len(event_moves)))
+    print("%d of %d entries moved; only the event count moved in %d" % (len(moved), len(old), len(events_only)))
     return 1 if moved else 0
 
 
