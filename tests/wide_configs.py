@@ -1,22 +1,23 @@
 """Seeded small runs off the default costs, and what each run gives.
 
-The pinned digests of the acceptance and bench tests run at default costs,
-where ties between events are rare. ``wide_configs()`` draws small runs whose
+The acceptance payloads and the bench workloads run at default costs, where
+ties between events are rare. ``wide_configs()`` draws small runs whose
 integer costs include zero and a few nanoseconds, so that ties are common,
 together with one- and two-credit links, a one-entry IOTLB, 8-byte
 ``max_payload`` and access logs from 32 B to 64 KiB. It draws every ``dht``
 scheme, gets logged with data (``getlog aa``), and incast-style runs where
 several sources put logged-with-data payloads into one node and flush.
+``NAMED_CONFIGS`` adds six small runs at default costs.
 
 ``outcome(config)`` runs one config and returns what it gives: its CSV row,
 IOTLB misses, records consumed and the workload's own check, or, for a run
-that stalls (``DeadlockError``), the exception's class and ``engine.now``.
-Each config is a dict of plain values, so a script can run the same set on
-another source tree and compare outcomes field by field.
+that stalls (``DeadlockError``), the exception's class and ``engine.now``;
+either way, its event count. Each config is a dict of plain values, so
+``tools/compare_trees.py`` can run the same set on another source tree, and
+``tests/exact.json`` pins every outcome by the name ``named_configs()`` gives.
 """
 
 import random
-import zlib
 from collections import Counter
 
 from aasim.config import SimConfig
@@ -107,8 +108,13 @@ def wide_configs(seed=GENERATOR_SEED):
     return configs
 
 
-# Seed-1 runs at default costs whose event counts are pinned beside their
-# outcomes: every dht scheme, and 60 gets logged with data.
+# Seed-1 runs at default costs: every dht scheme, and 60 gets logged with
+# data. An event count covers the apps' and bridges' steps, the wires'
+# deliveries, each consumer's polls or wake-ups (an aa-int node's holdoff
+# timers and interrupts, an aa-sp node's scratchpad writes), the watchdog's
+# wakes in any phase of the run, and the sweeps the last app runs from its
+# end to the one that finds quiescence and stops the engine. A wake-up a
+# callback resumes in place is not an event of its own.
 _SMALL = {"num_procs": 4, "ops_per_proc": 40, "vol_size": 1 << 12, "seed": 1}
 NAMED_CONFIGS = {
     **{
@@ -220,7 +226,7 @@ def outcome(config):
     """What one config gives, as a dict of plain values.
 
     ``events`` is the engine's event count: host work, not a simulated
-    number, so ``wide_digest`` leaves it out.
+    number, so ``compare_trees.diff`` reports its moves apart.
     """
     run = _KINDS[config["kind"]](config)
     try:
@@ -235,12 +241,3 @@ def outcome(config):
         "check": run.check(),
         "events": run.sim.engine.events_run,
     }
-
-
-def simulated(result):
-    """An outcome without its host-work fields."""
-    return {k: v for k, v in result.items() if k != "events"}
-
-
-def wide_digest(results):
-    return zlib.crc32(repr([simulated(r) for r in results]).encode()) & 0xFFFFFFFF
