@@ -14,6 +14,11 @@ import importlib
 import json
 import os
 
+import pytest
+import wide_configs
+
+from aasim.runtime import NodeError
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -27,3 +32,20 @@ def test_record_is_exact(monkeypatch):
     assert all(r["check"] for r in results.values() if "check" in r)
     moved, events_only = compare_trees.diff(pinned, results)
     assert not moved + events_only, "\n".join(moved + events_only)
+
+
+def test_a_model_error_is_recorded_and_a_python_error_is_not(monkeypatch):
+    def raising(exc):
+        def run(self):
+            raise exc
+
+        return run
+
+    config = wide_configs.NAMED_CONFIGS["small rma"]
+    monkeypatch.setattr(wide_configs._Dht, "run", raising(NodeError("puts still outstanding\nrank 1")))
+    assert wide_configs.outcome(config) == {
+        "error": "NodeError", "message": "puts still outstanding", "now": 0.0, "events": 0,
+    }
+    monkeypatch.setattr(wide_configs._Dht, "run", raising(TypeError("a bug")))
+    with pytest.raises(TypeError):
+        wide_configs.outcome(config)

@@ -11,8 +11,8 @@ several sources put logged-with-data payloads into one node and flush.
 
 ``outcome(config)`` runs one config and returns what it gives: its CSV row,
 IOTLB misses, records consumed and the workload's own check, or, for a run
-that stalls (``DeadlockError``), the exception's class and ``engine.now``;
-either way, its event count. Each config is a dict of plain values, so
+that raises a model error (``MODEL_ERRORS``), the error's class, message and
+``engine.now``; either way, its event count. Each config is a dict of plain values, so
 ``tools/compare_trees.py`` can run the same set on another source tree, and
 ``tests/exact.json`` pins every outcome by the name ``named_configs()`` gives.
 """
@@ -21,10 +21,16 @@ import random
 from collections import Counter
 
 from aasim.config import SimConfig
-from aasim.memory import PAGE_SIZE
+from aasim.iommu import IommuError
+from aasim.link import LinkError
+from aasim.logbuf import LogError
+from aasim.memory import PAGE_SIZE, MemoryError_
 from aasim.metrics import CSV_COLUMNS
+from aasim.paging import PagingError
+from aasim.runtime import NodeError
 from aasim.sim import DeadlockError, Simulation
 from aasim.workloads import dht, getlog
+from aasim.workloads.dht import DhtOverflow
 
 GENERATOR_SEED = 20261019
 DHT_CONFIGS = 400
@@ -54,6 +60,11 @@ STALL_LIMIT_NS = 1e5
 LOG_SIZES = tuple(1 << k for k in range(5, 17))  # 32 B .. 64 KiB
 INCAST_PAYLOADS = (8, 24, 256, 1000, 1024)
 ACTIVE = ("aa-int", "aa-poll", "aa-sp")
+# The simulator's own errors: a run that raises one is an outcome, recorded
+# like any other; a Python error such as TypeError still propagates.
+MODEL_ERRORS = (
+    NodeError, LinkError, IommuError, LogError, PagingError, MemoryError_, DhtOverflow, DeadlockError,
+)
 
 
 def _costs(rng, record_bytes):
@@ -225,14 +236,21 @@ _KINDS = {"dht": _Dht, "getlog": _GetLog, "incast": _Incast}
 def outcome(config):
     """What one config gives, as a dict of plain values.
 
-    ``events`` is the engine's event count: host work, not a simulated
-    number, so ``compare_trees.diff`` reports its moves apart.
+    A run that raises one of ``MODEL_ERRORS`` gives the error's class, the
+    first line of its message and ``engine.now``. ``events`` is the engine's
+    event count: host work, not a simulated number, so ``compare_trees.diff``
+    reports its moves apart.
     """
     run = _KINDS[config["kind"]](config)
     try:
         metrics = run.run()
-    except DeadlockError as exc:
-        return {"error": type(exc).__name__, "now": run.sim.engine.now, "events": run.sim.engine.events_run}
+    except MODEL_ERRORS as exc:
+        return {
+            "error": type(exc).__name__,
+            "message": str(exc).split("\n")[0],
+            "now": run.sim.engine.now,
+            "events": run.sim.engine.events_run,
+        }
     row = metrics.as_row(run.sim.cfg)
     return {
         **{col: row[col] for col in CSV_COLUMNS},
