@@ -3,7 +3,8 @@
 Every subcommand runs one or more simulations and emits result rows in the
 common CSV schema (metrics.CSV_COLUMNS), to stdout or to the file given with
 --out. All runs are deterministic for a fixed seed. A run exits 0 with its
-rows, 2 on a bad input and 3 on a stalled run, with its diagnosis.
+rows, 2 on a bad input or sizes the host cannot hold, and 3 on a stalled
+run, with its diagnosis.
 """
 
 import argparse
@@ -185,6 +186,10 @@ def main(argv=None):
             rows = args.func(args)
         except ConfigError as exc:
             print("error: %s" % exc, file=sys.stderr)
+            return 2
+        except MemoryError:
+            # Sizes the host cannot hold are a bad input too.
+            print("error: out of host memory; use smaller sizes", file=sys.stderr)
             return 2
         except DeadlockError as exc:
             print("error: %s" % exc, file=sys.stderr)

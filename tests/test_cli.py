@@ -355,6 +355,15 @@ def test_exceeded_event_budget_exits_3_with_its_diagnosis(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_out_of_host_memory_exits_2_in_one_line(monkeypatch, capsys):
+    def run_scheme(cfg, **kw):
+        raise MemoryError
+
+    monkeypatch.setattr(dht, "run_scheme", run_scheme)
+    assert main(["dht", "--procs", "2", "--ops", "5"]) == 2
+    assert capsys.readouterr() == ("", "error: out of host memory; use smaller sizes\n")
+
+
 def test_out_into_a_missing_directory_exits_2_in_one_line(tmp_path, capsys):
     out = str(tmp_path / "missing" / "x.csv")
     assert main(["dht", "--procs", "2", "--ops", "10", "--out", out]) == 2
