@@ -1,13 +1,7 @@
-"""Every pinned simulated outcome and event count, against ``tests/exact.json``.
+"""Every pinned outcome and event count, against ``tests/exact.json``.
 
-The record holds one entry per line: each config of
-``wide_configs.named_configs()`` and each benchmark workload at seeds 1 and
-1009 (``record()`` in ``tools/compare_trees.py``). A change that moves a
-value on purpose re-pins it, from the repository root, with
-
-    python3 tools/compare_trees.py --worker src > tests/exact.json
-
-and the record's ``git diff`` then shows exactly the entries that moved.
+Re-pin from the repository root with ``python3 tools/compare_trees.py --worker
+src > tests/exact.json``; the record's ``git diff`` shows what moved.
 """
 
 import importlib
@@ -35,17 +29,14 @@ def test_record_is_exact(monkeypatch):
 
 
 def test_a_model_error_is_recorded_and_a_python_error_is_not(monkeypatch):
-    def raising(exc):
-        def run(self):
-            raise exc
+    def run(self):
+        raise error
 
-        return run
-
+    monkeypatch.setattr(wide_configs._Dht, "run", run)
     config = wide_configs.NAMED_CONFIGS["small rma"]
-    monkeypatch.setattr(wide_configs._Dht, "run", raising(NodeError("puts still outstanding\nrank 1")))
+    error = NodeError("puts still outstanding\nrank 1")
     assert wide_configs.outcome(config) == {
-        "error": "NodeError", "message": "puts still outstanding", "now": 0.0, "events": 0,
-    }
-    monkeypatch.setattr(wide_configs._Dht, "run", raising(TypeError("a bug")))
+        "error": "NodeError", "message": "puts still outstanding", "now": 0.0, "events": 0}
+    error = TypeError("a bug")
     with pytest.raises(TypeError):
         wide_configs.outcome(config)

@@ -11,26 +11,21 @@ several sources put logged-with-data payloads into one node and flush.
 
 ``outcome(config)`` runs one config and returns what it gives: its CSV row,
 IOTLB misses, records consumed and the workload's own check, or, for a run
-that raises a model error (``MODEL_ERRORS``), the error's class, message and
-``engine.now``; either way, its event count. Each config is a dict of plain values, so
-``tools/compare_trees.py`` can run the same set on another source tree, and
-``tests/exact.json`` pins every outcome by the name ``named_configs()`` gives.
+that raises one of ``MODEL_ERRORS``, the error's class, the first line of its
+message and ``engine.now``; either way, its event count. Each config is a
+dict of plain values, so ``tools/compare_trees.py`` can run the same set on
+another source tree; ``tests/exact.json`` pins each outcome.
 """
 
 import random
 from collections import Counter
 
+from aasim import iommu, link, logbuf, memory, paging, runtime, sim
 from aasim.config import SimConfig
-from aasim.iommu import IommuError
-from aasim.link import LinkError
-from aasim.logbuf import LogError
-from aasim.memory import PAGE_SIZE, MemoryError_
+from aasim.memory import PAGE_SIZE
 from aasim.metrics import CSV_COLUMNS
-from aasim.paging import PagingError
-from aasim.runtime import NodeError
-from aasim.sim import DeadlockError, Simulation
+from aasim.sim import Simulation
 from aasim.workloads import dht, getlog
-from aasim.workloads.dht import DhtOverflow
 
 GENERATOR_SEED = 20261019
 DHT_CONFIGS = 400
@@ -60,11 +55,9 @@ STALL_LIMIT_NS = 1e5
 LOG_SIZES = tuple(1 << k for k in range(5, 17))  # 32 B .. 64 KiB
 INCAST_PAYLOADS = (8, 24, 256, 1000, 1024)
 ACTIVE = ("aa-int", "aa-poll", "aa-sp")
-# The simulator's own errors: a run that raises one is an outcome, recorded
-# like any other; a Python error such as TypeError still propagates.
-MODEL_ERRORS = (
-    NodeError, LinkError, IommuError, LogError, PagingError, MemoryError_, DhtOverflow, DeadlockError,
-)
+# The simulator's own errors, which a run may raise as its outcome.
+MODEL_ERRORS = (runtime.NodeError, link.LinkError, iommu.IommuError, logbuf.LogError,
+                paging.PagingError, memory.MemoryError_, dht.DhtOverflow, sim.DeadlockError)
 
 
 def _costs(rng, record_bytes):
@@ -119,28 +112,11 @@ def wide_configs(seed=GENERATOR_SEED):
     return configs
 
 
-# Seed-1 runs at default costs: every dht scheme, and 60 gets logged with
-# data. An event count covers the apps' and bridges' steps, the wires'
-# deliveries, each consumer's polls or wake-ups (an aa-int node's holdoff
-# timers and interrupts, an aa-sp node's scratchpad writes), the watchdog's
-# wakes in any phase of the run, and the sweeps the last app runs from its
-# end to the one that finds quiescence and stops the engine. A wake-up a
-# callback resumes in place is not an event of its own.
+# Seed-1 runs at default costs: every dht scheme, and 60 gets logged with data.
 _SMALL = {"num_procs": 4, "ops_per_proc": 40, "vol_size": 1 << 12, "seed": 1}
-NAMED_CONFIGS = {
-    **{
-        "small %s" % scheme: {"kind": "dht", "scheme": scheme, "r_cols": 0.3, **_SMALL}
-        for scheme in ("aa-int", "aa-poll", "aa-sp", "rma", "am")
-    },
-    "small getlog-aa": {"kind": "getlog", **_SMALL, "num_procs": 2, "gets": 60},
-}
-
-
-def named_configs():
-    """Every config by its name in the record: ``kind#index`` for the wide
-    set, then ``NAMED_CONFIGS``."""
-    configs = {"%s#%03d" % (c["kind"], i): c for i, c in enumerate(wide_configs())}
-    return {**configs, **NAMED_CONFIGS}
+NAMED_CONFIGS = {"small %s" % scheme: {"kind": "dht", "scheme": scheme, "r_cols": 0.3, **_SMALL}
+                 for scheme in ("aa-int", "aa-poll", "aa-sp", "rma", "am")}
+NAMED_CONFIGS["small getlog-aa"] = {"kind": "getlog", **_SMALL, "num_procs": 2, "gets": 60}
 
 
 def sim_config(config):
@@ -150,8 +126,7 @@ def sim_config(config):
 
 class _Dht:
     def __init__(self, config):
-        cfg = sim_config(config)
-        self.bench = dht.DhtBench(cfg)
+        self.bench = dht.DhtBench(sim_config(config))
         self.sim = self.bench.sim
 
     def run(self):
@@ -234,23 +209,14 @@ _KINDS = {"dht": _Dht, "getlog": _GetLog, "incast": _Incast}
 
 
 def outcome(config):
-    """What one config gives, as a dict of plain values.
-
-    A run that raises one of ``MODEL_ERRORS`` gives the error's class, the
-    first line of its message and ``engine.now``. ``events`` is the engine's
-    event count: host work, not a simulated number, so ``compare_trees.diff``
-    reports its moves apart.
-    """
+    """What one config gives, as a dict of plain values. ``events`` is host
+    work, not a simulated number, so ``compare_trees.diff`` reports it apart."""
     run = _KINDS[config["kind"]](config)
     try:
         metrics = run.run()
     except MODEL_ERRORS as exc:
-        return {
-            "error": type(exc).__name__,
-            "message": str(exc).split("\n")[0],
-            "now": run.sim.engine.now,
-            "events": run.sim.engine.events_run,
-        }
+        error = {"error": type(exc).__name__, "message": str(exc).split("\n")[0]}
+        return {**error, "now": run.sim.engine.now, "events": run.sim.engine.events_run}
     row = metrics.as_row(run.sim.cfg)
     return {
         **{col: row[col] for col in CSV_COLUMNS},

@@ -1,31 +1,19 @@
 """Run the same configs on two source trees and print every output that moved.
 
     python3 tools/compare_trees.py OLD [NEW]
-    python3 tools/compare_trees.py --worker src > tests/exact.json
+    python3 tools/compare_trees.py --worker src > tests/exact.json  # re-pin
 
-OLD and NEW each name a git revision (its ``src`` is taken with
-``git archive``), a directory holding an ``aasim`` package, or a record file
-such as ``tests/exact.json``. NEW defaults to this checkout's ``src``. Each
-tree runs, in its own process, ``record()``:
-
-  * every config of ``tests/wide_configs.py`` (seeded small runs off the
-    default costs, and the named seed-1 runs at default costs), giving its
-    CSV row, IOTLB misses, records consumed and check, or the error class,
-    message and ``engine.now`` of a run that raises a model error;
-  * the four ``bench/scenarios.py`` workloads at seeds 1 and 1009, giving
-    every ``Metrics`` field and ``verify()``;
-
-each with its engine's event count. The configs and scenarios always come
-from this checkout, so both trees run the same inputs. ``--worker SRC``
-prints the record of one tree, one entry per line with keys sorted; the
-second form above re-pins the committed record. The script prints one line
-per entry whose outputs moved, with each moved field as ``old -> new``, then
-one line per entry where only the event count moved, then a summary, and
-exits 1 if any output moved. Event counts are host work, not simulated
-numbers: on their own they never make the exit 1.
+OLD and NEW each name a git revision (its ``src`` is taken with ``git
+archive``), a directory holding an ``aasim`` package, or a record file such
+as ``tests/exact.json``; NEW defaults to this checkout's ``src``. A tree's
+record is ``record()``, run in a process of its own on this checkout's
+``tests/wide_configs.py`` and ``bench/scenarios.py``; ``--worker SRC``
+prints it. The script prints ``diff()``'s lines and a summary, and exits 1
+if an outcome moved; event counts are host work, so alone they never do.
 """
 
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -33,38 +21,31 @@ import sys
 import tarfile
 import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_SEEDS = (1, 1009)
 
 
 def record():
-    """The outcome of every config and bench run, on the aasim package that
-    ``import`` finds; ``wide_configs`` and ``scenarios`` must be importable."""
+    """Each config's outcome, and each bench run's Metrics, verify() and events."""
     import scenarios
     import wide_configs
 
-    results = {name: wide_configs.outcome(c) for name, c in wide_configs.named_configs().items()}
+    configs = {"%s#%03d" % (c["kind"], i): c for i, c in enumerate(wide_configs.wide_configs())}
+    configs.update(wide_configs.NAMED_CONFIGS)
+    results = {name: wide_configs.outcome(config) for name, config in configs.items()}
     for name, make in scenarios.WORKLOADS.items():
         for seed in BENCH_SEEDS:
             scenario = make(seed)
-            metrics = scenario.run()
-            results["%s seed %d" % (name, seed)] = {
-                **asdict(metrics),
-                "verify": scenario.verify(),
-                "events": scenario.sim.engine.events_run,
-            }
+            result = {**asdict(scenario.run()), "verify": scenario.verify()}
+            results["%s seed %d" % (name, seed)] = {**result, "events": scenario.sim.engine.events_run}
     return results
 
 
 def diff(old, new):
-    """(moved, events_only): one line per entry that moved between two records.
-
-    ``moved`` names each entry that only one record holds, or whose outcome
-    moved, as ``name: field old -> new, ...`` with its event count if that
-    moved too; ``events_only`` names each entry where only the event count
-    moved.
-    """
+    """(moved, events_only): a line per entry one record lacks or whose fields
+    moved, as ``name: field old -> new, ...``; events_only if only events did."""
     moved, events_only = [], []
     for name in sorted(old.keys() | new.keys()):
         if name not in old or name not in new:
@@ -83,20 +64,14 @@ def tree(spec, scratch):
     if os.path.isdir(spec):
         return os.path.abspath(spec)
     out = os.path.join(scratch, spec.replace("/", "_"))
-    os.makedirs(out)
-    archive = subprocess.run(
-        ["git", "-C", ROOT, "archive", spec, "src"], check=True, capture_output=True
-    ).stdout
-    with tempfile.TemporaryFile() as fh:
-        fh.write(archive)
-        fh.seek(0)
-        with tarfile.open(fileobj=fh) as tar:
-            tar.extractall(out, filter="data")
+    archive = subprocess.run(["git", "-C", ROOT, "archive", spec, "src"], check=True, capture_output=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(out, filter="data")
     return os.path.join(out, "src")
 
 
 def start(spec, scratch):
-    """A record file's path as is, or a worker started on the tree a spec names."""
+    """A record file's path, or a worker started on the tree a spec names."""
     if os.path.isfile(spec):
         return spec
     return subprocess.Popen(
@@ -106,38 +81,29 @@ def start(spec, scratch):
     )
 
 
-def collect(run):
-    """The record a started run gives, or None if its worker failed."""
-    if isinstance(run, str):
-        with open(run) as fh:
-            return json.load(fh)
-    out = run.communicate()[0]
-    return None if run.returncode else json.loads(out)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old")
     parser.add_argument("new", nargs="?", default=os.path.join(ROOT, "src"))
-    parser.add_argument(
-        "--worker", action="store_true", help="print the record of the src directory OLD"
-    )
+    parser.add_argument("--worker", action="store_true", help="print the record of src directory OLD")
     args = parser.parse_args(argv)
     if args.worker:
         sys.path[:0] = [os.path.abspath(args.old), os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")]
-        entries = ("%s: %s" % (json.dumps(k), json.dumps(v, sort_keys=True)) for k, v in sorted(record().items()))
-        print("{\n%s\n}" % ",\n".join(entries))
+        lines = ["%s: %s" % (json.dumps(k), json.dumps(v, sort_keys=True)) for k, v in sorted(record().items())]
+        print("{\n%s\n}" % ",\n".join(lines))
         return 0
     with tempfile.TemporaryDirectory() as scratch:
         runs = [start(spec, scratch) for spec in (args.old, args.new)]
-        old, new = (collect(run) for run in runs)
-    if old is None or new is None:
+        outs = [Path(r).read_text() if isinstance(r, str) else r.communicate()[0] for r in runs]
+    if any(not isinstance(r, str) and r.returncode for r in runs):
         print("a tree failed to run", file=sys.stderr)
         return 2
+    old, new = (json.loads(out) for out in outs)
     moved, events_only = diff(old, new)
     for line in moved + events_only:
         print(line)
-    print("%d of %d entries moved; only the event count moved in %d" % (len(moved), len(old), len(events_only)))
+    summary = (len(moved), len(old), len(events_only))
+    print("%d of %d entries moved; only the event count moved in %d" % summary)
     return 1 if moved else 0
 
 
