@@ -4,28 +4,15 @@ Re-pin from the repository root with ``python3 tools/compare_trees.py --worker
 src > tests/exact.json``; the record's ``git diff`` shows what moved.
 """
 
-import importlib
-import json
-import os
-
 import pytest
 import wide_configs
 
 from aasim.runtime import NodeError
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-
-def test_record_is_exact(monkeypatch):
-    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
-    monkeypatch.syspath_prepend(os.path.join(ROOT, "tools"))
-    compare_trees = importlib.import_module("compare_trees")
-    with open(os.path.join(ROOT, "tests", "exact.json")) as fh:
-        pinned = json.load(fh)
-    results = compare_trees.record()
-    assert all(r["check"] for r in results.values() if "check" in r)
-    moved, events_only = compare_trees.diff(pinned, results)
-    assert not moved + events_only, "\n".join(moved + events_only)
+def test_record_is_exact(exact):
+    lines = exact()
+    assert not lines, "\n".join(lines)
 
 
 def test_a_model_error_is_recorded_and_a_python_error_is_not(monkeypatch):

@@ -211,6 +211,17 @@ def test_aa_int_ring_smaller_than_the_batch_reaches_quiescence():
         assert bench.contents(rank) == bench.oracle_contents(rank)
 
 
+# The six small seed-1 runs at default costs; tests/exact.json pins each
+# one's outcome and event count as "small <workload>".
+SMALL_RUNS = ["aa-int", "aa-poll", "aa-sp", "am", "getlog-aa", "rma"]
+
+
+@pytest.mark.parametrize("workload", SMALL_RUNS)
+def test_event_counts_are_pinned(exact, workload):
+    lines = exact("small " + workload)
+    assert not lines, "\n".join(lines)
+
+
 def _run_recording_sweeps(bench):
     """Run bench; returns its metrics and (time, drained) for every sweep."""
     sim = bench.sim
@@ -226,7 +237,7 @@ def _run_recording_sweeps(bench):
     return bench.run(), sweeps
 
 
-@pytest.mark.parametrize("workload", ["aa-int", "aa-poll", "aa-sp", "am", "getlog-aa", "rma"])
+@pytest.mark.parametrize("workload", SMALL_RUNS)
 def test_run_ends_on_the_sweep_that_finds_quiescence(workload):
     if workload == "getlog-aa":
         bench = GetLogBench(small_cfg(num_procs=2), "aa", n_gets=60)
