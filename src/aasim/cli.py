@@ -3,13 +3,14 @@
 Every subcommand runs one or more simulations and emits result rows in the
 common CSV schema (metrics.CSV_COLUMNS), to stdout or to the file given with
 --out. All runs are deterministic for a fixed seed. A run exits 0 with its
-rows, 2 on a bad input or sizes the host cannot hold, and 3 on a stalled
-run, with its diagnosis.
+rows, 2 on a bad input or sizes the host cannot hold, 3 on a stalled run,
+with its diagnosis, and 1 when the reader closes stdout before the last row.
 """
 
 import argparse
 import contextlib
 import csv
+import os
 import sys
 
 from .config import SCHEMES, ConfigError, SimConfig, load_config
@@ -194,7 +195,14 @@ def main(argv=None):
         except DeadlockError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 3
-        write_rows(rows, fh)
+        try:
+            write_rows(rows, fh)
+            fh.flush()
+        except BrokenPipeError:
+            # The reader closed stdout early, as `| head` does. Point stdout
+            # at devnull so that the interpreter's last flush stays quiet.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     if args.out:
         print("wrote %d row%s to %s" % (len(rows), "s" if len(rows) != 1 else "", args.out))
     return 0

@@ -51,19 +51,13 @@ class SimConfig:
     wire_header_bytes: int = 24
 
     access_log_size: int = 65536
-    fault_log_entries: int = 256
-    joules_per_byte: float = 1e-9
 
     iommu_enabled: bool = True
     vol_size: int = 1 << 21
-    table_size: int = 0  # 0 means vol_size // 2
     stall_limit_ns: float = 5e7
 
     def resolved_notification(self):
         return _SCHEME_NOTIFY.get(self.scheme, "poll")
-
-    def resolved_table_size(self):
-        return self.table_size if self.table_size else self.vol_size // 2
 
     def validate(self):
         if self.scheme not in SCHEMES:
@@ -78,11 +72,9 @@ class SimConfig:
             raise ConfigError("r_comp must be in [0, 1)")
         if self.max_payload <= 0 or self.max_payload > 4096 or self.max_payload % 8:
             raise ConfigError("max_payload must be a multiple of 8 in (0, 4096]")
-        if self.vol_size & (self.vol_size - 1):
-            raise ConfigError("vol_size must be a power of two")
-        ts = self.resolved_table_size()
-        if ts & (ts - 1) or ts >= self.vol_size:
-            raise ConfigError("table_size must be a power of two below vol_size")
+        if self.vol_size < 2 or self.vol_size & (self.vol_size - 1):
+            # Half the volume is the bucket table, half the overflow heap.
+            raise ConfigError("vol_size must be a power of two >= 2")
         if (
             self.access_log_size < MIN_ACCESS_LOG_SIZE
             or self.access_log_size & (self.access_log_size - 1)
@@ -110,16 +102,12 @@ class SimConfig:
         if self.stall_limit_ns == 0:
             # The watchdog would call a run stalled before any event runs.
             raise ConfigError("stall_limit_ns must be > 0")
-        if self.fault_log_entries < 0:
-            raise ConfigError("fault_log_entries must be >= 0")
         if self.wire_header_bytes < 0:
             raise ConfigError("wire_header_bytes must be >= 0")
         if self.credit_capacity < 1:
             raise ConfigError("credit_capacity must be >= 1")
         if self.link_bw_bytes_per_ns <= 0:
             raise ConfigError("link_bw_bytes_per_ns must be positive")
-        if self.joules_per_byte < 0:
-            raise ConfigError("joules_per_byte must be >= 0")
         if self.interrupt_batch < 1:
             raise ConfigError("interrupt_batch must be >= 1")
         return self

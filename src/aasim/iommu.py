@@ -75,7 +75,7 @@ class Iommu:
         self.cfg = cfg
         self.memory = memory
         self.translator = translator
-        self.fault_log = logbuf.FaultLog(cfg.fault_log_entries)
+        self.fault_log = logbuf.FaultLog(logbuf.FAULT_LOG_ENTRIES)
         self.enabled = cfg.iommu_enabled
         self.alogs = []  # one AccessLog per logging domain; iuid i at index i-1
         # (requester, tag) -> the TagEntry of a write with packets still to

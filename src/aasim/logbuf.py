@@ -180,6 +180,10 @@ class AccessLog:
             self.space_freed.fire()
 
 
+# Entries the system fault log keeps before it drops and counts the rest.
+FAULT_LOG_ENTRIES = 256
+
+
 class FaultLog:
     """System-wide metadata ring; overflow drops (and counts) entries."""
 

@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass
 
+# Energy model scale: every byte on the wire costs this many joules.
+JOULES_PER_BYTE = 1e-9
 
 CSV_COLUMNS = [
     "scheme",
@@ -38,9 +40,9 @@ class Metrics:
     fault_drops: int = 0
     backpressure_stalls: int = 0
 
-    def finalize(self, cfg, engine):
+    def finalize(self, engine):
         self.sim_time_ns = engine.last_activity
-        self.energy_j = self.bytes_wire * cfg.joules_per_byte
+        self.energy_j = self.bytes_wire * JOULES_PER_BYTE
         return self
 
     @property

@@ -135,7 +135,7 @@ class Simulation:
                 self.metrics.backpressure_stalls += log.reserve_failures
             self.metrics.fault_entries += len(proc.iommu.fault_log.entries)
             self.metrics.fault_drops += proc.iommu.fault_log.drops
-        self.metrics.finalize(self.cfg, self.engine)
+        self.metrics.finalize(self.engine)
 
     def diagnose(self):
         lines = ["deadlock diagnostics at t=%.0f ns:" % self.engine.now]

@@ -230,7 +230,6 @@ class DhtBench:
         cfg,
         delete_fraction=0.0,
         key_mode="collision",
-        sources=None,
         record_ops=False,
     ):
         cfg.validate()
@@ -238,7 +237,7 @@ class DhtBench:
             raise ConfigError("delete_fraction must be in [0, 1], not %r" % delete_fraction)
         if delete_fraction > 0.0 and cfg.scheme == "am":
             raise ConfigError("the am scheme has no delete path; use delete_fraction 0")
-        table_size = cfg.resolved_table_size()
+        table_size = cfg.vol_size // 2  # the overflow heap is the other half
         if cfg.scheme.startswith("aa") and table_size * CELL % PAGE_SIZE:
             raise ConfigError(
                 "table of %d cells (%d B) is not a whole number of pages: under %s the"
@@ -262,7 +261,6 @@ class DhtBench:
         self.scheme = cfg.scheme
         self.delete_fraction = delete_fraction
         self.key_mode = key_mode
-        self.sources = sources
         self.record_ops = record_ops
         self.op_log = []  # (rank, kind, key, remote_ops_used) when recording
         self.sim = Simulation(cfg)
@@ -273,15 +271,14 @@ class DhtBench:
         self.plan = []  # per rank: list of ("insert"|"delete", key)
         self._build_nodes()
         self._build_plan()
-        capacity = cfg.vol_size - table_size
         # Cheap bound first: an owner takes at most one cell per planned insert.
-        if cfg.ops_per_proc * sum(1 for ops in self.plan if ops) > capacity:
+        if cfg.ops_per_proc * sum(1 for ops in self.plan if ops) > table_size:
             cells = self.overflow_cells()
             owner = max(range(cfg.num_procs), key=cells.__getitem__)
-            if cells[owner] > capacity:
+            if cells[owner] > table_size:
                 raise ConfigError(
-                    "inserts at rank %d need %d overflow cells, more than the %d that"
-                    " vol_size - table_size leaves" % (owner, cells[owner], capacity)
+                    "inserts at rank %d need %d overflow cells, more than the %d of its"
+                    " heap (vol_size / 2)" % (owner, cells[owner], table_size)
                 )
 
     # -- construction ----------------------------------------------------
@@ -374,8 +371,8 @@ class DhtBench:
         return cells
 
     def _is_source(self, rank):
-        if self.sources is not None:
-            return rank in self.sources
+        if self.key_mode == "forced":
+            return rank == 0  # the one source aiming at a single bucket
         if self.key_mode == "skewed":
             return rank != 0  # rank 0 is the single hot owner
         return True

@@ -50,7 +50,7 @@ def crit_remote_op_reduction():
     out = {}
     for scheme in ("rma", "aa-poll"):
         cfg = SimConfig(scheme=scheme, num_procs=2, ops_per_proc=32, vol_size=1 << 12, seed=1)
-        bench = dht.DhtBench(cfg, key_mode="forced", sources=(0,), record_ops=True)
+        bench = dht.DhtBench(cfg, key_mode="forced", record_ops=True)
         bench.run()
         out[scheme] = [n for (_r, kind, _k, n) in bench.op_log if kind == "insert"]
     return out

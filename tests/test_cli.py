@@ -177,13 +177,18 @@ BAD_VALUES = [
     ("access_log_size", {"access_log_size": 16}),
     ("wire_header_bytes", {"wire_header_bytes": -8}),
     ("poll_interval_ns", {"poll_interval_ns": 0, "mem_access_ns": 0}),
-    ("fault_log_entries", {"fault_log_entries": -1}),
     ("stall_limit_ns", {"stall_limit_ns": 0}),
-    ("joules_per_byte", {"joules_per_byte": -1}),
-    # Removed keys: the scheme alone picks the notification mode, and
-    # handler replies always go out right after the handler runs.
+    # Half a cell leaves neither a bucket table nor an overflow heap.
+    ("vol_size", {"vol_size": 1}),
+    # Removed keys: the scheme alone picks the notification mode, handler
+    # replies always go out right after the handler runs, the table holds
+    # vol_size / 2 buckets, and the fault log size and the energy scale are
+    # constants (logbuf.FAULT_LOG_ENTRIES, metrics.JOULES_PER_BYTE).
     ("notification", {"notification": "int"}),
     ("reply_batch", {"reply_batch": 4}),
+    ("table_size", {"table_size": 2048}),
+    ("fault_log_entries", {"fault_log_entries": -1}),
+    ("joules_per_byte", {"joules_per_byte": -1}),
 ] + [(f.name, {f.name: -1}) for f in fields(SimConfig) if f.name.endswith("_ns")] + [
     # nan passes a `< 0` check and inf never lets the clock move on.
     (f.name, {f.name: value})
@@ -193,7 +198,10 @@ BAD_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("key", ["validate", "replace", "notification", "no_such_key"])
+@pytest.mark.parametrize("key", [
+    "validate", "replace", "notification", "table_size", "fault_log_entries", "joules_per_byte",
+    "no_such_key",
+])
 def test_replace_takes_only_config_fields(key):
     base = SimConfig()
     with pytest.raises(ConfigError, match=key):
@@ -243,40 +251,62 @@ def test_fresh_key_exhaustion_fails_fast(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, unbuffered):
+    # The reader goes away before the first row, as `| head -0` would.
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED=unbuffered)
+    with open(tmp_path / "err.txt", "w+") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "aasim.cli", "dht", "--procs", "2", "--ops", "5"],
+            env=env, stdout=subprocess.PIPE, stderr=err,
+        )
+        child.stdout.close()
+        assert child.wait(timeout=60) == 1
+        err.seek(0)
+        assert "Traceback" not in err.read()
+
+
 BAD_WORKLOAD_ARGS = [
-    ({}, ["checkpoint", "--procs", "1"]),
-    ({}, ["checkpoint", "--pages", "0"]),
-    ({}, ["counter", "--procs", "1"]),
-    ({}, ["counter", "--pages", "0"]),
-    ({}, ["sort", "--procs", "3"]),
-    ({}, ["sort", "--words", "100"]),
-    ({}, ["sort", "--procs", "3", "--words", "12289"]),
-    ({}, ["sort", "--procs", "4", "--words", "-16384"]),
-    ({}, ["counter", "--procs", "2", "--accesses", "-5"]),
-    ({}, ["getlog", "--gets", "-3"]),
-    ({}, ["checkpoint", "--procs", "2", "--epochs", "-1"]),
-    ({}, ["checkpoint", "--procs", "2", "--writes", "-2"]),
-    ({}, ["dht", "--scheme", "am", "--delete-fraction", "0.5"]),
-    ({}, ["dht", "--delete-fraction", "-1"]),
-    ({}, ["dht", "--delete-fraction", "2"]),
+    # Each case names a phrase of its one-line error, so that no case passes
+    # on an unrelated message such as "unknown config key".
+    ({}, ["checkpoint", "--procs", "1"], "checkpoint needs procs >= 2"),
+    ({}, ["checkpoint", "--pages", "0"], "pages >= 1"),
+    ({}, ["counter", "--procs", "1"], "counter needs procs >= 2"),
+    ({}, ["counter", "--pages", "0"], "pages >= 1"),
+    ({}, ["sort", "--procs", "3"], "do not split evenly"),
+    ({}, ["sort", "--words", "100"], "do not split evenly"),
+    ({}, ["sort", "--procs", "3", "--words", "12289"], "do not split evenly"),
+    ({}, ["sort", "--procs", "4", "--words", "-16384"], "whole 4096 B pages"),
+    ({}, ["counter", "--procs", "2", "--accesses", "-5"], "accesses >= 0"),
+    ({}, ["getlog", "--gets", "-3"], "gets >= 0"),
+    ({}, ["checkpoint", "--procs", "2", "--epochs", "-1"], "epochs >= 0"),
+    ({}, ["checkpoint", "--procs", "2", "--writes", "-2"], "writes >= 0"),
+    ({}, ["dht", "--scheme", "am", "--delete-fraction", "0.5"], "no delete path"),
+    ({}, ["dht", "--delete-fraction", "-1"], "delete_fraction must be in [0, 1]"),
+    ({}, ["dht", "--delete-fraction", "2"], "delete_fraction must be in [0, 1]"),
     # The compute gap is sized on each source's first 16 inserts.
-    ({}, ["dht", "--procs", "2", "--ops", "16", "--r-comp", "0.5"]),
+    ({}, ["dht", "--procs", "2", "--ops", "16", "--r-comp", "0.5"], "more than 16 ops"),
     # The sweep's skewed inserts need a hot owner and at least one source.
-    ({}, ["sweep-iotlb", "--procs", "0", "--ops", "5"]),
-    ({}, ["sweep-iotlb", "--procs", "1", "--ops", "5"]),
+    ({}, ["sweep-iotlb", "--procs", "0", "--ops", "5"], "num_procs"),
+    ({}, ["sweep-iotlb", "--procs", "1", "--ops", "5"], "skewed keys need >= 2 procs"),
     # A logged get whose record can never fit the ring (4120 B for a page).
-    ({"access_log_size": 1024}, ["sort", "--scheme", "aa", "--procs", "2", "--words", "2048"]),
-    ({"access_log_size": 4096}, ["sort", "--scheme", "aa", "--procs", "4", "--words", "8192"]),
+    ({"access_log_size": 1024}, ["sort", "--scheme", "aa", "--procs", "2", "--words", "2048"],
+     "access_log_size 1024"),
+    ({"access_log_size": 4096}, ["sort", "--scheme", "aa", "--procs", "4", "--words", "8192"],
+     "access_log_size 4096"),
     # Inserts that need more overflow cells at one owner than the heap holds.
-    ({"vol_size": 4096, "table_size": 2048}, ["dht", "--procs", "2", "--ops", "3000", "--r-cols", "0.9"]),
-    ({"vol_size": 4096, "table_size": 2048},
-     ["dht", "--scheme", "rma", "--procs", "2", "--ops", "3000", "--r-cols", "0.9"]),
+    ({"vol_size": 4096}, ["dht", "--procs", "2", "--ops", "3000", "--r-cols", "0.9"],
+     "overflow cells"),
+    ({"vol_size": 4096},
+     ["dht", "--scheme", "rma", "--procs", "2", "--ops", "3000", "--r-cols", "0.9"], "overflow cells"),
+    # Half a cell leaves no bucket table, whatever the scheme or op count.
+    ({"vol_size": 1}, ["dht", "--procs", "2", "--ops", "0"], "vol_size"),
     # A bypassed bridge logs nothing, so no workload may register a handler.
-    ({"iommu_enabled": "false"}, ["dht", "--procs", "2", "--ops", "10"]),
-    ({"iommu_enabled": "false"}, ["counter", "--procs", "2"]),
-    ({"iommu_enabled": "false"}, ["getlog"]),
-    ({"iommu_enabled": "false"}, ["sort", "--procs", "2", "--words", "1024"]),
-    ({"iommu_enabled": "false"}, ["checkpoint", "--procs", "2"]),
+    ({"iommu_enabled": "false"}, ["dht", "--procs", "2", "--ops", "10"], "iommu_enabled"),
+    ({"iommu_enabled": "false"}, ["counter", "--procs", "2"], "iommu_enabled"),
+    ({"iommu_enabled": "false"}, ["getlog"], "iommu_enabled"),
+    ({"iommu_enabled": "false"}, ["sort", "--procs", "2", "--words", "1024"], "iommu_enabled"),
+    ({"iommu_enabled": "false"}, ["checkpoint", "--procs", "2"], "iommu_enabled"),
 ]
 
 
@@ -285,14 +315,15 @@ def _case_id(config, argv):
 
 
 @pytest.mark.parametrize(
-    "config,argv", BAD_WORKLOAD_ARGS, ids=[_case_id(*case) for case in BAD_WORKLOAD_ARGS]
+    "config,argv,phrase", BAD_WORKLOAD_ARGS,
+    ids=[_case_id(config, argv) for config, argv, _ in BAD_WORKLOAD_ARGS],
 )
-def test_bad_workload_arguments_fail_fast(tmp_path, config, argv):
+def test_bad_workload_arguments_fail_fast(tmp_path, config, argv, phrase):
     if config:
         path = tmp_path / "run.cfg"
         path.write_text("".join("%s = %s\n" % item for item in config.items()))
         argv = argv[:1] + ["--config", str(path)] + argv[1:]
-    assert_fails_fast(argv)
+    assert phrase in assert_fails_fast(argv)
 
 
 def assert_fails_fast(argv):
@@ -305,6 +336,7 @@ def assert_fails_fast(argv):
     assert len(done.stderr.splitlines()) == 1
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
+    return done.stderr
 
 
 @pytest.mark.parametrize("flag,path", [

@@ -14,7 +14,7 @@ from aasim.workloads.getlog import GetLogBench
 
 
 def small_cfg(**kw):
-    base = dict(num_procs=2, access_log_size=4096, vol_size=4096, table_size=2048)
+    base = dict(num_procs=2, access_log_size=4096, vol_size=4096)
     base.update(kw)
     return SimConfig(**base)
 

@@ -166,7 +166,7 @@ def test_zipf_trace_is_deterministic_and_in_range():
 
 def test_rma_insert_op_counts():
     cfg = small_cfg(scheme="rma", num_procs=2, ops_per_proc=12)
-    bench = dht.DhtBench(cfg, key_mode="forced", sources=(0,), record_ops=True)
+    bench = dht.DhtBench(cfg, key_mode="forced", record_ops=True)
     bench.run()
     counts = [n for (_rank, kind, _key, n) in bench.op_log if kind == "insert"]
     assert counts[0] == 1  # empty bucket: the cas alone
@@ -175,7 +175,7 @@ def test_rma_insert_op_counts():
 
 def test_aa_insert_is_always_one_op():
     cfg = small_cfg(scheme="aa-poll", num_procs=2, ops_per_proc=12)
-    bench = dht.DhtBench(cfg, key_mode="forced", sources=(0,), record_ops=True)
+    bench = dht.DhtBench(cfg, key_mode="forced", record_ops=True)
     bench.run()
     counts = [n for (_rank, kind, _key, n) in bench.op_log if kind == "insert"]
     assert counts == [1] * 12
@@ -287,7 +287,7 @@ def test_lookup_returns_bucket_head_or_empty():
     cfg = small_cfg(num_procs=2)
     sim = Simulation(cfg)
     owner = sim.procs[0]
-    table_size = cfg.resolved_table_size()
+    table_size = cfg.vol_size // 2
     layout = dht.build_volume(owner, cfg.vol_size, table_size)
     for addr in range(layout.base, layout.base + layout.volume_bytes, PAGE_SIZE):
         owner.map_plain(addr, w=True, r=True)
@@ -355,11 +355,11 @@ def test_overflow_cells_match_heap_use(scheme, kw):
 @pytest.mark.parametrize("scheme", ("rma", "am"))
 def test_plan_that_fills_the_heap_runs_and_one_more_insert_is_rejected(scheme):
     cfg = small_cfg(scheme=scheme, num_procs=2, vol_size=64)  # 32 heap cells
-    full = dht.DhtBench(cfg.replace(ops_per_proc=33), key_mode="forced", sources=(0,))
+    full = dht.DhtBench(cfg.replace(ops_per_proc=33), key_mode="forced")
     assert full.overflow_cells() == [0, 32]
     full.run()
     with pytest.raises(ConfigError, match="overflow cells"):
-        dht.DhtBench(cfg.replace(ops_per_proc=34), key_mode="forced", sources=(0,))
+        dht.DhtBench(cfg.replace(ops_per_proc=34), key_mode="forced")
 
 
 # -- access counting ---------------------------------------------------------
