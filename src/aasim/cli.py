@@ -106,7 +106,7 @@ def base_config(args, **forced):
 def cmd_dht(args):
     forced = {"scheme": args.scheme} if args.scheme else {}
     cfg = base_config(args, **forced)
-    bench, metrics = dht.run_scheme(cfg, delete_fraction=args.delete_fraction)
+    metrics = dht.DhtBench(cfg, delete_fraction=args.delete_fraction).run()
     return [metrics.as_row(cfg)]
 
 

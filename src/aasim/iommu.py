@@ -213,13 +213,30 @@ class Iommu:
         return occupancy + cfg.mem_access_ns, (phys, memory_effect, with_data, log, offset, status)
 
     def _reserve_late(self, tlp, op, acts, log, nbytes, occupancy, phys, status):
-        """Sleep the interception and walk, reserve (in the bypass loop while
-        the ring is full), then store the header. Returns the head."""
+        """Sleep the interception and walk, reserve, then store the header.
+        Returns the head.
+
+        While the ring is full, the head serves open transactions.  A
+        transaction head that cannot reserve must not be consumed, and its
+        link credit stays withheld; the log counts each failed try in
+        reserve_failures, the run's backpressure stalls.  But packets that
+        continue transactions with records already reserved need no new
+        space, and committing those records is the only way the consumer can
+        free any.  Serving them ahead of the stalled head keeps per-device
+        ordering intact (a device's open transaction always precedes its next
+        head in the queue) and keeps the ring draining instead of wedging on
+        a full ring of holes.  With no such packet queued, the head parks
+        until the consumer frees space.
+        """
         yield occupancy
-        try:
+        offset = log.reserve(nbytes)
+        while offset is None:
+            served = yield from self._serve_open_txns()
+            if not served:
+                self._blocked_log = log
+                yield log.space_freed
+                self._blocked_log = None
             offset = log.reserve(nbytes)
-        except logbuf.WouldBlock:
-            offset = yield from self._reserve_with_bypass(log, nbytes)
         self._store_header(tlp, op, acts, log, offset)
         yield self.cfg.mem_access_ns
         return phys, acts.memory_effect, acts.log_data, log, offset, status
@@ -233,31 +250,6 @@ class Iommu:
         log.next_seq = seq + 1
         log.ring_write(offset, logbuf.HEADER.pack(
             op, tlp.requester_id, acts.iuid, tlp.address, tlp.txn_total, flags, seq))
-
-    def _reserve_with_bypass(self, log, nbytes):
-        """Reserve ring space after a failed try, serving open transactions
-        while blocked.
-
-        A transaction head that cannot reserve must not be consumed, and its
-        link credit stays withheld; the log counts each failed try in
-        reserve_failures, the run's backpressure stalls.  But packets that
-        continue transactions with records already reserved need no new
-        space, and committing those records is the only way the consumer can
-        free any.  Serving them ahead of the stalled head keeps per-device
-        ordering intact (a device's open transaction always precedes its next
-        head in the queue) and keeps the ring draining instead of wedging on
-        a full ring of holes.
-        """
-        while True:
-            served = yield from self._serve_open_txns()
-            if not served:
-                self._blocked_log = log
-                yield log.space_freed
-                self._blocked_log = None
-            try:
-                return log.reserve(nbytes)
-            except logbuf.WouldBlock:
-                pass
 
     def _serve_open_txns(self):
         """Process the first queued packet of an already-open transaction."""

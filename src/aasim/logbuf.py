@@ -31,10 +31,6 @@ class LogError(Exception):
     pass
 
 
-class WouldBlock(Exception):
-    """Reservation cannot fit until the consumer frees space."""
-
-
 def pad8(n):
     return (n + 7) & ~7
 
@@ -64,7 +60,8 @@ class LogRecord:
 
 
 class AccessLog:
-    """One domain's ring. Never drops; producers stall via WouldBlock."""
+    """One domain's ring. Never drops; a producer that cannot reserve
+    stalls until the consumer frees space."""
 
     def __init__(self, engine, memory, iuid, base, size):
         if size <= 0 or size & (size - 1):
@@ -95,8 +92,8 @@ class AccessLog:
     def reserve(self, nbytes):
         """Claim nbytes at the head; returns the virtual offset.
 
-        Raises WouldBlock when the ring is too full; a record that could
-        never fit is a configuration error.
+        Returns None, and counts a reserve failure, when the ring is too
+        full; a record that could never fit is a configuration error.
         """
         if nbytes > self.size:
             raise LogError(
@@ -104,7 +101,7 @@ class AccessLog:
             )
         if nbytes > self.size - (self.head - self.tail):  # more than the consumer has left free
             self.reserve_failures += 1
-            raise WouldBlock()
+            return None
         if self._ring is None:
             # A domain that never logs costs no buffer.
             self._ring = self.memory.back_region(self.base, self.size)

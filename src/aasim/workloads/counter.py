@@ -49,6 +49,8 @@ class CounterBench:
         self.cfg = cfg
         self.variant = variant
         self.n_pages = n_pages
+        # Counter words take 16 B per counted page: a put and a get count.
+        self.vec_span = -(-16 * n_pages // PAGE_SIZE) * PAGE_SIZE
         self.sim = Simulation(cfg)
         self.counts = Counter()  # (kind, page) -> count, as measured
         self.local_counts = [Counter() for _ in range(cfg.num_procs)]
@@ -68,10 +70,10 @@ class CounterBench:
         else:
             target.map_plain(self.region, w=True, r=True, span=span)
         if self.variant == "rma-atomics":
-            self.cnt_region = target.memory.reserve_region("counts", PAGE_SIZE)
-            target.map_plain(self.cnt_region, w=True, r=True)
+            self.cnt_region = target.memory.reserve_region("counts", self.vec_span)
+            target.map_plain(self.cnt_region, w=True, r=True, span=self.vec_span)
         if self.variant == "allreduce":
-            gather_span = self.cfg.num_procs * PAGE_SIZE
+            gather_span = self.cfg.num_procs * self.vec_span
             self.gather_region = target.memory.reserve_region("gather", gather_span)
             target.map_plain(self.gather_region, w=True, span=gather_span)
 
@@ -108,8 +110,9 @@ class CounterBench:
             for page in range(self.n_pages):
                 vec += self.local_counts[rank][("put", page)].to_bytes(8, "little")
                 vec += self.local_counts[rank][("get", page)].to_bytes(8, "little")
-            slot = self.gather_region + rank * PAGE_SIZE
-            yield from proc.put(0, slot, bytes(vec))
+            slot = self.gather_region + rank * self.vec_span
+            for off in range(0, len(vec), PAGE_SIZE):
+                yield from proc.put(0, slot + off, bytes(vec[off : off + PAGE_SIZE]))
             yield from proc.rma_flush(0)
 
     def run(self):
@@ -133,7 +136,7 @@ class CounterBench:
     def _sum_vectors(self):
         mem = self.sim.procs[0].memory
         for rank in range(1, self.cfg.num_procs):
-            slot = self.gather_region + rank * PAGE_SIZE
+            slot = self.gather_region + rank * self.vec_span
             for page in range(self.n_pages):
                 put_n = mem.read_word(slot + page * 16)
                 get_n = mem.read_word(slot + page * 16 + 8)
@@ -149,7 +152,8 @@ class CounterBench:
         """Remote ops beyond one per traced access and one fence per source.
 
         The logging variant measures zero; the atomics variant measures one
-        per access; the gather variant measures its end-of-run vector puts.
+        per access; the gather variant measures, per source, one put per
+        page of its vector and one more fence.
         """
         accesses = len(self.trace)
         fences = self.cfg.num_procs - 1

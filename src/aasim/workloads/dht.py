@@ -37,11 +37,11 @@ def word(value):
 class VolumeLayout:
     """Address arithmetic for one rank's volume."""
 
-    def __init__(self, base, meta_base, vol_size, table_size):
+    def __init__(self, base, meta_base, vol_size):
         self.base = base
         self.meta_base = meta_base
         self.vol_size = vol_size
-        self.table_size = table_size
+        self.table_size = vol_size // 2  # the overflow heap is the other half
 
     def elem_addr(self, index):
         return self.base + CELL * index
@@ -70,15 +70,15 @@ class VolumeLayout:
         return (raw + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
 
 
-def build_volume(proc, vol_size, table_size):
-    layout = VolumeLayout(0, 0, vol_size, table_size)
+def build_volume(proc, vol_size):
+    layout = VolumeLayout(0, 0, vol_size)
     layout.base = proc.memory.reserve_region("volume", layout.volume_bytes)
     layout.meta_base = proc.memory.reserve_region("volmeta", layout.meta_bytes)
-    proc.memory.write_word(layout.next_free_addr, table_size)
+    proc.memory.write_word(layout.next_free_addr, layout.table_size)
     return layout
 
 
-# -- the shared local core (handler side and oracle side) -------------------
+# -- the shared local core --------------------------------------------------
 
 
 def local_insert(rw, layout, elem):
@@ -171,34 +171,6 @@ def delete_rma(proc, owner, layout, key, pos):
         hops += 1
 
 
-# -- oracle ------------------------------------------------------------------
-
-
-class SequentialOracle:
-    """Reference semantics: a per-owner multiset with remove-all deletes."""
-
-    def __init__(self, procs, table_size):
-        self.procs = procs
-        self.table_size = table_size
-        self.tables = [Counter() for _ in range(procs)]
-
-    def insert_many(self, keys):
-        """Insert keys in order; the owner is owner_of(hash64(key)), inlined."""
-        procs = self.procs
-        by_owner = [[] for _ in range(procs)]
-        for key in keys:
-            by_owner[((key * K.FIB & K.MASK64) >> 54) % procs].append(key)
-        for table, owned in zip(self.tables, by_owner):
-            table.update(owned)
-
-    def delete(self, key):
-        owner, _ = K.placement(key, self.procs, self.table_size)
-        self.tables[owner][key] = 0
-
-    def contents(self, rank):
-        return Counter({k: n for k, n in self.tables[rank].items() if n > 0})
-
-
 # -- benchmark assembly ------------------------------------------------------
 
 
@@ -237,7 +209,7 @@ class DhtBench:
             raise ConfigError("delete_fraction must be in [0, 1], not %r" % delete_fraction)
         if delete_fraction > 0.0 and cfg.scheme == "am":
             raise ConfigError("the am scheme has no delete path; use delete_fraction 0")
-        table_size = cfg.vol_size // 2  # the overflow heap is the other half
+        table_size = cfg.vol_size // 2  # as VolumeLayout derives it
         if cfg.scheme.startswith("aa") and table_size * CELL % PAGE_SIZE:
             raise ConfigError(
                 "table of %d cells (%d B) is not a whole number of pages: under %s the"
@@ -267,7 +239,6 @@ class DhtBench:
         self.table_size = table_size
         self.layouts = []
         self.delete_pages = []
-        self.oracle = SequentialOracle(cfg.num_procs, self.table_size)
         self.plan = []  # per rank: list of ("insert"|"delete", key)
         self._build_nodes()
         self._build_plan()
@@ -287,7 +258,7 @@ class DhtBench:
         cfg = self.cfg
         active = self.scheme.startswith("aa")
         for proc in self.sim.procs:
-            layout = build_volume(proc, cfg.vol_size, self.table_size)
+            layout = build_volume(proc, cfg.vol_size)
             node = DhtNode(layout)
             self.layouts.append(layout)
             if active:
@@ -333,22 +304,16 @@ class DhtBench:
     def _build_plan(self):
         cfg = self.cfg
         self.streams = []
-        victims = []
         for rank in range(cfg.num_procs):
             if not self._is_source(rank):
                 self.plan.append([])
                 continue
             inserts = self._keys_for_rank(rank, cfg.ops_per_proc)
-            self.oracle.insert_many(inserts)
             ops = [("insert", k) for k in inserts]
             if self.delete_fraction > 0.0:
                 step = max(1, int(round(1.0 / self.delete_fraction)))
-                doomed = inserts[::step]
-                ops.extend(("delete", k) for k in doomed)
-                victims.extend(doomed)
+                ops.extend(("delete", k) for k in inserts[::step])
             self.plan.append(ops)
-        for key in victims:
-            self.oracle.delete(key)
 
     def overflow_cells(self):
         """Overflow-heap cells each owner's planned inserts take.
@@ -450,7 +415,23 @@ class DhtBench:
         return extract_contents(self.sim.procs[rank].memory, self.layouts[rank])
 
     def oracle_contents(self, rank):
-        return self.oracle.contents(rank)
+        """Reference contents at rank, from the plan alone: every key the
+        plan inserts there, duplicates kept, less every key it deletes
+        there. A delete clears every copy, and the delete phase starts at a
+        barrier after every insert."""
+        procs = self.cfg.num_procs
+        want = Counter()
+        doomed = set()
+        for ops in self.plan:
+            for kind, key in ops:
+                if K.owner_of(K.hash64(key), procs) == rank:
+                    if kind == "insert":
+                        want[key] += 1
+                    else:
+                        doomed.add(key)
+        for key in doomed:
+            del want[key]
+        return want
 
     def collisions(self):
         """Stream inserts minus the distinct (owner, bucket) spots they hit:
@@ -458,13 +439,3 @@ class DhtBench:
         share a spot. Every stream key lands on a spot of its stream's set."""
         spots = set().union(*(s.used_set for s in self.streams))
         return sum(s.issued for s in self.streams) - len(spots)
-
-    def measured_r_cols(self):
-        issued = sum(s.issued for s in self.streams)
-        return self.collisions() / issued if issued else 0.0
-
-
-def run_scheme(cfg, **bench_kw):
-    bench = DhtBench(cfg, **bench_kw)
-    metrics = bench.run()
-    return bench, metrics

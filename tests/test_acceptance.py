@@ -65,7 +65,7 @@ def crit_speedup_trend():
                 scheme=scheme, num_procs=procs, ops_per_proc=50,
                 vol_size=1 << 12, r_cols=0.25, seed=1,
             )
-            _b, m = dht.run_scheme(cfg)
+            m = dht.DhtBench(cfg).run()
             point[scheme] = m.throughput_ops_per_s
         out[procs] = point
     return out
@@ -78,7 +78,7 @@ def crit_interrupt_parity():
             scheme=scheme, num_procs=8, ops_per_proc=200,
             vol_size=1 << 12, r_cols=0.25, seed=1, interrupt_batch=10,
         )
-        _b, m = dht.run_scheme(cfg)
+        m = dht.DhtBench(cfg).run()
         out[scheme] = m.throughput_ops_per_s
     return out
 
@@ -217,7 +217,8 @@ def crit_cross_variant_equivalence():
     base = SimConfig(num_procs=4, ops_per_proc=2000, vol_size=1 << 12, r_cols=0.25, seed=42)
     tables = {}
     for scheme in ("aa-poll", "rma"):
-        bench, m = dht.run_scheme(base.replace(scheme=scheme), delete_fraction=0.25)
+        bench = dht.DhtBench(base.replace(scheme=scheme), delete_fraction=0.25)
+        m = bench.run()
         tables[scheme] = [bench.contents(r) for r in range(4)]
         oracle = [bench.oracle_contents(r) for r in range(4)]
         assert m.ops == 4 * 2500  # 2000 inserts + 500 deletes per rank

@@ -115,6 +115,21 @@ def test_counter_row_carries_variant_label(tmp_path):
     assert dict(zip(header, rows[0]))["scheme"] == "rma-atomics"
 
 
+@pytest.mark.parametrize("scheme,accesses,remote_ops", [
+    ("allreduce", "50", 54),  # 50 accesses, 2 fences, 2 vector pages
+    ("rma-atomics", "50", 101),  # 50 accesses, 50 counter bumps, 1 fence
+    ("rma-atomics", "0", 1),  # the counts of 300 pages read back, all 0
+])
+def test_counter_runs_past_256_pages(capsys, scheme, accesses, remote_ops):
+    argv = ["counter", "--procs", "2", "--pages", "300", "--scheme", scheme]
+    assert main(argv + ["--accesses", accesses]) == 0
+    captured = capsys.readouterr()
+    header, row = [line.split(",") for line in captured.out.splitlines()]
+    row = dict(zip(header, row))
+    assert (row["ops"], row["remote_ops"]) == (accesses, str(remote_ops))
+    assert captured.err == ""
+
+
 def test_getlog_rejects_other_proc_counts(capsys):
     assert main(["getlog", "--procs", "5", "--gets", "10"]) == 2
     assert "2 procs" in capsys.readouterr().err
@@ -388,10 +403,10 @@ def test_exceeded_event_budget_exits_3_with_its_diagnosis(monkeypatch, capsys):
 
 
 def test_out_of_host_memory_exits_2_in_one_line(monkeypatch, capsys):
-    def run_scheme(cfg, **kw):
+    def run(self):
         raise MemoryError
 
-    monkeypatch.setattr(dht, "run_scheme", run_scheme)
+    monkeypatch.setattr(dht.DhtBench, "run", run)
     assert main(["dht", "--procs", "2", "--ops", "5"]) == 2
     assert capsys.readouterr() == ("", "error: out of host memory; use smaller sizes\n")
 

@@ -184,7 +184,8 @@ def test_aa_insert_is_always_one_op():
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_every_scheme_matches_sequential_oracle(scheme):
     cfg = small_cfg(scheme=scheme, r_cols=0.3)
-    bench, metrics = dht.run_scheme(cfg)
+    bench = dht.DhtBench(cfg)
+    metrics = bench.run()
     for rank in range(cfg.num_procs):
         assert bench.contents(rank) == bench.oracle_contents(rank)
     assert metrics.ops == cfg.num_procs * cfg.ops_per_proc
@@ -193,11 +194,49 @@ def test_every_scheme_matches_sequential_oracle(scheme):
 @pytest.mark.parametrize("scheme", ("aa-poll", "rma"))
 def test_delete_phase_matches_oracle(scheme):
     cfg = small_cfg(scheme=scheme, r_cols=0.3)
-    bench, _metrics = dht.run_scheme(cfg, delete_fraction=0.25)
+    bench = dht.DhtBench(cfg, delete_fraction=0.25)
+    bench.run()
     deleted = sum(1 for ops in bench.plan for (kind, _k) in ops if kind == "delete")
     assert deleted > 0
     for rank in range(cfg.num_procs):
         assert bench.contents(rank) == bench.oracle_contents(rank)
+
+
+@pytest.mark.parametrize("scheme", ("aa-poll", "rma"))
+def test_deleting_every_key_empties_tables_and_reference(scheme):
+    cfg = small_cfg(scheme=scheme, r_cols=0.3)
+    bench = dht.DhtBench(cfg, delete_fraction=1.0)
+    bench.run()
+    for rank in range(cfg.num_procs):
+        assert not bench.contents(rank)
+        assert not bench.oracle_contents(rank)
+
+
+@pytest.mark.parametrize("scheme", ("aa-poll", "rma"))
+def test_reference_keeps_duplicates_and_deletes_every_copy(scheme):
+    # A hand-made plan: rank 0 inserts two keys of rank 1 twice each and
+    # one key of its own, then deletes one of rank 1's keys.
+    cfg = small_cfg(scheme=scheme, num_procs=2)
+    bench = dht.DhtBench(cfg.replace(ops_per_proc=0))
+    rng, used = random.Random(3), set()
+    kept, gone, own = (keys.key_for(rng, o, 5, 2, bench.table_size, used) for o in (1, 1, 0))
+    inserts = [("insert", k) for k in (kept, gone, own, kept, gone)]
+    bench.plan = [inserts + [("delete", gone)], []]
+    bench.run()
+    assert bench.oracle_contents(1) == Counter({kept: 2}) == bench.contents(1)
+    assert bench.oracle_contents(0) == Counter({own: 1}) == bench.contents(0)
+
+
+def test_forced_keys_land_at_rank_1_alone():
+    cfg = small_cfg(scheme="aa-poll")
+    bench = dht.DhtBench(cfg, key_mode="forced")
+    bench.run()
+    planned = Counter(key for _kind, key in bench.plan[0])
+    assert len(planned) == cfg.ops_per_proc
+    assert bench.oracle_contents(1) == planned == bench.contents(1)
+    for rank in (0, 2, 3):
+        assert not bench.oracle_contents(rank)
+        assert not bench.contents(rank)
 
 
 def test_aa_int_ring_smaller_than_the_batch_reaches_quiescence():
@@ -205,7 +244,8 @@ def test_aa_int_ring_smaller_than_the_batch_reaches_quiescence():
     # per interrupt; the holdoff raises the interrupt while the apps still
     # run, so the ring drains and every insert lands.
     cfg = small_cfg(scheme="aa-int", num_procs=2, ops_per_proc=20, access_log_size=64)
-    bench, metrics = dht.run_scheme(cfg)
+    bench = dht.DhtBench(cfg)
+    metrics = bench.run()
     assert metrics.records_consumed == 40
     for rank in range(cfg.num_procs):
         assert bench.contents(rank) == bench.oracle_contents(rank)
@@ -271,8 +311,10 @@ def test_am_run_waits_for_a_handler_a_sweep_falls_inside():
 
 def test_bench_measures_target_collision_ratio():
     cfg = small_cfg(scheme="aa-poll", r_cols=0.25, ops_per_proc=100)
-    bench, metrics = dht.run_scheme(cfg)
-    assert abs(bench.measured_r_cols() - 0.25) <= 1.0 / 100
+    bench = dht.DhtBench(cfg)
+    metrics = bench.run()
+    issued = sum(s.issued for s in bench.streams)
+    assert abs(metrics.collisions / issued - 0.25) <= 1.0 / 100
     # Collisions count every insert onto an occupied spot, whichever source
     # took it first, so they include each stream's quota.
     inserts = [key for ops in bench.plan for kind, key in ops if kind == "insert"]
@@ -287,8 +329,8 @@ def test_lookup_returns_bucket_head_or_empty():
     cfg = small_cfg(num_procs=2)
     sim = Simulation(cfg)
     owner = sim.procs[0]
-    table_size = cfg.vol_size // 2
-    layout = dht.build_volume(owner, cfg.vol_size, table_size)
+    layout = dht.build_volume(owner, cfg.vol_size)
+    table_size = layout.table_size
     for addr in range(layout.base, layout.base + layout.volume_bytes, PAGE_SIZE):
         owner.map_plain(addr, w=True, r=True)
     rng = random.Random(2)
@@ -315,7 +357,8 @@ def test_lookup_returns_bucket_head_or_empty():
 
 
 def test_bulk_extract_matches_word_by_word_read():
-    bench, _m = dht.run_scheme(small_cfg(r_cols=0.25), delete_fraction=0.25)
+    bench = dht.DhtBench(small_cfg(r_cols=0.25), delete_fraction=0.25)
+    bench.run()
     for rank, proc in enumerate(bench.sim.procs):
         layout = bench.layouts[rank]
         words = (proc.memory.read_word(layout.elem_addr(i)) for i in range(layout.vol_size))
@@ -326,7 +369,7 @@ def test_bulk_extract_matches_word_by_word_read():
 
 def test_heap_overflow_raises():
     mem = PhysMemory(0)
-    layout = VolumeLayout(0, 0, 16, 8)
+    layout = VolumeLayout(0, 0, 16)
     layout.base = mem.reserve_region("volume", layout.volume_bytes)
     layout.meta_base = mem.reserve_region("volmeta", layout.meta_bytes)
     mem.write_word(layout.next_free_addr, 8)
@@ -343,7 +386,8 @@ def test_heap_overflow_raises():
     ("aa-sp", {"key_mode": "skewed"}),
 ])
 def test_overflow_cells_match_heap_use(scheme, kw):
-    bench, _m = dht.run_scheme(small_cfg(scheme=scheme, r_cols=0.6, ops_per_proc=300), **kw)
+    bench = dht.DhtBench(small_cfg(scheme=scheme, r_cols=0.6, ops_per_proc=300), **kw)
+    bench.run()
     used = [
         proc.memory.read_word(layout.next_free_addr) - bench.table_size
         for proc, layout in zip(bench.sim.procs, bench.layouts)
@@ -385,6 +429,21 @@ def test_counter_gather_pays_per_source():
     bench.run()
     assert bench.counts == bench.expected_counts()
     assert bench.extra_remote_ops() == 2 * (cfg.num_procs - 1)
+
+
+@pytest.mark.parametrize("pages", (257, 300))
+@pytest.mark.parametrize("variant", ("rma-atomics", "allreduce"))
+def test_counter_words_past_one_page(variant, pages):
+    # Counter words take 16 B per counted page, so past 256 pages they
+    # fill a second page; each gather source puts its vector a page a time.
+    cfg = small_cfg()
+    bench = CounterBench(cfg, variant, n_pages=pages, accesses=120)
+    bench.run()
+    assert bench.counts == bench.expected_counts()
+    if variant == "rma-atomics":
+        assert bench.extra_remote_ops() == 120
+    else:  # two vector pages and one more fence per source
+        assert bench.extra_remote_ops() == 3 * (cfg.num_procs - 1)
 
 
 # -- get logging -------------------------------------------------------------
