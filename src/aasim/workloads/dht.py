@@ -282,12 +282,8 @@ class DhtBench:
                 if self.scheme == "am":
                     proc.setup_inbox(node.am_handler)
 
-    def _keys_for_rank(self, rank, count):
-        rng = self.sim.rng_for(3, rank)
-        if self.key_mode == "collision":
-            stream = K.KeyStream(rng, self.cfg.num_procs, self.table_size, self.cfg.r_cols)
-            self.streams.append(stream)
-            return stream.take(count)
+    def _keys_for_rank(self, rng, rank, count):
+        """The keys of a forced or skewed source."""
         if self.key_mode == "forced":
             return K.forced_collision_keys(
                 rng,
@@ -302,18 +298,31 @@ class DhtBench:
         raise ValueError("unknown key mode %r" % self.key_mode)
 
     def _build_plan(self):
+        """Each rank's ops, and ``collisions``: the collision-mode streams'
+        inserts minus the distinct (owner, bucket) spots they hit, that is
+        each source's quota plus the fresh keys of different sources that
+        share a spot. Every stream key lands on a spot of its stream's set,
+        and no stream outlives its draw."""
         cfg = self.cfg
-        self.streams = []
+        spots, issued = set(), 0
         for rank in range(cfg.num_procs):
             if not self._is_source(rank):
                 self.plan.append([])
                 continue
-            inserts = self._keys_for_rank(rank, cfg.ops_per_proc)
+            rng = self.sim.rng_for(3, rank)
+            if self.key_mode == "collision":
+                stream = K.KeyStream(rng, cfg.num_procs, self.table_size, cfg.r_cols)
+                inserts = stream.take(cfg.ops_per_proc)
+                spots.update(stream.used)
+                issued += stream.issued
+            else:
+                inserts = self._keys_for_rank(rng, rank, cfg.ops_per_proc)
             ops = [("insert", k) for k in inserts]
             if self.delete_fraction > 0.0:
                 step = max(1, int(round(1.0 / self.delete_fraction)))
                 ops.extend(("delete", k) for k in inserts[::step])
             self.plan.append(ops)
+        self.collisions = issued - len(spots)
 
     def overflow_cells(self):
         """Overflow-heap cells each owner's planned inserts take.
@@ -406,7 +415,7 @@ class DhtBench:
         for rank in sources:
             self.sim.add_app(rank, self._app(rank, barrier))
         metrics = self.sim.run()
-        metrics.collisions = self.collisions()
+        metrics.collisions = self.collisions
         return metrics
 
     # -- inspection ------------------------------------------------------
@@ -420,22 +429,14 @@ class DhtBench:
         there. A delete clears every copy, and the delete phase starts at a
         barrier after every insert."""
         procs = self.cfg.num_procs
-        want = Counter()
-        doomed = set()
-        for ops in self.plan:
-            for kind, key in ops:
-                if K.owner_of(K.hash64(key), procs) == rank:
-                    if kind == "insert":
-                        want[key] += 1
-                    else:
-                        doomed.add(key)
-        for key in doomed:
-            del want[key]
+        mine = [
+            op
+            for ops in self.plan
+            for op in ops
+            if (((op[1] * K.FIB) & K.MASK64) >> 54) % procs == rank  # K.owner_of, inlined
+        ]
+        want = Counter(key for kind, key in mine if kind == "insert")
+        for kind, key in mine:
+            if kind == "delete":
+                del want[key]
         return want
-
-    def collisions(self):
-        """Stream inserts minus the distinct (owner, bucket) spots they hit:
-        each source's quota plus the fresh keys of different sources that
-        share a spot. Every stream key lands on a spot of its stream's set."""
-        spots = set().union(*(s.used_set for s in self.streams))
-        return sum(s.issued for s in self.streams) - len(spots)

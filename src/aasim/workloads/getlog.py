@@ -27,8 +27,10 @@ class GetLogBench:
         self.variant = variant
         self.n_gets = n_gets
         self.sim = Simulation(cfg)
-        self.recovered = []  # (address, bytes) at the target, in record order
-        self.fetched = []  # (address, bytes) at the source, in issue order
+        # The 8-byte values, joined: at the target in record order, and at
+        # the source in issue order.
+        self.recovered = bytearray()
+        self.fetched = bytearray()
         rng = self.sim.rng_for(4)
         # Each address is rng.randrange(n) * 8, inlined: the same getrandbits
         # calls. n leaves out the region's last word on purpose; drawing it
@@ -56,16 +58,15 @@ class GetLogBench:
             target.map_plain(self.sendlog, w=True, span=size)
 
     def _log_record(self, ctx, record):
-        self.recovered.append((record.dev_addr, bytes(record.payload[: record.length])))
+        self.recovered += record.payload[: record.length]
         ctx.touch(1)
 
     def _source_app(self):
         proc = self.sim.procs[1]
         for i, offset in enumerate(self.addr_plan):
-            addr = self.region + offset
-            handle = yield from proc.get(0, addr, 8)
+            handle = yield from proc.get(0, self.region + offset, 8)
             yield from handle.wait()
-            self.fetched.append((addr, handle.data))
+            self.fetched += handle.data
             self.sim.metrics.ops += 1
             if self.variant == "sendback":
                 yield from proc.put(0, self.sendlog + i * 8, handle.data)
@@ -75,16 +76,17 @@ class GetLogBench:
         return self.sim.run()
 
     def replayed(self):
-        """The value sequence recoverable from what the target holds."""
+        """The values recoverable from what the target holds, joined in
+        order, or None when it holds none."""
         if self.variant == "aa":
-            return [data for (_addr, data) in self.recovered]
+            return bytes(self.recovered)
         if self.variant == "sendback":
-            mem = self.sim.procs[0].memory
-            return [mem.read(self.sendlog + i * 8, 8) for i in range(self.n_gets)]
+            return self.sim.procs[0].memory.read(self.sendlog, self.n_gets * 8)
         return None
 
     def fetched_values(self):
-        return [data for (_addr, data) in self.fetched]
+        """The values the source fetched, joined in issue order."""
+        return bytes(self.fetched)
 
 
 def expose(proc, region, span, variant, handler):

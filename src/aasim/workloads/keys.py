@@ -61,8 +61,10 @@ class KeyStream:
     The quota is per stream, that is per source: a collision is a key aimed
     at a bucket this stream already used. Fresh keys of different streams
     may land in the same bucket too, and those collisions come on top of
-    the quota: ``collisions`` leaves them out, and ``DhtBench.collisions()``
+    the quota: ``collisions`` leaves them out, and ``DhtBench.collisions``
     counts both.
+
+    A used spot is kept as one int, ``owner * table_size + bucket``.
     """
 
     def __init__(self, rng, procs, table_size, r_cols=0.0):
@@ -70,7 +72,7 @@ class KeyStream:
         self.procs = procs
         self.table_size = table_size
         self.r_cols = r_cols
-        self.used = []  # occupied (owner, bucket) pairs, first-use order
+        self.used = []  # occupied spots, first-use order
         self.used_set = set()
         self.used_keys = set()
         self.issued = 0
@@ -95,14 +97,14 @@ class KeyStream:
                 k = n.bit_length()
                 while i >= n:
                     i = draw(k)
-                key = key_for(self.rng, *used[i], procs, table_size, used_keys)
+                key = key_for(self.rng, *divmod(used[i], table_size), procs, table_size, used_keys)
                 self.collisions += 1
             else:
                 while True:
                     key = draw(64)
                     if key and key not in used_keys:
                         h = (key * FIB) & MASK64
-                        spot = ((h >> 54) % procs, h & mask)
+                        spot = (h >> 54) % procs * table_size + (h & mask)
                         if spot not in used_set:
                             break
                 used.append(spot)

@@ -476,7 +476,7 @@ def test_gets_logged_with_data_build_no_tag_entry(monkeypatch):
     monkeypatch.setattr(iommu, "TagEntry", lambda *args: built.append(args) or real(*args))
     bench = GetLogBench(small_cfg(), "aa", n_gets=200)
     bench.run()
-    assert len(bench.recovered) == 200
+    assert len(bench.recovered) == 200 * 8  # the 8-byte values, joined
     assert bench.replayed() == bench.fetched_values()
     assert built == []
 
@@ -887,7 +887,7 @@ def test_logged_get_publish_never_ends_the_run(scheme, mem_access_ns, handler_co
         def _log_record(self, ctx, record):
             entry_costs.append(ctx.cost_ns)
             super()._log_record(ctx, record)
-            k = len(self.recovered) % 3
+            k = len(self.recovered) // 8 % 3  # records so far, mod 3
             before = ctx.cost_ns
             ctx.touch(k)
             charges.append((ctx.cost_ns - before, k * mem_access_ns))

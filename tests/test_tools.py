@@ -1,7 +1,9 @@
-"""tools/pairs.py's verdict on the gain rule and compare_trees.py's diff, from hand-made inputs."""
+"""tools/pairs.py's verdict on the gain rule, with and without a control block,
+and compare_trees.py's diff, from hand-made inputs."""
 
 import importlib
 import os
+import statistics
 
 import pytest
 
@@ -40,6 +42,39 @@ def test_gain_rule_missed_on_the_iqr(pairs):
     assert out["change_wins"] == 10
     assert 0 < out["median_gain"] < out["parent_iqr"]
     assert out["gain_rule_met"] is False
+
+
+def test_gain_rule_missed_on_the_control_move(pairs):
+    # The change wins every pair by more than the parent's IQR, but a second
+    # copy of the parent moved further than that.
+    change = [v - 0.05 for v in PARENT]
+    control = [v - 0.08 for v in PARENT]
+    out = pairs.summary("lower", {"parent": PARENT, "change": change, "control": control})
+    assert out["change_wins"] == 10
+    assert out["parent_iqr"] < out["median_gain"] < out["control_move"]
+    assert out["control"]["median"] == pytest.approx(0.92)
+    assert out["gain_rule_met"] is False
+    # The same control block, with a gain larger than its move, meets the rule.
+    change = [v - 0.10 for v in PARENT]
+    out = pairs.summary("lower", {"parent": PARENT, "change": change, "control": control})
+    assert out["median_gain"] > out["control_move"] > out["parent_iqr"]
+    assert out["gain_rule_met"] is True
+
+
+def test_summary_without_control_is_unchanged(pairs):
+    runs = {"parent": [4.0, 2.0, 3.0, 5.0], "change": [2.0, 2.0, 1.0, 1.0]}
+    assert pairs.summary("lower", runs) == {
+        "parent": {"median": 3.5, "q1": 2.75, "q3": 4.25},
+        "change": {"median": 1.5, "q1": 1.0, "q3": 2.0},
+        "change_over_parent": 1.5 / 3.5,
+        "median_pair_ratio": statistics.median([0.5, 1.0, 1 / 3, 0.2]),
+        "change_wins": 3,
+        "ties": 1,
+        "median_gain": 2.0,
+        "parent_iqr": 1.5,
+        "gain_rule_met": False,
+        "runs": runs,
+    }
 
 
 @pytest.fixture

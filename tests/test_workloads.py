@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -313,14 +315,31 @@ def test_bench_measures_target_collision_ratio():
     cfg = small_cfg(scheme="aa-poll", r_cols=0.25, ops_per_proc=100)
     bench = dht.DhtBench(cfg)
     metrics = bench.run()
-    issued = sum(s.issued for s in bench.streams)
+    # The bench keeps no stream; each source's is drawn again from its seed.
+    streams = []
+    for rank in range(cfg.num_procs):
+        stream_ = keys.KeyStream(bench.sim.rng_for(3, rank), cfg.num_procs, bench.table_size, cfg.r_cols)
+        assert stream_.take(cfg.ops_per_proc) == [key for _, key in bench.plan[rank]]
+        streams.append(stream_)
+    issued = sum(s.issued for s in streams)
     assert abs(metrics.collisions / issued - 0.25) <= 1.0 / 100
     # Collisions count every insert onto an occupied spot, whichever source
     # took it first, so they include each stream's quota.
     inserts = [key for ops in bench.plan for kind, key in ops if kind == "insert"]
     spots = {keys.placement(key, cfg.num_procs, bench.table_size) for key in inserts}
     assert metrics.collisions == len(inserts) - len(spots)
-    assert metrics.collisions >= sum(s.collisions for s in bench.streams)
+    assert metrics.collisions >= sum(s.collisions for s in streams)
+
+
+def test_dht_bench_keeps_no_key_stream():
+    gc.collect()
+    before = sum(isinstance(o, keys.KeyStream) for o in gc.get_objects())
+    bench = dht.DhtBench(small_cfg(scheme="aa-poll", r_cols=0.25, ops_per_proc=100))
+    gc.collect()
+    assert sum(isinstance(o, keys.KeyStream) for o in gc.get_objects()) == before
+    inserts = [key for ops in bench.plan for kind, key in ops if kind == "insert"]
+    spots = {keys.placement(key, bench.cfg.num_procs, bench.table_size) for key in inserts}
+    assert bench.run().collisions == len(inserts) - len(spots) > 0
 
 
 def test_lookup_returns_bucket_head_or_empty():
@@ -454,8 +473,27 @@ def test_getlog_variants_recover_fetched_sequence():
     for variant in ("aa", "sendback"):
         bench = GetLogBench(cfg.replace(), variant, n_gets=60)
         bench.run()
-        assert len(bench.fetched_values()) == 60
+        assert len(bench.fetched_values()) == 60 * 8  # the 8-byte values, joined
         assert bench.replayed() == bench.fetched_values()
+
+
+@pytest.mark.parametrize("variant", ["aa", "sendback"])
+def test_getlog_run_keeps_at_most_32_bytes_per_get(variant):
+    # What stays allocated after a run: the values each side keeps and, under
+    # sendback, the send log's simulated memory. The access log's ring is
+    # backed at its first record whatever the number of gets, so it is kept
+    # at one page here.
+    n_gets = 2000
+    bench = GetLogBench(small_cfg(num_procs=2, access_log_size=PAGE_SIZE), variant, n_gets=n_gets)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bench.run()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 32 * n_gets
+    assert bench.replayed() == bench.fetched_values()
 
 
 def test_getlog_payload_accounting_is_exact():

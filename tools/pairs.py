@@ -1,6 +1,6 @@
 """Time two source trees against each other in alternating pairs of bench runs.
 
-    python3 tools/pairs.py OLD [NEW] --workload W --seed S --pairs N --seconds T
+    python3 tools/pairs.py OLD [NEW] --workload W --seed S --pairs N --seconds T [--control]
 
 OLD and NEW name a git revision or a directory holding an ``aasim`` package,
 as in ``tools/compare_trees.py``; NEW defaults to this checkout's ``src``.
@@ -17,6 +17,13 @@ the metric's unit with a gain positive when NEW is better, whether the gain
 rule is met, and every run in pair order. The gain rule holds when NEW wins
 at least nine tenths of the pairs and its median gain exceeds OLD's
 interquartile range. OLD is reported as ``parent`` and NEW as ``change``.
+
+``--control`` adds a third side, ``control``: a second copy of OLD in a
+directory of its own. Each pair then runs all three sides, and pair i starts
+at side i mod 3 of parent, change, control. Each metric also gives the
+control's median and quartiles and its move, the absolute difference of the
+control's and the parent's medians; the gain rule then also needs the median
+gain to exceed that move. Without ``--control`` the output is as before.
 Exits 1 if any run failed or reported a wrong output.
 """
 
@@ -32,6 +39,7 @@ import tempfile
 from compare_trees import ROOT, tree
 
 SIDES = ("parent", "change")
+CONTROL = "control"
 
 
 def side_dir(src, out):
@@ -62,7 +70,8 @@ def quartiles(values):
 
 
 def summary(better, runs):
-    """One metric's comparison; runs maps each side to its values in pair order."""
+    """One metric's comparison; runs maps each side, and the control if it
+    ran, to its values in pair order."""
     old, new = runs["parent"], runs["change"]
     sign = 1 if better == "lower" else -1
     wins = sum(sign * (a - b) > 0 for a, b in zip(old, new))
@@ -71,7 +80,7 @@ def summary(better, runs):
     ratio = stats["change"]["median"] / stats["parent"]["median"]
     gain = sign * (stats["parent"]["median"] - stats["change"]["median"])
     iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
-    return {
+    out = {
         "parent": stats["parent"],
         "change": stats["change"],
         "change_over_parent": ratio,
@@ -81,8 +90,14 @@ def summary(better, runs):
         "median_gain": gain,
         "parent_iqr": iqr,
         "gain_rule_met": 10 * wins >= 9 * len(old) and gain > iqr,
-        "runs": runs,
     }
+    if CONTROL in runs:
+        control = quartiles(runs[CONTROL])
+        move = abs(control["median"] - stats["parent"]["median"])
+        out.update(control=control, control_move=move)
+        out["gain_rule_met"] = out["gain_rule_met"] and gain > move
+    out["runs"] = runs
+    return out
 
 
 def main(argv=None):
@@ -93,26 +108,30 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--control", action="store_true", help="also run a second copy of OLD")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 to give quartiles")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+    sides = SIDES + (CONTROL,) if args.control else SIDES
+    specs = (args.old, args.new, args.old)
     with tempfile.TemporaryDirectory() as scratch:
         dirs = {}
-        for side, spec in zip(SIDES, (args.old, args.new)):
+        for side, spec in zip(sides, specs):
             src = tree(spec, os.path.join(scratch, side))
             dirs[side] = side_dir(src, os.path.join(scratch, side, "run"))
-        results = {side: [] for side in SIDES}
+        results = {side: [] for side in sides}
         first = []
         for i in range(args.pairs):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            start = i % len(sides)
+            order = sides[start:] + sides[:start]
             first.append(order[0])
             for side in order:
                 results[side].append(bench_run(dirs[side], args))
                 print("pair %d %s done" % (i, side), file=sys.stderr)
-    failed = {side: sum(r["failed"] for r in results[side]) for side in SIDES}
-    correct = all(r["correct"] for side in SIDES for r in results[side])
+    failed = {side: sum(r["failed"] for r in results[side]) for side in sides}
+    correct = all(r["correct"] for side in sides for r in results[side])
     out = {
         "workload": args.workload,
         "seed": args.seed,
@@ -125,7 +144,7 @@ def main(argv=None):
     }
     if correct:
         for name, spec in metrics.items():
-            runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
+            runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in sides}
             out["metrics"][name] = {"unit": spec["unit"], **summary(spec["better"], runs)}
     print(json.dumps(out, indent=1))
     return 0 if correct else 1
