@@ -159,7 +159,9 @@ class Link(_Wire):
     getrandbits calls in the same rejection loop. A device joins or leaves
     the ready list only when its queue turns non-empty or empty. One credit
     is consumed per departed packet and returned by the bridge once the
-    packet has been processed. stalled_polls counts each send or credit
+    packet has been processed. A send that finds a free credit and no device
+    waiting transmits the packet at once, as the arbiter would with one
+    device ready: no draw, no stall. stalled_polls counts each send or credit
     return that finds packets waiting and no credit left.
     """
 
@@ -178,6 +180,11 @@ class Link(_Wire):
         if rank is None:
             rank = self._rank[tlp.requester_id] = len(self._queues)
             self._queues.append(deque())
+        if self.credits and not self._ready:
+            # What _pump does for a one-device ready list: no draw, no stall.
+            self.credits -= 1
+            self._transmit(tlp)
+            return
         queue = self._queues[rank]
         if not queue:
             insort(self._ready, rank)

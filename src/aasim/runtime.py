@@ -209,7 +209,8 @@ class Proc:
     def _put_done(self, tag, status):
         """The last packet of the put holding tag has landed at its target."""
         _target, handle = self._puts.pop(tag)
-        self._tag_freed.fire()
+        if self._tag_freed._waiters:  # only an issuer that found no free tag waits
+            self._tag_freed.fire()
         handle.fire(status)
         self.engine.last_activity = self.engine.now
 
@@ -255,7 +256,8 @@ class Proc:
                 return
             status, data = "ok", bytes(buf)
         del self._gets[tlp.tag]
-        self._tag_freed.fire()
+        if self._tag_freed._waiters:
+            self._tag_freed.fire()
         handle.fire(status, data)
 
     # -- atomics (blocking) ------------------------------------------------
@@ -332,65 +334,71 @@ class Proc:
         self._int_armed = False
         self._wake.fire()
 
-    def consumer(self):
-        """Consumer loop of the node's logs and inbox; shares the core with
-        the application thread. Under sp and int it parks only when nothing
-        is committed, so it drains what committed while it was busy and no
-        wake-up that found it busy is needed. It runs until the run stops."""
-        while True:
-            if self._notification == "poll":
-                yield self.cfg.poll_interval_ns
-            elif not any(log.pending_records for log in self.iommu.alogs):
-                yield self._wake
-            yield from self.poll_step()
-
     def poll_step(self):
-        """One consumption pass over all owned logs, then the inbox; returns
-        the records and messages handled.
+        """The node's one consumer loop over its logs and inbox; it shares
+        the core with the application thread and runs until the run stops.
 
-        The pointer check costs a memory access, or the scratchpad latency
-        when the committed-head mirror lives in the core's scratchpad.
+        Each pass checks the logs' pointers, serves every owned log in iuid
+        order, then the inbox. Under poll a pass follows each poll interval.
+        Under sp and int the loop parks only when nothing is committed, so
+        it drains what committed while it was busy and no wake-up that found
+        it busy is needed. The pointer check costs a memory access, or the
+        scratchpad latency when the committed-head mirror lives in the
+        core's scratchpad.
+
+        The name is kept because bench/tracing.py patches this method by
+        name and counts the core claims made inside it as the consumer's
+        (ROADMAP item 12).
         """
-        cfg, cpu, engine, ctx = self.cfg, self.cpu, self.engine, self._ctx
-        wait = cpu.busy(cfg.scratchpad_ns if self._notification == "sp" else cfg.mem_access_ns)
-        if wait > 0:
-            yield wait
-        consumed = 0
-        for log, handler in zip(self.iommu.alogs, self.handlers):
-            while log.committed_head - log.tail >= logbuf.HEADER_BYTES:
-                record, size = log.read_record()
-                wait = cpu.busy(cfg.mem_access_ns)  # record fetch
+        # Everything a pass needs, read once: the lists are the live ones,
+        # since the loop starts only when the run does.
+        cfg, engine, ctx, metrics = self.cfg, self.engine, self._ctx, self.metrics
+        busy, iommu, wake = self.cpu.busy, self.iommu, self._wake
+        logs, inbox, handlers = iommu.alogs, iommu.inbox, self.handlers
+        polling = self._notification == "poll"
+        poll_ns, access_ns, handler_ns = cfg.poll_interval_ns, cfg.mem_access_ns, cfg.handler_cost_ns
+        check_ns = cfg.scratchpad_ns if self._notification == "sp" else access_ns
+        dequeue_ns = 2 * access_ns
+        header_bytes = logbuf.HEADER_BYTES
+        while True:
+            if polling:
+                yield poll_ns
+            elif not any(log.pending_records for log in logs):
+                yield wake
+            wait = busy(check_ns)
+            if wait > 0:
+                yield wait
+            for log, handler in zip(logs, handlers):
+                while log.committed_head - log.tail >= header_bytes:
+                    record, size = log.read_record()
+                    wait = busy(access_ns)  # record fetch
+                    if wait > 0:
+                        yield wait
+                    ctx.cost_ns = 0.0
+                    handler(ctx, record)
+                    wait = busy(handler_ns + ctx.cost_ns)
+                    if wait > 0:
+                        yield wait
+                    log.advance_tail(size)
+                    metrics.handler_invocations += 1
+                    engine.last_activity = engine.now
+                    if log.flush_waiters:
+                        iommu.check_flushes(log)
+            while inbox:
+                src, payload = inbox[0]
+                wait = busy(dequeue_ns)
                 if wait > 0:
                     yield wait
                 ctx.cost_ns = 0.0
-                handler(ctx, record)
-                wait = cpu.busy(cfg.handler_cost_ns + ctx.cost_ns)
+                self.am_handler(ctx, src, payload)
+                wait = busy(handler_ns + ctx.cost_ns)
                 if wait > 0:
                     yield wait
-                log.advance_tail(size)
-                self.metrics.handler_invocations += 1
-                consumed += 1
+                # The message leaves the inbox only once handled, so a sweep
+                # during its handler does not find the node idle.
+                inbox.popleft()
+                metrics.handler_invocations += 1
                 engine.last_activity = engine.now
-                if log.flush_waiters:
-                    self.iommu.check_flushes(log)
-        inbox = self.iommu.inbox
-        while inbox:
-            src, payload = inbox[0]
-            wait = cpu.busy(2 * cfg.mem_access_ns)  # dequeue
-            if wait > 0:
-                yield wait
-            ctx.cost_ns = 0.0
-            self.am_handler(ctx, src, payload)
-            wait = cpu.busy(cfg.handler_cost_ns + ctx.cost_ns)
-            if wait > 0:
-                yield wait
-            # The message leaves the inbox only once handled, so a sweep
-            # during its handler does not find the node idle.
-            inbox.popleft()
-            self.metrics.handler_invocations += 1
-            consumed += 1
-            engine.last_activity = engine.now
-        return consumed
 
     # -- quiescence --------------------------------------------------------
 

@@ -2,16 +2,16 @@
 
 Every rank is one node (memory, bridge, core, ingress wire). Remote ranks
 appear at a node as source devices sharing the node's page table. The run
-loop executes the application coroutines and one consumer loop per node that
-has a handler. Two observers watch the run; they only stop it or raise, and
-never wake a node. The watchdog is the one stall rule, in every phase of the
-run: it raises a diagnostic DeadlockError at last_activity + stall_limit_ns
-unless there was activity meanwhile. The last app to return sweeps, every
-SWEEP_INTERVAL_NS from its return (a run with no app sweeps from the start):
-a sweep that finds every queue, log and handle drained calls Engine.stop(),
-so the run ends on it. A run that executes more than DEFAULT_EVENT_BUDGET
-events raises DeadlockError too, with the same diagnosis after a line naming
-the budget.
+loop executes the application coroutines and, for each node that has a
+handler, its one consumer loop, Proc.poll_step. Two observers watch the run;
+they only stop it or raise, and never wake a node. The watchdog is the one
+stall rule, in every phase of the run: it raises a diagnostic DeadlockError
+at last_activity + stall_limit_ns unless there was activity meanwhile. The
+last app to return sweeps, every SWEEP_INTERVAL_NS from its return (a run
+with no app sweeps from the start): a sweep that finds every queue, log and
+handle drained calls Engine.stop(), so the run ends on it. A run that
+executes more than DEFAULT_EVENT_BUDGET events raises DeadlockError too,
+with the same diagnosis after a line naming the budget.
 """
 
 import random
@@ -109,7 +109,7 @@ class Simulation:
         self._ran = True
         for proc in self.procs:
             if proc.handlers or proc.am_handler is not None:
-                self.engine.spawn(proc.consumer())
+                self.engine.spawn(proc.poll_step())
         for gen in self._apps:
             self.engine.spawn(self._wrap_app(gen))
         # The watchdog goes first: a sweep that stops the engine inside spawn

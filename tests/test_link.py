@@ -288,6 +288,27 @@ def test_link_arbiter_matches_reference(seed, capacity, devices, steps):
     assert len(departures) == sum(step[0] == "send" for step in steps)
 
 
+def test_send_on_an_idle_link_departs_without_the_arbiter():
+    # A free credit and no device waiting: the packet leaves inside send,
+    # with no draw and no stall, and its device still takes its first-seen
+    # rank for later draws.
+    eng = Engine()
+    link = Link(eng, lambda t: None, _cfg(credit_capacity=2), random.Random(5), _Counter())
+    pumped = []
+    pump = link._pump
+    link._pump = lambda: pumped.append(link.credits) or pump()
+    state = link.rng.getstate()
+    for tag, device in enumerate([(0, 3), (0, 1)]):
+        link.send(_one_packet(device, tag=tag))
+        assert (link.queued, link.in_flight) == (0, tag + 1)
+    assert pumped == []
+    assert link.rng.getstate() == state and link.stalled_polls == 0
+    assert list(link._rank) == [(0, 3), (0, 1)]
+    link.send(_one_packet((0, 2), tag=2))  # no credit left: it waits
+    assert (link.queued, link.stalled_polls) == (1, 1)
+    assert list(link._rank) == [(0, 3), (0, 1), (0, 2)]
+
+
 def test_wire_byte_accounting():
     eng = Engine()
     counter = _Counter()

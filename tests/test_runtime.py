@@ -8,7 +8,7 @@ from aasim.link import OversizeError
 from aasim.logbuf import record_size
 from aasim.memory import PAGE_SIZE
 from aasim.paging import PUT
-from aasim.runtime import INTERRUPT_HOLDOFF_NS, NodeError
+from aasim.runtime import INTERRUPT_HOLDOFF_NS, NodeError, Proc
 from aasim.sim import SWEEP_INTERVAL_NS, DeadlockError, Simulation
 from aasim.workloads.getlog import GetLogBench
 
@@ -501,6 +501,36 @@ def test_inbox_write_wakes_the_consumer_under_every_notification(scheme):
     assert len(ran) == 4 and ran[-1] < 26000
     if scheme == "aa-poll":
         assert ran == [3350, 4660, 5970, 7280]
+
+
+@pytest.mark.parametrize("scheme", ["aa-int", "aa-sp", "aa-poll"])
+def test_each_node_with_a_handler_enters_its_consumer_loop_once(scheme, monkeypatch):
+    # One generator per node serves every pass: a pass is not a call. Rank 0
+    # has no handler and gets no loop.
+    entered = []
+    loop = Proc.poll_step
+
+    def counted(proc):
+        entered.append(proc.rank)
+        return loop(proc)
+
+    monkeypatch.setattr(Proc, "poll_step", counted)
+    sim = Simulation(small_cfg(scheme=scheme, num_procs=4))
+    bases = {}
+    for target in sim.procs[1:]:
+        iuid = target.register_handler(lambda ctx, rec: None)
+        bases[target.rank] = base = target.memory.reserve_region("data", PAGE_SIZE)
+        target.assoc_page(base, iuid, wl=True, wld=True, e=True)
+
+    def app(proc):
+        for _ in range(3):
+            for rank, base in bases.items():
+                handle = yield from proc.put(rank, base, b"ACTIVE!!")
+                yield from handle.wait()
+
+    metrics = run_app(sim, app(sim.procs[0]))
+    assert metrics.handler_invocations == 9
+    assert sorted(entered) == [1, 2, 3]
 
 
 def test_backpressure_slow_consumer_loses_nothing():

@@ -1,11 +1,14 @@
 """tools/pairs.py's verdict on the gain rule, with and without a control block,
-and compare_trees.py's diff, from hand-made inputs."""
+and compare_trees.py's diff, from hand-made inputs; tools/work.py's counts."""
 
 import importlib
 import os
 import statistics
 
 import pytest
+
+from aasim.config import SimConfig
+from aasim.workloads.getlog import GetLogBench
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
 
@@ -104,3 +107,34 @@ def test_diff_names_each_moved_entry_once(compare_trees):
     ]
     assert events_only == ["dht#001: events 813 -> 812"]
     assert compare_trees.diff(OLD, OLD) == ([], [])
+
+
+@pytest.fixture
+def work(monkeypatch):
+    monkeypatch.syspath_prepend(TOOLS)
+    return importlib.import_module("work")
+
+
+def test_work_counts_of_one_simulation_repeat_exactly(work):
+    def run():
+        return GetLogBench(SimConfig(scheme="aa-sp", num_procs=2, seed=3), "aa", n_gets=50).run()
+
+    first, second = work.count(run), work.count(run)
+    assert first == second
+    assert all(first[1].values())
+
+
+def test_a_generator_resume_counts_as_a_generator_entry_not_a_call(work):
+    def gen():
+        while True:
+            yield
+
+    def resume(n):
+        g = gen()
+        for _ in range(n):
+            next(g)
+
+    few, more = (work.count(lambda n=n: resume(n))[1] for n in (2, 7))
+    assert more["generator_entries"] - few["generator_entries"] == 5
+    assert more["python_calls"] == few["python_calls"]
+    assert more["c_calls"] - few["c_calls"] == 5  # each next()
