@@ -97,12 +97,3 @@ def expose(proc, region, span, variant, handler):
         proc.assoc_page(region, iuid, span=span, r=True, rl=True, rld=True, e=True)
     else:
         proc.map_plain(region, r=True, span=span)
-
-
-def run_variants(cfg, **kw):
-    out = {}
-    for variant in SCHEMES:
-        bench = GetLogBench(cfg.replace(), variant, **kw)
-        metrics = bench.run()
-        out[variant] = (bench, metrics)
-    return out

@@ -55,9 +55,3 @@ def insert_run(cfg, **shape):
     the config fields in shape set; returns the run's config and metrics."""
     point = cfg.replace(**BRIDGE_BOUND, **shape)
     return point, DhtBench(point, key_mode="skewed").run()
-
-
-def insert_rate(cfg, assoc, ops=300):
-    """Hot-owner insert throughput with the given associativity at the owner."""
-    _point, metrics = insert_run(cfg, iotlb_assoc=assoc, iotlb_policy="lru", ops_per_proc=ops)
-    return metrics.throughput_ops_per_s, metrics

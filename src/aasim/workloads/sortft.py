@@ -165,12 +165,3 @@ class SortBench:
         for arr in self.arrays:
             everything.extend(arr)
         return sorted(everything)
-
-
-def run_variants(cfg, total_words=1 << 13):
-    out = {}
-    for variant in getlog.SCHEMES:
-        bench = SortBench(cfg.replace(), variant, total_words)
-        metrics = bench.run()
-        out[variant] = (bench, metrics)
-    return out

@@ -41,12 +41,3 @@ class StreamBench:
         """Payload bytes per nanosecond over the whole run."""
         m = self.sim.metrics
         return self.n_puts * PAGE_SIZE / m.sim_time_ns
-
-
-def bandwidth_pair(cfg, n_puts=256):
-    """(with extended bridge, without) bandwidths for the same stream."""
-    on = StreamBench(cfg.replace(iommu_enabled=True), n_puts)
-    on.run()
-    off = StreamBench(cfg.replace(iommu_enabled=False), n_puts)
-    off.run()
-    return on.bandwidth(), off.bandwidth()

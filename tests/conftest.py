@@ -1,7 +1,7 @@
 """``exact``: the moved entries of ``tests/exact.json``, against this tree.
 
-The record is rebuilt in process once per session; each test checks a
-group of its entries by name pattern.
+Each test checks a group of the record's entries by name pattern; an entry
+is rebuilt in process the first time a pattern names it, once per session.
 """
 
 import fnmatch
@@ -22,15 +22,16 @@ def exact():
         patch.syspath_prepend(os.path.join(ROOT, "bench"))
         patch.syspath_prepend(os.path.join(ROOT, "tools"))
         compare_trees = importlib.import_module("compare_trees")
-        new = compare_trees.record()
+        jobs = compare_trees.jobs()
     with open(os.path.join(ROOT, "tests", "exact.json")) as fh:
         old = json.load(fh)
+    new = {}
 
     def lines(pattern="*"):
-        old_part, new_part = ({n: r[n] for n in fnmatch.filter(r, pattern)} for r in (old, new))
-        assert old_part, "no pinned entry matches %r" % pattern
-        moved, events_only = compare_trees.diff(old_part, new_part)
-        failed = ["%s: check is false" % n for n, r in sorted(new_part.items()) if r.get("check") is False]
-        return moved + events_only + failed
+        assert fnmatch.filter(old, pattern), "no pinned entry matches %r" % pattern
+        for name in fnmatch.filter(jobs, pattern):
+            if name not in new:
+                new[name] = jobs[name]()
+        return compare_trees.lines(old, new, pattern)
 
     return lines

@@ -1,113 +1,13 @@
 """Bridge-level tests driven with hand-built packet interleavings."""
 
-import random
-
 import pytest
+from criteria import Rig, multi_device_trial
 
 from aasim import iommu as iommu_mod
-from aasim.config import SimConfig
-from aasim.engine import Engine
-from aasim.iommu import Iommu, IommuError
+from aasim.iommu import IommuError
 from aasim.link import split_get, split_put
-from aasim.memory import PAGE_SIZE, PhysMemory
-from aasim.paging import IUID_LIMIT, AddressTranslator, IotlbCache, PageTable, Pte
-
-
-class FakeChannel:
-    def __init__(self):
-        self.delivered = []
-
-    def deliver(self, tlp):
-        self.delivered.append(tlp)
-
-
-class Rig:
-    """One bridge with an active-put page and a log, no wires attached."""
-
-    def __init__(self, n_devices=4, log_size=4096, cfg=None):
-        self.cfg = cfg or SimConfig(access_log_size=log_size)
-        self.engine = Engine()
-        self.memory = PhysMemory(0)
-        table = PageTable()
-        iotlb = IotlbCache(64, "full", "lru", random.Random(0))
-        self.translator = AddressTranslator(table, iotlb)
-        for dev in range(n_devices):
-            self.translator.register_device(dev)
-        self.iommu = Iommu(self.engine, self.cfg, self.memory, self.translator)
-        self.log = self.iommu.add_domain(log_size)
-        self.page = self.memory.reserve_region("page", PAGE_SIZE)
-        table.map_range(
-            self.page, Pte(frame=self.page >> 12, wl=True, wld=True, e=True, iuid=self.log.iuid)
-        )
-        self.channels = {}
-        for dev in range(n_devices):
-            self.channels[dev] = FakeChannel()
-            self.iommu.backchannels[dev] = self.channels[dev]
-
-    def drain_records(self):
-        out = []
-        while True:
-            got = self.log.read_record()
-            if got is None:
-                return out
-            rec, size = got
-            self.log.advance_tail(size)
-            self.iommu.check_flushes(self.log)
-            out.append(rec)
-
-
-def interleave(rng, streams):
-    """Merge per-device packet lists preserving each device's order."""
-    streams = {d: list(s) for d, s in streams.items() if s}
-    out = []
-    while streams:
-        dev = sorted(streams)[rng.randrange(len(streams))]
-        out.append(streams[dev].pop(0))
-        if not streams[dev]:
-            del streams[dev]
-    return out
-
-
-def multi_device_trial(seed, n_devices=4, txns_per_device=6):
-    """Out-of-order commits from interleaved multi-packet puts must publish
-    records whole and in reservation order."""
-    rng = random.Random(seed)
-    rig = Rig(n_devices=n_devices)
-    sent = {}
-    streams = {}
-    for dev in range(n_devices):
-        pkts = []
-        for t in range(txns_per_device):
-            length = rng.choice([8, 64, 200, 512, 1000])
-            payload = bytes(rng.randrange(256) for _ in range(length))
-            sent[(dev, t)] = payload
-            pkts.extend(
-                split_put(rig.page + 128 * dev, payload, dev, t % 256, rig.cfg.max_payload)
-            )
-        streams[dev] = pkts
-    for pkt in interleave(rng, streams):
-        rig.iommu.on_arrival(pkt)
-    # alternate pipeline progress and consumption until everything lands,
-    # which crosses several fill-stall-resume cycles on the 4 KiB ring
-    records = []
-    for _ in range(1000):
-        rig.engine.run()
-        records.extend(rig.drain_records())
-        if not rig.iommu.ingress and not rig.engine._heap:
-            break
-    records.extend(rig.drain_records())
-    # serial oracle: sequence numbers are exactly the reservation order
-    assert [r.seq_no for r in records] == list(range(len(records)))
-    # every transaction shows up exactly once, intact
-    got = {}
-    per_dev_seen = {d: 0 for d in range(n_devices)}
-    for rec in records:
-        dev = rec.device_id
-        got[(dev, per_dev_seen[dev])] = rec.payload
-        per_dev_seen[dev] += 1
-    assert got == sent
-    assert not rig.iommu.tag_buffer
-    return [r.seq_no for r in records]
+from aasim.memory import PAGE_SIZE
+from aasim.paging import IUID_LIMIT, Pte
 
 
 def test_hole_reassembly_over_many_interleavings():

@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from criteria import bandwidth_pair, insert_rate, run_variants
 
 from aasim.config import SCHEMES, ConfigError, SimConfig
 from aasim.memory import PAGE_SIZE, PhysMemory
@@ -14,7 +15,6 @@ from aasim.workloads.checkpoint import CheckpointBench
 from aasim.workloads.counter import CounterBench
 from aasim.workloads.dht import DhtOverflow, VolumeLayout
 from aasim.workloads.getlog import GetLogBench
-from aasim.workloads.getlog import run_variants as getlog_variants
 from aasim.workloads.sortft import SortBench
 
 
@@ -497,7 +497,7 @@ def test_getlog_run_keeps_at_most_32_bytes_per_get(variant):
 
 
 def test_getlog_payload_accounting_is_exact():
-    out = getlog_variants(small_cfg(num_procs=2), n_gets=60)
+    out = run_variants(GetLogBench, small_cfg(num_procs=2), n_gets=60)
     base = out["no-ft"][1].bytes_payload
     assert out["aa"][1].bytes_payload == base
     assert out["sendback"][1].bytes_payload == 2 * base
@@ -548,9 +548,7 @@ def test_sort_output_matches_oracle_under_all_variants():
 
 
 def test_sort_energy_follows_bytes():
-    from aasim.workloads.sortft import run_variants as sort_variants
-
-    out = sort_variants(small_cfg(), total_words=1 << 12)
+    out = run_variants(SortBench, small_cfg(), total_words=1 << 12)
     m = {v: out[v][1] for v in out}
     assert m["aa"].bytes_wire == m["no-ft"].bytes_wire
     assert m["aa"].energy_j == m["no-ft"].energy_j
@@ -562,7 +560,7 @@ def test_sort_energy_follows_bytes():
 
 def test_stream_bridge_overhead_is_small():
     cfg = small_cfg(num_procs=2)
-    on, off = stream.bandwidth_pair(cfg, n_puts=128)
+    on, off = bandwidth_pair(cfg, n_puts=128)
     assert abs(on - off) / off <= 0.05
 
 
@@ -584,7 +582,7 @@ def test_hit_rate_sweep_prefers_lru():
 
 def test_full_assoc_beats_four_way_on_hot_set():
     cfg = SimConfig(num_procs=4, vol_size=1 << 13, seed=10, iotlb_size=8)
-    rate_full, m_full = iotlb.insert_rate(cfg, "full", ops=200)
-    rate_4way, m_4way = iotlb.insert_rate(cfg, 4, ops=200)
+    rate_full, m_full = insert_rate(cfg, "full", ops=200)
+    rate_4way, m_4way = insert_rate(cfg, 4, ops=200)
     assert m_full.iotlb_misses <= m_4way.iotlb_misses
     assert rate_full >= rate_4way

@@ -6,13 +6,15 @@
 OLD and NEW each name a git revision (its ``src`` is taken with ``git
 archive``), a directory holding an ``aasim`` package, or a record file such
 as ``tests/exact.json``; NEW defaults to this checkout's ``src``. A tree's
-record is ``record()``, run in a process of its own on this checkout's
-``tests/wide_configs.py`` and ``bench/scenarios.py``; ``--worker SRC``
-prints it. The script prints ``diff()``'s lines and a summary, and exits 1
-if an outcome moved; event counts are host work, so alone they never do.
+record is ``record()``, every entry of ``jobs()``, run in a process of its own on this checkout's
+``tests/wide_configs.py``, ``tests/criteria.py`` and ``bench/scenarios.py``;
+``--worker SRC`` prints it. The script prints ``diff()``'s lines and a
+summary, and exits 1 if an outcome moved; event counts are host work, so
+alone they never do.
 """
 
 import argparse
+import fnmatch
 import io
 import json
 import os
@@ -21,42 +23,70 @@ import sys
 import tarfile
 import tempfile
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_SEEDS = (1, 1009)
 
 
-def record():
-    """Each config's outcome, and each bench run's Metrics, verify() and events."""
+def jobs():
+    """{name: function building that entry of the record}: each config's
+    outcome, each bench run's Metrics, verify() and events, each acceptance
+    criterion's payload and each pinned CLI row."""
+    import criteria
     import scenarios
     import wide_configs
 
     configs = {"%s#%03d" % (c["kind"], i): c for i, c in enumerate(wide_configs.wide_configs())}
     configs.update(wide_configs.NAMED_CONFIGS)
-    results = {name: wide_configs.outcome(config) for name, config in configs.items()}
+    out = {name: partial(wide_configs.outcome, config) for name, config in configs.items()}
     for name, make in scenarios.WORKLOADS.items():
         for seed in BENCH_SEEDS:
-            scenario = make(seed)
-            result = {**asdict(scenario.run()), "verify": scenario.verify()}
-            results["%s seed %d" % (name, seed)] = {**result, "events": scenario.sim.engine.events_run}
-    return results
+            out["%s seed %d" % (name, seed)] = partial(bench_run, make, seed)
+    out.update(criteria.jobs())
+    return out
+
+
+def bench_run(make, seed):
+    scenario = make(seed)
+    result = {**asdict(scenario.run()), "verify": scenario.verify()}
+    return {**result, "events": scenario.sim.engine.events_run}
+
+
+def record():
+    return {name: job() for name, job in jobs().items()}
+
+
+def as_json(value):
+    return json.dumps(value, sort_keys=True)
 
 
 def diff(old, new):
     """(moved, events_only): a line per entry one record lacks or whose fields
-    moved, as ``name: field old -> new, ...``; events_only if only events did."""
+    moved, as ``name: field old -> new, ...``; events_only if only events did.
+    Fields compare as JSON text, so a value that only changes type, as 1 to
+    1.0 or true, moves too."""
     moved, events_only = [], []
     for name in sorted(old.keys() | new.keys()):
         if name not in old or name not in new:
             moved.append("%s: only in %s" % (name, "old" if name in old else "new"))
             continue
         a, b = old[name], new[name]
-        fields = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+        fields = sorted(k for k in a.keys() | b.keys() if as_json(a.get(k)) != as_json(b.get(k)))
         if fields:
             line = "%s: %s" % (name, ", ".join("%s %r -> %r" % (k, a.get(k), b.get(k)) for k in fields))
             (events_only if fields == ["events"] else moved).append(line)
     return moved, events_only
+
+
+def lines(old, new, pattern="*"):
+    """diff()'s lines for the entries whose names match the fnmatch pattern,
+    and one per such finished run of new whose check is false."""
+    old_part, new_part = ({n: r[n] for n in fnmatch.filter(r, pattern)} for r in (old, new))
+    moved, events_only = diff(old_part, new_part)
+    failed = ["%s: check is false" % n for n, r in sorted(new_part.items()) if r.get("check") is False]
+    return moved + events_only + failed
 
 
 def tree(spec, scratch):
