@@ -46,7 +46,9 @@ def build_parser():
         "--delete-fraction",
         type=float,
         default=0.0,
-        help="fraction of inserted keys deleted in a second phase",
+        help="fraction of each source's inserts deleted in a second phase: insert i"
+        " goes when ceil(i*f) < ceil((i+1)*f), ceil(n*f) of n evenly spaced from the"
+        " first",
     )
     p.set_defaults(func=cmd_dht)
 

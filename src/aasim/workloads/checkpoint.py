@@ -14,7 +14,7 @@ from ..sim import Simulation
 
 
 class CheckpointBench:
-    def __init__(self, cfg, n_pages=256, epochs=3, writes_per_source=60):
+    def __init__(self, cfg, n_pages, epochs, writes_per_source):
         cfg.validate()
         if cfg.num_procs < 2 or n_pages < 1:
             raise ConfigError("checkpoint needs procs >= 2 (a collector and a source) and pages >= 1,"

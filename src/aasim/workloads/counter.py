@@ -37,7 +37,7 @@ def trace_counts(trace):
 
 
 class CounterBench:
-    def __init__(self, cfg, variant, n_pages=16, accesses=400):
+    def __init__(self, cfg, variant, n_pages, accesses):
         if variant not in SCHEMES:
             raise ValueError("unknown counter variant %r" % variant)
         cfg.validate()

@@ -13,6 +13,8 @@ import struct
 import sys
 from array import array
 from collections import Counter
+from fractions import Fraction
+from math import ceil
 
 from ..config import ConfigError
 from ..engine import Barrier
@@ -192,18 +194,18 @@ class DhtNode:
 
 
 class DhtBench:
-    """Builds one simulation running the configured scheme over shared
-    deterministic key streams, with an optional delete phase."""
+    """Builds one simulation running the configured scheme, with an optional
+    delete phase.
+
+    ``keys(rng, rank)``, when given, returns rank's insert keys, drawn from
+    the rank's own stream; a rank given no keys is not a source. Without it
+    every rank draws ``cfg.ops_per_proc`` keys from a ``KeyStream`` with the
+    configured collision ratio.
+    """
 
     WARMUP_OPS = 16
 
-    def __init__(
-        self,
-        cfg,
-        delete_fraction=0.0,
-        key_mode="collision",
-        record_ops=False,
-    ):
+    def __init__(self, cfg, delete_fraction=0.0, keys=None):
         cfg.validate()
         if not 0.0 <= delete_fraction <= 1.0:
             raise ConfigError("delete_fraction must be in [0, 1], not %r" % delete_fraction)
@@ -221,10 +223,8 @@ class DhtBench:
                 "r_comp > 0 needs more than %d ops per proc: the compute gap is sized on"
                 " each source's first %d inserts" % (self.WARMUP_OPS, self.WARMUP_OPS)
             )
-        if key_mode == "skewed" and cfg.num_procs < 2:
-            raise ConfigError("skewed keys need >= 2 procs: rank 0 is the hot owner, the rest are sources")
         fresh = cfg.ops_per_proc - int(cfg.ops_per_proc * cfg.r_cols)
-        if key_mode == "collision" and fresh > cfg.num_procs * table_size:
+        if keys is None and fresh > cfg.num_procs * table_size:
             raise ConfigError(
                 "%d fresh keys per source exceed the %d (owner, bucket) slots of %d procs"
                 " x %d buckets" % (fresh, cfg.num_procs * table_size, cfg.num_procs, table_size)
@@ -232,18 +232,15 @@ class DhtBench:
         self.cfg = cfg
         self.scheme = cfg.scheme
         self.delete_fraction = delete_fraction
-        self.key_mode = key_mode
-        self.record_ops = record_ops
-        self.op_log = []  # (rank, kind, key, remote_ops_used) when recording
         self.sim = Simulation(cfg)
         self.table_size = table_size
         self.layouts = []
         self.delete_pages = []
         self.plan = []  # per rank: list of ("insert"|"delete", key)
         self._build_nodes()
-        self._build_plan()
-        # Cheap bound first: an owner takes at most one cell per planned insert.
-        if cfg.ops_per_proc * sum(1 for ops in self.plan if ops) > table_size:
+        self._build_plan(keys)
+        # Cheap bound first: no owner takes more cells than the plan has ops.
+        if sum(map(len, self.plan)) > table_size:
             cells = self.overflow_cells()
             owner = max(range(cfg.num_procs), key=cells.__getitem__)
             if cells[owner] > table_size:
@@ -282,45 +279,34 @@ class DhtBench:
                 if self.scheme == "am":
                     proc.setup_inbox(node.am_handler)
 
-    def _keys_for_rank(self, rng, rank, count):
-        """The keys of a forced or skewed source."""
-        if self.key_mode == "forced":
-            return K.forced_collision_keys(
-                rng,
-                count,
-                owner=(rank + 1) % self.cfg.num_procs,
-                bucket=7,
-                procs=self.cfg.num_procs,
-                table_size=self.table_size,
-            )
-        if self.key_mode == "skewed":
-            return K.skewed_bucket_keys(rng, count, 0, self.cfg.num_procs, self.table_size)
-        raise ValueError("unknown key mode %r" % self.key_mode)
+    def _build_plan(self, keys):
+        """Each rank's ops, and ``collisions``: the streams' inserts minus
+        the distinct (owner, bucket) spots they hit, that is each source's
+        quota plus the fresh keys of different sources that share a spot, or
+        0 with a given key source. Every stream key lands on a spot of its
+        stream's set, and no stream outlives its draw.
 
-    def _build_plan(self):
-        """Each rank's ops, and ``collisions``: the collision-mode streams'
-        inserts minus the distinct (owner, bucket) spots they hit, that is
-        each source's quota plus the fresh keys of different sources that
-        share a spot. Every stream key lands on a spot of its stream's set,
-        and no stream outlives its draw."""
-        cfg = self.cfg
+        A delete phase deletes insert i when ceil(i * f) < ceil((i + 1) * f)
+        for f = delete_fraction: ceil(n * f) of n inserts, evenly spaced from
+        the first. f is taken as the decimal it prints as, so that 0.1 is
+        exactly 1/10 and not the nearest binary double.
+        """
+        cfg, f = self.cfg, Fraction(str(self.delete_fraction))
         spots, issued = set(), 0
         for rank in range(cfg.num_procs):
-            if not self._is_source(rank):
-                self.plan.append([])
-                continue
             rng = self.sim.rng_for(3, rank)
-            if self.key_mode == "collision":
+            if keys is None:
                 stream = K.KeyStream(rng, cfg.num_procs, self.table_size, cfg.r_cols)
                 inserts = stream.take(cfg.ops_per_proc)
                 spots.update(stream.used)
                 issued += stream.issued
             else:
-                inserts = self._keys_for_rank(rng, rank, cfg.ops_per_proc)
+                inserts = keys(rng, rank)
             ops = [("insert", k) for k in inserts]
-            if self.delete_fraction > 0.0:
-                step = max(1, int(round(1.0 / self.delete_fraction)))
-                ops.extend(("delete", k) for k in inserts[::step])
+            if f:
+                ops.extend(
+                    ("delete", k) for i, k in enumerate(inserts) if ceil(i * f) < ceil((i + 1) * f)
+                )
             self.plan.append(ops)
         self.collisions = issued - len(spots)
 
@@ -344,20 +330,10 @@ class DhtBench:
             cells[owner] -= 1
         return cells
 
-    def _is_source(self, rank):
-        if self.key_mode == "forced":
-            return rank == 0  # the one source aiming at a single bucket
-        if self.key_mode == "skewed":
-            return rank != 0  # rank 0 is the single hot owner
-        return True
-
     # -- execution -------------------------------------------------------
 
     def _issue(self, proc, kind, key):
-        """Issue one op and count it, with the remote ops it took when
-        recording."""
-        metrics = self.sim.metrics
-        before = metrics.remote_ops
+        """Issue one op and count it."""
         owner, pos = K.placement(key, self.cfg.num_procs, self.table_size)
         layout = self.layouts[owner]
         if kind == "insert":
@@ -371,9 +347,7 @@ class DhtBench:
             yield from delete_rma(proc, owner, layout, key, pos)
         else:
             yield from proc.put(owner, self.delete_pages[owner], word(key))
-        metrics.ops += 1
-        if self.record_ops:
-            self.op_log.append((proc.rank, kind, key, metrics.remote_ops - before))
+        self.sim.metrics.ops += 1
 
     def _app(self, rank, barrier):
         proc = self.sim.procs[rank]

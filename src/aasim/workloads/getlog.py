@@ -17,7 +17,7 @@ DATA_PAGES = 4
 
 
 class GetLogBench:
-    def __init__(self, cfg, variant, n_gets=200):
+    def __init__(self, cfg, variant, n_gets):
         if variant not in SCHEMES:
             raise ValueError("unknown get-logging variant %r" % variant)
         cfg.validate()

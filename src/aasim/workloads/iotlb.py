@@ -10,6 +10,7 @@ that the owner bridge (and so its translation cache) is the bottleneck.
 
 import random
 
+from ..config import ConfigError
 from ..paging import IotlbCache
 from . import keys as K
 from .dht import DhtBench
@@ -50,8 +51,23 @@ def sweep_hit_rates(seed=1):
     ]
 
 
+def hot_owner_keys(cfg):
+    """The key source of a skewed insert run: rank 0 is the one hot owner,
+    and every other rank a source of cfg.ops_per_proc keys at rank 0 whose
+    buckets cluster on a few hot table pages."""
+    if cfg.num_procs < 2:
+        raise ConfigError("skewed keys need >= 2 procs: rank 0 is the hot owner, the rest are sources")
+    procs, count, table_size = cfg.num_procs, cfg.ops_per_proc, cfg.vol_size // 2
+
+    def keys(rng, rank):
+        return K.skewed_bucket_keys(rng, count, 0, procs, table_size) if rank else []
+
+    return keys
+
+
 def insert_run(cfg, **shape):
-    """One bridge-bound skewed insert run against a single hot owner, with
-    the config fields in shape set; returns the run's config and metrics."""
+    """One bridge-bound skewed insert run against a single hot owner
+    (hot_owner_keys), with the config fields in shape set; returns the run's
+    config and metrics."""
     point = cfg.replace(**BRIDGE_BOUND, **shape)
-    return point, DhtBench(point, key_mode="skewed").run()
+    return point, DhtBench(point, keys=hot_owner_keys(point)).run()

@@ -3,6 +3,10 @@
 Keys are 64-bit and placed by a multiplicative hash whose odd constant is
 invertible mod 2**64, so the generator can build a preimage for any target
 (owner, bucket) pair directly instead of rejection-sampling the full space.
+``KeyStream`` draws the hash table's own keys, with an exact collision share;
+``skewed_bucket_keys`` draws the hot-owner keys of the translation-cache
+sweep (``iotlb.hot_owner_keys``); any other key source is its caller's, built
+on ``key_for``.
 """
 
 FIB = 0x9E3779B97F4A7C15
@@ -114,18 +118,6 @@ class KeyStream:
             out.append(key)
         self.issued = start + count
         return out
-
-
-def forced_collision_keys(rng, count, owner, bucket, procs, table_size):
-    """count distinct keys all hashing to one (owner, bucket): every insert
-    after the first is a collision."""
-    used = set()
-    out = []
-    for _ in range(count):
-        key = key_for(rng, owner, bucket, procs, table_size, used)
-        used.add(key)
-        out.append(key)
-    return out
 
 
 def zipf_indices(rng, universe, count):

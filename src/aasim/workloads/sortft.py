@@ -31,7 +31,7 @@ def page_chunks(addr, length):
 
 
 class SortBench:
-    def __init__(self, cfg, variant, total_words=1 << 13):
+    def __init__(self, cfg, variant, total_words):
         if variant not in getlog.SCHEMES:
             raise ValueError("unknown sort variant %r" % variant)
         cfg.validate()

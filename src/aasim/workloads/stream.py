@@ -15,7 +15,7 @@ BUF_PAGES = 16
 
 
 class StreamBench:
-    def __init__(self, cfg, n_puts=256):
+    def __init__(self, cfg, n_puts):
         cfg.validate()
         self.cfg = cfg
         self.n_puts = n_puts

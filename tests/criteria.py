@@ -9,7 +9,9 @@ run. ``jobs()`` turns the payloads and the CLI rows into entries of
 flattened into dotted fields, and ``cli <command> [<scheme>]`` with the row's
 columns exactly as ``aasim`` prints them and the header's order. ``Rig`` is
 the bridge without wires that criteria 07 and 08 and ``tests/test_iommu.py``
-drive by hand.
+drive by hand; ``forced_keys`` and ``insert_remote_ops`` are the one-bucket
+key source and the per-insert remote-op count of criterion 01 and
+``tests/test_workloads.py``.
 """
 
 import contextlib
@@ -29,7 +31,7 @@ from aasim.iommu import Iommu
 from aasim.link import split_get, split_put
 from aasim.memory import PAGE_SIZE, PhysMemory
 from aasim.paging import AddressTranslator, IotlbCache, PageTable, Pte
-from aasim.workloads import dht, getlog, iotlb
+from aasim.workloads import dht, getlog, iotlb, keys
 from aasim.workloads.checkpoint import CheckpointBench
 from aasim.workloads.getlog import GetLogBench
 from aasim.workloads.sortft import SortBench
@@ -68,6 +70,50 @@ def bandwidth_pair(cfg, n_puts=256):
     off = StreamBench(cfg.replace(iommu_enabled=False), n_puts)
     off.run()
     return on.bandwidth(), off.bandwidth()
+
+
+def forced_collision_keys(rng, count, owner, bucket, procs, table_size):
+    """count distinct keys all hashing to one (owner, bucket): every insert
+    after the first is a collision."""
+    used = set()
+    out = []
+    for _ in range(count):
+        key = keys.key_for(rng, owner, bucket, procs, table_size, used)
+        used.add(key)
+        out.append(key)
+    return out
+
+
+def forced_keys(cfg):
+    """A DhtBench key source with rank 0 the one source: its cfg.ops_per_proc
+    keys all land in bucket 7 of rank 1, so every insert after the first
+    collides."""
+    procs, table_size = cfg.num_procs, cfg.vol_size // 2
+
+    def source(rng, rank):
+        if rank:
+            return []
+        return forced_collision_keys(rng, cfg.ops_per_proc, 1 % procs, 7, procs, table_size)
+
+    return source
+
+
+def insert_remote_ops(cfg):
+    """The remote ops each of rank 0's forced-key inserts takes, in order:
+    one app issues them one at a time and reads the counter around each."""
+    bench = dht.DhtBench(cfg, keys=forced_keys(cfg))
+    proc, metrics = bench.sim.procs[0], bench.sim.metrics
+    counts = []
+
+    def app():
+        for kind, key in bench.plan[0]:
+            before = metrics.remote_ops
+            yield from bench._issue(proc, kind, key)
+            counts.append(metrics.remote_ops - before)
+
+    bench.sim.add_app(0, app())
+    bench.sim.run()
+    return counts
 
 
 def insert_rate(cfg, assoc, ops=300):
@@ -183,9 +229,7 @@ def crit_remote_op_reduction():
     out = {}
     for scheme in ("rma", "aa-poll"):
         cfg = SimConfig(scheme=scheme, num_procs=2, ops_per_proc=32, vol_size=1 << 12, seed=1)
-        bench = dht.DhtBench(cfg, key_mode="forced", record_ops=True)
-        bench.run()
-        out[scheme] = [n for (_r, kind, _k, n) in bench.op_log if kind == "insert"]
+        out[scheme] = insert_remote_ops(cfg)
     return out
 
 

@@ -138,3 +138,21 @@ def test_a_generator_resume_counts_as_a_generator_entry_not_a_call(work):
     assert more["generator_entries"] - few["generator_entries"] == 5
     assert more["python_calls"] == few["python_calls"]
     assert more["c_calls"] - few["c_calls"] == 5  # each next()
+
+
+def test_src_lines_counts_lines_code_and_defaulted_parameters(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(TOOLS)
+    src_lines = importlib.import_module("src_lines")
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(
+        '"""Doc."""\n'
+        "\n"
+        "# comment\n"
+        "def f(a, b=1, *, c, d=2, **kw):\n"
+        "    return lambda x=0: x\n"
+    )
+    (tmp_path / "b.py").write_text("async def g(e=3):\n    pass\n")
+    (tmp_path / "notes.txt").write_text("def h(x=1): pass\n")
+    assert src_lines.main([str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out == "%s: 7 lines, 4 code lines, 4 defaulted parameters\n" % tmp_path

@@ -3,9 +3,17 @@ import itertools
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
-from criteria import bandwidth_pair, insert_rate, run_variants
+from criteria import (
+    bandwidth_pair,
+    forced_collision_keys,
+    forced_keys,
+    insert_rate,
+    insert_remote_ops,
+    run_variants,
+)
 
 from aasim.config import SCHEMES, ConfigError, SimConfig
 from aasim.memory import PAGE_SIZE, PhysMemory
@@ -150,7 +158,7 @@ def test_key_for_matches_reference_draw_for_draw(seed):
 
 
 def test_forced_collision_keys_share_one_bucket():
-    out = keys.forced_collision_keys(random.Random(9), 50, 2, 17, 4, 2048)
+    out = forced_collision_keys(random.Random(9), 50, 2, 17, 4, 2048)
     assert len(set(out)) == 50
     assert {keys.placement(k, 4, 2048) for k in out} == {(2, 17)}
 
@@ -167,19 +175,13 @@ def test_zipf_trace_is_deterministic_and_in_range():
 
 
 def test_rma_insert_op_counts():
-    cfg = small_cfg(scheme="rma", num_procs=2, ops_per_proc=12)
-    bench = dht.DhtBench(cfg, key_mode="forced", record_ops=True)
-    bench.run()
-    counts = [n for (_rank, kind, _key, n) in bench.op_log if kind == "insert"]
+    counts = insert_remote_ops(small_cfg(scheme="rma", num_procs=2, ops_per_proc=12))
     assert counts[0] == 1  # empty bucket: the cas alone
     assert all(6 <= n <= 8 for n in counts[1:])
 
 
 def test_aa_insert_is_always_one_op():
-    cfg = small_cfg(scheme="aa-poll", num_procs=2, ops_per_proc=12)
-    bench = dht.DhtBench(cfg, key_mode="forced", record_ops=True)
-    bench.run()
-    counts = [n for (_rank, kind, _key, n) in bench.op_log if kind == "insert"]
+    counts = insert_remote_ops(small_cfg(scheme="aa-poll", num_procs=2, ops_per_proc=12))
     assert counts == [1] * 12
 
 
@@ -231,8 +233,10 @@ def test_reference_keeps_duplicates_and_deletes_every_copy(scheme):
 
 def test_forced_keys_land_at_rank_1_alone():
     cfg = small_cfg(scheme="aa-poll")
-    bench = dht.DhtBench(cfg, key_mode="forced")
-    bench.run()
+    bench = dht.DhtBench(cfg, keys=forced_keys(cfg))
+    # Ranks given no keys are not sources: only rank 0's ops run.
+    assert bench.plan[1:] == [[], [], []]
+    assert bench.run().ops == cfg.ops_per_proc
     planned = Counter(key for _kind, key in bench.plan[0])
     assert len(planned) == cfg.ops_per_proc
     assert bench.oracle_contents(1) == planned == bench.contents(1)
@@ -392,7 +396,7 @@ def test_heap_overflow_raises():
     layout.base = mem.reserve_region("volume", layout.volume_bytes)
     layout.meta_base = mem.reserve_region("volmeta", layout.meta_bytes)
     mem.write_word(layout.next_free_addr, 8)
-    colliders = keys.forced_collision_keys(random.Random(1), 10, 0, 3, 1, 8)
+    colliders = forced_collision_keys(random.Random(1), 10, 0, 3, 1, 8)
     with pytest.raises(DhtOverflow):
         for key in colliders:
             dht.local_insert(mem, layout, key)
@@ -402,7 +406,7 @@ def test_heap_overflow_raises():
     ("aa-poll", {"delete_fraction": 0.25}),
     ("rma", {"delete_fraction": 0.25}),
     ("am", {}),
-    ("aa-sp", {"key_mode": "skewed"}),
+    ("aa-sp", {"keys": iotlb.hot_owner_keys(small_cfg(ops_per_proc=300))}),
 ])
 def test_overflow_cells_match_heap_use(scheme, kw):
     bench = dht.DhtBench(small_cfg(scheme=scheme, r_cols=0.6, ops_per_proc=300), **kw)
@@ -418,11 +422,40 @@ def test_overflow_cells_match_heap_use(scheme, kw):
 @pytest.mark.parametrize("scheme", ("rma", "am"))
 def test_plan_that_fills_the_heap_runs_and_one_more_insert_is_rejected(scheme):
     cfg = small_cfg(scheme=scheme, num_procs=2, vol_size=64)  # 32 heap cells
-    full = dht.DhtBench(cfg.replace(ops_per_proc=33), key_mode="forced")
+    full_cfg, over_cfg = cfg.replace(ops_per_proc=33), cfg.replace(ops_per_proc=34)
+    full = dht.DhtBench(full_cfg, keys=forced_keys(full_cfg))
     assert full.overflow_cells() == [0, 32]
     full.run()
     with pytest.raises(ConfigError, match="overflow cells"):
-        dht.DhtBench(cfg.replace(ops_per_proc=34), key_mode="forced")
+        dht.DhtBench(over_cfg, keys=forced_keys(over_cfg))
+
+
+def test_key_source_past_ops_per_proc_is_bound_by_the_heap():
+    # 34 keys into one bucket of a 32-cell heap, with ops_per_proc of 1.
+    cfg = small_cfg(scheme="rma", num_procs=2, ops_per_proc=1, vol_size=64)
+
+    def source(rng, rank):
+        return forced_collision_keys(rng, 34, 1, 7, 2, 32) if rank == 0 else []
+
+    with pytest.raises(ConfigError, match="overflow cells"):
+        dht.DhtBench(cfg, keys=source)
+
+
+@pytest.mark.parametrize("fraction,inserts,deleted", [
+    (0.3, 100, 30), (0.6, 100, 60), (0.7, 100, 70),
+    # 30 * 0.1 is 3.0000000000000004 in binary doubles; the rule takes 1/10.
+    (0.1, 30, 3),
+])
+def test_delete_fraction_deletes_the_ceiling_evenly_from_the_first(fraction, inserts, deleted):
+    cfg = small_cfg(scheme="aa-poll", num_procs=2, ops_per_proc=inserts)
+    bench = dht.DhtBench(cfg, delete_fraction=fraction)
+    for ops in bench.plan:
+        keys_in = [key for kind, key in ops if kind == "insert"]
+        gone = [key for kind, key in ops if kind == "delete"]
+        assert len(keys_in) == inserts and len(gone) == deleted
+        # Insert floor(m / f) for m = 0, 1, ...: the first, then every 1/f.
+        step = 1 / Fraction(str(fraction))
+        assert gone == [keys_in[int(m * step)] for m in range(deleted)]
 
 
 # -- access counting ---------------------------------------------------------
