@@ -197,10 +197,11 @@ class DhtBench:
     """Builds one simulation running the configured scheme, with an optional
     delete phase.
 
-    ``keys(rng, rank)``, when given, returns rank's insert keys, drawn from
-    the rank's own stream; a rank given no keys is not a source. Without it
-    every rank draws ``cfg.ops_per_proc`` keys from a ``KeyStream`` with the
-    configured collision ratio.
+    ``keys(rng, rank, table_size)``, when given, returns rank's insert
+    keys for tables of table_size buckets, drawn from the rank's own stream;
+    a rank given no keys is not a source. Without it every rank draws ``cfg.ops_per_proc`` keys with
+    ``keys.collision_keys`` at the configured collision ratio. Whatever the
+    keys, ``run()`` measures the collisions off the tables.
     """
 
     WARMUP_OPS = 16
@@ -222,12 +223,6 @@ class DhtBench:
             raise ConfigError(
                 "r_comp > 0 needs more than %d ops per proc: the compute gap is sized on"
                 " each source's first %d inserts" % (self.WARMUP_OPS, self.WARMUP_OPS)
-            )
-        fresh = cfg.ops_per_proc - int(cfg.ops_per_proc * cfg.r_cols)
-        if keys is None and fresh > cfg.num_procs * table_size:
-            raise ConfigError(
-                "%d fresh keys per source exceed the %d (owner, bucket) slots of %d procs"
-                " x %d buckets" % (fresh, cfg.num_procs * table_size, cfg.num_procs, table_size)
             )
         self.cfg = cfg
         self.scheme = cfg.scheme
@@ -280,11 +275,8 @@ class DhtBench:
                     proc.setup_inbox(node.am_handler)
 
     def _build_plan(self, keys):
-        """Each rank's ops, and ``collisions``: the streams' inserts minus
-        the distinct (owner, bucket) spots they hit, that is each source's
-        quota plus the fresh keys of different sources that share a spot, or
-        0 with a given key source. Every stream key lands on a spot of its
-        stream's set, and no stream outlives its draw.
+        """Each rank's ops: its inserts from ``keys``, or from the collision
+        draw when keys is None, then its deletes.
 
         A delete phase deletes insert i when ceil(i * f) < ceil((i + 1) * f)
         for f = delete_fraction: ceil(n * f) of n inserts, evenly spaced from
@@ -292,23 +284,19 @@ class DhtBench:
         exactly 1/10 and not the nearest binary double.
         """
         cfg, f = self.cfg, Fraction(str(self.delete_fraction))
-        spots, issued = set(), 0
+        if keys is None:
+
+            def keys(rng, _rank, table_size):
+                return K.collision_keys(rng, cfg.num_procs, table_size, cfg.r_cols, cfg.ops_per_proc)
+
         for rank in range(cfg.num_procs):
-            rng = self.sim.rng_for(3, rank)
-            if keys is None:
-                stream = K.KeyStream(rng, cfg.num_procs, self.table_size, cfg.r_cols)
-                inserts = stream.take(cfg.ops_per_proc)
-                spots.update(stream.used)
-                issued += stream.issued
-            else:
-                inserts = keys(rng, rank)
+            inserts = keys(self.sim.rng_for(3, rank), rank, self.table_size)
             ops = [("insert", k) for k in inserts]
             if f:
                 ops.extend(
                     ("delete", k) for i, k in enumerate(inserts) if ceil(i * f) < ceil((i + 1) * f)
                 )
             self.plan.append(ops)
-        self.collisions = issued - len(spots)
 
     def overflow_cells(self):
         """Overflow-heap cells each owner's planned inserts take.
@@ -389,7 +377,12 @@ class DhtBench:
         for rank in sources:
             self.sim.add_app(rank, self._app(rank, barrier))
         metrics = self.sim.run()
-        metrics.collisions = self.collisions
+        # Every insert but the first into its bucket takes one overflow-heap
+        # cell, in every scheme, so the heap cursors count the collisions.
+        metrics.collisions = sum(
+            proc.memory.read_word(layout.next_free_addr) - layout.table_size
+            for proc, layout in zip(self.sim.procs, self.layouts)
+        )
         return metrics
 
     # -- inspection ------------------------------------------------------

@@ -88,9 +88,9 @@ def forced_keys(cfg):
     """A DhtBench key source with rank 0 the one source: its cfg.ops_per_proc
     keys all land in bucket 7 of rank 1, so every insert after the first
     collides."""
-    procs, table_size = cfg.num_procs, cfg.vol_size // 2
+    procs = cfg.num_procs
 
-    def source(rng, rank):
+    def source(rng, rank, table_size):
         if rank:
             return []
         return forced_collision_keys(rng, cfg.ops_per_proc, 1 % procs, 7, procs, table_size)

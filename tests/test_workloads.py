@@ -1,4 +1,3 @@
-import gc
 import itertools
 import random
 import tracemalloc
@@ -57,17 +56,26 @@ def test_key_for_lands_on_requested_spot():
             used.add(key)
 
 
+def _quota(out, procs, table_size):
+    """Keys aimed at a spot already used: every key but the first per spot."""
+    return len(out) - len({keys.placement(k, procs, table_size) for k in out})
+
+
 def test_key_stream_hits_collision_ratio_exactly():
-    stream_ = keys.KeyStream(random.Random(5), 4, 2048, r_cols=0.25)
-    out = stream_.take(1000)
+    out = keys.collision_keys(random.Random(5), 4, 2048, 0.25, 1000)
     assert len(set(out)) == 1000
-    assert (stream_.issued, stream_.collisions) == (1000, 250)
+    assert _quota(out, 4, 2048) == 250
 
 
 def test_key_stream_zero_ratio_never_collides():
-    stream_ = keys.KeyStream(random.Random(5), 4, 2048, r_cols=0.0)
-    stream_.take(300)
-    assert stream_.collisions == 0
+    out = keys.collision_keys(random.Random(5), 4, 2048, 0.0, 300)
+    assert _quota(out, 4, 2048) == 0
+
+
+def test_collision_keys_past_the_free_spots_fail_fast():
+    # Three fresh keys cannot find a third free spot among two.
+    with pytest.raises(ConfigError, match="fresh keys"):
+        keys.collision_keys(random.Random(1), 1, 2, 0.0, 3)
 
 
 # The key helpers as they were before their loops were tightened: a
@@ -96,7 +104,7 @@ def _ref_fresh_key(rng, procs, table_size, used_buckets, used_keys):
 
 
 def _ref_stream(rng, procs, table_size, r_cols, count):
-    """(keys, collisions) of a KeyStream, one next_key at a time."""
+    """(keys, collisions) of collision_keys, one key at a time."""
     used, used_set, used_keys, out, collisions = [], set(), set(), [], 0
     for issued in range(count):
         if int((issued + 1) * r_cols) > int(issued * r_cols) and used:
@@ -122,26 +130,10 @@ STREAM_SHAPES = ((8, 1 << 20), (3, 256), (5, 1 << 20), (1, 1 << 12))
 def test_key_stream_matches_reference_draw_for_draw(seed, r_cols):
     for procs, table_size in STREAM_SHAPES:
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        stream_ = keys.KeyStream(rng, procs, table_size, r_cols)
-        got = stream_.take(500)
+        got = keys.collision_keys(rng, procs, table_size, r_cols, 500)
         want, collisions = _ref_stream(ref_rng, procs, table_size, r_cols, 500)
         assert got == want
-        assert stream_.collisions == collisions
-        assert rng.getstate() == ref_rng.getstate()
-
-
-@pytest.mark.parametrize("r_cols", [0.25, 0.9])
-@pytest.mark.parametrize("first,second", [(0, 300), (1, 299), (7, 293), (150, 150)])
-def test_key_stream_takes_in_parts_match_one_reference_stream(first, second, r_cols):
-    # The quota of the second take picks up from the keys already issued.
-    for procs, table_size in STREAM_SHAPES:
-        rng, ref_rng = random.Random(5), random.Random(5)
-        stream_ = keys.KeyStream(rng, procs, table_size, r_cols)
-        got = stream_.take(first) + stream_.take(second)
-        want, collisions = _ref_stream(ref_rng, procs, table_size, r_cols, first + second)
-        assert got == want
-        assert stream_.issued == first + second
-        assert stream_.collisions == collisions
+        assert _quota(got, procs, table_size) == collisions
         assert rng.getstate() == ref_rng.getstate()
 
 
@@ -164,8 +156,8 @@ def test_forced_collision_keys_share_one_bucket():
 
 
 def test_zipf_trace_is_deterministic_and_in_range():
-    a = keys.zipf_page_trace(random.Random(11), 64, 500, loops=2)
-    b = keys.zipf_page_trace(random.Random(11), 64, 500, loops=2)
+    a = iotlb.zipf_page_trace(random.Random(11), 64, 500, loops=2)
+    b = iotlb.zipf_page_trace(random.Random(11), 64, 500, loops=2)
     assert a == b
     assert len(a) == 1000
     assert all(0 <= p < 64 for p in a)
@@ -236,7 +228,10 @@ def test_forced_keys_land_at_rank_1_alone():
     bench = dht.DhtBench(cfg, keys=forced_keys(cfg))
     # Ranks given no keys are not sources: only rank 0's ops run.
     assert bench.plan[1:] == [[], [], []]
-    assert bench.run().ops == cfg.ops_per_proc
+    metrics = bench.run()
+    assert metrics.ops == cfg.ops_per_proc
+    # One bucket: every insert after the first collides.
+    assert metrics.collisions == cfg.ops_per_proc - 1
     planned = Counter(key for _kind, key in bench.plan[0])
     assert len(planned) == cfg.ops_per_proc
     assert bench.oracle_contents(1) == planned == bench.contents(1)
@@ -319,31 +314,20 @@ def test_bench_measures_target_collision_ratio():
     cfg = small_cfg(scheme="aa-poll", r_cols=0.25, ops_per_proc=100)
     bench = dht.DhtBench(cfg)
     metrics = bench.run()
-    # The bench keeps no stream; each source's is drawn again from its seed.
-    streams = []
+    # Each source's keys are drawn again from its seed.
+    quotas = 0
     for rank in range(cfg.num_procs):
-        stream_ = keys.KeyStream(bench.sim.rng_for(3, rank), cfg.num_procs, bench.table_size, cfg.r_cols)
-        assert stream_.take(cfg.ops_per_proc) == [key for _, key in bench.plan[rank]]
-        streams.append(stream_)
-    issued = sum(s.issued for s in streams)
-    assert abs(metrics.collisions / issued - 0.25) <= 1.0 / 100
+        drawn = keys.collision_keys(
+            bench.sim.rng_for(3, rank), cfg.num_procs, bench.table_size, cfg.r_cols, cfg.ops_per_proc
+        )
+        assert drawn == [key for _, key in bench.plan[rank]]
+        quotas += _quota(drawn, cfg.num_procs, bench.table_size)
+    assert abs(metrics.collisions / (cfg.num_procs * cfg.ops_per_proc) - 0.25) <= 1.0 / 100
     # Collisions count every insert onto an occupied spot, whichever source
-    # took it first, so they include each stream's quota.
+    # took it first, so they include each source's quota.
     inserts = [key for ops in bench.plan for kind, key in ops if kind == "insert"]
-    spots = {keys.placement(key, cfg.num_procs, bench.table_size) for key in inserts}
-    assert metrics.collisions == len(inserts) - len(spots)
-    assert metrics.collisions >= sum(s.collisions for s in streams)
-
-
-def test_dht_bench_keeps_no_key_stream():
-    gc.collect()
-    before = sum(isinstance(o, keys.KeyStream) for o in gc.get_objects())
-    bench = dht.DhtBench(small_cfg(scheme="aa-poll", r_cols=0.25, ops_per_proc=100))
-    gc.collect()
-    assert sum(isinstance(o, keys.KeyStream) for o in gc.get_objects()) == before
-    inserts = [key for ops in bench.plan for kind, key in ops if kind == "insert"]
-    spots = {keys.placement(key, bench.cfg.num_procs, bench.table_size) for key in inserts}
-    assert bench.run().collisions == len(inserts) - len(spots) > 0
+    assert metrics.collisions == _quota(inserts, cfg.num_procs, bench.table_size) > 0
+    assert metrics.collisions >= quotas
 
 
 def test_lookup_returns_bucket_head_or_empty():
@@ -407,16 +391,18 @@ def test_heap_overflow_raises():
     ("rma", {"delete_fraction": 0.25}),
     ("am", {}),
     ("aa-sp", {"keys": iotlb.hot_owner_keys(small_cfg(ops_per_proc=300))}),
+    ("aa-int", {"keys": forced_keys(small_cfg(ops_per_proc=300))}),
 ])
 def test_overflow_cells_match_heap_use(scheme, kw):
     bench = dht.DhtBench(small_cfg(scheme=scheme, r_cols=0.6, ops_per_proc=300), **kw)
-    bench.run()
+    metrics = bench.run()
     used = [
         proc.memory.read_word(layout.next_free_addr) - bench.table_size
         for proc, layout in zip(bench.sim.procs, bench.layouts)
     ]
     assert bench.overflow_cells() == used
     assert max(used) > 0
+    assert metrics.collisions == sum(used) == sum(bench.overflow_cells())
 
 
 @pytest.mark.parametrize("scheme", ("rma", "am"))
@@ -434,8 +420,8 @@ def test_key_source_past_ops_per_proc_is_bound_by_the_heap():
     # 34 keys into one bucket of a 32-cell heap, with ops_per_proc of 1.
     cfg = small_cfg(scheme="rma", num_procs=2, ops_per_proc=1, vol_size=64)
 
-    def source(rng, rank):
-        return forced_collision_keys(rng, 34, 1, 7, 2, 32) if rank == 0 else []
+    def source(rng, rank, table_size):
+        return forced_collision_keys(rng, 34, 1, 7, 2, table_size) if rank == 0 else []
 
     with pytest.raises(ConfigError, match="overflow cells"):
         dht.DhtBench(cfg, keys=source)

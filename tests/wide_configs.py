@@ -68,10 +68,6 @@ def _costs(rng, record_bytes):
     return fields
 
 
-def _record_bytes(length):
-    return 24 + (length + 7) // 8 * 8
-
-
 def wide_configs(seed=GENERATOR_SEED):
     """The config set, in a fixed order."""
     rng = random.Random(seed)
@@ -85,7 +81,7 @@ def wide_configs(seed=GENERATOR_SEED):
             "r_cols": rng.choice((0.0, 0.25, 0.5)),
             "seed": rng.randint(1, 1000),
             "vol_size": 1 << 10,
-            **_costs(rng, _record_bytes(8)),
+            **_costs(rng, logbuf.record_size(8, with_data=True)),
         })
     for _ in range(GETLOG_CONFIGS):
         configs.append({
@@ -94,7 +90,7 @@ def wide_configs(seed=GENERATOR_SEED):
             "num_procs": 2,
             "gets": rng.randint(5, 40),
             "seed": rng.randint(1, 1000),
-            **_costs(rng, _record_bytes(8)),
+            **_costs(rng, logbuf.record_size(8, with_data=True)),
         })
     for _ in range(INCAST_CONFIGS):
         payload = rng.choice(INCAST_PAYLOADS)
@@ -107,7 +103,7 @@ def wide_configs(seed=GENERATOR_SEED):
             "payload": payload,
             "pages": rng.randint(1, 2),
             "seed": rng.randint(1, 1000),
-            **_costs(rng, _record_bytes(payload)),
+            **_costs(rng, logbuf.record_size(payload, with_data=True)),
         })
     return configs
 
