@@ -75,7 +75,8 @@ def build_parser():
     p = sub.add_parser("sort", help="sample sort with logged exchange phase")
     common(p)
     p.add_argument("--scheme", choices=getlog.SCHEMES, default="aa")
-    p.add_argument("--words", type=int, default=1 << 13, help="total 32-bit words to sort")
+    p.add_argument("--words", type=int, default=1 << 13,
+                   help="total values to sort, each 32 random bits in one 8-byte word")
     p.set_defaults(func=cmd_sort)
 
     p = sub.add_parser("sweep-iotlb", help="IOTLB size/assoc/policy sweep")

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from . import link as lnk
 from . import logbuf
 from .engine import Signal
-from .memory import PAGE_SHIFT, PAGE_SIZE
+from .memory import PAGE_SHIFT, PAGE_SIZE, WORD
 from .paging import GET, IUID_LIMIT, PUT
 
 
@@ -388,7 +388,7 @@ class Iommu:
                 self.memory.write_word(phys, desc.operand)
             else:
                 raise IommuError("unknown atomic op %r" % desc.op)
-            data = prev.to_bytes(8, "little")
+            data = WORD.pack(prev)
             # The write-back and the egress interception: one step.
             egress += cfg.mem_access_ns
         cpls = lnk.make_completions(tlp, data, cfg.max_payload)

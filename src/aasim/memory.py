@@ -12,10 +12,14 @@ lines then enter the store as views of that buffer, so the owner moves a run
 of bytes with one slice of the buffer, while ``read`` and ``write`` still go
 through the store and see the same bytes. The access logs' rings are backed
 this way.
+
+Memory holds 8-byte little-endian words: this module owns that format. WORD
+packs and unpacks one word; ``words`` and ``pack_words`` convert a run of
+them at once.
 """
 
+import struct
 from bisect import bisect_right
-from struct import Struct
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
@@ -26,8 +30,19 @@ _ZERO_LINE = bytes(LINE_SIZE)
 # _INTO_LINE[n](line, off, payload) copies an n-byte payload into a line in
 # place, and _FROM_LINE[n](line, off)[0] copies n bytes of a line out as bytes,
 # each in one copy where going through a slice would take two.
-_INTO_LINE = [Struct("%ds" % n).pack_into for n in range(LINE_SIZE + 1)]
-_FROM_LINE = [Struct("%ds" % n).unpack_from for n in range(LINE_SIZE + 1)]
+_INTO_LINE = [struct.Struct("%ds" % n).pack_into for n in range(LINE_SIZE + 1)]
+_FROM_LINE = [struct.Struct("%ds" % n).unpack_from for n in range(LINE_SIZE + 1)]
+WORD = struct.Struct("<Q")
+
+
+def words(data):
+    """The 8-byte words of data, whose length is a multiple of 8, as a tuple."""
+    return struct.unpack("<%dQ" % (len(data) // 8), data)
+
+
+def pack_words(values):
+    """The words of values, each in [0, 2**64), joined as bytes."""
+    return struct.pack("<%dQ" % len(values), *values)
 
 
 class MemoryError_(Exception):
@@ -152,9 +167,9 @@ class PhysMemory:
     def read_word(self, addr):
         if addr % 8:
             raise MemoryError_("unaligned word read at %d" % addr)
-        return int.from_bytes(self.read(addr, 8), "little")
+        return WORD.unpack(self.read(addr, 8))[0]
 
     def write_word(self, addr, value):
         if addr % 8:
             raise MemoryError_("unaligned word write at %d" % addr)
-        self.write(addr, (value & (2**64 - 1)).to_bytes(8, "little"))
+        self.write(addr, WORD.pack(value & (2**64 - 1)))

@@ -11,7 +11,7 @@ from . import link as lnk
 from . import logbuf
 from .config import ConfigError
 from .engine import Cpu, Signal
-from .memory import PAGE_SHIFT, PAGE_SIZE
+from .memory import PAGE_SHIFT, PAGE_SIZE, WORD
 from .paging import Pte
 
 # Under aa-int, a commit that leaves the node's pending records below
@@ -267,14 +267,14 @@ class Proc:
             target, address, 8, atomic=lnk.AtomicDesc("cas", swap, compare)
         )
         yield from handle.wait()
-        return int.from_bytes(handle.data, "little")
+        return WORD.unpack(handle.data)[0]
 
     def fao(self, target, op, operand, address):
         if op not in ("sum", "replace"):
             raise NodeError("unknown fetch-and-op %r" % op)
         handle = yield from self.get(target, address, 8, atomic=lnk.AtomicDesc(op, operand))
         yield from handle.wait()
-        return int.from_bytes(handle.data, "little")
+        return WORD.unpack(handle.data)[0]
 
     # -- flushes -----------------------------------------------------------
 

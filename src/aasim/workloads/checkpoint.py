@@ -28,7 +28,7 @@ class CheckpointBench:
         self.sim = Simulation(cfg)
         self.dirty_now = set()
         self.snapshots = []
-        self.local_sets = []  # per epoch, supplied by the caller side
+        self.local_sets = []  # per epoch, the locally dirtied pages, drawn below
         rng = self.sim.rng_for(4)
         sources = list(range(1, cfg.num_procs))
         self.plan = [

@@ -10,7 +10,7 @@ source and ships the vectors once at the end.
 from collections import Counter
 
 from ..config import ConfigError
-from ..memory import PAGE_SIZE
+from ..memory import PAGE_SIZE, pack_words, words
 from ..paging import PUT
 from ..sim import Simulation
 
@@ -106,13 +106,13 @@ class CounterBench:
         else:
             yield from proc.rma_flush(0)
         if self.variant == "allreduce":
-            vec = bytearray()
-            for page in range(self.n_pages):
-                vec += self.local_counts[rank][("put", page)].to_bytes(8, "little")
-                vec += self.local_counts[rank][("get", page)].to_bytes(8, "little")
+            mine = self.local_counts[rank]
+            vec = pack_words(
+                [mine[(kind, page)] for page in range(self.n_pages) for kind in ("put", "get")]
+            )
             slot = self.gather_region + rank * self.vec_span
             for off in range(0, len(vec), PAGE_SIZE):
-                yield from proc.put(0, slot + off, bytes(vec[off : off + PAGE_SIZE]))
+                yield from proc.put(0, slot + off, vec[off : off + PAGE_SIZE])
             yield from proc.rma_flush(0)
 
     def run(self):
@@ -120,30 +120,19 @@ class CounterBench:
             self.sim.add_app(rank, self._source_app(rank))
         metrics = self.sim.run()
         if self.variant == "rma-atomics":
-            self._read_atomic_counts()
+            self._add_vector(self.cnt_region)
         elif self.variant == "allreduce":
-            self._sum_vectors()
+            for rank in range(1, self.cfg.num_procs):
+                self._add_vector(self.gather_region + rank * self.vec_span)
         return metrics
 
-    def _read_atomic_counts(self):
-        mem = self.sim.procs[0].memory
-        for page in range(self.n_pages):
-            for kind in ("put", "get"):
-                n = mem.read_word(self._counter_addr(kind, page))
-                if n:
-                    self.counts[(kind, page)] = n
-
-    def _sum_vectors(self):
-        mem = self.sim.procs[0].memory
-        for rank in range(1, self.cfg.num_procs):
-            slot = self.gather_region + rank * self.vec_span
-            for page in range(self.n_pages):
-                put_n = mem.read_word(slot + page * 16)
-                get_n = mem.read_word(slot + page * 16 + 8)
-                if put_n:
-                    self.counts[("put", page)] += put_n
-                if get_n:
-                    self.counts[("get", page)] += get_n
+    def _add_vector(self, base):
+        """Add the counts held at base on the target, a put and a get count
+        per page, as laid out by _counter_addr."""
+        vec = words(self.sim.procs[0].memory.read(base, 16 * self.n_pages))
+        for i, n in enumerate(vec):
+            if n:
+                self.counts[("get" if i % 2 else "put", i // 2)] += n
 
     def expected_counts(self):
         return trace_counts(self.trace)

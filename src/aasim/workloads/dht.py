@@ -9,31 +9,24 @@ the element to the owner's inbox. All variants share local_insert and
 local_delete so their final contents can be compared cell for cell.
 """
 
-import struct
-import sys
-from array import array
 from collections import Counter
 from fractions import Fraction
 from math import ceil
 
 from ..config import ConfigError
 from ..engine import Barrier
-from ..memory import PAGE_SIZE
+from ..memory import PAGE_SIZE, WORD, words
 from ..sim import Simulation
 from . import keys as K
 
 CELL = 16
 EMPTY = 0
 _READ_CHUNK = 1 << 20
-_WORD = struct.Struct("<Q")
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 class DhtOverflow(RuntimeError):
     """The overflow heap ran out of cells; a real store would resize here."""
-
-
-def word(value):
-    return value.to_bytes(8, "little")
 
 
 class VolumeLayout:
@@ -121,15 +114,17 @@ def local_delete(rw, layout, key):
 def extract_contents(memory, layout):
     """Multiset of stored elements, position independent.
 
-    Reads the volume in bulk slices and unpacks each slice's words at once.
+    Reads the volume in bulk slices and unpacks only the pages that hold
+    data, since almost every cell of a default-size volume is empty.
     """
     found = Counter()
     end = layout.base + layout.volume_bytes
     for addr in range(layout.base, end, _READ_CHUNK):
-        words = array("Q", memory.read(addr, min(_READ_CHUNK, end - addr)))
-        if sys.byteorder != "little":
-            words.byteswap()
-        found.update(words[:: CELL // 8])
+        buf = memory.read(addr, min(_READ_CHUNK, end - addr))
+        for off in range(0, len(buf), PAGE_SIZE):
+            page = buf[off : off + PAGE_SIZE]
+            if page != _ZERO_PAGE:
+                found.update(words(page)[:: CELL // 8])
     del found[EMPTY]
     return found
 
@@ -144,33 +139,28 @@ def insert_rma(proc, owner, layout, elem, pos):
         free_cell = yield from proc.fao(owner, "sum", 1, layout.next_free_addr)
         if free_cell >= layout.vol_size:
             raise DhtOverflow("volume at rank %d full; needs a resize" % owner)
-        yield from proc.put(owner, layout.elem_addr(free_cell), word(elem))
+        yield from proc.put(owner, layout.elem_addr(free_cell), WORD.pack(elem))
         yield from proc.rma_flush(owner)
         prev_ptr = yield from proc.fao(owner, "replace", free_cell, layout.last_ptr_addr(pos))
         old_ptr = yield from proc.cas(owner, layout.ptr_addr(pos), EMPTY, free_cell)
         if old_ptr != EMPTY:
-            yield from proc.put(owner, layout.ptr_addr(prev_ptr), word(free_cell))
+            yield from proc.put(owner, layout.ptr_addr(prev_ptr), WORD.pack(free_cell))
             yield from proc.rma_flush(owner)
 
 
 def delete_rma(proc, owner, layout, key, pos):
     """Walk the bucket chain remotely, swapping out every matching cell;
     pos is key's bucket."""
-    handle = yield from proc.get(owner, layout.elem_addr(pos), CELL)
-    yield from handle.wait()
-    elem = int.from_bytes(handle.data[0:8], "little")
-    ptr = int.from_bytes(handle.data[8:16], "little")
-    if elem == key:
-        yield from proc.cas(owner, layout.elem_addr(pos), key, EMPTY)
-    hops = 0
-    while ptr != EMPTY and hops <= layout.vol_size:
-        handle = yield from proc.get(owner, layout.elem_addr(ptr), CELL)
+    cell, hops = pos, 0
+    while True:
+        handle = yield from proc.get(owner, layout.elem_addr(cell), CELL)
         yield from handle.wait()
-        elem = int.from_bytes(handle.data[0:8], "little")
+        elem, ptr = words(handle.data)
         if elem == key:
-            yield from proc.cas(owner, layout.elem_addr(ptr), key, EMPTY)
-        ptr = int.from_bytes(handle.data[8:16], "little")
-        hops += 1
+            yield from proc.cas(owner, layout.elem_addr(cell), key, EMPTY)
+        if ptr == EMPTY or hops > layout.vol_size:
+            return
+        cell, hops = ptr, hops + 1
 
 
 # -- benchmark assembly ------------------------------------------------------
@@ -184,13 +174,13 @@ class DhtNode:
         self.layout = layout
 
     def insert_handler(self, ctx, record):
-        local_insert(ctx, self.layout, _WORD.unpack_from(record.payload)[0])
+        local_insert(ctx, self.layout, WORD.unpack_from(record.payload)[0])
 
     def delete_handler(self, ctx, record):
-        local_delete(ctx, self.layout, _WORD.unpack_from(record.payload)[0])
+        local_delete(ctx, self.layout, WORD.unpack_from(record.payload)[0])
 
     def am_handler(self, ctx, src, payload):
-        local_insert(ctx, self.layout, _WORD.unpack_from(payload)[0])
+        local_insert(ctx, self.layout, WORD.unpack_from(payload)[0])
 
 
 class DhtBench:
@@ -328,13 +318,13 @@ class DhtBench:
             if self.scheme == "rma":
                 yield from insert_rma(proc, owner, layout, key, pos)
             elif self.scheme == "am":
-                yield from proc.am_send(owner, word(key))
+                yield from proc.am_send(owner, WORD.pack(key))
             else:  # the active insert: one put, the owner's handler does the rest
-                yield from proc.put(owner, layout.elem_addr(pos), word(key))
+                yield from proc.put(owner, layout.elem_addr(pos), WORD.pack(key))
         elif self.scheme == "rma":
             yield from delete_rma(proc, owner, layout, key, pos)
         else:
-            yield from proc.put(owner, self.delete_pages[owner], word(key))
+            yield from proc.put(owner, self.delete_pages[owner], WORD.pack(key))
         self.sim.metrics.ops += 1
 
     def _app(self, rank, barrier):

@@ -12,11 +12,9 @@ from bisect import bisect_left
 
 from ..config import ConfigError
 from ..logbuf import record_size
-from ..memory import PAGE_SIZE
+from ..memory import PAGE_SIZE, WORD, pack_words, words
 from ..sim import Simulation
 from . import getlog
-
-WORD = 8
 
 
 def page_chunks(addr, length):
@@ -41,7 +39,7 @@ class SortBench:
         if total_words % procs:
             raise ConfigError("%d words do not split evenly over %d procs" % (total_words, procs))
         self.words_per_rank = total_words // procs
-        if self.words_per_rank <= 0 or self.words_per_rank * WORD % PAGE_SIZE:
+        if self.words_per_rank <= 0 or self.words_per_rank * WORD.size % PAGE_SIZE:
             raise ConfigError("%d words over %d procs do not fill whole %d B pages per rank"
                               % (total_words, procs, PAGE_SIZE))
         self.sim = Simulation(cfg)
@@ -83,19 +81,17 @@ class SortBench:
             (length
              for owner, ranges in enumerate(self.ranges)
              for fetcher, (lo, hi) in enumerate(ranges) if fetcher != owner
-             for _addr, length in page_chunks(lo * WORD, (hi - lo) * WORD)),
+             for _addr, length in page_chunks(lo * WORD.size, (hi - lo) * WORD.size)),
             default=0,
         )
 
     def _build(self):
-        span = self.words_per_rank * WORD
+        span = self.words_per_rank * WORD.size
         self.regions = []
         self.xlogs = []
         for rank, proc in enumerate(self.sim.procs):
             region = proc.memory.reserve_region("data", span)
-            proc.memory.write(
-                region, b"".join(w.to_bytes(WORD, "little") for w in self.arrays[rank])
-            )
+            proc.memory.write(region, pack_words(self.arrays[rank]))
             self.regions.append(region)
             getlog.expose(proc, region, span, self.variant, self._log_record)
             if self.variant == "sendback":
@@ -115,7 +111,7 @@ class SortBench:
         for i in range(fetcher):
             if i != owner:
                 lo, hi = self.ranges[owner][i]
-                off += (hi - lo) * WORD
+                off += (hi - lo) * WORD.size
         return off
 
     def _exchange_app(self, rank):
@@ -131,8 +127,8 @@ class SortBench:
                 pieces.append([])
                 continue
             buf = bytearray()
-            start = self.regions[j] + lo * WORD
-            for addr, length in page_chunks(start, (hi - lo) * WORD):
+            start = self.regions[j] + lo * WORD.size
+            for addr, length in page_chunks(start, (hi - lo) * WORD.size):
                 handle = yield from proc.get(j, addr, length)
                 yield from handle.wait()
                 buf += handle.data
@@ -143,10 +139,7 @@ class SortBench:
                 for addr, length in page_chunks(dest, len(buf)):
                     yield from proc.put(j, addr, bytes(buf[cursor : cursor + length]))
                     cursor += length
-            words = [
-                int.from_bytes(buf[k : k + WORD], "little") for k in range(0, len(buf), WORD)
-            ]
-            pieces.append(words)
+            pieces.append(words(buf))
         self.results[rank] = list(heapq.merge(*pieces))
 
     def run(self):

@@ -428,6 +428,7 @@ def test_r_comp_adds_compute_gaps_and_nothing_else(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["dht", "--procs", "2", "--ops", "0"],  # no app: run() sweeps at once
     ["checkpoint", "--procs", "2", "--epochs", "0"],  # apps return in their first step
+    ["getlog", "--scheme", "sendback", "--gets", "0"],  # the send log still takes a page
 ])
 def test_empty_runs_end_at_time_zero(tmp_path, argv):
     out = str(tmp_path / "empty.csv")

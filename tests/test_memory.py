@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aasim.memory import LINE_SIZE, PAGE_SIZE, MemoryError_, PhysMemory
+from aasim.memory import LINE_SIZE, PAGE_SIZE, MemoryError_, PhysMemory, pack_words, words
 
 
 class DenseMemory:
@@ -226,3 +226,18 @@ def test_a_backed_region_keeps_its_bytes_and_shares_them_with_the_store():
     for bad in ((base + 8, 8), (base, 0), (base, mem.size + 1)):
         with pytest.raises(MemoryError_):
             mem.back_region(*bad)
+
+
+def test_words_are_eight_bytes_little_endian():
+    packed = pack_words([1, 2**64 - 1])
+    assert packed == b"\x01" + bytes(7) + b"\xff" * 8
+    assert words(packed) == (1, 2**64 - 1)
+
+
+def test_a_word_round_trips_and_wraps_at_64_bits():
+    mem = PhysMemory(0)
+    base = mem.reserve_region("words", PAGE_SIZE)
+    mem.write_word(base, 2**64 - 1)
+    assert mem.read_word(base) == 2**64 - 1
+    mem.write_word(base + 8, 2**64)
+    assert mem.read_word(base + 8) == 0

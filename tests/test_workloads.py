@@ -372,6 +372,12 @@ def test_bulk_extract_matches_word_by_word_read():
         reference = Counter(w for w in words if w != dht.EMPTY)
         assert dht.extract_contents(proc.memory, layout) == reference
         assert reference
+        # Both kinds of page, so extract_contents skips some and reads some.
+        page_is_empty = {
+            proc.memory.read(addr, PAGE_SIZE) == bytes(PAGE_SIZE)
+            for addr in range(layout.base, layout.base + layout.volume_bytes, PAGE_SIZE)
+        }
+        assert page_is_empty == {True, False}
 
 
 def test_heap_overflow_raises():
