@@ -90,7 +90,6 @@ class Iommu:
         self.inbox_page = None  # page number whose writes are queued as messages
         self.inbox = deque()  # (source, payload) per inbox write, in arrival order
         self.wake_consumer = None  # callable(): a flush or a message waits on the consumer
-        self._fault_seq = 0
         engine.spawn(self._pipeline())
 
     # -- wiring ------------------------------------------------------------
@@ -188,28 +187,30 @@ class Iommu:
         # Interception and the walk: one step of pipeline occupancy.
         occupancy = cfg.iommu_proc_ns + cfg.mem_access_ns * accesses
         if run is None:
-            self._append_fault(tlp, op, blocked=True)
+            self.fault_log.append(op, tlp.requester_id, tlp.address, tlp.txn_total, True)
             return occupancy, (0, False, False, None, 0, "fault")
         acts = run.acts[op]
         memory_effect = acts.memory_effect
         status = "ok" if memory_effect else "blocked"
         if not (acts.log_meta and acts.to_access_log):
             if acts.log_meta:  # logged to the fault log
-                self._append_fault(tlp, op, blocked=not memory_effect)
+                self.fault_log.append(
+                    op, tlp.requester_id, tlp.address, tlp.txn_total, not memory_effect)
             return occupancy, (phys, memory_effect, False, None, 0, status)
         iuid = acts.iuid
         if not 0 < iuid <= len(self.alogs):
             raise IommuError("no access log registered for iuid %d" % iuid)
         log = self.alogs[iuid - 1]
         with_data = acts.log_data
-        nbytes = logbuf.HEADER_BYTES + ((tlp.txn_total + 7) & ~7 if with_data else 0)
+        nbytes = logbuf.record_size(tlp.txn_total, with_data)
         if nbytes > log.size - (log.head - log.tail):
             return self._reserve_late(tlp, op, acts, log, nbytes, occupancy, phys, status), None
         # Space freed later only adds to this, so the record reserved now is
         # the one the walk's end would reserve, at the same offset; the
         # header store (one memory access) joins the step.
         offset = log.reserve(nbytes)
-        self._store_header(tlp, op, acts, log, offset)
+        log.write_header(offset, op, tlp.requester_id, tlp.address, tlp.txn_total, with_data,
+                         not memory_effect)
         return occupancy + cfg.mem_access_ns, (phys, memory_effect, with_data, log, offset, status)
 
     def _reserve_late(self, tlp, op, acts, log, nbytes, occupancy, phys, status):
@@ -237,19 +238,10 @@ class Iommu:
                 yield log.space_freed
                 self._blocked_log = None
             offset = log.reserve(nbytes)
-        self._store_header(tlp, op, acts, log, offset)
+        log.write_header(offset, op, tlp.requester_id, tlp.address, tlp.txn_total, acts.log_data,
+                         not acts.memory_effect)
         yield self.cfg.mem_access_ns
         return phys, acts.memory_effect, acts.log_data, log, offset, status
-
-    @staticmethod
-    def _store_header(tlp, op, acts, log, offset):
-        flags = (logbuf.FLAG_DATA if acts.log_data else 0) | (
-            0 if acts.memory_effect else logbuf.FLAG_BLOCKED
-        )
-        seq = log.next_seq
-        log.next_seq = seq + 1
-        log.ring_write(offset, logbuf.HEADER.pack(
-            op, tlp.requester_id, acts.iuid, tlp.address, tlp.txn_total, flags, seq))
 
     def _serve_open_txns(self):
         """Process the first queued packet of an already-open transaction."""
@@ -263,19 +255,6 @@ class Iommu:
                 self._retire()
                 return True
         return False
-
-    def _append_fault(self, tlp, op, blocked):
-        rec = logbuf.LogRecord(
-            op_kind=op,
-            device_id=tlp.requester_id,
-            iuid=0,
-            dev_addr=tlp.address,
-            length=tlp.txn_total,
-            flags=logbuf.FLAG_BLOCKED if blocked else 0,
-            seq_no=self._fault_seq,
-        )
-        self._fault_seq += 1
-        self.fault_log.append(rec)
 
     # -- writes ------------------------------------------------------------
 
@@ -309,7 +288,7 @@ class Iommu:
             if phys >> PAGE_SHIFT == self.inbox_page:
                 self._to_inbox(tlp.requester_id, payload, entry, last)
         if log_data:
-            log.ring_write(offset + logbuf.HEADER_BYTES + off, payload)
+            log.write_data(offset, off, payload)
         if last:
             if tlp.on_done is not None:
                 # An active put (no memory effect, but logged) succeeded.
@@ -400,7 +379,7 @@ class Iommu:
         cfg = self.cfg
         cpl = cpls[i]
         if log is not None:
-            log.ring_write(offset + logbuf.HEADER_BYTES + i * cfg.max_payload, cpl.payload)
+            log.write_data(offset, i * cfg.max_payload, cpl.payload)
         self.backchannel_for(tlp.requester_id).deliver(cpl)
         if i + 1 < len(cpls):
             self.engine.schedule(cfg.iommu_proc_ns, self._egress, tlp, cpls, i + 1, log, offset)

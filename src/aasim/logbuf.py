@@ -1,10 +1,11 @@
 """Access-log ring buffers and the system fault log.
 
 Each logging domain (IUID) owns one power-of-two ring in host memory. The
-producer side reserves space per transaction and may complete reservations
-out of order; a committed-head pointer publishes only the hole-free prefix,
-so consumers never observe a partially filled record. Offsets are virtual
-(monotonic) and wrap at byte granularity on the ring.
+producer side reserves each transaction's record, stores its header and
+data through the ring's writers, and may complete records out of order; a
+committed-head pointer publishes only the hole-free prefix, so consumers
+never observe a partially filled record. Offsets are virtual (monotonic)
+and wrap at byte granularity on the ring.
 
 A ring is one buffer that backs the ring's lines in the node's memory
 (``PhysMemory.back_region``), from its first reservation on; every ring
@@ -31,12 +32,8 @@ class LogError(Exception):
     pass
 
 
-def pad8(n):
-    return (n + 7) & ~7
-
-
 def record_size(length, with_data):
-    return HEADER_BYTES + (pad8(length) if with_data else 0)
+    return HEADER_BYTES + ((length + 7) & ~7 if with_data else 0)
 
 
 @dataclass(slots=True)
@@ -60,8 +57,8 @@ class LogRecord:
 
 
 class AccessLog:
-    """One domain's ring. Never drops; a producer that cannot reserve
-    stalls until the consumer frees space."""
+    """One domain's ring, which numbers and lays out its own records. Never
+    drops; a producer that cannot reserve stalls until the consumer frees space."""
 
     def __init__(self, engine, memory, iuid, base, size):
         if size <= 0 or size & (size - 1):
@@ -75,8 +72,7 @@ class AccessLog:
         self.head = 0  # producer reservation frontier (virtual)
         self.committed_head = 0  # hole-free prefix boundary
         self.tail = 0  # consumer frontier
-        self._pending = deque()  # reservations in order: [offset, nbytes, done]
-        self._by_offset = {}
+        self._reserved = {}  # offset -> [end, done]; tiles committed_head..head
         self.next_seq = 0
         self.space_freed = Signal(engine)
         self.commit_hooks = []
@@ -106,11 +102,20 @@ class AccessLog:
             # A domain that never logs costs no buffer.
             self._ring = self.memory.back_region(self.base, self.size)
         offset = self.head
-        self.head += nbytes
-        entry = [offset, nbytes, False]
-        self._pending.append(entry)
-        self._by_offset[offset] = entry
+        self.head = end = offset + nbytes
+        self._reserved[offset] = [end, False]
         return offset
+
+    def write_header(self, offset, op, device_id, dev_addr, length, with_data, blocked):
+        """Store the header of the record reserved at offset, numbered next."""
+        seq = self.next_seq
+        self.next_seq = seq + 1
+        flags = (FLAG_DATA if with_data else 0) | (FLAG_BLOCKED if blocked else 0)
+        self.ring_write(offset, HEADER.pack(op, device_id, self.iuid, dev_addr, length, flags, seq))
+
+    def write_data(self, offset, at, payload):
+        """Store payload at byte at of the data of the record at offset."""
+        self.ring_write(offset + HEADER_BYTES + at, payload)
 
     def ring_write(self, voffset, payload):
         size = self.size
@@ -134,17 +139,21 @@ class AccessLog:
     def mark_done(self, offset):
         """Complete the reservation at offset and advance committed_head over
         the done prefix; returns the records published."""
-        entry = self._by_offset.get(offset)
-        if entry is None or entry[2]:
+        reserved = self._reserved
+        entry = reserved.get(offset)
+        if entry is None or entry[1]:
             raise LogError("bad completion for reservation at %d" % offset)
-        entry[2] = True
+        entry[1] = True
         published = 0
-        while self._pending and self._pending[0][2]:
-            offset, nbytes, _ = self._pending.popleft()
-            del self._by_offset[offset]
-            self.committed_head = offset + nbytes
+        head = self.committed_head
+        entry = reserved.get(head)
+        while entry is not None and entry[1]:
+            del reserved[head]
+            head = entry[0]
             published += 1
+            entry = reserved.get(head)
         if published:
+            self.committed_head = head
             self.records_committed += published
             for hook in self.commit_hooks:
                 hook(self)
@@ -188,12 +197,15 @@ class FaultLog:
         self.capacity = capacity
         self.entries = []
         self.drops = 0
+        self.next_seq = 0
 
-    def append(self, record):
-        if record.data_present:
-            raise LogError("fault log holds metadata only")
+    def append(self, op, device_id, dev_addr, length, blocked):
+        """Log an access's metadata under iuid 0, numbered next even if dropped."""
+        seq = self.next_seq
+        self.next_seq = seq + 1
         if len(self.entries) >= self.capacity:
             self.drops += 1
             return False
-        self.entries.append(record)
+        self.entries.append(
+            LogRecord(op, device_id, 0, dev_addr, length, FLAG_BLOCKED if blocked else 0, seq))
         return True

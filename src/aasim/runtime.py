@@ -8,7 +8,6 @@ modes, and its active-message inbox.
 """
 
 from . import link as lnk
-from . import logbuf
 from .config import ConfigError
 from .engine import Cpu, Signal
 from .memory import PAGE_SHIFT, PAGE_SIZE, WORD
@@ -309,18 +308,23 @@ class Proc:
     # -- notification and consumption -------------------------------------
 
     def _on_commit(self, _log):
-        if self._notification != "int" or (
-            sum(log.pending_records for log in self.iommu.alogs) >= self.cfg.interrupt_batch
-        ):
-            self._notify()
-        elif not self._holdoff_armed:
-            self._holdoff_armed = True
-            self.engine.schedule(INTERRUPT_HOLDOFF_NS, self._holdoff)
+        if self._notification == "int":
+            pending = 0
+            for log in self.iommu.alogs:
+                pending += log.pending_records
+            if pending < self.cfg.interrupt_batch:
+                if not self._holdoff_armed:
+                    self._holdoff_armed = True
+                    self.engine.schedule(INTERRUPT_HOLDOFF_NS, self._holdoff)
+                return
+        self._notify()
 
     def _holdoff(self):
         self._holdoff_armed = False
-        if any(log.pending_records for log in self.iommu.alogs):
-            self._notify()
+        for log in self.iommu.alogs:
+            if log.committed_head != log.tail:
+                self._notify()
+                return
 
     def _notify(self):
         """Wake the consumer: a scratchpad write under sp, one interrupt under int."""
@@ -359,17 +363,20 @@ class Proc:
         poll_ns, access_ns, handler_ns = cfg.poll_interval_ns, cfg.mem_access_ns, cfg.handler_cost_ns
         check_ns = cfg.scratchpad_ns if self._notification == "sp" else access_ns
         dequeue_ns = 2 * access_ns
-        header_bytes = logbuf.HEADER_BYTES
         while True:
             if polling:
                 yield poll_ns
-            elif not any(log.pending_records for log in logs):
-                yield wake
+            else:
+                for log in logs:
+                    if log.committed_head != log.tail:
+                        break
+                else:  # nothing committed: park
+                    yield wake
             wait = busy(check_ns)
             if wait > 0:
                 yield wait
             for log, handler in zip(logs, handlers):
-                while log.committed_head - log.tail >= header_bytes:
+                while log.committed_head != log.tail:
                     record, size = log.read_record()
                     wait = busy(access_ns)  # record fetch
                     if wait > 0:

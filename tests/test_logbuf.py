@@ -17,19 +17,11 @@ from aasim.logbuf import (
 from aasim.memory import LINE_SIZE, PAGE_SIZE, PhysMemory
 
 
-def take_seq(log):
-    """The next record sequence number, taken as the bridge's header store
-    takes it."""
-    seq = log.next_seq
-    log.next_seq = seq + 1
-    return seq
-
-
-def make_log(size=128):
+def make_log(size=128, iuid=5):
     eng = Engine()
     mem = PhysMemory(0)
     base = mem.reserve_region("log", size)
-    return AccessLog(eng, mem, 5, base, size), eng
+    return AccessLog(eng, mem, iuid, base, size), eng
 
 
 def test_header_layout_golden_bytes():
@@ -46,6 +38,32 @@ def test_header_layout_golden_bytes():
     assert len(expected) == HEADER_BYTES == 24
     assert HEADER.pack(0, 2, 3, 0x1122334455667788, 8, FLAG_DATA, 9) == expected
     assert LogRecord(*HEADER.unpack(expected)) == rec
+    # The log's own writer stores the same bytes, with its iuid and number.
+    log, _ = make_log(128, iuid=3)
+    log.next_seq = 9
+    off = log.reserve(record_size(8, True))
+    log.write_header(off, 0, 2, 0x1122334455667788, 8, True, False)
+    assert log.ring_read(off, HEADER_BYTES) == expected
+
+
+def test_header_writer_numbers_records_in_order():
+    log, _ = make_log(128)
+    first = log.reserve(record_size(8, False))
+    second = log.reserve(record_size(5, True))
+    log.write_header(first, 1, 7, 0x2000, 8, False, True)
+    log.write_header(second, 0, 4, 0x3008, 5, True, False)
+    log.write_data(second, 0, b"hello")
+    log.mark_done(second)
+    log.mark_done(first)
+    got, size = log.read_record()
+    assert got == LogRecord(1, 7, 5, 0x2000, 8, FLAG_BLOCKED, 0)
+    assert size == HEADER_BYTES
+    log.advance_tail(size)
+    got, size = log.read_record()
+    assert got == LogRecord(0, 4, 5, 0x3008, 5, FLAG_DATA, 1, b"hello")
+    assert size == record_size(5, True)
+    log.advance_tail(size)
+    assert log.read_record() is None and log.next_seq == 2
 
 
 def test_record_size_padding():
@@ -58,8 +76,8 @@ def test_record_size_padding():
 def test_reserve_commit_consume_roundtrip():
     log, _ = make_log(128)
     off = log.reserve(record_size(8, True))
-    log.ring_write(off, HEADER.pack(0, 1, 5, 0x1000, 8, FLAG_DATA, take_seq(log)))
-    log.ring_write(off + HEADER_BYTES, b"ABCDEFGH")
+    log.write_header(off, 0, 1, 0x1000, 8, True, False)
+    log.write_data(off, 0, b"ABCDEFGH")
     assert log.read_record() is None  # not yet committed
     log.mark_done(off)
     got, size = log.read_record()
@@ -73,8 +91,8 @@ def test_out_of_order_commits_publish_in_reservation_order():
     log, _ = make_log(256)
     offs = [log.reserve(32) for _ in range(3)]
     for off in offs:
-        log.ring_write(off, HEADER.pack(0, 1, 5, off, 8, FLAG_DATA, take_seq(log)))
-        log.ring_write(off + HEADER_BYTES, bytes(8))
+        log.write_header(off, 0, 1, off, 8, True, False)
+        log.write_data(off, 0, bytes(8))
     assert log.mark_done(offs[1]) == 0  # hole before it
     assert log.committed_head == 0
     assert log.mark_done(offs[0]) == 2  # publishes both at once
@@ -88,8 +106,8 @@ def test_byte_granular_wraparound():
     log, _ = make_log(64)
     # first record occupies [0, 40)
     off = log.reserve(40)
-    log.ring_write(off, HEADER.pack(0, 1, 5, 0, 16, FLAG_DATA, take_seq(log)))
-    log.ring_write(off + HEADER_BYTES, bytes(range(16)))
+    log.write_header(off, 0, 1, 0, 16, True, False)
+    log.write_data(off, 0, bytes(range(16)))
     log.mark_done(off)
     _, size = log.read_record()
     log.advance_tail(size)
@@ -97,8 +115,8 @@ def test_byte_granular_wraparound():
     off = log.reserve(40)
     assert off == 40
     payload = bytes(range(100, 116))
-    log.ring_write(off, HEADER.pack(0, 1, 5, 0, 16, FLAG_DATA, take_seq(log)))
-    log.ring_write(off + HEADER_BYTES, payload)
+    log.write_header(off, 0, 1, 0, 16, True, False)
+    log.write_data(off, 0, payload)
     log.mark_done(off)
     got, size = log.read_record()
     assert got.payload == payload
@@ -113,7 +131,7 @@ def test_full_ring_blocks_until_space_freed():
     assert log.reserve(8) is None
     assert log.reserve_failures == 1
     # drain the first record
-    log.ring_write(a, HEADER.pack(0, 1, 5, 0, 8, FLAG_DATA, take_seq(log)))
+    log.write_header(a, 0, 1, 0, 8, True, False)
     log.mark_done(a)
     _, size = log.read_record()
     log.advance_tail(size)
@@ -136,23 +154,31 @@ def test_size_must_be_power_of_two():
 
 def test_fault_log_drops_on_overflow():
     flog = FaultLog(2)
-    rec = LogRecord(0, 1, 0, 0, 8, FLAG_BLOCKED, 0)
-    assert flog.append(rec)
-    assert flog.append(rec)
-    assert not flog.append(rec)
+    assert flog.append(0, 1, 0, 8, True)
+    assert flog.append(0, 1, 0, 8, True)
+    assert not flog.append(0, 1, 0, 8, True)
     assert flog.drops == 1
     assert len(flog.entries) == 2
 
 
-def test_fault_log_rejects_data_records():
-    flog = FaultLog(4)
-    with pytest.raises(LogError):
-        flog.append(LogRecord(0, 1, 0, 0, 8, FLAG_DATA, 0))
+def test_fault_log_numbers_metadata_entries_in_arrival_order():
+    flog = FaultLog(2)
+    flog.append(1, 3, 0x1000, 8, True)
+    flog.append(0, 4, 0x2000, 16, False)
+    flog.append(0, 5, 0x3000, 8, True)  # dropped, but numbered
+    flog.append(1, 6, 0x4000, 8, False)
+    assert flog.entries == [
+        LogRecord(1, 3, 0, 0x1000, 8, FLAG_BLOCKED, 0),
+        LogRecord(0, 4, 0, 0x2000, 16, 0, 1),
+    ]
+    assert not any(rec.data_present for rec in flog.entries)
+    assert flog.drops == 2 and flog.next_seq == 4
 
 
 class ReferenceRing:
     """A ring kept in an unbacked PhysMemory: every ring write and read goes
-    through PhysMemory.write and read, split where the ring wraps."""
+    through PhysMemory.write and read, split where the ring wraps. It numbers
+    the headers it stores itself, as AccessLog.write_header should."""
 
     def __init__(self, size):
         self.memory = PhysMemory(0)
@@ -160,6 +186,14 @@ class ReferenceRing:
         self.base = self.memory.reserve_region("log", size)
         self.memory.reserve_region("after", PAGE_SIZE)
         self.size = size
+        self.next_seq = 0
+
+    def write_header(self, voffset, dev_addr, length, with_data):
+        """Store the header AccessLog.write_header(voffset, 0, 1, dev_addr,
+        length, with_data, False) stores in a ring of iuid 5."""
+        flags = FLAG_DATA if with_data else 0
+        self.write(voffset, HEADER.pack(0, 1, 5, dev_addr, length, flags, self.next_seq))
+        self.next_seq += 1
 
     def write(self, voffset, payload):
         pos = self.base + voffset % self.size
@@ -228,10 +262,10 @@ def test_backed_ring_matches_a_ring_kept_in_the_line_store(size, lead, ops):
     if lead >= HEADER_BYTES:
         length = lead - HEADER_BYTES
         offset = log.reserve(lead)
-        record = HEADER.pack(0, 1, 5, 0, length, FLAG_DATA if length else 0, take_seq(log))
-        record += pattern(length, lead)
-        log.ring_write(offset, record)
-        ref.write(offset, record)
+        log.write_header(offset, 0, 1, 0, length, length > 0, False)
+        ref.write_header(offset, 0, length, length > 0)
+        log.write_data(offset, 0, pattern(length, lead))
+        ref.write(offset + HEADER_BYTES, pattern(length, lead))
         log.mark_done(offset)
         log.advance_tail(log.read_record()[1])
     open_recs = []  # [offset, length, with_data] reserved and not yet done
@@ -248,9 +282,8 @@ def test_backed_ring_matches_a_ring_kept_in_the_line_store(size, lead, ops):
             offset = log.reserve(nbytes)
             if offset is None:
                 continue
-            header = HEADER.pack(0, 1, 5, offset, length, FLAG_DATA if with_data else 0, take_seq(log))
-            log.ring_write(offset, header)
-            ref.write(offset, header)
+            log.write_header(offset, 0, 1, offset, length, with_data, False)
+            ref.write_header(offset, offset, length, with_data)
             open_recs.append([offset, length, with_data])
         elif kind == "write" and open_recs:
             _, k, at, length, seed = op
@@ -259,7 +292,7 @@ def test_backed_ring_matches_a_ring_kept_in_the_line_store(size, lead, ops):
                 continue
             at %= rec_len
             chunk = pattern(min(length, rec_len - at), seed)
-            log.ring_write(offset + HEADER_BYTES + at, chunk)
+            log.write_data(offset, at, chunk)
             ref.write(offset + HEADER_BYTES + at, chunk)
         elif kind == "done" and open_recs:
             offset = open_recs.pop(op[1] % len(open_recs))[0]

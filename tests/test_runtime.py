@@ -1,8 +1,9 @@
 import math
+import sys
 
 import pytest
 
-from aasim import iommu
+from aasim import iommu, runtime
 from aasim.config import SimConfig
 from aasim.link import OversizeError
 from aasim.logbuf import record_size
@@ -929,6 +930,27 @@ def test_logged_get_publish_never_ends_the_run(scheme, mem_access_ns, handler_co
     assert bench.replayed() == bench.fetched_values()
     assert entry_costs == [0.0] * 30
     assert [charged for charged, _ in charges] == [want for _, want in charges]
+
+
+@pytest.mark.parametrize("scheme", ["aa-sp", "aa-int"])
+def test_woken_consumer_enters_no_generator_expression(scheme):
+    # The park test, the interrupt batch test and the holdoff test run on
+    # every wake-up or commit, so each is a plain loop.
+    bench = GetLogBench(small_cfg(scheme=scheme), "aa", n_gets=20)
+    entered = set()
+
+    def hook(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename == runtime.__file__:
+            entered.add(frame.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        bench.run()
+    finally:
+        sys.setprofile(None)
+    assert bench.replayed() == bench.fetched_values()
+    assert {"poll_step", "_on_commit"} <= entered
+    assert "<genexpr>" not in entered
 
 
 def test_fixed_seed_runs_are_identical():
