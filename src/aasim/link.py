@@ -159,10 +159,12 @@ class Link(_Wire):
     getrandbits calls in the same rejection loop. A device joins or leaves
     the ready list only when its queue turns non-empty or empty. One credit
     is consumed per departed packet and returned by the bridge once the
-    packet has been processed. A send that finds a free credit and no device
-    waiting transmits the packet at once, as the arbiter would with one
-    device ready: no draw, no stall. stalled_polls counts each send or credit
-    return that finds packets waiting and no credit left.
+    packet has been processed. A device waits only while every credit is
+    out: a send that finds a free credit transmits the packet at once, as
+    the arbiter would with one device ready (no draw, no stall), and a
+    credit returned while a device waits leaves at once with one arbitrated
+    packet (_pump). stalled_polls counts each send or credit return that
+    leaves packets waiting and no credit free.
     """
 
     def __init__(self, engine, sink, cfg, rng, metrics):
@@ -180,8 +182,7 @@ class Link(_Wire):
         if rank is None:
             rank = self._rank[tlp.requester_id] = len(self._queues)
             self._queues.append(deque())
-        if self.credits and not self._ready:
-            # What _pump does for a one-device ready list: no draw, no stall.
+        if self.credits:
             self.credits -= 1
             self._transmit(tlp)
             return
@@ -189,10 +190,7 @@ class Link(_Wire):
         if not queue:
             insort(self._ready, rank)
         queue.append(tlp)
-        if self.credits:
-            self._pump()
-        else:  # what _pump would find: packets waiting and no credit
-            self.stalled_polls += 1
+        self.stalled_polls += 1
 
     def release_credit(self):
         if self.credits >= self.capacity:
@@ -202,21 +200,21 @@ class Link(_Wire):
             self._pump()
 
     def _pump(self):
+        """Spend the credit just returned on a packet of a drawn ready device."""
         ready = self._ready
-        while ready and self.credits:
-            n = len(ready)
-            i = 0
-            if n > 1:  # rng.randrange(n), inlined
-                k = n.bit_length()
+        n = len(ready)
+        i = 0
+        if n > 1:  # rng.randrange(n), inlined
+            k = n.bit_length()
+            i = self.rng.getrandbits(k)
+            while i >= n:
                 i = self.rng.getrandbits(k)
-                while i >= n:
-                    i = self.rng.getrandbits(k)
-            queue = self._queues[ready[i]]
-            tlp = queue.popleft()
-            if not queue:
-                del ready[i]
-            self.credits -= 1
-            self._transmit(tlp)
+        queue = self._queues[ready[i]]
+        tlp = queue.popleft()
+        if not queue:
+            del ready[i]
+        self.credits -= 1
+        self._transmit(tlp)
         if ready:  # packets wait and no credit is left
             self.stalled_polls += 1
 

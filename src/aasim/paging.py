@@ -235,11 +235,7 @@ class AddressTranslator:
     def __init__(self, page_table, iotlb):
         self.page_table = page_table
         self.iotlb = iotlb
-        self._devices = set()
         self._ctx_seen = set()
-
-    def register_device(self, device_id):
-        self._devices.add(device_id)
 
     def map_range(self, vaddr, pte, pages=1):
         self.page_table.map_range(vaddr, pte, pages)
@@ -248,9 +244,6 @@ class AddressTranslator:
     def walk(self, device_id, addr):
         cost = 0
         if device_id not in self._ctx_seen:
-            # Only a registered device's context is ever cached.
-            if device_id not in self._devices:
-                raise PagingError("unregistered device %r" % (device_id,))
             self._ctx_seen.add(device_id)
             cost = CONTEXT_WALK_ACCESSES
         page = addr >> PAGE_SHIFT

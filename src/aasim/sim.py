@@ -58,7 +58,6 @@ class Simulation:
             self.links.append(link)
         for proc in self.procs:
             for src in self.procs:
-                proc.translator.register_device(src.rank)
                 channel = BackChannel(self.engine, src.on_completion, cfg, self.metrics)
                 proc.iommu.backchannels[src.rank] = channel
             proc.setup_sysflush()

@@ -133,8 +133,19 @@ class FakeChannel:
         self.delivered.append(tlp)
 
 
+class FakeLink:
+    """Counts the credits the bridge returns."""
+
+    def __init__(self):
+        self.released = 0
+
+    def release_credit(self):
+        self.released += 1
+
+
 class Rig:
-    """One bridge with an active-put page and a log, no wires attached."""
+    """One bridge with an active-put page and a log, fakes for its wires and
+    no consumer to wake."""
 
     def __init__(self, n_devices=4, log_size=4096, cfg=None):
         self.cfg = cfg or SimConfig(access_log_size=log_size)
@@ -143,9 +154,9 @@ class Rig:
         table = PageTable()
         iotlb = IotlbCache(64, "full", "lru", random.Random(0))
         self.translator = AddressTranslator(table, iotlb)
-        for dev in range(n_devices):
-            self.translator.register_device(dev)
         self.iommu = Iommu(self.engine, self.cfg, self.memory, self.translator)
+        self.link = self.iommu.link = FakeLink()
+        self.iommu.wake_consumer = lambda: None
         self.log = self.iommu.add_domain(log_size)
         self.page = self.memory.reserve_region("page", PAGE_SIZE)
         table.map_range(

@@ -38,6 +38,21 @@ def test_head_of_line_stall_until_consumer_frees_space():
     assert rig.log.head == rig.log.tail
 
 
+def test_every_retired_packet_returns_one_credit():
+    rig = Rig(log_size=1024)  # one 600-byte record with data fits, two do not
+    first = split_put(rig.page, bytes(600), 0, 1, 256)
+    second = split_put(rig.page, bytes(600), 1, 1, 256)
+    # The second head stalls; the first put's continuations are served past it.
+    for pkt in [first[0], second[0], first[1], first[2], second[1], second[2]]:
+        rig.iommu.on_arrival(pkt)
+    rig.engine.run()
+    assert len(rig.iommu.ingress) == 3 and rig.log.reserve_failures >= 1
+    assert rig.link.released == 3
+    rig.drain_records()
+    rig.engine.run()
+    assert not rig.iommu.ingress and rig.link.released == 6
+
+
 def test_idle_is_false_while_a_packet_a_transaction_or_a_flush_waits():
     rig = Rig()
     assert not rig.iommu.outstanding()

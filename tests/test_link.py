@@ -250,6 +250,9 @@ def _arbitrate(cls, seed, capacity, devices, steps):
                 link.release_credit()
         else:
             eng.run()
+        # The rule the link's shortcut and its one-departure pump rest on:
+        # packets wait only while every credit is out.
+        assert link.queued == 0 or link.in_flight == link.capacity
         states.append((link.queued, link.in_flight))
     while link.in_flight:
         eng.run()

@@ -283,9 +283,7 @@ def test_iotlb_invalid_config_rejected():
 def build_translator(capacity=8):
     table = PageTable()
     tlb = IotlbCache(capacity, "full", "lru", random.Random(3))
-    tr = AddressTranslator(table, tlb)
-    tr.register_device(0)
-    return tr
+    return AddressTranslator(table, tlb)
 
 
 def test_translator_costs_and_caching():

@@ -7,7 +7,7 @@ from aasim import iommu, runtime
 from aasim.config import SimConfig
 from aasim.link import OversizeError
 from aasim.logbuf import record_size
-from aasim.memory import PAGE_SIZE
+from aasim.memory import PAGE_SIZE, WORD, pack_words
 from aasim.paging import PUT
 from aasim.runtime import INTERRUPT_HOLDOFF_NS, NodeError, Proc
 from aasim.sim import SWEEP_INTERVAL_NS, DeadlockError, Simulation
@@ -631,6 +631,32 @@ def test_tag_exhaustion_blocks_the_issuer_until_a_tag_frees():
     assert (metrics.remote_ops, metrics.bytes_wire, metrics.sim_time_ns) == (301, 9656, 11017.0)
 
 
+def test_a_get_completion_wakes_an_issuer_out_of_tags():
+    # With no issue cost, 256 gets leave before any completes, so the 257th
+    # parks until a get's completion frees a tag.
+    sim = Simulation(small_cfg(issue_cost_ns=0))
+    target = sim.procs[1]
+    base = target.memory.reserve_region("data", PAGE_SIZE)
+    target.map_plain(base, r=True)
+    target.memory.write(base, pack_words(range(1000, 1512)))
+    source = sim.procs[0]
+    handles = []
+    wakes = []  # issues done at each wake
+    fire = source._tag_freed.fire
+    source._tag_freed.fire = lambda: wakes.append(len(handles)) or fire()
+
+    def app():
+        for i in range(300):
+            handles.append((yield from source.get(1, base + 8 * (i % 512), 8)))
+        for handle in handles:
+            yield from handle.wait()
+
+    run_app(sim, app())
+    assert wakes[0] == 256 and len(wakes) == 44  # 44 parks at the default seed
+    assert [WORD.unpack(h.data)[0] for h in handles] == [1000 + i % 512 for i in range(300)]
+    assert all(h.status == "ok" for h in handles)
+
+
 def test_oversize_and_straddle_rejected():
     sim = Simulation(small_cfg())
     proc = sim.procs[0]
@@ -951,6 +977,16 @@ def test_woken_consumer_enters_no_generator_expression(scheme):
     assert bench.replayed() == bench.fetched_values()
     assert {"poll_step", "_on_commit"} <= entered
     assert "<genexpr>" not in entered
+
+
+@pytest.mark.parametrize("num_procs", [1, 3])
+def test_every_node_is_wired_to_every_rank(num_procs):
+    # The bridge trusts this wiring: it checks no device, wire or consumer.
+    sim = Simulation(SimConfig(num_procs=num_procs))
+    for proc in sim.procs:
+        assert list(proc.iommu.backchannels) == list(range(num_procs))
+        assert proc.iommu.link is sim.links[proc.rank]
+        assert proc.iommu.wake_consumer == proc._notify
 
 
 def test_fixed_seed_runs_are_identical():

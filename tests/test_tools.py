@@ -156,3 +156,19 @@ def test_src_lines_counts_lines_code_and_defaulted_parameters(monkeypatch, tmp_p
     assert src_lines.main([str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert out == "%s: 7 lines, 4 code lines, 4 defaulted parameters\n" % tmp_path
+
+
+def test_src_lines_prints_two_trees_and_their_difference(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(TOOLS)
+    src_lines = importlib.import_module("src_lines")
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (old / "a.py").write_text("def f(a=1, b=2):\n    # why\n    return a\n\n")
+    (new / "a.py").write_text("def f(a=1):\n    return a\n")
+    assert src_lines.main([str(old), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "%s: 4 lines, 2 code lines, 2 defaulted parameters" % old,
+        "%s: 2 lines, 2 code lines, 1 defaulted parameters" % new,
+        "change: -2 lines, +0 code lines, -1 defaulted parameters",
+    ]
