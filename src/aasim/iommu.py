@@ -98,12 +98,14 @@ class Iommu:
 
     def add_domain(self, size):
         """Open the next logging domain: a size-byte ring and a flush page.
-        Returns its AccessLog."""
+        Returns its AccessLog. The ring's region log<iuid> reserves addresses
+        only, so the regions after it keep their bases; its bytes live in the
+        AccessLog."""
         iuid = len(self.alogs) + 1  # iuid 0 is reserved for fault-log records
         if iuid >= IUID_LIMIT:
             raise IommuError("out of logging domains (iuid space exhausted)")
-        base = self.memory.reserve_region("log%d" % iuid, size)
-        log = logbuf.AccessLog(self.engine, self.memory, iuid, base, size)
+        self.memory.reserve_region("log%d" % iuid, size)
+        log = logbuf.AccessLog(self.engine, iuid, size)
         self.alogs.append(log)
         self.flush_pages[self.memory.reserve_region("flush%d" % iuid, PAGE_SIZE)] = log
         return log
@@ -325,7 +327,7 @@ class Iommu:
             self.backchannels[tlp.requester_id].deliver(lnk.blocked_completion(tlp))
             return
         if log is None:
-            self.engine.schedule(self.cfg.mem_access_ns, self._fetch, tlp, phys)
+            self.engine.schedule(self.cfg.mem_access_ns, self._fetch, tlp, phys, None, 0)
             return
         if tlp.atomic is not None:
             raise IommuError("atomics on logging-marked pages are unsupported")
@@ -338,10 +340,10 @@ class Iommu:
         # Metadata-only read record commits at interception, before the fetch
         # is queued: the commit hooks' wake-ups are scheduled ahead of it.
         log.mark_done(offset)
-        self.engine.schedule(self.cfg.mem_access_ns, self._fetch, tlp, phys)
+        self.engine.schedule(self.cfg.mem_access_ns, self._fetch, tlp, phys, None, 0)
         yield self.cfg.mem_access_ns
 
-    def _fetch(self, tlp, phys, log=None, offset=0):
+    def _fetch(self, tlp, phys, log, offset):
         """At a get's data fetch: read (or atomically update) the data and
         queue the first completion's egress. With a log, each completion is
         also copied into the record at offset."""

@@ -7,12 +7,11 @@ committed-head pointer publishes only the hole-free prefix, so consumers
 never observe a partially filled record. Offsets are virtual (monotonic)
 and wrap at byte granularity on the ring.
 
-A ring is one buffer that backs the ring's lines in the node's memory
-(``PhysMemory.back_region``), from its first reservation on; every ring
-write and read follows one. A ring write or read is one slice of the
-buffer, two when it wraps, and a header is unpacked in place;
-``PhysMemory.read`` and ``write`` of the ring region see and change the same
-bytes.
+A ring is one buffer that only its AccessLog slices, allocated at the
+ring's first reservation, so a domain that never logs costs no buffer. A
+ring write or read is one slice of the buffer, two when it wraps, and a
+header is unpacked in place. The node's memory reserves the ring's
+addresses (``Iommu.add_domain``) but holds none of its bytes.
 """
 
 import struct
@@ -47,26 +46,16 @@ class LogRecord:
     seq_no: int
     payload: bytes = None
 
-    @property
-    def data_present(self):
-        return bool(self.flags & FLAG_DATA)
-
-    @property
-    def blocked(self):
-        return bool(self.flags & FLAG_BLOCKED)
-
 
 class AccessLog:
     """One domain's ring, which numbers and lays out its own records. Never
     drops; a producer that cannot reserve stalls until the consumer frees space."""
 
-    def __init__(self, engine, memory, iuid, base, size):
+    def __init__(self, engine, iuid, size):
         if size <= 0 or size & (size - 1):
             raise LogError("log size %d not a power of two" % size)
         self.engine = engine
-        self.memory = memory
         self.iuid = iuid
-        self.base = base
         self.size = size
         self._ring = None  # memoryview of the ring's buffer, from the first reserve
         self.head = 0  # producer reservation frontier (virtual)
@@ -99,8 +88,7 @@ class AccessLog:
             self.reserve_failures += 1
             return None
         if self._ring is None:
-            # A domain that never logs costs no buffer.
-            self._ring = self.memory.back_region(self.base, self.size)
+            self._ring = memoryview(bytearray(self.size))
         offset = self.head
         self.head = end = offset + nbytes
         self._reserved[offset] = [end, False]

@@ -5,13 +5,9 @@ Reserving a region only moves the bump pointer. Backing store comes in
 its first write, and reading a line never written returns zeros. Build cost
 and resident memory therefore follow the lines a run touches, not the volumes
 it reserves, and a scattered 8-byte store costs one line rather than a page.
-Regions and paging still work in 4 KiB pages.
-
-A region's owner may instead back it with one buffer (``back_region``). Its
-lines then enter the store as views of that buffer, so the owner moves a run
-of bytes with one slice of the buffer, while ``read`` and ``write`` still go
-through the store and see the same bytes. The access logs' rings are backed
-this way.
+Regions and paging still work in 4 KiB pages. An access log's ring is a
+region of addresses only: its bytes live in the log's own buffer
+(``logbuf.AccessLog``), never in this store.
 
 Memory holds 8-byte little-endian words: this module owns that format. WORD
 packs and unpacks one word; ``words`` and ``pack_words`` convert a run of
@@ -52,7 +48,7 @@ class MemoryError_(Exception):
 class PhysMemory:
     def __init__(self, node_id):
         self.node_id = node_id
-        self._lines = {}  # line number -> bytearray(LINE_SIZE) once written, or a view
+        self._lines = {}  # line number -> bytearray(LINE_SIZE), once written
         self._regions = {}
         self._bases = []  # region bases, ascending by construction
         self._names = []
@@ -79,25 +75,6 @@ class PhysMemory:
         self._bases.append(base)
         self._names.append(name)
         return base
-
-    def back_region(self, base, size):
-        """Back the whole lines covering [base, base + size) with one
-        bytearray and return a memoryview of it; each line's store entry
-        becomes a view of its 256 bytes, holding what the line held. base
-        must start a line."""
-        if base & _LINE_MASK or size <= 0 or base < 0 or base + size > self._bump:
-            raise MemoryError_("cannot back [%d, %d) with one buffer" % (base, base + size))
-        count = -(-size // LINE_SIZE)
-        view = memoryview(bytearray(count * LINE_SIZE))
-        lines = self._lines
-        first = base >> LINE_SHIFT
-        for i in range(count):
-            line = view[i * LINE_SIZE : (i + 1) * LINE_SIZE]
-            old = lines.get(first + i)
-            if old is not None:
-                line[:] = old
-            lines[first + i] = line
-        return view
 
     def region(self, name):
         return self._regions[name]

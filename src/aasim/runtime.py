@@ -66,7 +66,7 @@ class HandlerCtx:
         self._access_ns = proc.cfg.mem_access_ns
         self._memory = proc.memory
 
-    def touch(self, accesses=1):
+    def touch(self, accesses):
         self.cost_ns += accesses * self._access_ns
 
     def read_word(self, addr):

@@ -15,7 +15,7 @@ from ..sim import Simulation
 
 class CheckpointBench:
     def __init__(self, cfg, n_pages, epochs, writes_per_source):
-        cfg.validate()
+        self.sim = Simulation(cfg)
         if cfg.num_procs < 2 or n_pages < 1:
             raise ConfigError("checkpoint needs procs >= 2 (a collector and a source) and pages >= 1,"
                               " not procs=%d pages=%d" % (cfg.num_procs, n_pages))
@@ -25,7 +25,6 @@ class CheckpointBench:
         self.cfg = cfg
         self.n_pages = n_pages
         self.epochs = epochs
-        self.sim = Simulation(cfg)
         self.dirty_now = set()
         self.snapshots = []
         self.local_sets = []  # per epoch, the locally dirtied pages, drawn below

@@ -40,7 +40,7 @@ class CounterBench:
     def __init__(self, cfg, variant, n_pages, accesses):
         if variant not in SCHEMES:
             raise ValueError("unknown counter variant %r" % variant)
-        cfg.validate()
+        self.sim = Simulation(cfg)
         if cfg.num_procs < 2 or n_pages < 1:
             raise ConfigError("counter needs procs >= 2 (a target and a source) and pages >= 1,"
                               " not procs=%d pages=%d" % (cfg.num_procs, n_pages))
@@ -51,7 +51,6 @@ class CounterBench:
         self.n_pages = n_pages
         # Counter words take 16 B per counted page: a put and a get count.
         self.vec_span = -(-16 * n_pages // PAGE_SIZE) * PAGE_SIZE
-        self.sim = Simulation(cfg)
         self.counts = Counter()  # (kind, page) -> count, as measured
         self.local_counts = [Counter() for _ in range(cfg.num_procs)]
         sources = list(range(1, cfg.num_procs))

@@ -197,7 +197,7 @@ class DhtBench:
     WARMUP_OPS = 16
 
     def __init__(self, cfg, delete_fraction=0.0, keys=None):
-        cfg.validate()
+        self.sim = Simulation(cfg)
         if not 0.0 <= delete_fraction <= 1.0:
             raise ConfigError("delete_fraction must be in [0, 1], not %r" % delete_fraction)
         if delete_fraction > 0.0 and cfg.scheme == "am":
@@ -217,7 +217,6 @@ class DhtBench:
         self.cfg = cfg
         self.scheme = cfg.scheme
         self.delete_fraction = delete_fraction
-        self.sim = Simulation(cfg)
         self.table_size = table_size
         self.layouts = []
         self.delete_pages = []

@@ -20,13 +20,12 @@ class GetLogBench:
     def __init__(self, cfg, variant, n_gets):
         if variant not in SCHEMES:
             raise ValueError("unknown get-logging variant %r" % variant)
-        cfg.validate()
+        self.sim = Simulation(cfg)
         if n_gets < 0:
             raise ConfigError("getlog needs gets >= 0, not %d" % n_gets)
         self.cfg = cfg
         self.variant = variant
         self.n_gets = n_gets
-        self.sim = Simulation(cfg)
         # The 8-byte values, joined: at the target in record order, and at
         # the source in issue order.
         self.recovered = bytearray()

@@ -45,7 +45,7 @@ def zipf_indices(rng, universe, count):
     return rng.choices(range(universe), weights, k=count)
 
 
-def zipf_page_trace(rng, n_pages, count, loops=1):
+def zipf_page_trace(rng, n_pages, count, loops):
     """A page-visit trace with hot pages, replayed loops times end to end."""
     once = zipf_indices(rng, n_pages, count)
     return once * loops
@@ -77,7 +77,7 @@ def replay_hit_rate(trace, size, assoc, policy, seed):
     return cache.hits / total if total else 0.0
 
 
-def sweep_hit_rates(seed=1):
+def sweep_hit_rates(seed):
     """Rows of (size, assoc, policy, hit_rate) over the replayed trace."""
     trace = zipf_page_trace(random.Random(seed * 65537), TRACE_PAGES, TRACE_VISITS, TRACE_LOOPS)
     return [

@@ -32,7 +32,7 @@ class SortBench:
     def __init__(self, cfg, variant, total_words):
         if variant not in getlog.SCHEMES:
             raise ValueError("unknown sort variant %r" % variant)
-        cfg.validate()
+        self.sim = Simulation(cfg)
         self.cfg = cfg
         self.variant = variant
         procs = cfg.num_procs
@@ -42,7 +42,6 @@ class SortBench:
         if self.words_per_rank <= 0 or self.words_per_rank * WORD.size % PAGE_SIZE:
             raise ConfigError("%d words over %d procs do not fill whole %d B pages per rank"
                               % (total_words, procs, PAGE_SIZE))
-        self.sim = Simulation(cfg)
         rng = self.sim.rng_for(4)
         self.arrays = [
             sorted(rng.getrandbits(32) for _ in range(self.words_per_rank))
@@ -123,9 +122,6 @@ class SortBench:
             if j == rank:
                 continue
             lo, hi = self.ranges[j][rank]
-            if lo == hi:
-                pieces.append([])
-                continue
             buf = bytearray()
             start = self.regions[j] + lo * WORD.size
             for addr, length in page_chunks(start, (hi - lo) * WORD.size):

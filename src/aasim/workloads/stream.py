@@ -16,10 +16,9 @@ BUF_PAGES = 16
 
 class StreamBench:
     def __init__(self, cfg, n_puts):
-        cfg.validate()
+        self.sim = Simulation(cfg)
         self.cfg = cfg
         self.n_puts = n_puts
-        self.sim = Simulation(cfg)
         target = self.sim.procs[0]
         span = BUF_PAGES * PAGE_SIZE
         self.region = target.memory.reserve_region("streambuf", span)

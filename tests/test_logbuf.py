@@ -14,14 +14,11 @@ from aasim.logbuf import (
     LogRecord,
     record_size,
 )
-from aasim.memory import LINE_SIZE, PAGE_SIZE, PhysMemory
 
 
 def make_log(size=128, iuid=5):
     eng = Engine()
-    mem = PhysMemory(0)
-    base = mem.reserve_region("log", size)
-    return AccessLog(eng, mem, iuid, base, size), eng
+    return AccessLog(eng, iuid, size), eng
 
 
 def test_header_layout_golden_bytes():
@@ -145,11 +142,8 @@ def test_oversized_record_is_a_config_error():
 
 
 def test_size_must_be_power_of_two():
-    eng = Engine()
-    mem = PhysMemory(0)
-    base = mem.reserve_region("log", 96)
     with pytest.raises(LogError):
-        AccessLog(eng, mem, 1, base, 96)
+        AccessLog(Engine(), 1, 96)
 
 
 def test_fault_log_drops_on_overflow():
@@ -171,20 +165,17 @@ def test_fault_log_numbers_metadata_entries_in_arrival_order():
         LogRecord(1, 3, 0, 0x1000, 8, FLAG_BLOCKED, 0),
         LogRecord(0, 4, 0, 0x2000, 16, 0, 1),
     ]
-    assert not any(rec.data_present for rec in flog.entries)
+    assert not any(rec.flags & FLAG_DATA for rec in flog.entries)
     assert flog.drops == 2 and flog.next_seq == 4
 
 
 class ReferenceRing:
-    """A ring kept in an unbacked PhysMemory: every ring write and read goes
-    through PhysMemory.write and read, split where the ring wraps. It numbers
-    the headers it stores itself, as AccessLog.write_header should."""
+    """A ring kept in a bytearray, one byte at a time: the byte at virtual
+    offset v is at v % size. It numbers the headers it stores itself, as
+    AccessLog.write_header should."""
 
     def __init__(self, size):
-        self.memory = PhysMemory(0)
-        self.memory.reserve_region("before", PAGE_SIZE)
-        self.base = self.memory.reserve_region("log", size)
-        self.memory.reserve_region("after", PAGE_SIZE)
+        self.buf = bytearray(size)
         self.size = size
         self.next_seq = 0
 
@@ -196,30 +187,19 @@ class ReferenceRing:
         self.next_seq += 1
 
     def write(self, voffset, payload):
-        pos = self.base + voffset % self.size
-        room = self.base + self.size - pos
-        self.memory.write(pos, payload[:room])
-        if len(payload) > room:
-            self.memory.write(self.base, payload[room:])
+        for i, byte in enumerate(payload):
+            self.buf[(voffset + i) % self.size] = byte
 
     def read(self, voffset, nbytes):
-        pos = self.base + voffset % self.size
-        first = min(nbytes, self.base + self.size - pos)
-        out = self.memory.read(pos, first)
-        if first < nbytes:
-            out += self.memory.read(self.base, nbytes - first)
-        return out
+        return bytes(self.buf[(voffset + i) % self.size] for i in range(nbytes))
 
     def record(self, tail, committed):
-        """What read_record gives: None, (record, size), or LogError when
-        the committed prefix ends inside the record."""
+        """What read_record gives: None or (record, size)."""
         if committed < HEADER_BYTES:
             return None
         rec = LogRecord(*HEADER.unpack(self.read(tail, HEADER_BYTES)))
         if not rec.flags & FLAG_DATA:
             return rec, HEADER_BYTES
-        if committed < record_size(rec.length, True):
-            return LogError
         rec.payload = self.read(tail + HEADER_BYTES, rec.length)
         return rec, record_size(rec.length, True)
 
@@ -234,11 +214,6 @@ RING_OPS = st.one_of(
               st.integers(0, 255)),
     st.tuples(st.just("done"), st.integers(0, 7)),
     st.tuples(st.just("consume"),),
-    # Plain memory traffic on and around the ring region: (offset from the
-    # ring's base, length, pattern seed).
-    st.tuples(st.just("mem_write"), st.integers(-64, 4096 + 64), st.integers(1, 600),
-              st.integers(0, 255)),
-    st.tuples(st.just("mem_read"), st.integers(-64, 4096 + 64), st.integers(1, 600)),
 )
 
 
@@ -248,14 +223,9 @@ RING_OPS = st.one_of(
     st.integers(0, 4096),
     st.lists(RING_OPS, max_size=60),
 )
-def test_backed_ring_matches_a_ring_kept_in_the_line_store(size, lead, ops):
+def test_ring_matches_a_reference_ring(size, lead, ops):
     ref = ReferenceRing(size)
-    mem = PhysMemory(0)
-    mem.reserve_region("before", PAGE_SIZE)
-    base = mem.reserve_region("log", size)
-    mem.reserve_region("after", PAGE_SIZE)
-    assert base == ref.base
-    log = AccessLog(Engine(), mem, 5, base, size)
+    log = AccessLog(Engine(), 5, size)
     # One record consumed up front starts the ops at any offset, so that
     # headers and payloads often wrap.
     lead = lead // 8 * 8 % size
@@ -269,7 +239,6 @@ def test_backed_ring_matches_a_ring_kept_in_the_line_store(size, lead, ops):
         log.mark_done(offset)
         log.advance_tail(log.read_record()[1])
     open_recs = []  # [offset, length, with_data] reserved and not yet done
-    span = -(-size // LINE_SIZE) * LINE_SIZE + LINE_SIZE  # backed lines and the next
     for op in ops:
         kind = op[0]
         if kind == "reserve":
@@ -298,24 +267,9 @@ def test_backed_ring_matches_a_ring_kept_in_the_line_store(size, lead, ops):
             offset = open_recs.pop(op[1] % len(open_recs))[0]
             log.mark_done(offset)
         elif kind == "consume":
-            # Plain writes may have changed a header's length or flags.
-            try:
-                got = log.read_record()
-            except LogError:
-                got = LogError
+            got = log.read_record()
             assert got == ref.record(log.tail, log.committed_head - log.tail)
-            if got not in (None, LogError):
+            if got is not None:
                 log.advance_tail(got[1])
-        elif kind == "mem_write":
-            _, at, length, seed = op
-            mem.write(base + at, pattern(length, seed))
-            ref.memory.write(base + at, pattern(length, seed))
-        elif kind == "mem_read":
-            _, at, length = op
-            assert mem.read(base + at, length) == ref.memory.read(base + at, length)
-        assert mem.read(base, size) == ref.memory.read(base, size)
-        if log.head:  # the ring is backed from its first reservation on
+        if log.head:  # the ring's buffer exists from its first reservation on
             assert log.ring_read(0, size) == ref.read(0, size)
-    assert mem.read(0, mem.size) == ref.memory.read(0, ref.memory.size)
-    for line in range(base - LINE_SIZE, base + span, LINE_SIZE):
-        assert mem.read(line, LINE_SIZE) == ref.memory.read(line, LINE_SIZE), line

@@ -6,7 +6,7 @@ import pytest
 from aasim import iommu, runtime
 from aasim.config import SimConfig
 from aasim.link import OversizeError
-from aasim.logbuf import record_size
+from aasim.logbuf import FLAG_BLOCKED, FLAG_DATA, record_size
 from aasim.memory import PAGE_SIZE, WORD, pack_words
 from aasim.paging import PUT
 from aasim.runtime import INTERRUPT_HOLDOFF_NS, NodeError, Proc
@@ -111,7 +111,7 @@ def test_unmapped_put_goes_to_fault_log():
     assert out["status"] == "fault"
     assert metrics.fault_entries == 1
     assert len(target.iommu.fault_log.entries) == 1
-    assert target.iommu.fault_log.entries[0].blocked
+    assert target.iommu.fault_log.entries[0].flags & FLAG_BLOCKED
 
 
 def test_active_put_runs_handler_without_memory_effect():
@@ -153,7 +153,7 @@ def test_legacy_fault_page_logs_metadata_only():
     metrics = run_app(sim, app(sim.procs[0]))
     assert metrics.fault_entries == 1
     entry = target.iommu.fault_log.entries[0]
-    assert entry.length == 8 and not entry.data_present
+    assert entry.length == 8 and not entry.flags & FLAG_DATA
 
 
 def test_statistics_page_has_both_effects():
@@ -219,7 +219,7 @@ def test_multi_packet_logged_get_copies_every_completion():
     metrics = run_app(sim, app(sim.procs[0]))
     assert out["data"] == data
     assert [rec.payload for rec in records] == [data]
-    assert records[0].data_present and records[0].length == 600
+    assert records[0].flags & FLAG_DATA and records[0].length == 600
     assert not target.iommu.tag_buffer
     # one request plus three completions on the wire
     assert metrics.packets == 4
@@ -244,7 +244,7 @@ def test_metadata_logged_get_returns_data_and_logs_no_payload():
     assert out["data"] == b"metadata-only!!!"
     assert len(records) == 1
     rec = records[0]
-    assert not rec.data_present and not rec.blocked
+    assert not rec.flags & (FLAG_DATA | FLAG_BLOCKED)
     assert rec.length == 16 and rec.payload is None
     assert not target.iommu.tag_buffer
 
@@ -303,7 +303,7 @@ def test_blocked_get_on_logging_page_logs_metadata():
     run_app(sim, app(sim.procs[0]))
     assert out["status"] == "blocked"
     assert len(recs) == 1
-    assert recs[0].blocked and not recs[0].data_present
+    assert recs[0].flags & FLAG_BLOCKED and not recs[0].flags & FLAG_DATA
 
 
 def test_cas_and_fao_semantics():

@@ -15,8 +15,8 @@ from criteria import (
 )
 
 from aasim.config import SCHEMES, ConfigError, SimConfig
-from aasim.memory import PAGE_SIZE, PhysMemory
-from aasim.sim import SWEEP_INTERVAL_NS
+from aasim.memory import LINE_SHIFT, PAGE_SIZE, PhysMemory
+from aasim.sim import SWEEP_INTERVAL_NS, Simulation
 from aasim.workloads import dht, iotlb, keys, stream
 from aasim.workloads.checkpoint import CheckpointBench
 from aasim.workloads.counter import CounterBench
@@ -250,6 +250,19 @@ def test_aa_int_ring_smaller_than_the_batch_reaches_quiescence():
     assert metrics.records_consumed == 40
     for rank in range(cfg.num_procs):
         assert bench.contents(rank) == bench.oracle_contents(rank)
+
+
+def test_a_ring_keeps_its_bytes_out_of_the_node_memory():
+    # The run deletes nothing, so each rank's delete log never reserves.
+    bench = dht.DhtBench(small_cfg(scheme="aa-sp", num_procs=3, ops_per_proc=30))
+    assert bench.run().records_consumed == 90
+    for proc in bench.sim.procs:
+        insert_log, delete_log = proc.iommu.alogs
+        assert insert_log._ring is not None and delete_log._ring is None
+        for log in proc.iommu.alogs:
+            base, span = proc.memory.region("log%d" % log.iuid)
+            first, end = base >> LINE_SHIFT, (base + span) >> LINE_SHIFT
+            assert not any(first <= line < end for line in proc.memory._lines)
 
 
 # The six small seed-1 runs at default costs; tests/exact.json pins each
@@ -572,6 +585,36 @@ def test_sort_output_matches_oracle_under_all_variants():
         assert bench.merged() == bench.oracle()
 
 
+class Draws(random.Random):
+    """A Random whose getrandbits returns the given values in turn."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self._values = iter(values)
+
+    def getrandbits(self, k):
+        return next(self._values)
+
+
+def test_sort_fetches_an_empty_slice(monkeypatch):
+    # Rank 0 holds 0..511 and rank 1 holds 2**31 upward, so the one splitter
+    # (255) leaves rank 1 nothing to send to rank 0.
+    rng_for = Simulation.rng_for
+    monkeypatch.setattr(
+        Simulation,
+        "rng_for",
+        lambda sim, stream, idx=0: (
+            Draws([*range(512), *range(1 << 31, (1 << 31) + 512)]) if stream == 4
+            else rng_for(sim, stream, idx)
+        ),
+    )
+    for variant in ("no-ft", "aa", "sendback"):
+        bench = SortBench(small_cfg(num_procs=2), variant, total_words=1024)
+        assert bench.ranges[1][0] == (0, 0)
+        bench.run()
+        assert bench.merged() == bench.oracle()
+
+
 def test_sort_energy_follows_bytes():
     out = run_variants(SortBench, small_cfg(), total_words=1 << 12)
     m = {v: out[v][1] for v in out}
@@ -611,3 +654,20 @@ def test_full_assoc_beats_four_way_on_hot_set():
     rate_4way, m_4way = insert_rate(cfg, 4, ops=200)
     assert m_full.iotlb_misses <= m_4way.iotlb_misses
     assert rate_full >= rate_4way
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda cfg: CounterBench(cfg, "aa", 0, 1),
+        lambda cfg: GetLogBench(cfg, "aa", -1),
+        lambda cfg: CheckpointBench(cfg, 0, 1, 1),
+        lambda cfg: SortBench(cfg, "aa", total_words=3),
+        lambda cfg: dht.DhtBench(cfg, delete_fraction=2.0),
+        lambda cfg: stream.StreamBench(cfg, n_puts=-1),
+    ],
+    ids=["counter", "getlog", "checkpoint", "sortft", "dht", "stream"],
+)
+def test_every_workload_validates_its_config_first(build):
+    with pytest.raises(ConfigError, match="credit_capacity must be >= 1"):
+        build(SimConfig(credit_capacity=0))
